@@ -57,8 +57,6 @@ def _write_csv(path: Path, rows, manifest_name: str | None = None) -> None:
 
 
 def _manifest(args, command: str, inputs: dict, settings: dict) -> dict:
-    # --threads is deliberately not echoed: outputs must be byte-identical
-    # at any worker cap, and the flag cannot change any result
     m = {
         "command": command,
         "tool": "dynetlogit",
@@ -374,8 +372,6 @@ def cmd_gli(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap (outputs are identical at any value)")
     common.add_argument("--out-dir", default=".", help="directory for output files")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="csv additionally writes companion CSV tables")

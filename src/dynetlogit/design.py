@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .panel import NetworkPanel
+from .panel import NetworkPanel, dyads
 from .terms import (
+    History,
     ModelSpec,
-    PanelHistory,
     edge_term_values,
     usable_transitions,
     vertex_term_values,
@@ -91,16 +91,6 @@ class DesignMatrix:
         )
 
 
-def _pair_arrays(present_idx: np.ndarray):
-    """All unordered pairs (i < j) of the given indices, as two index arrays."""
-    k = len(present_idx)
-    if k < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    iu, ju = np.triu_indices(k, 1)
-    return present_idx[iu].astype(np.int64), present_idx[ju].astype(np.int64)
-
-
 def build_design(panel: NetworkPanel, spec: ModelSpec,
                  gap_policy: str | None = None,
                  align_to_lag: int | None = None) -> DesignMatrix:
@@ -112,7 +102,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     rows and compared by BIC.
     """
     policy = gap_policy or spec.gap_policy
-    history = PanelHistory(panel)
+    history = History(panel)
     window = max(spec.max_lag, align_to_lag or 0)
     steps = usable_transitions(history, window, policy)
     if not steps:
@@ -135,7 +125,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
             v_resp.append(snap.present.astype(np.int8))
             v_t.append(np.full(n, t, dtype=np.int64))
         if ke:
-            ii, jj = _pair_arrays(snap.present_indices)
+            ii, jj = dyads(snap.present_indices)
             if len(ii) == 0:
                 continue
             cols = [edge_term_values(term, history, t, ii, jj, snap.present, policy)

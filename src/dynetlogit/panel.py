@@ -22,6 +22,7 @@ __all__ = [
     "RiskSet",
     "Snapshot",
     "NetworkPanel",
+    "dyads",
     "load_panel",
     "save_panel",
     "subpanel",
@@ -220,6 +221,17 @@ class Snapshot:
 
     def __repr__(self):
         return f"Snapshot(t={self.t}, |V|={self.n_present}, |E|={self.edge_count})"
+
+
+def dyads(indices) -> tuple:
+    """All unordered pairs (i < j) of the given sorted vertex indices, as two
+    int64 index arrays in row-major order."""
+    k = len(indices)
+    if k < 2:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    iu, ju = np.triu_indices(k, 1)
+    return indices[iu].astype(np.int64), indices[ju].astype(np.int64)
 
 
 class NetworkPanel:

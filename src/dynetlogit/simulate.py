@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
 from .gli import GLI_NAMES, gli_vector
-from .panel import NetworkPanel, RiskSet, Snapshot
+from .panel import NetworkPanel, RiskSet, Snapshot, dyads
 from .solver import FitResult
 from .terms import (
     GapError,
+    History,
     ModelSpec,
     SpecError,
     WEEKDAYS,
@@ -37,7 +39,7 @@ __all__ = [
     "GliSampleSet",
     "AdequacyReport",
     "ProjectionResult",
-    "SimHistory",
+    "StepSampler",
     "one_step_sample",
     "one_step_intervals",
     "project",
@@ -145,7 +147,7 @@ class ProjectionResult:
 
 
 # ---------------------------------------------------------------------------
-# history with sampled overlays
+# history and randomness
 # ---------------------------------------------------------------------------
 
 def weekday_attrs(t: int, offset: int = 0) -> dict:
@@ -153,8 +155,9 @@ def weekday_attrs(t: int, offset: int = 0) -> dict:
     return {"day": WEEKDAYS[(t + offset) % 7]}
 
 
-def _weekday_offset(panel: NetworkPanel):
-    """Offset o with day(t) = WEEKDAYS[(t + o) % 7] across the panel, if any."""
+def _weekday_attrs_fn(panel: NetworkPanel):
+    """Time attributes of unobserved steps, extrapolated from the panel's
+    weekly day cycle; None when the panel has no such cycle."""
     offset = None
     for snap in panel.snapshots:
         day = snap.time_attrs.get("day")
@@ -165,53 +168,7 @@ def _weekday_offset(panel: NetworkPanel):
             offset = o
         elif o != offset:
             return None
-    return offset
-
-
-class SimHistory:
-    """Panel snapshots plus sampled ones; lag terms read both alike.
-
-    Time attributes of unobserved steps are extrapolated from the panel's
-    weekly day cycle when one exists, or supplied by ``attrs_fn``.
-    """
-
-    __slots__ = ("risk_set", "base", "overlay", "attrs_fn", "_offset")
-
-    def __init__(self, risk_set: RiskSet, base: NetworkPanel | None = None,
-                 attrs_fn=None):
-        self.risk_set = risk_set
-        self.base = base
-        self.overlay: dict[int, Snapshot] = {}
-        self.attrs_fn = attrs_fn
-        self._offset = "unset"
-
-    def add(self, snap: Snapshot) -> None:
-        self.overlay[snap.t] = snap
-
-    def available_times(self):
-        ts = set(self.overlay)
-        if self.base is not None:
-            ts.update(self.base.observed_times)
-        return tuple(sorted(ts))
-
-    def snapshot_at(self, t: int):
-        snap = self.overlay.get(t)
-        if snap is None and self.base is not None:
-            snap = self.base.at(t)
-        return snap
-
-    def time_attrs_at(self, t: int):
-        snap = self.snapshot_at(t)
-        if snap is not None:
-            return snap.time_attrs
-        if self.attrs_fn is not None:
-            return self.attrs_fn(t)
-        if self.base is not None:
-            if self._offset == "unset":
-                self._offset = _weekday_offset(self.base)
-            if self._offset is not None:
-                return weekday_attrs(t, self._offset)
-        return None
+    return None if offset is None else partial(weekday_attrs, offset=offset)
 
 
 def _stream(seed: int, replicate: int, step: int, base_step: int = 0):
@@ -234,73 +191,90 @@ def _split_theta(fit: FitResult, spec: ModelSpec):
     return fit.coefficients[:kv], fit.coefficients[kv:]
 
 
-def _vertex_probs(spec, theta_v, history, t, policy):
-    n = len(history.risk_set)
-    eta = np.zeros(n)
-    for theta, term in zip(theta_v, spec.vertex_terms):
-        eta += theta * vertex_term_values(term, history, t, policy)
-    return expit(eta)
+class StepSampler:
+    """Draws snapshots at step ``t`` of one history.
 
+    A draw takes the vertex set from the vertex model, then the edges among
+    the drawn vertices from the edge model, in that order from its
+    generator; under ``threshold`` both are the 50-percent rule (ties are
+    absent) and no generator is read.  Vertex probabilities are computed
+    once.  Edge probabilities are computed once when every draw shares one
+    vertex set (``fixed_vertex_set`` or ``threshold``), once over all
+    risk-set dyads when ``draws`` > 1 and no edge term reads the drawn
+    vertex set, and otherwise per draw.  Each path yields the same
+    probability for a dyad, so the draws do not depend on which one runs.
+    """
 
-def _edge_probs(spec, theta_e, history, t, ii, jj, present, policy):
-    eta = np.zeros(len(ii))
-    for theta, term in zip(theta_e, spec.edge_terms):
-        eta += theta * edge_term_values(term, history, t, ii, jj, present, policy)
-    return expit(eta)
-
-
-def _pairs_of(present_idx):
-    k = len(present_idx)
-    if k < 2:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    iu, ju = np.triu_indices(k, 1)
-    return present_idx[iu].astype(np.int64), present_idx[ju].astype(np.int64)
-
-
-def _sample_step(spec, theta_v, theta_e, history, target, rng=None, *,
-                 threshold=False, fixed_vertex_set=False, policy=None) -> Snapshot:
-    policy = policy or spec.gap_policy
-    n = len(history.risk_set)
-    if fixed_vertex_set:
-        bits = np.ones(n, dtype=bool)
-    else:
-        if len(spec.vertex_terms) == 0:
-            raise SpecError(
-                "model has no vertex terms; simulate with fixed_vertex_set instead"
-            )
-        pv = _vertex_probs(spec, theta_v, history, target, policy)
-        if threshold:
-            bits = pv > 0.5
+    def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
+                 *, threshold: bool = False, fixed_vertex_set: bool = False,
+                 draws: int = 1):
+        self.spec, self.theta_e, self.history, self.t = spec, theta_e, history, t
+        self.threshold = threshold
+        n = len(history.risk_set)
+        self.pv = self.bits = self.pairs = self.dyad_pe = None
+        if fixed_vertex_set:
+            self.bits = np.ones(n, dtype=bool)
         else:
-            bits = rng.random(n) < pv
-    edges = []
-    ii, jj = _pairs_of(np.flatnonzero(bits))
-    if len(ii):
-        pe = _edge_probs(spec, theta_e, history, target, ii, jj, bits, policy)
-        if threshold:
-            keep = pe > 0.5
+            if not spec.vertex_terms:
+                raise SpecError(
+                    "model has no vertex terms; simulate with fixed_vertex_set instead"
+                )
+            eta = np.zeros(n)
+            for theta, term in zip(theta_v, spec.vertex_terms):
+                eta += theta * vertex_term_values(term, history, t, spec.gap_policy)
+            self.pv = expit(eta)
+            if threshold:
+                self.bits = self.pv > 0.5
+        if self.bits is not None:
+            ii, jj = dyads(np.flatnonzero(self.bits))
+            self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits))
+        elif draws > 1 and not any(term.kind == "log_size" for term in spec.edge_terms):
+            ii, jj = dyads(np.arange(n))
+            self.dyad_pe = self._edge_probs(ii, jj, np.ones(n, dtype=bool))
+        self.attrs = history.time_attrs_at(t) or {}
+
+    def _edge_probs(self, ii, jj, present):
+        # never evaluated on no dyads: log_size would take the log of 0
+        eta = np.zeros(len(ii))
+        if len(ii):
+            for theta, term in zip(self.theta_e, self.spec.edge_terms):
+                eta += theta * edge_term_values(term, self.history, self.t, ii, jj,
+                                                present, self.spec.gap_policy)
+        return expit(eta)
+
+    def draw(self, rng=None) -> Snapshot:
+        if self.pairs is not None:
+            bits = self.bits
+            ii, jj, pe = self.pairs
         else:
-            keep = rng.random(len(pe)) < pe
-        edges = list(zip(ii[keep], jj[keep]))
-    attrs = history.time_attrs_at(target) or {}
-    return Snapshot(target, bits, edges, attrs)
+            bits = rng.random(len(self.pv)) < self.pv
+            ii, jj = dyads(np.flatnonzero(bits))
+            if self.dyad_pe is not None:
+                # position of (i, j) in the row-major upper triangle
+                n = len(bits)
+                pe = self.dyad_pe[ii * (2 * n - ii - 3) // 2 + jj - 1]
+            else:
+                pe = self._edge_probs(ii, jj, bits)
+        keep = pe > 0.5 if self.threshold else rng.random(len(pe)) < pe
+        return Snapshot(self.t, bits, zip(ii[keep], jj[keep]), self.attrs)
+
+
+def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:
+    theta_v, theta_e = _split_theta(fit, spec)
+    history = History(panel, _weekday_attrs_fn(panel))
+    return StepSampler(spec, theta_v, theta_e, history, t + 1, **kwargs)
 
 
 def one_step_sample(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
                     t: int, rng_stream) -> Snapshot:
     """Sample one predicted snapshot for time t+1 from observed history."""
-    theta_v, theta_e = _split_theta(fit, spec)
-    history = SimHistory(panel.risk_set, panel)
-    return _sample_step(spec, theta_v, theta_e, history, t + 1, rng_stream)
+    return _observed_step(fit, spec, panel, t).draw(rng_stream)
 
 
 def classify_threshold(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
                        t: int) -> Snapshot:
     """Deterministic 50-percent-rule prediction of time t+1 (ties -> absent)."""
-    theta_v, theta_e = _split_theta(fit, spec)
-    history = SimHistory(panel.risk_set, panel)
-    return _sample_step(spec, theta_v, theta_e, history, t + 1, threshold=True)
+    return _observed_step(fit, spec, panel, t, threshold=True).draw()
 
 
 # ---------------------------------------------------------------------------
@@ -318,73 +292,33 @@ def interval_indices(m: int, alpha: float):
     return max(lo, 1) - 1, min(hi, m) - 1
 
 
-def prediction_steps(panel: NetworkPanel, spec: ModelSpec,
-                     policy: str | None = None):
-    """Observed steps that can be predicted and compared: full lag window
-    observed, target observed."""
-    policy = policy or spec.gap_policy
-    return usable_transitions(panel, spec.max_lag, policy)
-
-
-def _edge_model_reads_sampled_vertices(spec: ModelSpec) -> bool:
-    return any(term.kind == "log_size" for term in spec.edge_terms)
-
-
 def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
                        config: SimConfig):
     """Simulate every one-step prediction and summarize index coverage.
 
-    Within a step all replicates share the same history, so the vertex
-    probabilities (and, unless an edge statistic reads the sampled vertex
-    set, the per-dyad edge probabilities) are computed once and reused;
-    the resulting draws are identical to per-replicate sampling because
-    the (seed, replicate, step) stream and draw order are unchanged.
+    Every predictable step (full lag window observed, target observed) gets
+    one sampler shared by all its replicates, so what the replicates have in
+    common is computed once; replicate r still draws from its own
+    (seed, r, step) generator.
     """
     theta_v, theta_e = _split_theta(fit, spec)
-    steps = prediction_steps(panel, spec, spec.gap_policy)
+    steps = usable_transitions(panel, spec.max_lag, spec.gap_policy)
     if not steps:
         raise GapError("no predictable steps: every lag window crosses a gap")
     m = config.replicates
-    n = len(panel.risk_set)
     n_g = len(GLI_NAMES)
     base = panel.t_min
-    threshold = config.mode == "threshold50"
-    edge_needs_sample = _edge_model_reads_sampled_vertices(spec) or config.fixed_vertex_set
+    history = History(panel, _weekday_attrs_fn(panel))
 
-    policy = spec.gap_policy
     draws = np.empty((len(steps), m, n_g))
     observed = np.empty((len(steps), n_g))
     small_draws = 0
     for k, s in enumerate(steps):
-        history = SimHistory(panel.risk_set, panel)
-        pv = None
-        if not config.fixed_vertex_set:
-            pv = _vertex_probs(spec, theta_v, history, s, policy)
-        pe_all = pair_index = None
-        if not edge_needs_sample:
-            all_i, all_j = _pairs_of(np.arange(n))
-            pe_all = _edge_probs(spec, theta_e, history, s, all_i, all_j,
-                                 np.ones(n, dtype=bool), policy)
-            pair_index = np.zeros((n, n), dtype=np.int64)
-            pair_index[all_i, all_j] = np.arange(len(all_i))
+        sampler = StepSampler(spec, theta_v, theta_e, history, s,
+                              threshold=config.mode == "threshold50",
+                              fixed_vertex_set=config.fixed_vertex_set, draws=m)
         for rep in range(m):
-            rng = _stream(config.seed, rep, s, base)
-            if config.fixed_vertex_set:
-                bits = np.ones(n, dtype=bool)
-            elif threshold:
-                bits = pv > 0.5
-            else:
-                bits = rng.random(n) < pv
-            ii, jj = _pairs_of(np.flatnonzero(bits))
-            edges = []
-            if len(ii):
-                if pe_all is not None:
-                    pe = pe_all[pair_index[ii, jj]]
-                else:
-                    pe = _edge_probs(spec, theta_e, history, s, ii, jj, bits, policy)
-                keep = pe > 0.5 if threshold else rng.random(len(pe)) < pe
-                edges = list(zip(ii[keep], jj[keep]))
-            snap = Snapshot(s, bits, edges, history.time_attrs_at(s) or {})
+            snap = sampler.draw(_stream(config.seed, rep, s, base))
             draws[k, rep] = gli_vector(snap).as_array()
             if snap.n_present < 3:
                 small_draws += 1
@@ -429,18 +363,18 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     steps = tuple(range(start, start + config.horizon))
     base = panel.t_min
     threshold = config.mode == "threshold50"
+    attrs_fn = _weekday_attrs_fn(panel)
 
     paths = np.empty((config.replicates, config.horizon, len(GLI_NAMES)))
     kept = [] if keep_snapshots else None
     for rep in range(config.replicates):
-        history = SimHistory(panel.risk_set, panel)
+        history = History(panel, attrs_fn)
         traj = []
         for h, target in enumerate(steps):
-            rng = _stream(config.seed, rep, target, base)
-            snap = _sample_step(
-                spec, theta_v, theta_e, history, target, rng,
-                threshold=threshold, fixed_vertex_set=config.fixed_vertex_set,
-            )
+            sampler = StepSampler(spec, theta_v, theta_e, history, target,
+                                  threshold=threshold,
+                                  fixed_vertex_set=config.fixed_vertex_set)
+            snap = sampler.draw(_stream(config.seed, rep, target, base))
             history.add(snap)
             paths[rep, h] = gli_vector(snap).as_array()
             if keep_snapshots:
@@ -475,24 +409,22 @@ def generate_panel(spec: ModelSpec, coefficients, risk_set: RiskSet,
         raise ValueError("coefficient length does not match spec")
     theta_v, theta_e = coefficients[:kv], coefficients[kv:]
 
-    history = SimHistory(risk_set, None, attrs_fn=attrs_fn)
+    history = History(NetworkPanel(risk_set, ()), attrs_fn)
     n = len(risk_set)
     k = max(spec.max_lag, 1)
+    # drawn directly, not by an intercept-only sampler: expit(logit(p)) is
+    # not exactly p, so that would change every panel drawn so far
     for t in range(1, k + 1):
         rng = _stream(seed, 0, t, 0)
         bits = rng.random(n) < init_presence
-        ii, jj = _pairs_of(np.flatnonzero(bits))
-        edges = []
-        if len(ii):
-            keep = rng.random(len(ii)) < init_density
-            edges = list(zip(ii[keep], jj[keep]))
-        attrs = attrs_fn(t) if attrs_fn else {}
-        history.add(Snapshot(t, bits, edges, attrs))
+        ii, jj = dyads(np.flatnonzero(bits))
+        keep = rng.random(len(ii)) < init_density
+        history.add(Snapshot(t, bits, zip(ii[keep], jj[keep]),
+                             history.time_attrs_at(t) or {}))
 
     for t in range(k + 1, n_steps + 1):
-        rng = _stream(seed, 0, t, 0)
-        snap = _sample_step(spec, theta_v, theta_e, history, t, rng)
-        history.add(snap)
+        sampler = StepSampler(spec, theta_v, theta_e, history, t)
+        history.add(sampler.draw(_stream(seed, 0, t, 0)))
 
-    snaps = [history.overlay[t] for t in sorted(history.overlay) if t > burn_in]
+    snaps = [history.added[t] for t in sorted(history.added) if t > burn_in]
     return NetworkPanel(risk_set, snaps)

@@ -27,7 +27,7 @@ __all__ = [
     "TermSpec",
     "ModelSpec",
     "ModelValidationReport",
-    "PanelHistory",
+    "History",
     "seasonal_terms",
     "resolve_lag",
     "usable_transitions",
@@ -230,28 +230,45 @@ def save_model_spec(spec: ModelSpec, path) -> None:
 # history access and lag resolution
 # ---------------------------------------------------------------------------
 
-class PanelHistory:
-    """Snapshot lookup over an observed panel."""
+class History:
+    """An observed panel plus snapshots added on top of it.
 
-    __slots__ = ("panel", "_times")
+    Lag terms read observed and added snapshots alike; an added snapshot
+    takes precedence.  A time with no snapshot has time attributes only
+    through ``attrs_fn``, so without one a term that needs them raises
+    GapError there.
+    """
 
-    def __init__(self, panel: NetworkPanel):
+    __slots__ = ("panel", "added", "attrs_fn", "_times")
+
+    def __init__(self, panel: NetworkPanel, attrs_fn=None):
         self.panel = panel
-        self._times = panel.observed_times  # sorted
+        self.added: dict[int, Snapshot] = {}
+        self.attrs_fn = attrs_fn
+        self._times = panel.observed_times  # sorted; None once stale
 
     @property
     def risk_set(self) -> RiskSet:
         return self.panel.risk_set
 
+    def add(self, snap: Snapshot) -> None:
+        self.added[snap.t] = snap
+        self._times = None
+
     def available_times(self):
+        if self._times is None:
+            self._times = tuple(sorted({*self.panel.observed_times, *self.added}))
         return self._times
 
     def snapshot_at(self, t: int):
-        return self.panel.at(t)
+        snap = self.added.get(t)
+        return self.panel.at(t) if snap is None else snap
 
     def time_attrs_at(self, t: int):
         snap = self.snapshot_at(t)
-        return None if snap is None else snap.time_attrs
+        if snap is not None:
+            return snap.time_attrs
+        return None if self.attrs_fn is None else self.attrs_fn(t)
 
 
 def resolve_lag(history, t: int, lag: int, policy: str = "exclude") -> int:
@@ -278,7 +295,7 @@ def resolve_lag(history, t: int, lag: int, policy: str = "exclude") -> int:
 def usable_transitions(history, max_lag: int, policy: str = "exclude"):
     """Observed times whose entire lag window 1..max_lag is resolvable."""
     if isinstance(history, NetworkPanel):
-        history = PanelHistory(history)
+        history = History(history)
     out = []
     for t in history.available_times():
         try:
@@ -473,7 +490,7 @@ def vertex_stat(term: TermSpec, panel: NetworkPanel, t: int, p,
                 policy: str | None = None) -> float:
     """One vertex statistic value; the per-row scalar entry of the design."""
     policy = policy or "exclude"
-    vals = vertex_term_values(term, PanelHistory(panel), t, policy)
+    vals = vertex_term_values(term, History(panel), t, policy)
     return float(vals[_as_index(p)])
 
 
@@ -490,7 +507,7 @@ def edge_stat(term: TermSpec, panel: NetworkPanel, t: int, i, j,
     if not (bits[i] and bits[j]):
         raise ValueError(f"dyad ({i},{j}) endpoints must be in the current vertex set")
     vals = edge_term_values(
-        term, PanelHistory(panel), t,
+        term, History(panel), t,
         np.array([i]), np.array([j]), bits, policy,
     )
     return float(vals[0])

@@ -1,0 +1,58 @@
+"""The benchmark traces layers by rebinding library names from outside.
+
+`bench/spans.py` replaces module attributes such as
+`dynetlogit.simulate.edge_term_values` and reads their positional
+arguments.  A refactor that renames such a binding, or stops calling a layer
+through it, silently blinds the trace; these tests catch that.
+"""
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from dynetlogit import ModelSpec, SimConfig, TermSpec
+from dynetlogit.design import build_design
+from dynetlogit.simulate import one_step_intervals, project
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# vertex and edge kinds kept disjoint, so a span's kind tells its side
+VERTEX_KINDS = {"attr_dummy", "lag_triangle"}
+SPEC = ModelSpec(
+    [TermSpec("vertex", "attr_dummy", params={"attr": "regular"}),
+     TermSpec("vertex", "lag_triangle", lag=1)],
+    [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1),
+     TermSpec("edge", "log_size")],
+)
+
+
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_binds_and_describes_every_layer(tiny_panel):
+    fit = SimpleNamespace(coefficients=np.array([1.0, 0.2, 0.5, 0.3, -0.1]),
+                          column_names=SPEC.column_names)
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        build_design(tiny_panel, SPEC)
+        for fixed in (False, True):
+            one_step_intervals(fit, SPEC, tiny_panel,
+                               SimConfig(replicates=3, seed=1, fixed_vertex_set=fixed))
+        project(fit, SPEC, tiny_panel, SimConfig(replicates=2, horizon=2, seed=1))
+    finally:
+        tracer.remove()
+
+    assert tracer.missing == set()
+    names = {rec[0] for rec in tracer.spans}
+    assert {"terms.design", "terms.simulate", "panel.snapshot", "gli.vector"} <= names
+    simulate_spans = [rec[5] for rec in tracer.spans if rec[0] == "terms.simulate"]
+    assert any("key" in attrs for attrs in simulate_spans)
+    for attrs in simulate_spans:
+        assert ("key" in attrs) == (attrs["kind"] not in VERTEX_KINDS), attrs

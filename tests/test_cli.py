@@ -211,14 +211,6 @@ def test_parse_error_exit_code(tmp_path):
     assert run(["gli", bad, "--t", "1"]) == EXIT_PARSE
 
 
-def test_thread_cap_does_not_change_output_bytes(workdir, tmp_path):
-    out1, out2 = tmp_path / "t1", tmp_path / "t4"
-    for out, threads in ((out1, "1"), (out2, "4")):
-        assert run(["fit", workdir / "panel.json", workdir / "spec.json",
-                    "--threads", threads, "--out-dir", out]) == EXIT_OK
-    assert (out1 / "spec_fit.json").read_bytes() == (out2 / "spec_fit.json").read_bytes()
-
-
 def test_fit_gap_policy_flag(tmp_path):
     from dynetlogit import NetworkPanel, RiskSet, Snapshot
     rs = RiskSet(["a", "b", "c"])

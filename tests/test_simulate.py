@@ -15,7 +15,17 @@ from dynetlogit import (
     one_step_sample,
     project,
 )
-from dynetlogit.simulate import SimHistory, _stream, interval_indices, weekday_attrs
+from dynetlogit.gli import gli_vector
+from dynetlogit.simulate import (
+    StepSampler,
+    _stream,
+    _weekday_attrs_fn,
+    interval_indices,
+    weekday_attrs,
+)
+from dynetlogit.terms import History, SpecError
+
+from conftest import random_panel
 
 
 def fake_fit(spec, coefficients):
@@ -250,7 +260,8 @@ def test_edge_indicators_conditionally_independent(core_panel):
 
 @pytest.mark.parametrize("with_logsize", [False, True])
 def test_intervals_match_per_replicate_sampling(core_panel, with_logsize):
-    """The precomputed-probability path must replay _sample_step draws exactly."""
+    """Sharing work across replicates must not change a single draw: the
+    oracle is a fresh sampler per replicate."""
     edge_terms = [TermSpec("edge", "intercept")]
     if with_logsize:
         edge_terms.append(TermSpec("edge", "log_size"))
@@ -258,20 +269,71 @@ def test_intervals_match_per_replicate_sampling(core_panel, with_logsize):
         [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
         edge_terms,
     )
-    theta = [0.2, 0.4, -0.6] + ([0.3] if with_logsize else [])
+    theta = [0.2, 0.4, 0.6] + ([-0.3] if with_logsize else [])
     fit = fake_fit(spec, theta)
-    config = SimConfig(replicates=25, alpha=0.9, seed=13)
-    samples, _ = one_step_intervals(fit, spec, core_panel, config)
+    for mode, fixed in (("stochastic", False), ("stochastic", True),
+                        ("threshold50", False)):
+        config = SimConfig(replicates=25, alpha=0.9, seed=13, mode=mode,
+                           fixed_vertex_set=fixed)
+        samples, _ = one_step_intervals(fit, spec, core_panel, config)
+        for k, s in enumerate(samples.steps):
+            for rep in range(config.replicates):
+                sampler = StepSampler(spec, np.asarray(theta[:2]), np.asarray(theta[2:]),
+                                      History(core_panel), s,
+                                      threshold=mode == "threshold50",
+                                      fixed_vertex_set=fixed)
+                snap = sampler.draw(_stream(13, rep, s, core_panel.t_min))
+                assert np.array_equal(samples.draws[k, rep], gli_vector(snap).as_array())
 
-    from dynetlogit.gli import gli_vector
-    from dynetlogit.simulate import _sample_step
-    for k, s in enumerate(samples.steps):
-        history = SimHistory(core_panel.risk_set, core_panel)
-        for rep in range(config.replicates):
-            rng = _stream(13, rep, s, core_panel.t_min)
-            snap = _sample_step(spec, np.asarray(theta[:2]), np.asarray(theta[2:]),
-                                history, s, rng)
-            assert np.allclose(samples.draws[k, rep], gli_vector(snap).as_array())
+
+@pytest.mark.parametrize("with_logsize", [False, True])
+@pytest.mark.parametrize("mode, fixed", [("stochastic", True), ("threshold50", False)])
+def test_shared_vertex_set_evaluates_edge_terms_once_per_step(monkeypatch, mode, fixed,
+                                                              with_logsize):
+    import dynetlogit.simulate as simulate
+    panel = random_panel(np.random.default_rng(3), n=8, T=6)
+    edge_terms = [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1)]
+    if with_logsize:
+        edge_terms.append(TermSpec("edge", "log_size"))
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        edge_terms,
+    )
+    fit = fake_fit(spec, [2.0, 1.0] + [0.3] * len(edge_terms))  # everyone present
+    calls = []
+    original = simulate.edge_term_values
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "edge_term_values", counting)
+    for replicates in (1, 4, 30):
+        calls.clear()
+        samples, _ = one_step_intervals(
+            fit, spec, panel,
+            SimConfig(replicates=replicates, seed=2, mode=mode, fixed_vertex_set=fixed),
+        )
+        assert np.all(samples.draws[:, :, 0] == 8)
+        assert len(calls) == len(samples.steps) * len(edge_terms)
+
+
+def test_no_vertex_terms_needs_fixed_vertex_set(core_panel):
+    spec = ModelSpec([], [TermSpec("edge", "intercept")])
+    fit = fake_fit(spec, [0.0])
+    config = SimConfig(replicates=5, horizon=2, seed=1)
+    for simulate_call in (
+        lambda: one_step_intervals(fit, spec, core_panel, config),
+        lambda: project(fit, spec, core_panel, config),
+        lambda: one_step_sample(fit, spec, core_panel, 1, _stream(0, 0, 2)),
+        lambda: classify_threshold(fit, spec, core_panel, 1),
+    ):
+        with pytest.raises(SpecError, match="fixed_vertex_set"):
+            simulate_call()
+    fixed = SimConfig(replicates=5, horizon=2, seed=1, fixed_vertex_set=True)
+    samples, _ = one_step_intervals(fit, spec, core_panel, fixed)
+    assert np.all(samples.draws[:, :, 0] == 4)
+    assert np.all(project(fit, spec, core_panel, fixed).gli_paths[:, :, 0] == 4)
 
 
 def test_gap_in_lag_window_raises(core_panel):
@@ -289,9 +351,10 @@ def test_weekday_extrapolation():
     rs = RiskSet(["a", "b"])
     snaps = [Snapshot(t, [0, 1], [], weekday_attrs(t, 2), n=2) for t in (1, 2, 3)]
     panel = NetworkPanel(rs, snaps)
-    hist = SimHistory(rs, panel)
+    hist = History(panel, _weekday_attrs_fn(panel))
     assert hist.time_attrs_at(4) == weekday_attrs(4, 2)
     assert hist.time_attrs_at(11) == weekday_attrs(11, 2)  # full week later
+    assert History(panel).time_attrs_at(4) is None  # observed days only
 
 
 def test_generate_panel_deterministic_and_valid():

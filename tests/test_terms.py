@@ -22,7 +22,7 @@ from dynetlogit import (
     validate_model,
     vertex_stat,
 )
-from dynetlogit.terms import PanelHistory, resolve_lag, triangle_counts
+from dynetlogit.terms import History, resolve_lag, triangle_counts
 
 import oracles
 
@@ -272,9 +272,9 @@ def test_bridge_policy_spans_gap():
     p = gap_panel()
     term = TermSpec("vertex", "lag_indicator", lag=1)
     assert vertex_stat(term, p, 4, 0, policy="bridge") == 1.0
-    assert resolve_lag(PanelHistory(p), 4, 1, "bridge") == 2
+    assert resolve_lag(History(p), 4, 1, "bridge") == 2
     with pytest.raises(GapError):
-        resolve_lag(PanelHistory(p), 1, 1, "bridge")
+        resolve_lag(History(p), 1, 1, "bridge")
 
 
 def test_usable_transitions_counts():

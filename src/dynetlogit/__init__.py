@@ -44,6 +44,7 @@ from .solver import (
     predict_probabilities,
 )
 from .terms import (
+    CycleBudgetError,
     GapError,
     ModelSpec,
     SpecError,
@@ -51,6 +52,7 @@ from .terms import (
     edge_stat,
     load_model_spec,
     pair_cycle_count,
+    pair_cycle_counts,
     save_model_spec,
     seasonal_terms,
     triangle_count,

@@ -128,10 +128,11 @@ class Snapshot:
     ``present`` is a boolean vector over the risk set; ``edges`` holds
     unordered index pairs with the smaller index first.  Every edge endpoint
     must be present.  Instances are immutable after construction and cache
-    derived structures (neighbor sets, per-pair cycle counts) on first use.
+    derived structures (neighbor sets, the 2-core, per-pair cycle counts) on
+    first use.
     """
 
-    __slots__ = ("t", "present", "edges", "time_attrs", "_nbrs", "_cycle_memo")
+    __slots__ = ("t", "present", "edges", "time_attrs", "_nbrs", "_core", "_cycle_memo")
 
     def __init__(self, t, present, edges, time_attrs=None, *, n=None):
         self.t = int(t)
@@ -161,6 +162,7 @@ class Snapshot:
         self.edges = frozenset(canon)
         self.time_attrs = dict(time_attrs or {})
         self._nbrs = None
+        self._core = None
         self._cycle_memo = {}
 
     # -- basic accessors -------------------------------------------------

@@ -299,7 +299,8 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     Every predictable step (full lag window observed, target observed) gets
     one sampler shared by all its replicates, so what the replicates have in
     common is computed once; replicate r still draws from its own
-    (seed, r, step) generator.
+    (seed, r, step) generator.  Under ``threshold50`` the draw is
+    deterministic, so one draw per step stands for all replicates.
     """
     theta_v, theta_e = _split_theta(fit, spec)
     steps = usable_transitions(panel, spec.max_lag, spec.gap_policy)
@@ -310,18 +311,24 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     base = panel.t_min
     history = History(panel, _weekday_attrs_fn(panel))
 
+    threshold = config.mode == "threshold50"
     draws = np.empty((len(steps), m, n_g))
     observed = np.empty((len(steps), n_g))
     small_draws = 0
     for k, s in enumerate(steps):
-        sampler = StepSampler(spec, theta_v, theta_e, history, s,
-                              threshold=config.mode == "threshold50",
+        sampler = StepSampler(spec, theta_v, theta_e, history, s, threshold=threshold,
                               fixed_vertex_set=config.fixed_vertex_set, draws=m)
-        for rep in range(m):
-            snap = sampler.draw(_stream(config.seed, rep, s, base))
-            draws[k, rep] = gli_vector(snap).as_array()
+        if threshold:  # reads no generator, so every replicate draws this snapshot
+            snap = sampler.draw()
+            draws[k] = gli_vector(snap).as_array()
             if snap.n_present < 3:
-                small_draws += 1
+                small_draws += m
+        else:
+            for rep in range(m):
+                snap = sampler.draw(_stream(config.seed, rep, s, base))
+                draws[k, rep] = gli_vector(snap).as_array()
+                if snap.n_present < 3:
+                    small_draws += 1
         observed[k] = gli_vector(panel.at(s)).as_array()
 
     lo_idx, hi_idx = interval_indices(m, config.alpha)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +36,9 @@ __all__ = [
     "edge_stat",
     "triangle_count",
     "triangle_counts",
+    "CycleBudgetError",
     "pair_cycle_count",
+    "pair_cycle_counts",
     "validate_model",
     "load_model_spec",
     "save_model_spec",
@@ -350,49 +353,208 @@ def triangle_count(snapshot: Snapshot, p) -> int:
     return sum(len(mine & nbrs[q]) for q in mine) // 2
 
 
-def pair_cycle_count(snapshot: Snapshot, i, j, max_len: int = 9) -> int:
-    """Simple cycles of length 3..max_len that traverse the edge {i, j}.
+# Most half-path rows one call of the cycle kernel may hold, summed over its
+# levels.  A row costs about 250 bytes at the peak of a call (its path
+# columns, up to 8 subset keys and their sort), so a call stays near 125 MB.
+# A batch over it is split; one pair over it is refused.
+HALF_PATH_BUDGET = 500_000
 
-    A cycle through the edge corresponds to exactly one simple path from i
-    to j of 2..max_len-1 edges that avoids the direct edge, so the count is
-    found by depth-limited DFS between the endpoints.  Pairs that are not
-    adjacent lie on no such cycle and count 0.
+
+class CycleBudgetError(ValueError):
+    """Counting the cycles through one edge would exceed HALF_PATH_BUDGET."""
+
+
+class _OverBudget(Exception):
+    """A batch of pairs needs more half-path rows than the budget allows."""
+
+    def __init__(self, rows: int):
+        self.rows = rows
+
+
+def _cycle_core(snapshot: Snapshot):
+    """The snapshot's 2-core as compact CSR, cached on the snapshot.
+
+    Returns (ids, indptr, indices, edges): ``ids`` maps a risk-set index to
+    its core id (-1 off the core), ``indptr``/``indices`` are the core's
+    adjacency with sorted rows, and ``edges`` its edges as sorted codes
+    ``a * nc + b`` with a < b.  Every cycle lies in the 2-core.
+    """
+    if snapshot._core is None:
+        n = len(snapshot.present)
+        a, b = np.divmod(snapshot.edge_codes(n), n)
+        while len(a):  # peel edges at vertices of degree 1
+            deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+            keep = (deg[a] > 1) & (deg[b] > 1)
+            if keep.all():
+                break
+            a, b = a[keep], b[keep]
+        verts = np.union1d(a, b)
+        nc = len(verts)
+        ids = np.full(n, -1, dtype=np.int64)
+        ids[verts] = np.arange(nc)
+        a, b = ids[a], ids[b]
+        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+        indptr = np.zeros(nc + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=nc), out=indptr[1:])
+        indices = dst[np.argsort(src * nc + dst)]
+        snapshot._core = (ids, indptr, indices, a * nc + b)
+    return snapshot._core
+
+
+def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarray:
+    """Simple cycles of length 3..max_len through each edge {ii[r], jj[r]}.
+
+    A cycle through the edge {i, j} is a simple i-j path of e = 2..max_len-1
+    edges.  Split at its ceil(e/2)-th vertex m, it is a half-path of
+    ceil(e/2) edges from i that avoids j and one of floor(e/2) edges from j
+    that avoids i, both ending at m, whose interiors are disjoint.  All
+    half-paths of at most 4 edges are grown for every pair at once, and the
+    pairs of halves with disjoint interiors are counted by inclusion-exclusion
+    over the interior subsets S they share:
+    sum over S of (-1)^|S| (#halves from i containing S) (#halves from j
+    containing S).  The work grows with the number of half-paths, not of
+    cycles (Alon, Yuster & Zwick 1997).  Non-adjacent pairs, and edges with
+    an endpoint off the 2-core, count 0.  Raises CycleBudgetError when one
+    pair needs more than HALF_PATH_BUDGET half-path rows.
     """
     if not 3 <= max_len <= 9:
         raise ValueError(f"max_len must be in [3, 9], got {max_len}")
-    i, j = _as_index(i), _as_index(j)
-    if i == j:
+    ii = np.asarray(ii, dtype=np.int64)
+    jj = np.asarray(jj, dtype=np.int64)
+    if np.any(ii == jj):
         raise ValueError("pair endpoints must differ")
-    if not snapshot.has_edge(i, j):
-        return 0
-    nbrs = snapshot.neighbor_sets()
-    limit = max_len - 1  # path length budget in edges
-    visited = {i}
-
-    def walk(u, depth):
-        count = 0
-        for v in nbrs[u]:
-            if v == j:
-                if depth + 1 >= 2:
-                    count += 1
-            elif v not in visited and depth + 1 < limit:
-                visited.add(v)
-                count += walk(v, depth + 1)
-                visited.discard(v)
-        return count
-
-    return walk(i, 0)
+    out = np.zeros(len(ii), dtype=np.int64)
+    ids, indptr, indices, edges = _cycle_core(snapshot)
+    if not len(edges) or not len(ii):
+        return out
+    a, b = ids[ii], ids[jj]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    code = lo * (len(indptr) - 1) + hi
+    pos = np.minimum(np.searchsorted(edges, code), len(edges) - 1)
+    rows = np.flatnonzero((lo >= 0) & (edges[pos] == code))
+    if len(rows):
+        out[rows] = _cycle_batch(snapshot, indptr, indices, a[rows], b[rows], max_len)
+    return out
 
 
-def _cycle_count_cached(snapshot: Snapshot, i: int, j: int, max_len: int) -> int:
-    # same lagged snapshot is queried for many rows/replicates; memoize on it
-    key = (i, j, max_len)
-    memo = snapshot._cycle_memo
-    val = memo.get(key)
-    if val is None:
-        val = pair_cycle_count(snapshot, i, j, max_len)
-        memo[key] = val
-    return val
+def _cycle_batch(snapshot, indptr, indices, src, dst, max_len):
+    try:
+        return _half_path_counts(indptr, indices, src, dst, max_len)
+    except _OverBudget as over:
+        if len(src) == 1:
+            raise CycleBudgetError(
+                f"cycle statistic at t={snapshot.t}: one edge of the snapshot "
+                f"(|V_t|={snapshot.n_present}, |E_t|={snapshot.edge_count}) needs more "
+                f"than {HALF_PATH_BUDGET} half-paths, the work budget"
+            ) from None
+        parts = min(len(src), max(2, -(-over.rows // HALF_PATH_BUDGET)))
+        return np.concatenate([
+            _cycle_batch(snapshot, indptr, indices, src[p], dst[p], max_len)
+            for p in np.array_split(np.arange(len(src)), parts)
+        ])
+
+
+def _half_path_counts(indptr, indices, src, dst, max_len):
+    """Cycle counts of the core edges (src[r], dst[r]); see pair_cycle_counts.
+
+    Half h < P starts at src[h] and avoids dst[h], half P + h the reverse.
+    Level l holds the half-paths of l edges as vertex columns v1..vl, rows
+    sorted by half.  A subset key packs (pair, m, sorted subset) into one
+    int64, each subset vertex as one base-(nc+1) digit and padded with zero
+    digits, so keys from both sides and every level share one key space.
+    """
+    n_pairs, nc = len(src), len(indptr) - 1
+    left_levels, right_levels = max_len // 2, (max_len - 1) // 2
+    slots = right_levels - 1  # the largest subset two joined halves can share
+    base = nc + 1
+    if n_pairs * nc * base**slots >= 2**63:  # for one pair: a core of ~55k vertices
+        raise _OverBudget(2 * HALF_PATH_BUDGET)
+    deg = np.diff(indptr)
+    start, avoid = np.concatenate([src, dst]), np.concatenate([dst, src])
+    half = np.arange(2 * n_pairs)
+    cols = []
+    held = 0
+    counts = np.zeros(n_pairs)
+    right_prev = None
+    for level in range(1, left_levels + 1):
+        if level > right_levels:  # only halves from i grow this long
+            n_left = np.searchsorted(half, n_pairs)
+            half, cols = half[:n_left], [c[:n_left] for c in cols]
+        last = cols[-1] if cols else start[half]
+        d = deg[last]
+        size = int(d.sum())
+        held += size
+        if held > HALF_PATH_BUDGET:
+            raise _OverBudget(held)
+        rep = np.repeat(np.arange(len(last)), d)
+        nxt = indices[np.arange(size) + np.repeat(indptr[last] - (np.cumsum(d) - d), d)]
+        h = half[rep]
+        ok = (nxt != start[h]) & (nxt != avoid[h])
+        for c in cols[:-1]:
+            ok &= nxt != c[rep]
+        rep, half = rep[ok], h[ok]
+        cols = [c[rep] for c in cols] + [nxt[ok]]
+
+        k_max = min(level, right_levels) - 1
+        n_left = np.searchsorted(half, n_pairs)
+        left = _subset_counts(half[:n_left], [c[:n_left] for c in cols], k_max,
+                              n_pairs, nc, base, slots)
+        right = None
+        if level <= right_levels:
+            right = _subset_counts(half[n_left:] - n_pairs, [c[n_left:] for c in cols],
+                                   k_max, n_pairs, nc, base, slots)
+        for other in (right, right_prev):  # e = 2 * level, then 2 * level - 1
+            if other is not None:
+                counts += _join(left, other, n_pairs, nc, base, slots)
+        right_prev = right
+    return counts.astype(np.int64)
+
+
+def _subset_counts(pair, cols, k_max, n_pairs, nc, base, slots):
+    """Sorted distinct subset keys of these half-paths, with multiplicities."""
+    inner = cols[:-1]
+    for stop in range(len(inner) - 1, 0, -1):  # sort each row's interior
+        for k in range(stop):
+            lo, hi = np.minimum(inner[k], inner[k + 1]), np.maximum(inner[k], inner[k + 1])
+            inner[k], inner[k + 1] = lo, hi
+    head = pair * nc + cols[-1]
+    keys = []
+    for k in range(k_max + 1):
+        for subset in combinations(inner, k):
+            key = head
+            for c in subset:
+                key = key * base + (c + 1)
+            keys.append(key * base ** (slots - k))
+    return np.unique(np.concatenate(keys), return_counts=True)
+
+
+def _join(left, right, n_pairs, nc, base, slots):
+    """Per pair, the signed sum over shared keys of left times right counts."""
+    (u_l, c_l), (u_r, c_r) = left, right
+    if not len(u_l) or not len(u_r):
+        return 0.0
+    pos = np.minimum(np.searchsorted(u_r, u_l), len(u_r) - 1)
+    hit = u_r[pos] == u_l
+    keys = u_l[hit]
+    weight = (c_l[hit] * c_r[pos[hit]]).astype(float)
+    rest, odd = keys % base**slots, np.zeros(len(keys), dtype=bool)
+    for _ in range(slots):  # (-1)^|S|: |S| is the number of nonzero digits
+        odd ^= rest % base > 0
+        rest //= base
+    weight[odd] *= -1.0
+    # float sums stay exact: a pair's terms sum in absolute value to at most
+    # (8 * HALF_PATH_BUDGET)**2 < 2**53
+    return np.bincount(keys // (nc * base**slots), weights=weight, minlength=n_pairs)
+
+
+def pair_cycle_count(snapshot: Snapshot, i, j, max_len: int = 9) -> int:
+    """Simple cycles of length 3..max_len that traverse the edge {i, j}.
+
+    The one-pair entry point of pair_cycle_counts; a non-adjacent pair
+    counts 0.
+    """
+    i, j = _as_index(i), _as_index(j)
+    return int(pair_cycle_counts(snapshot, [i], [j], max_len)[0])
 
 
 def _seasonal_value(term: TermSpec, history, t: int) -> float:
@@ -477,11 +639,17 @@ def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
         max_len = term.params["max_len"]
         out = np.zeros(m)
         if snap.edges:
+            # the same lagged snapshot is queried for many rows and
+            # replicates, so counts are memoized on it
             codes = ii.astype(np.int64) * n + jj
-            lagged = np.isin(codes, snap.edge_codes(n))
-            for r in np.flatnonzero(lagged):
-                z = _cycle_count_cached(snap, int(ii[r]), int(jj[r]), max_len)
-                out[r] = math.log1p(z)
+            rows = np.flatnonzero(np.isin(codes, snap.edge_codes(n)))
+            keys = [(int(ii[r]), int(jj[r]), max_len) for r in rows]
+            memo = snap._cycle_memo
+            todo = [key for key in dict.fromkeys(keys) if key not in memo]
+            if todo:
+                a, b, _ = zip(*todo)
+                memo.update(zip(todo, pair_cycle_counts(snap, a, b, max_len).tolist()))
+            out[rows] = [math.log1p(memo[key]) for key in keys]
         return out
     raise SpecError(f"kind {kind!r} is not an edge statistic")
 

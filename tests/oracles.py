@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to check the fast paths.
 
 Everything here favors obviousness over speed: triple enumeration, per-pair
-BFS, and whole-graph cycle enumeration (via networkx) instead of the
-identities and DFS counting used by the package.
+BFS, whole-graph cycle enumeration (via networkx) and path enumeration by
+DFS, instead of the identities and meet-in-the-middle counting used by the
+package.
 """
 
 from itertools import combinations
@@ -102,6 +103,34 @@ def cycles_through_edge_by_enumeration(edges, i, j, max_len):
                 count += 1
                 break
     return count
+
+
+def cycles_through_edge_by_dfs(edges, i, j, max_len):
+    """Count the simple i-j paths of 2..max_len-1 edges by depth-limited DFS
+    from i: one per cycle of length <= max_len through the edge {i, j}.
+    Costs every path of up to max_len - 1 edges, but reaches graphs too large
+    for whole-graph enumeration.  A non-adjacent pair counts 0."""
+    nbrs = {}
+    for a, b in edges:
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    if j not in nbrs.get(i, ()):
+        return 0
+    limit = max_len - 1
+    visited = {i}
+
+    def walk(u, depth):
+        count = 0
+        for v in nbrs[u]:
+            if v == j:
+                count += depth + 1 >= 2
+            elif v not in visited and depth + 1 < limit:
+                visited.add(v)
+                count += walk(v, depth + 1)
+                visited.discard(v)
+        return count
+
+    return walk(i, 0)
 
 
 def random_edge_set(rng, n, p=0.4):

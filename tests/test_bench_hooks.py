@@ -56,3 +56,21 @@ def test_bench_tracer_binds_and_describes_every_layer(tiny_panel):
     assert any("key" in attrs for attrs in simulate_spans)
     for attrs in simulate_spans:
         assert ("key" in attrs) == (attrs["kind"] not in VERTEX_KINDS), attrs
+
+
+def test_bench_tracer_sees_the_cycle_term(tiny_panel):
+    # the cycle term is costed from its terms.design span, whatever kernel
+    # the term calls underneath
+    spec = ModelSpec([TermSpec("vertex", "intercept")],
+                     [TermSpec("edge", "intercept"),
+                      TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9})])
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        build_design(tiny_panel, spec)
+    finally:
+        tracer.remove()
+
+    assert tracer.missing == set()
+    kinds = {rec[5]["kind"] for rec in tracer.spans if rec[0] == "terms.design"}
+    assert "lag_cycle_embed" in kinds

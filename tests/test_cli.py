@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -257,6 +258,28 @@ def test_validation_error_exit_code(workdir, tmp_path):
     code = run(["fit", workdir / "panel.json", tmp_path / "bad_spec.json",
                 "--out-dir", tmp_path])
     assert code == EXIT_VALIDATION
+
+
+def test_cycle_budget_exceeded_exits_validation(tmp_path, capsys):
+    """A dense lagged snapshot fails fast instead of counting for hours."""
+    from dynetlogit import NetworkPanel, RiskSet, Snapshot
+    n = 60
+    k60 = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    panel = NetworkPanel(RiskSet([f"v{k}" for k in range(n)]),
+                         [Snapshot(1, range(n), k60, n=n),
+                          Snapshot(2, range(n), k60[:50], n=n)])
+    save_panel(panel, tmp_path / "k60.json")
+    spec = ModelSpec([TermSpec("vertex", "intercept")],
+                     [TermSpec("edge", "intercept"),
+                      TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9})])
+    save_model_spec(spec, tmp_path / "cycles.json")
+    start = time.perf_counter()
+    code = run(["fit", tmp_path / "k60.json", tmp_path / "cycles.json",
+                "--out-dir", tmp_path / "out"])
+    assert code == EXIT_VALIDATION
+    assert time.perf_counter() - start < 10
+    message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+    assert "t=1" in message and "|V_t|=60" in message and "|E_t|=1770" in message
 
 
 def test_console_entry_point(workdir, tmp_path):

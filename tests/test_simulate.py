@@ -318,6 +318,36 @@ def test_shared_vertex_set_evaluates_edge_terms_once_per_step(monkeypatch, mode,
         assert len(calls) == len(samples.steps) * len(edge_terms)
 
 
+def test_threshold50_draws_once_per_step(monkeypatch):
+    import dynetlogit.simulate as simulate
+    panel = random_panel(np.random.default_rng(5), n=8, T=6)
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1)],
+    )
+    fit = fake_fit(spec, [0.1, 1.0, -0.2, 1.5])
+    calls = []
+    original = simulate.gli_vector
+
+    def counting(snap):
+        calls.append(snap.t)
+        return original(snap)
+
+    monkeypatch.setattr(simulate, "gli_vector", counting)
+    for replicates in (1, 4, 30):
+        calls.clear()
+        samples, report = one_step_intervals(
+            fit, spec, panel, SimConfig(replicates=replicates, seed=2, mode="threshold50"))
+        # one draw and the observed snapshot per step, whatever the replicate count
+        assert len(calls) == 2 * len(samples.steps)
+        assert np.all(samples.draws == samples.draws[:, :1])
+    # a 50-percent rule that keeps nobody: every replicate of every step is small
+    empty = fake_fit(spec, [-5.0, 0.0, -0.2, 1.5])
+    _, report = one_step_intervals(empty, spec, panel,
+                                   SimConfig(replicates=7, seed=2, mode="threshold50"))
+    assert report.notes[0].startswith(f"{7 * len(report.steps)} simulated day(s)")
+
+
 def test_no_vertex_terms_needs_fixed_vertex_set(core_panel):
     spec = ModelSpec([], [TermSpec("edge", "intercept")])
     fit = fake_fit(spec, [0.0])

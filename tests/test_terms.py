@@ -22,7 +22,13 @@ from dynetlogit import (
     validate_model,
     vertex_stat,
 )
-from dynetlogit.terms import History, resolve_lag, triangle_counts
+import dynetlogit.terms as terms
+from dynetlogit.terms import (
+    History,
+    pair_cycle_counts,
+    resolve_lag,
+    triangle_counts,
+)
 
 import oracles
 
@@ -176,6 +182,88 @@ def test_pair_cycle_count_matches_enumerator():
             for j in range(i + 1, n):
                 assert pair_cycle_count(s, i, j, max_len) == \
                     oracles.cycles_through_edge_by_enumeration(edges, i, j, max_len)
+
+
+def _edge_arrays(edges):
+    return (np.array([a for a, _ in edges], dtype=np.int64),
+            np.array([b for _, b in edges], dtype=np.int64))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_pair_cycle_counts_match_dfs_on_larger_graphs(seed):
+    """Graphs beyond whole-graph enumeration, every max_len, against the DFS."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 71))
+    edges = oracles.random_edge_set(rng, n, rng.uniform(3, 6) / (n - 1))
+    s = snap(1, list(range(n)), edges, n)
+    ii, jj = _edge_arrays(edges)
+    sample = rng.choice(len(edges), size=min(6, len(edges)), replace=False)
+    for max_len in range(3, 10):
+        counts = pair_cycle_counts(s, ii, jj, max_len)
+        for r in sample:
+            assert counts[r] == oracles.cycles_through_edge_by_dfs(
+                edges, int(ii[r]), int(jj[r]), max_len)
+
+
+def test_pair_cycle_counts_batch_matches_single_pairs():
+    rng = np.random.default_rng(21)
+    n = 14
+    edges = oracles.random_edge_set(rng, n, 0.35)
+    s = snap(1, list(range(n)), edges, n)
+    ii, jj = _edge_arrays(edges)
+    non_edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if (a, b) not in set(edges)][:5]
+    # duplicates, reversed orientation and non-adjacent pairs in one batch
+    qi = np.concatenate([ii, jj, ii[:3], [a for a, _ in non_edges]])
+    qj = np.concatenate([jj, ii, jj[:3], [b for _, b in non_edges]])
+    for max_len in (3, 6, 9):
+        batch = pair_cycle_counts(s, qi, qj, max_len)
+        single = [pair_cycle_count(s, int(a), int(b), max_len) for a, b in zip(qi, qj)]
+        assert batch.tolist() == single
+        assert not batch[-len(non_edges):].any()
+        assert np.array_equal(batch[:len(ii)], batch[len(ii):2 * len(ii)])
+
+
+def test_pair_cycle_counts_split_batches_agree(monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 40
+    edges = oracles.random_edge_set(rng, n, 5 / (n - 1))
+    s = snap(1, list(range(n)), edges, n)
+    ii, jj = _edge_arrays(edges)
+    whole = pair_cycle_counts(s, ii, jj, 9)
+    monkeypatch.setattr(terms, "HALF_PATH_BUDGET", 3000)  # about 4 pairs per batch
+    assert np.array_equal(pair_cycle_counts(s, ii, jj, 9), whole)
+    assert whole.any()
+
+
+def test_pair_cycle_counts_reject_bad_input():
+    k4 = complete(1, [0, 1, 2, 3], 4)
+    with pytest.raises(ValueError):
+        pair_cycle_counts(k4, [0, 1], [1, 1], 9)
+    for max_len in (2, 10):
+        with pytest.raises(ValueError):
+            pair_cycle_counts(k4, [0], [1], max_len)
+    with pytest.raises(ValueError):
+        pair_cycle_count(k4, 2, 2, 9)
+
+
+def test_pair_cycle_counts_off_the_two_core():
+    # triangles 0-1-2 and 3-4-5 joined by the bridge 2-3, and a pendant 5-6
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (5, 6)]
+    s = snap(1, list(range(7)), edges, 7)
+    ii, jj = _edge_arrays(edges)
+    assert pair_cycle_counts(s, ii, jj, 9).tolist() == [1, 1, 1, 1, 1, 1, 0, 0]
+    ids = terms._cycle_core(s)[0]
+    assert ids[6] == -1 and (ids[:6] >= 0).all()  # the bridge is inside the 2-core
+
+
+def test_pair_cycle_count_budget_refuses_one_dense_pair():
+    n = 60
+    s = complete(4, list(range(n)), n)
+    with pytest.raises(terms.CycleBudgetError, match=r"t=4.*\|V_t\|=60.*\|E_t\|=1770"):
+        pair_cycle_count(s, 0, 1, 9)
+    assert pair_cycle_count(s, 0, 1, 4) == 58 + 58 * 57  # triangles and squares
 
 
 # --- edge statistics -----------------------------------------------------------

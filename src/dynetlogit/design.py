@@ -131,9 +131,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
             cols = [edge_term_values(term, history, t, ii, jj, snap.present, policy)
                     for term in spec.edge_terms]
             e_blocks.append(np.column_stack(cols))
-            codes = ii * n + jj
-            snap_codes = snap.edge_codes(n)
-            e_resp.append(np.isin(codes, snap_codes).astype(np.int8))
+            e_resp.append(np.isin(ii * n + jj, snap.codes).astype(np.int8))
             e_t.append(np.full(len(ii), t, dtype=np.int64))
             e_i.append(ii)
             e_j.append(jj)

@@ -14,6 +14,7 @@ from math import comb
 import numpy as np
 
 from .panel import Snapshot
+from .terms import triangle_counts
 
 __all__ = [
     "GLI_NAMES",
@@ -83,27 +84,22 @@ def degree_centralization(snapshot: Snapshot) -> float:
 
 
 def krackhardt_connectedness(snapshot: Snapshot) -> float:
-    """Fraction of unordered present-vertex pairs joined by a path."""
+    """Fraction of unordered present-vertex pairs joined by a path.
+
+    Min-label hooking: while an edge's endpoint labels differ, the larger is
+    set to the smaller and every label jumps to its label's label.  Labels
+    stay within a component and end at its smallest vertex."""
     n = snapshot.n_present
     if n < 2:
         return 1.0
-    nbrs = snapshot.neighbor_sets()
-    seen = set()
-    reachable_pairs = 0
-    for start in nbrs:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        reachable_pairs += comb(len(comp), 2)
-    return reachable_pairs / comb(n, 2)
+    size = len(snapshot.present)
+    a, b = np.divmod(snapshot.codes, size)
+    label = np.arange(size)
+    while np.count_nonzero((la := label[a]) != (lb := label[b])):
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        label = label[label]
+    sizes = np.bincount(label[snapshot.present])
+    return int((sizes * (sizes - 1)).sum()) // 2 / comb(n, 2)
 
 
 def triad_census(snapshot: Snapshot):
@@ -117,12 +113,9 @@ def triad_census(snapshot: Snapshot):
     if n < 3:
         return (0, 0, 0, 0)
     m = snapshot.edge_count
-    nbrs = snapshot.neighbor_sets()
-    tri3 = 0  # 3 * number of triangles
-    for i, j in snapshot.edges:
-        tri3 += len(nbrs[i] & nbrs[j])
-    triangles = tri3 // 3
-    wedges = sum(comb(len(vs), 2) for vs in nbrs.values())
+    degs = snapshot.degrees()
+    triangles = int(triangle_counts(snapshot).sum()) // 3
+    wedges = int((degs * (degs - 1)).sum()) // 2
     n2 = wedges - 3 * triangles
     n1 = m * (n - 2) - 2 * wedges + 3 * triangles
     n0 = comb(n, 3) - n1 - n2 - triangles

@@ -55,7 +55,7 @@ class RiskSet:
     ``None`` so every column covers every vertex.
     """
 
-    __slots__ = ("labels", "attrs", "_index")
+    __slots__ = ("labels", "attrs", "_index", "_indicators")
 
     def __init__(self, labels, attrs=None):
         labels = tuple(str(x) for x in labels)
@@ -84,6 +84,9 @@ class RiskSet:
         table = {k: v for k, v in table.items() if any(x is not None for x in v)}
         object.__setattr__(self, "attrs", table)
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "_indicators", {
+            k: _read_only(np.array([1.0 if v in (True, 1) else 0.0 for v in column]))
+            for k, column in table.items()})
 
     def __len__(self):
         return len(self.labels)
@@ -117,51 +120,56 @@ class RiskSet:
         return self.attrs[name]
 
     def attr_indicator(self, name: str) -> np.ndarray:
-        """Attribute column coerced to a 0/1 float vector (None counts as 0)."""
-        vals = self.attr_values(name)
-        return np.array([1.0 if v in (True, 1) else 0.0 for v in vals])
+        """Attribute column as a read-only 0/1 float vector (None counts as 0)."""
+        self.attr_values(name)  # KeyError for an unknown name
+        return self._indicators[name]
 
 
 class Snapshot:
     """One observed time slice: presence bitset plus undirected edges.
 
-    ``present`` is a boolean vector over the risk set; ``edges`` holds
-    unordered index pairs with the smaller index first.  Every edge endpoint
-    must be present.  Instances are immutable after construction and cache
-    derived structures (neighbor sets, the 2-core, per-pair cycle counts) on
-    first use.
+    ``present`` is a read-only boolean vector over the risk set of n
+    vertices.  ``codes`` holds the edges as the sorted, unique, read-only
+    int64 values ``i * n + j`` with i < j, and every edge endpoint is
+    present.  Sorted this way, the codes are also the upper half of the
+    adjacency in CSR order: row i holds the j of its codes, ascending.
+    Instances are immutable after construction and cache derived structures
+    (the 2-core, per-edge cycle counts) on first use.
     """
 
-    __slots__ = ("t", "present", "edges", "time_attrs", "_nbrs", "_core", "_cycle_memo")
+    __slots__ = ("t", "present", "codes", "time_attrs", "_core", "_cycle_memo")
 
     def __init__(self, t, present, edges, time_attrs=None, *, n=None):
+        """``present`` is a bool vector over the risk set, or the indices of
+        the present vertices together with the risk-set size ``n``.
+        ``edges`` is a sequence of index pairs, an ``(m, 2)`` integer array
+        or a tuple ``(ii, jj)`` of two 1-D integer arrays; a pair may come
+        in either order and more than once."""
         self.t = int(t)
-        if isinstance(present, np.ndarray):
-            bits = present.astype(bool).copy()
+        self.present = bits = presence_vector(present, n)
+        n = len(bits)
+        if isinstance(edges, tuple) and len(edges) == 2 and all(
+                isinstance(x, np.ndarray) and x.ndim == 1 for x in edges):
+            a, b = (x.astype(np.int64, copy=False) for x in edges)  # (ii, jj)
         else:
-            if n is None:
-                raise ValueError("need risk-set size n when present is an index set")
-            bits = np.zeros(int(n), dtype=bool)
-            idx = list(present)
-            if idx:
-                bits[np.asarray(idx, dtype=int)] = True
-        bits.setflags(write=False)
-        self.present = bits
-        canon = set()
-        for e in edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
-                raise PanelValidationError(f"loop edge ({i},{i}) at t={self.t}")
-            if i > j:
-                i, j = j, i
-            if not (bits[i] and bits[j]):
-                raise PanelValidationError(
-                    f"edge endpoint not present at t={self.t}: ({i},{j})"
-                )
-            canon.add((i, j))
-        self.edges = frozenset(canon)
+            pairs = np.asarray(list(edges), dtype=np.int64)
+            if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+                raise PanelValidationError(f"edges at t={self.t} are not index pairs")
+            a, b = pairs.reshape(-1, 2).T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ok = (lo != hi) & (lo >= 0) & (hi < n)
+        ok[ok] = bits[lo[ok]] & bits[hi[ok]]
+        if np.count_nonzero(ok) < len(ok):  # name the first bad edge
+            k = int(np.argmin(ok))
+            problem = ("loop edge" if lo[k] == hi[k] else "edge endpoint not present"
+                       if 0 <= lo[k] and hi[k] < n else "edge index outside the risk set")
+            raise PanelValidationError(f"{problem} at t={self.t}: ({lo[k]},{hi[k]})")
+        codes = lo * n + hi
+        codes.sort()
+        if np.count_nonzero(codes[1:] == codes[:-1]):  # a repeated pair
+            codes = np.unique(codes)
+        self.codes = _read_only(codes)
         self.time_attrs = dict(time_attrs or {})
-        self._nbrs = None
         self._core = None
         self._cycle_memo = {}
 
@@ -169,60 +177,61 @@ class Snapshot:
 
     @property
     def n_present(self) -> int:
-        return int(self.present.sum())
+        return int(np.count_nonzero(self.present))
 
     @property
     def present_indices(self) -> np.ndarray:
         return np.flatnonzero(self.present)
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> np.ndarray:
+        """Edges as a read-only ``(m, 2)`` int64 array of (i, j), i < j."""
+        return _read_only(np.column_stack(np.divmod(self.codes, len(self.present))))
 
-    def has_vertex(self, i: int) -> bool:
-        return bool(self.present[i])
+    @property
+    def edge_count(self) -> int:
+        return len(self.codes)
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.edges
-
-    def neighbor_sets(self):
-        """Adjacency as a dict index -> set of neighbor indices (present only)."""
-        if self._nbrs is None:
-            nbrs = {int(i): set() for i in self.present_indices}
-            for i, j in self.edges:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-            self._nbrs = nbrs
-        return self._nbrs
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbor_sets().get(i, ()))
+        i, j = min(i, j), max(i, j)
+        return bool(np.isin(i * len(self.present) + j, self.codes))
 
     def degrees(self) -> np.ndarray:
         """Degree of every present vertex, ordered as ``present_indices``."""
-        nbrs = self.neighbor_sets()
-        return np.array([len(nbrs[int(i)]) for i in self.present_indices], dtype=int)
-
-    def edge_codes(self, n: int) -> np.ndarray:
-        """Edges encoded as sorted ``i * n + j`` ints, for vectorized lookup."""
-        codes = np.fromiter((i * n + j for i, j in self.edges), dtype=np.int64,
-                            count=len(self.edges))
-        codes.sort()
-        return codes
+        n = len(self.present)
+        return np.bincount(np.concatenate(np.divmod(self.codes, n)), minlength=n)[self.present]
 
     def __eq__(self, other):
         return (
             isinstance(other, Snapshot)
             and self.t == other.t
             and np.array_equal(self.present, other.present)
-            and self.edges == other.edges
+            and np.array_equal(self.codes, other.codes)
             and self.time_attrs == other.time_attrs
         )
 
     def __repr__(self):
         return f"Snapshot(t={self.t}, |V|={self.n_present}, |E|={self.edge_count})"
+
+
+def presence_vector(present, n=None) -> np.ndarray:
+    """Read-only bool vector over a risk set, from a bool vector or from the
+    indices of the present vertices and the risk-set size ``n``."""
+    if isinstance(present, np.ndarray) and present.dtype == bool:
+        return _read_only(present.copy())
+    if n is None:
+        raise ValueError("need risk-set size n when present is an index set")
+    idx = np.fromiter(present, dtype=np.int64)
+    if np.count_nonzero((idx < 0) | (idx >= n)):
+        raise PanelValidationError(f"present vertex index outside the risk set of {n}")
+    bits = np.zeros(int(n), dtype=bool)
+    bits[idx] = True
+    return _read_only(bits)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def dyads(indices) -> tuple:
@@ -278,9 +287,6 @@ class NetworkPanel:
         """Snapshot at time ``t`` or None if unobserved."""
         return self._by_t.get(t)
 
-    def is_observed(self, t: int) -> bool:
-        return t in self._by_t
-
     @property
     def observed_times(self):
         return tuple(s.t for s in self.snapshots)
@@ -330,13 +336,7 @@ def _panel_to_obj(panel: NetworkPanel) -> dict:
     snaps = []
     for s in panel.snapshots:
         labels = [rs.labels[int(i)] for i in s.present_indices]
-        edges = []
-        for i, j in s.edges:
-            a, b = rs.labels[i], rs.labels[j]
-            if a > b:
-                a, b = b, a
-            edges.append([a, b])
-        edges.sort()
+        edges = sorted(sorted((rs.labels[i], rs.labels[j])) for i, j in s.edges.tolist())
         snaps.append({
             "t": s.t,
             "attrs": dict(s.time_attrs),
@@ -391,20 +391,20 @@ def panel_from_obj(obj: dict) -> NetworkPanel:
                 raise PanelValidationError(
                     f"present vertex {lab!r} at t={t} is not in the risk set"
                 ) from None
-        present_set = set(present)
+        bits = presence_vector(present, n)
         edges = []
         for a, b in _require(rec, "edges", f"snapshots[{k}]"):
             try:
                 i, j = risk.index_of(str(a)), risk.index_of(str(b))
             except KeyError as exc:
                 raise PanelValidationError(f"edge label at t={t}: {exc}") from None
-            if i not in present_set or j not in present_set:
+            if not (bits[i] and bits[j]):
                 raise PanelValidationError(
                     f"edge endpoint absent at t={t}: ({a},{b})"
                 )
             edges.append((i, j))
         snapshots.append(
-            Snapshot(t, present, edges, rec.get("attrs", {}), n=n)
+            Snapshot(t, bits, edges, rec.get("attrs", {}))
         )
 
     directed = bool(obj.get("directed", False))
@@ -490,7 +490,7 @@ def panel_from_edge_presence(edge_rows, presence_rows, gaps=()) -> NetworkPanel:
     risk = RiskSet(labels)
     n = len(risk)
 
-    edges_by_t: dict[int, set] = {t: set() for t in present_by_t}
+    edges_by_t: dict[int, list] = {t: [] for t in present_by_t}
     for lineno, t, a, b in edge_rows:
         if t not in present_by_t:
             raise PanelValidationError(
@@ -504,7 +504,7 @@ def panel_from_edge_presence(edge_rows, presence_rows, gaps=()) -> NetworkPanel:
         i, j = risk.index_of(a), risk.index_of(b)
         if i == j:
             raise PanelValidationError(f"edge row {lineno}: loop edge at t={t}")
-        edges_by_t[t].add((min(i, j), max(i, j)))
+        edges_by_t[t].append((i, j))
 
     snapshots = [
         Snapshot(t, [risk.index_of(lab) for lab in members], edges_by_t[t], n=n)

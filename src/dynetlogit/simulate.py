@@ -256,7 +256,7 @@ class StepSampler:
             else:
                 pe = self._edge_probs(ii, jj, bits)
         keep = pe > 0.5 if self.threshold else rng.random(len(pe)) < pe
-        return Snapshot(self.t, bits, zip(ii[keep], jj[keep]), self.attrs)
+        return Snapshot(self.t, bits, (ii[keep], jj[keep]), self.attrs)
 
 
 def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:
@@ -426,7 +426,7 @@ def generate_panel(spec: ModelSpec, coefficients, risk_set: RiskSet,
         bits = rng.random(n) < init_presence
         ii, jj = dyads(np.flatnonzero(bits))
         keep = rng.random(len(ii)) < init_density
-        history.add(Snapshot(t, bits, zip(ii[keep], jj[keep]),
+        history.add(Snapshot(t, bits, (ii[keep], jj[keep]),
                              history.time_attrs_at(t) or {}))
 
     for t in range(k + 1, n_steps + 1):

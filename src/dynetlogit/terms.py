@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef
+from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, presence_vector
 
 __all__ = [
     "GapError",
@@ -57,14 +57,10 @@ WEEKDAYS = (
     "Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday",
 )
 
-VERTEX_KINDS = frozenset(
-    {"intercept", "attr_dummy", "lag_indicator", "lag_triangle", "seasonal"}
-)
-EDGE_KINDS = frozenset(
-    {"intercept", "mixing", "individual_dummy", "log_size", "lag_indicator",
-     "lag_cycle_embed", "seasonal"}
-)
-LAGGED_KINDS = frozenset({"lag_indicator", "lag_triangle", "lag_cycle_embed"})
+VERTEX_KINDS = ("intercept", "attr_dummy", "lag_indicator", "lag_triangle", "seasonal")
+EDGE_KINDS = ("intercept", "mixing", "individual_dummy", "log_size", "lag_indicator",
+              "lag_cycle_embed", "seasonal")
+LAGGED_KINDS = ("lag_indicator", "lag_triangle", "lag_cycle_embed")
 MIXING_PAIRS = ("both", "neither", "mixed")
 
 
@@ -318,39 +314,48 @@ def _as_index(p) -> int:
     return p.index if isinstance(p, VertexRef) else int(p)
 
 
-def _as_bits(present, n: int) -> np.ndarray:
-    if isinstance(present, np.ndarray) and present.dtype == bool:
-        return present
-    bits = np.zeros(n, dtype=bool)
-    idx = list(present)
-    if idx:
-        bits[np.asarray(idx, dtype=int)] = True
-    return bits
+def _ranges(starts, counts) -> np.ndarray:
+    """The concatenated ranges starts[k], ..., starts[k] + counts[k] - 1."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+
+
+# Most wedges one block of triangle_counts holds (about 50 MB of int64 columns).
+WEDGE_BLOCK = 1 << 20
 
 
 def triangle_counts(snapshot: Snapshot) -> np.ndarray:
-    """Number of triangles through each risk-set vertex (0 for absent ones)."""
-    n = len(snapshot.present)
+    """Number of triangles through each risk-set vertex (0 for absent ones).
+
+    Each triangle i < j < k is one wedge at i: two codes i * n + j and
+    i * n + k of row i, closed when j * n + k is a code too.  A row's codes
+    are contiguous and ascending, so the wedges are pairs of positions in
+    one row; a closed wedge counts at all three of its vertices.  Wedges go
+    in blocks of at most WEDGE_BLOCK, or of one code's if it opens more.
+    """
+    n, codes = len(snapshot.present), snapshot.codes
     out = np.zeros(n)
-    nbrs = snapshot.neighbor_sets()
-    for p, np_set in nbrs.items():
-        if len(np_set) < 2:
-            continue
-        c = 0
-        for q in np_set:
-            c += len(np_set & nbrs[q])
-        out[p] = c // 2
+    # ndarray methods, not numpy functions: most snapshots are tiny, so call
+    # overhead is most of the cost
+    row, col = np.divmod(codes, n)
+    pos = np.arange(len(codes))
+    later = row.searchsorted(row, "right") - 1 - pos  # wedges opened at each code
+    if len(codes) < 3 or not later.any():
+        return out
+    step = max(1, WEDGE_BLOCK // int(later.max()))  # codes per block
+    for lo in range(0, len(codes), step):
+        entry, opened = pos[lo:lo + step], later[lo:lo + step]
+        first, second = entry.repeat(opened), _ranges(entry + 1, opened)
+        wedge = col[first] * n + col[second]
+        hit = codes[np.minimum(codes.searchsorted(wedge), len(codes) - 1)] == wedge
+        out += np.bincount(np.concatenate([row[first[hit]], col[first[hit]], col[second[hit]]]),
+                           minlength=n)
     return out
 
 
 def triangle_count(snapshot: Snapshot, p) -> int:
-    """Triangles containing vertex p: adjacent neighbor pairs of p."""
-    p = _as_index(p)
-    nbrs = snapshot.neighbor_sets()
-    mine = nbrs.get(p)
-    if not mine:
-        return 0
-    return sum(len(mine & nbrs[q]) for q in mine) // 2
+    """Triangles containing vertex p; the batch of one of triangle_counts."""
+    return int(triangle_counts(snapshot)[_as_index(p)])
 
 
 # Most half-path rows one call of the cycle kernel may hold, summed over its
@@ -381,7 +386,7 @@ def _cycle_core(snapshot: Snapshot):
     """
     if snapshot._core is None:
         n = len(snapshot.present)
-        a, b = np.divmod(snapshot.edge_codes(n), n)
+        a, b = np.divmod(snapshot.codes, n)
         while len(a):  # peel edges at vertices of degree 1
             deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
             keep = (deg[a] > 1) & (deg[b] > 1)
@@ -487,7 +492,7 @@ def _half_path_counts(indptr, indices, src, dst, max_len):
         if held > HALF_PATH_BUDGET:
             raise _OverBudget(held)
         rep = np.repeat(np.arange(len(last)), d)
-        nxt = indices[np.arange(size) + np.repeat(indptr[last] - (np.cumsum(d) - d), d)]
+        nxt = indices[_ranges(indptr[last], d)]
         h = half[rep]
         ok = (nxt != start[h]) & (nxt != avoid[h])
         for c in cols[:-1]:
@@ -631,25 +636,25 @@ def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
     u = resolve_lag(history, t, term.lag, policy)
     snap = history.snapshot_at(u)
     if kind == "lag_indicator":
-        if not snap.edges:
+        if not snap.edge_count:
             return np.zeros(m)
-        codes = ii.astype(np.int64) * n + jj
-        return np.isin(codes, snap.edge_codes(n)).astype(float)
+        return np.isin(ii.astype(np.int64) * n + jj, snap.codes).astype(float)
     if kind == "lag_cycle_embed":
         max_len = term.params["max_len"]
         out = np.zeros(m)
-        if snap.edges:
+        if snap.edge_count:
             # the same lagged snapshot is queried for many rows and
-            # replicates, so counts are memoized on it
-            codes = ii.astype(np.int64) * n + jj
-            rows = np.flatnonzero(np.isin(codes, snap.edge_codes(n)))
-            keys = [(int(ii[r]), int(jj[r]), max_len) for r in rows]
-            memo = snap._cycle_memo
-            todo = [key for key in dict.fromkeys(keys) if key not in memo]
-            if todo:
-                a, b, _ = zip(*todo)
-                memo.update(zip(todo, pair_cycle_counts(snap, a, b, max_len).tolist()))
-            out[rows] = [math.log1p(memo[key]) for key in keys]
+            # replicates, so log1p(count) is memoized per edge code on it
+            codes, pair = snap.codes, ii.astype(np.int64) * n + jj
+            pos = np.minimum(np.searchsorted(codes, pair), len(codes) - 1)
+            rows = np.flatnonzero(codes[pos] == pair)
+            pos = pos[rows]
+            memo = snap._cycle_memo.setdefault(max_len, np.full(len(codes), np.nan))
+            todo = np.flatnonzero(np.isnan(memo) & (np.bincount(pos, minlength=len(codes)) > 0))
+            if len(todo):  # math.log1p: np.log1p differs in the last bit for some counts
+                memo[todo] = np.frompyfunc(math.log1p, 1, 1)(
+                    pair_cycle_counts(snap, *np.divmod(codes[todo], n), max_len))
+            out[rows] = memo[pos]
         return out
     raise SpecError(f"kind {kind!r} is not an edge statistic")
 
@@ -671,7 +676,7 @@ def edge_stat(term: TermSpec, panel: NetworkPanel, t: int, i, j,
         raise ValueError("dyad endpoints must differ")
     if i > j:
         i, j = j, i
-    bits = _as_bits(current_present, len(panel.risk_set))
+    bits = presence_vector(current_present, len(panel.risk_set))
     if not (bits[i] and bits[j]):
         raise ValueError(f"dyad ({i},{j}) endpoints must be in the current vertex set")
     vals = edge_term_values(

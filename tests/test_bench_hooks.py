@@ -51,7 +51,8 @@ def test_bench_tracer_binds_and_describes_every_layer(tiny_panel):
 
     assert tracer.missing == set()
     names = {rec[0] for rec in tracer.spans}
-    assert {"terms.design", "terms.simulate", "panel.snapshot", "gli.vector"} <= names
+    assert {"terms.design", "terms.simulate", "panel.snapshot", "gli.vector",
+            "gli.triad_census", "gli.connectedness", "gli.centralization"} <= names
     simulate_spans = [rec[5] for rec in tracer.spans if rec[0] == "terms.simulate"]
     assert any("key" in attrs for attrs in simulate_spans)
     for attrs in simulate_spans:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import networkx as nx
+
 from dynetlogit import (
     Snapshot,
     degree_centralization,
@@ -14,6 +16,7 @@ from dynetlogit import (
     mean_degree,
     triad_census,
 )
+from dynetlogit.terms import triangle_counts
 
 import oracles
 
@@ -159,3 +162,42 @@ def test_adding_edge_monotone(g):
     s2 = snap(list(range(n)), edges + [missing[0]], n=n)
     assert density(s2) >= density(s)
     assert krackhardt_connectedness(s2) >= krackhardt_connectedness(s)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_kernels_match_networkx_on_larger_graphs(seed):
+    """30-300 vertices with absent vertices, isolated present vertices and a
+    long path, all under permuted labels."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 301))
+    order = rng.permutation(n)
+    present = order[: n - int(rng.integers(1, n // 4 + 1))]  # the rest is absent
+    isolated = int(rng.integers(1, 6))
+    active = present[isolated:]
+    path = active[: max(20, len(active) // 2)]
+    pairs = rng.choice(active, size=(int(rng.integers(0, 2 * len(active))), 2))
+    edges = sorted({(int(min(a, b)), int(max(a, b)))
+                    for a, b in [*zip(path[:-1], path[1:]), *pairs] if a != b})
+    s = Snapshot(1, present, edges, n=n)
+
+    G = nx.Graph()
+    G.add_nodes_from(present.tolist())
+    G.add_edges_from(edges)
+    tri = nx.triangles(G)
+    assert triangle_counts(s).tolist() == [tri.get(v, 0) for v in range(n)]
+    assert triad_census(s)[3] == sum(tri.values()) // 3
+    assert all(type(k) is int for k in (s.n_present, s.edge_count, *triad_census(s)))
+    reachable = sum(comb(len(c), 2) for c in nx.connected_components(G))
+    assert krackhardt_connectedness(s) == reachable / comb(len(present), 2)
+    assert degree_centralization(s) == pytest.approx(
+        oracles.centralization_by_formula(present.tolist(), edges))
+
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    doubled = [(j, i) for i, j in edges] + edges
+    for form in (arr, (arr[:, 1], arr[:, 0]), doubled):
+        other = Snapshot(1, np.isin(np.arange(n), present), form)
+        assert other == s
+        assert np.array_equal(other.codes, s.codes)
+    assert s.edges.tolist() == [list(e) for e in edges]
+    assert not s.codes.flags.writeable and not s.edges.flags.writeable

@@ -130,6 +130,39 @@ def test_loop_edge_rejected():
         Snapshot(1, [0, 1], [(1, 1)], n=2)
 
 
+def test_integer_index_array_is_not_a_bitmask():
+    # only a bool vector is a presence bitmask; an index array needs n
+    s = Snapshot(1, np.array([0, 2]), [], n=3)
+    assert s.present.tolist() == [True, False, True]
+    assert s.n_present == 2
+
+
+def test_edge_index_outside_risk_set_rejected():
+    for edge in [(0, 3), (-1, 1)]:
+        with pytest.raises(PanelValidationError, match="outside the risk set at t=1"):
+            Snapshot(1, [0, 1, 2], [edge], n=3)
+
+
+def test_present_index_outside_risk_set_rejected():
+    for present in ([0, 3], [-1, 1]):
+        with pytest.raises(PanelValidationError, match="outside the risk set"):
+            Snapshot(1, present, [], n=3)
+
+
+def test_attr_indicator_is_cached_and_read_only():
+    rs = RiskSet(["a", "b", "c", "d"],
+                 {"regular": [True, 1, False, None], "role": ["x", "y", "x", "y"]})
+    first = rs.attr_indicator("regular")
+    assert first.tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert rs.attr_indicator("regular") is first
+    assert rs.attr_indicator("role").tolist() == [0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        first[2] = 1.0
+    assert rs.attr_indicator("regular").tolist() == [1.0, 1.0, 0.0, 0.0]
+    with pytest.raises(KeyError):
+        rs.attr_indicator("nope")
+
+
 def test_gap_overlapping_snapshot_rejected():
     rs = RiskSet(["a"])
     with pytest.raises(PanelValidationError, match="gap"):

@@ -136,13 +136,28 @@ def test_triangle_count_examples():
 
 
 def test_triangle_counts_vector_matches_scalar():
+    # the scalar is the vector's batch of one, so both answer to the oracle
     rng = np.random.default_rng(3)
     for _ in range(25):
         edges = oracles.random_edge_set(rng, 7, 0.5)
         s = snap(1, list(range(7)), edges, 7)
         vec = triangle_counts(s)
         for v in range(7):
-            assert vec[v] == triangle_count(s, v)
+            expected = oracles.triangles_at_vertex_by_enumeration(range(7), edges, v)
+            assert vec[v] == expected
+            assert triangle_count(s, v) == expected
+
+
+def test_triangle_counts_in_blocks_agree(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 40
+    edges = oracles.random_edge_set(rng, n, 0.3)
+    s = snap(1, list(range(n)), edges, n)
+    whole = triangle_counts(s)
+    monkeypatch.setattr(terms, "WEDGE_BLOCK", 7)  # one code per block
+    assert np.array_equal(triangle_counts(snap(1, list(range(n)), edges, n)), whole)
+    assert whole.tolist() == [oracles.triangles_at_vertex_by_enumeration(range(n), edges, v)
+                              for v in range(n)]
 
 
 def test_triangle_sum_equals_three_triangles():

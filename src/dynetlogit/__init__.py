@@ -37,10 +37,9 @@ from .simulate import (
 from .solver import (
     FitResult,
     PriorSpec,
-    evaluate_coefficients,
+    block_summaries,
     fit_mle,
     fit_posterior_mode,
-    information_criteria,
     predict_probabilities,
 )
 from .terms import (
@@ -49,7 +48,6 @@ from .terms import (
     ModelSpec,
     SpecError,
     TermSpec,
-    edge_stat,
     load_model_spec,
     pair_cycle_count,
     pair_cycle_counts,
@@ -58,7 +56,6 @@ from .terms import (
     triangle_count,
     usable_transitions,
     validate_model,
-    vertex_stat,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .design import DesignError, build_design, dump_design, split_design
+from .design import DesignError, build_design, dump_design
 from .gli import GLI_NAMES, gli_vector
 from .panel import (
     NetworkPanel,
@@ -29,7 +29,7 @@ from .panel import (
     save_panel,
 )
 from .simulate import SimConfig, one_step_intervals, project
-from .solver import PriorSpec, evaluate_coefficients, fit_mle, fit_posterior_mode
+from .solver import PriorSpec, block_summaries, fit_posterior_mode
 from .terms import GapError, SpecError, load_model_spec, validate_model
 
 EXIT_OK = 0
@@ -157,28 +157,8 @@ def cmd_fit(args) -> int:
             return EXIT_VALIDATION
 
         dm = build_design(panel, spec, gap_policy=args.gap_policy, align_to_lag=align)
-        if prior.kind == "none":
-            fit = fit_mle(dm, tolerance=args.tolerance, max_iter=args.max_iter)
-        else:
-            fit = fit_posterior_mode(dm, prior, tolerance=args.tolerance,
-                                     max_iter=args.max_iter)
-
-        kv = dm.n_vertex_terms
-        dm_v, dm_e = split_design(dm)
-        parts = {}
-        for part_name, part_dm, coefs in (
-            ("vertex", dm_v, fit.coefficients[:kv]),
-            ("edge", dm_e, fit.coefficients[kv:]),
-        ):
-            if part_dm.n_rows == 0:
-                continue
-            metrics = evaluate_coefficients(part_dm, coefs)
-            parts[part_name] = {
-                "columns": list(part_dm.column_names),
-                "coefficients": [float(v) for v in coefs],
-                **{k: metrics[k] for k in
-                   ("log_likelihood", "deviance", "bic", "aic", "n_obs")},
-            }
+        fit = fit_posterior_mode(dm, prior, tolerance=args.tolerance,
+                                 max_iter=args.max_iter)
 
         manifest = _manifest(
             args, "fit",
@@ -206,7 +186,7 @@ def cmd_fit(args) -> int:
                 "usable_steps": sorted(int(t) for t in set(dm.tags.t)),
             },
             "fit": fit.to_dict(),
-            "parts": parts,
+            "parts": block_summaries(dm, fit.coefficients),
         }
         _write_json(report_path, report)
         if args.format == "csv":
@@ -226,7 +206,7 @@ def cmd_fit(args) -> int:
             "converged": fit.converged,
             "separation": fit.separation,
         })
-        if fit.separation and prior.kind == "none":
+        if fit.separation:  # flagged by maximum likelihood only
             worst = max(worst, EXIT_SEPARATION)
         elif not fit.converged:
             worst = max(worst, EXIT_CONVERGENCE)

@@ -252,11 +252,9 @@ class NetworkPanel:
     increasing and disjoint from the gap indices.
     """
 
-    __slots__ = ("risk_set", "snapshots", "gaps", "directed", "_by_t")
+    __slots__ = ("risk_set", "snapshots", "gaps", "_by_t")
 
-    def __init__(self, risk_set: RiskSet, snapshots, gaps=(), directed=False):
-        if directed:
-            raise PanelValidationError("directed panels are not supported")
+    def __init__(self, risk_set: RiskSet, snapshots, gaps=()):
         snaps = tuple(sorted(snapshots, key=lambda s: s.t))
         times = [s.t for s in snaps]
         if len(set(times)) != len(times):
@@ -280,7 +278,6 @@ class NetworkPanel:
         self.risk_set = risk_set
         self.snapshots = snaps
         self.gaps = gaps
-        self.directed = False
         self._by_t = {s.t: s for s in snaps}
 
     def at(self, t: int):
@@ -347,7 +344,7 @@ def _panel_to_obj(panel: NetworkPanel) -> dict:
         "risk_set": risk,
         "snapshots": snaps,
         "gaps": list(panel.gaps),
-        "directed": bool(panel.directed),
+        "directed": False,
     }
 
 
@@ -407,10 +404,9 @@ def panel_from_obj(obj: dict) -> NetworkPanel:
             Snapshot(t, bits, edges, rec.get("attrs", {}))
         )
 
-    directed = bool(obj.get("directed", False))
-    if directed:
+    if obj.get("directed", False):
         raise PanelValidationError("directed panels are not supported")
-    return NetworkPanel(risk, snapshots, obj.get("gaps", ()), directed=False)
+    return NetworkPanel(risk, snapshots, obj.get("gaps", ()))
 
 
 def load_panel(path) -> NetworkPanel:

@@ -8,10 +8,6 @@ each outer iteration refreshes per-coefficient precision weights
 with a line search on the true penalized objective so every iteration is
 an ascent.  Once the gradient is nearly zero the exact penalized curvature
 is used instead, which restores quadratic convergence.
-
-For very wide designs an L-BFGS warm start replaces the early Newton
-iterations; the convergence contract (gradient max-norm below tolerance)
-is always certified on the analytic gradient.
 """
 
 from __future__ import annotations
@@ -31,17 +27,13 @@ __all__ = [
     "FitResult",
     "fit_mle",
     "fit_posterior_mode",
-    "information_criteria",
     "predict_probabilities",
-    "evaluate_coefficients",
+    "block_summaries",
 ]
 
 # Beyond this coefficient magnitude a logistic probability is numerically
 # saturated; growth past it with still-improving likelihood marks separation.
 SEPARATION_BOUND = 15.0
-
-# Newton solves cost O(p^3); past this width warm-start with L-BFGS.
-LBFGS_WIDTH = 2000
 
 
 @dataclass(frozen=True)
@@ -159,6 +151,12 @@ def _data_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
+def _information_criteria(deviance: float, p: int, n: int):
+    """(BIC, AIC) = deviance plus p*log(n) or 2p; prior term excluded."""
+    bic = deviance + p * math.log(n) if n > 0 else deviance
+    return bic, deviance + 2.0 * p
+
+
 def _prior_logpdf(theta, centers, scales, dfs) -> float:
     z2 = ((theta - centers) / scales) ** 2
     const = (
@@ -244,21 +242,8 @@ def _maximize(X, y, prior_arrays, tolerance, max_iter):
             g = g + _prior_grad(th, centers, scales, dfs)
         return np.asarray(g).ravel()
 
-    iterations = 0
-    if p > LBFGS_WIDTH:
-        from scipy.optimize import minimize
-
-        res = minimize(
-            lambda th: -objective(th),
-            theta,
-            jac=lambda th: -gradient(th),
-            method="L-BFGS-B",
-            options={"maxiter": 500, "gtol": tolerance / 10.0, "ftol": 1e-16},
-        )
-        theta = res.x
-        iterations = int(res.nit)
-
     obj = objective(theta)
+    iterations = 0
     separation = False
     converged = False
     gnorm = math.inf
@@ -322,24 +307,22 @@ def _maximize(X, y, prior_arrays, tolerance, max_iter):
     }
 
 
-def _finalize(dm: DesignMatrix, theta_active, active, info, prior: PriorSpec,
-              prior_arrays, notes):
-    X = dm.features.tocsr()
+def _finalize(dm: DesignMatrix, X, y, theta_active, active, info,
+              prior: PriorSpec, prior_arrays, notes):
+    """FitResult on all columns of ``dm`` from the optimum on the active
+    columns ``X`` (inactive coefficients stay 0, their SEs NaN)."""
     p = dm.n_cols
     theta = np.zeros(p)
     theta[active] = theta_active
-    eta = X @ theta
+    eta = X @ theta_active
     mu = expit(eta)
-    ll = _data_loglik(eta, dm.responses.astype(float))
+    ll = _data_loglik(eta, y)
     deviance = -2.0 * ll
     n_obs = dm.n_rows
-    bic = deviance + p * math.log(n_obs) if n_obs > 0 else deviance
-    aic = deviance + 2.0 * p
+    bic, aic = _information_criteria(deviance, p, n_obs)
 
     # uncertainty from the curvature of the fitted objective at the optimum
-    Xa = X[:, active]
-    w = mu * (1.0 - mu)
-    H = _xtwx(Xa.tocsr(), w)
+    H = _xtwx(X, mu * (1.0 - mu))
     penalized = None
     if prior_arrays is not None:
         centers, scales, dfs = prior_arrays
@@ -379,32 +362,12 @@ def _finalize(dm: DesignMatrix, theta_active, active, info, prior: PriorSpec,
     )
 
 
-def _active_columns(dm: DesignMatrix):
-    nnz = dm.features.getnnz(axis=0)
-    active = np.flatnonzero(nnz > 0)
-    notes = ()
-    if len(active) < dm.n_cols:
-        dead = [dm.column_names[c] for c in np.flatnonzero(nnz == 0)]
-        notes = (f"all-zero columns pinned at 0: {', '.join(dead)}",)
-    return active, notes
-
-
 def fit_mle(dm: DesignMatrix, tolerance: float = 1e-8,
             max_iter: int = 100) -> FitResult:
     """Maximum likelihood fit.  Separation is detected (coefficient running
     past +-15 with the likelihood still improving) and flagged rather than
     raised; the returned estimates are then extreme and untrustworthy."""
-    if dm.n_rows == 0:
-        raise ValueError("cannot fit an empty design")
-    active, notes = _active_columns(dm)
-    X = dm.features.tocsr()[:, active].tocsr()
-    y = dm.responses.astype(float)
-    theta, info = _maximize(X, y, None, tolerance, max_iter)
-    if info["separation"]:
-        notes = notes + ("separation detected: saturated probabilities",)
-    elif not info["converged"]:
-        notes = notes + (f"no convergence in {max_iter} iterations",)
-    return _finalize(dm, theta, active, info, PriorSpec.none(), None, notes)
+    return fit_posterior_mode(dm, PriorSpec.none(), tolerance, max_iter)
 
 
 def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
@@ -412,31 +375,29 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
     """Posterior mode under independent Student-t priors.
 
     Finite for any design, including completely separated ones.  With
-    ``prior.kind == 'none'`` this reduces to :func:`fit_mle`.
+    ``prior.kind == 'none'`` this is :func:`fit_mle`.
     """
     if prior is None:
         prior = PriorSpec()
-    if prior.kind == "none":
-        return fit_mle(dm, tolerance=tolerance, max_iter=max_iter)
     if dm.n_rows == 0:
         raise ValueError("cannot fit an empty design")
-    active, notes = _active_columns(dm)
-    names = tuple(dm.column_names[c] for c in active)
-    arrays = prior.resolve(names)
+    nnz = dm.features.getnnz(axis=0)
+    active = np.flatnonzero(nnz > 0)
+    notes = ()
+    if len(active) < dm.n_cols:
+        dead = [dm.column_names[c] for c in np.flatnonzero(nnz == 0)]
+        notes = (f"all-zero columns pinned at 0: {', '.join(dead)}",)
+    arrays = None
+    if prior.kind != "none":
+        arrays = prior.resolve(tuple(dm.column_names[c] for c in active))
     X = dm.features.tocsr()[:, active].tocsr()
     y = dm.responses.astype(float)
     theta, info = _maximize(X, y, arrays, tolerance, max_iter)
-    if not info["converged"]:
+    if info["separation"]:
+        notes = notes + ("separation detected: saturated probabilities",)
+    elif not info["converged"]:
         notes = notes + (f"no convergence in {max_iter} iterations",)
-    return _finalize(dm, theta, active, info, prior, arrays, notes)
-
-
-def information_criteria(fit: FitResult):
-    """(BIC, AIC) = deviance plus p*log(n) or 2p; prior term excluded."""
-    p = len(fit.coefficients)
-    bic = fit.deviance + p * math.log(fit.n_obs) if fit.n_obs > 0 else fit.deviance
-    aic = fit.deviance + 2.0 * p
-    return bic, aic
+    return _finalize(dm, X, y, theta, active, info, prior, arrays, notes)
 
 
 def predict_probabilities(fit: FitResult, dm: DesignMatrix) -> np.ndarray:
@@ -447,19 +408,33 @@ def predict_probabilities(fit: FitResult, dm: DesignMatrix) -> np.ndarray:
     return expit(dm.features @ fit.coefficients)
 
 
-def evaluate_coefficients(dm: DesignMatrix, coefficients: np.ndarray) -> dict:
-    """Data-likelihood summaries of a fixed coefficient vector on a design."""
+def block_summaries(dm: DesignMatrix, coefficients: np.ndarray) -> dict:
+    """Data-likelihood summaries of the vertex and edge blocks of a design
+    at fixed coefficients, keyed "vertex" and "edge"; a block without rows
+    is left out.  Block diagonality makes each block's linear predictor a
+    slice of the joint one, so the block deviances sum to the joint deviance."""
     coefficients = np.asarray(coefficients, dtype=float)
     if dm.n_cols != len(coefficients):
         raise ValueError("coefficient length does not match design")
     eta = dm.features @ coefficients
-    ll = _data_loglik(eta, dm.responses.astype(float))
-    p = dm.n_cols
-    dev = -2.0 * ll
-    return {
-        "log_likelihood": ll,
-        "deviance": dev,
-        "bic": dev + p * math.log(dm.n_rows) if dm.n_rows else dev,
-        "aic": dev + 2.0 * p,
-        "n_obs": dm.n_rows,
-    }
+    y = dm.responses.astype(float)
+    nv, kv = dm.n_vertex_rows, dm.n_vertex_terms
+    parts = {}
+    for name, rows, cols in (("vertex", slice(0, nv), slice(0, kv)),
+                             ("edge", slice(nv, dm.n_rows), slice(kv, dm.n_cols))):
+        n_obs = rows.stop - rows.start
+        if n_obs == 0:
+            continue
+        ll = _data_loglik(eta[rows], y[rows])
+        deviance = -2.0 * ll
+        bic, aic = _information_criteria(deviance, cols.stop - cols.start, n_obs)
+        parts[name] = {
+            "columns": list(dm.column_names[cols]),
+            "coefficients": [float(v) for v in coefficients[cols]],
+            "log_likelihood": ll,
+            "deviance": deviance,
+            "bic": bic,
+            "aic": aic,
+            "n_obs": n_obs,
+        }
+    return parts

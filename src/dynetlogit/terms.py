@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, presence_vector
+from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef
 
 __all__ = [
     "GapError",
@@ -32,8 +32,6 @@ __all__ = [
     "seasonal_terms",
     "resolve_lag",
     "usable_transitions",
-    "vertex_stat",
-    "edge_stat",
     "triangle_count",
     "triangle_counts",
     "CycleBudgetError",
@@ -657,33 +655,6 @@ def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
             out[rows] = memo[pos]
         return out
     raise SpecError(f"kind {kind!r} is not an edge statistic")
-
-
-def vertex_stat(term: TermSpec, panel: NetworkPanel, t: int, p,
-                policy: str | None = None) -> float:
-    """One vertex statistic value; the per-row scalar entry of the design."""
-    policy = policy or "exclude"
-    vals = vertex_term_values(term, History(panel), t, policy)
-    return float(vals[_as_index(p)])
-
-
-def edge_stat(term: TermSpec, panel: NetworkPanel, t: int, i, j,
-              current_present, policy: str | None = None) -> float:
-    """One edge statistic value for the dyad {i, j} given the current vertices."""
-    policy = policy or "exclude"
-    i, j = _as_index(i), _as_index(j)
-    if i == j:
-        raise ValueError("dyad endpoints must differ")
-    if i > j:
-        i, j = j, i
-    bits = presence_vector(current_present, len(panel.risk_set))
-    if not (bits[i] and bits[j]):
-        raise ValueError(f"dyad ({i},{j}) endpoints must be in the current vertex set")
-    vals = edge_term_values(
-        term, History(panel), t,
-        np.array([i]), np.array([j]), bits, policy,
-    )
-    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------

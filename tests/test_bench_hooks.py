@@ -11,8 +11,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from dynetlogit import ModelSpec, SimConfig, TermSpec
+from dynetlogit import ModelSpec, SimConfig, TermSpec, cli, save_model_spec, save_panel
 from dynetlogit.design import build_design
 from dynetlogit.simulate import one_step_intervals, project
 
@@ -75,3 +76,22 @@ def test_bench_tracer_sees_the_cycle_term(tiny_panel):
     assert tracer.missing == set()
     kinds = {rec[5]["kind"] for rec in tracer.spans if rec[0] == "terms.design"}
     assert "lag_cycle_embed" in kinds
+
+
+@pytest.mark.parametrize("prior", [[], ["--prior", "none"]], ids=["cauchy", "none"])
+def test_bench_tracer_sees_the_fit_layers(tiny_panel, lag1_spec, tmp_path, prior):
+    panel, spec = tmp_path / "panel.json", tmp_path / "spec.json"
+    save_panel(tiny_panel, panel)
+    save_model_spec(lag1_spec, spec)
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        cli.main(["fit", str(panel), str(spec), "--out-dir", str(tmp_path / "out"), *prior])
+    finally:
+        tracer.remove()
+
+    assert tracer.missing == set()
+    names = [rec[0] for rec in tracer.spans]
+    assert "design.build" in names
+    fits = [rec[5] for rec in tracer.spans if rec[0] == "solver.fit"]
+    assert len(fits) == 1 and "iterations" in fits[0]

@@ -8,8 +8,9 @@ from dynetlogit import (
     RiskSet,
     Snapshot,
     TermSpec,
+    block_summaries,
     build_design,
-    evaluate_coefficients,
+    fit_posterior_mode,
     split_design,
 )
 from dynetlogit.design import dump_design
@@ -81,11 +82,15 @@ def test_split_design_counts_and_deviance(tiny_panel, lag1_spec):
     dv, de = split_design(dm)
     assert dv.n_rows + de.n_rows == dm.n_rows
     assert dv.n_cols + de.n_cols == dm.n_cols
-    theta = np.array([0.3, -0.2, 0.1, 0.5])
-    joint = evaluate_coefficients(dm, theta)
-    vpart = evaluate_coefficients(dv, theta[:2])
-    epart = evaluate_coefficients(de, theta[2:])
-    assert joint["deviance"] == pytest.approx(vpart["deviance"] + epart["deviance"])
+    fit = fit_posterior_mode(dm)
+    parts = block_summaries(dm, fit.coefficients)
+    for part, sub in (("vertex", dv), ("edge", de)):
+        assert parts[part]["columns"] == list(sub.column_names)
+        assert parts[part]["n_obs"] == sub.n_rows
+        assert parts[part]["bic"] == pytest.approx(
+            parts[part]["deviance"] + sub.n_cols * np.log(sub.n_rows))
+    assert parts["vertex"]["deviance"] + parts["edge"]["deviance"] == \
+        pytest.approx(fit.deviance)
 
 
 def test_split_empty_edge_part(tiny_panel):
@@ -94,6 +99,7 @@ def test_split_empty_edge_part(tiny_panel):
     dv, de = split_design(dm)
     assert de.n_rows == 0
     assert dv.n_rows == dm.n_rows
+    assert set(block_summaries(dm, np.zeros(1))) == {"vertex"}
 
 
 def test_determinism(tiny_panel, lag1_spec):

@@ -12,22 +12,24 @@ from dynetlogit import (
     build_design,
     fit_mle,
     fit_posterior_mode,
-    information_criteria,
     predict_probabilities,
     split_design,
 )
 from dynetlogit.design import DesignMatrix, TagTable
+from dynetlogit.solver import _information_criteria
 
+import oracles
 from conftest import random_panel
 
 
 def make_dm(X, y, names=None):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = sp.csr_matrix(X, dtype=float) if sp.issparse(X) else \
+        sp.csr_matrix(np.atleast_2d(np.asarray(X, dtype=float)))
     n, p = X.shape
     names = tuple(names or (f"x{k}" for k in range(p)))
     return DesignMatrix(
         responses=np.asarray(y, dtype=np.int8),
-        features=sp.csr_matrix(X),
+        features=X,
         tags=TagTable(np.zeros(n, dtype=np.uint8), np.zeros(n), np.arange(n),
                       np.full(n, -1)),
         column_names=names,
@@ -113,22 +115,14 @@ def test_posterior_finite_on_separated_toys():
 
 
 def test_information_criteria_formula():
-    fit = FitResult(
-        coefficients=np.zeros(3), std_errors=np.zeros(3), log_likelihood=-50.0,
-        deviance=100.0, bic=0.0, aic=0.0, n_obs=1000, converged=True, iterations=1,
-        prior=PriorSpec.none(), column_names=("a", "b", "c"), gradient_norm=0.0)
-    bic, aic = information_criteria(fit)
+    bic, aic = _information_criteria(100.0, 3, 1000)
     assert bic == pytest.approx(100.0 + 3 * math.log(1000), abs=1e-9)
     assert bic == pytest.approx(120.7233, abs=1e-3)
     assert aic == pytest.approx(106.0)
 
 
 def test_information_criteria_no_parameters():
-    fit = FitResult(
-        coefficients=np.zeros(0), std_errors=np.zeros(0), log_likelihood=-50.0,
-        deviance=100.0, bic=0.0, aic=0.0, n_obs=10, converged=True, iterations=0,
-        prior=PriorSpec.none(), column_names=(), gradient_norm=0.0)
-    bic, aic = information_criteria(fit)
+    bic, aic = _information_criteria(100.0, 0, 10)
     assert bic == 100.0
     assert aic == 100.0
 
@@ -267,26 +261,63 @@ def test_matches_reference_glm():
     assert mine.aic == pytest.approx(ref.aic, abs=1e-5)
 
 
-def test_lbfgs_warm_start_matches_newton(monkeypatch):
-    """Wide-design fallback: warm start + Newton still meets the gradient
-    contract and lands on the same optimum."""
-    import dynetlogit.solver as solver_mod
+def _oracle_design():
+    rng = np.random.default_rng(37)
+    X = np.column_stack([np.ones(500), rng.normal(size=(500, 2)),
+                         (rng.random(500) < 0.3).astype(float)])
+    y = (rng.random(500) < expit(X @ np.array([-0.4, 0.7, -1.1, 0.5]))).astype(int)
+    return X, y
 
-    rng = np.random.default_rng(29)
-    X = np.column_stack([np.ones(300), rng.normal(size=(300, 3))])
-    y = (rng.random(300) < expit(X @ np.array([0.2, -0.5, 0.9, 0.0]))).astype(int)
-    direct = fit_mle(make_dm(X, y))
-    monkeypatch.setattr(solver_mod, "LBFGS_WIDTH", 2)
-    warm = fit_mle(make_dm(X, y))
-    assert warm.converged
-    assert warm.gradient_norm <= 1e-8
-    assert np.allclose(warm.coefficients, direct.coefficients, atol=1e-7)
 
-    post_direct = fit_posterior_mode(make_dm(X, y))
-    monkeypatch.setattr(solver_mod, "LBFGS_WIDTH", 2)
-    post_warm = fit_posterior_mode(make_dm(X, y))
-    assert post_warm.converged
-    assert np.allclose(post_warm.coefficients, post_direct.coefficients, atol=1e-7)
+@pytest.mark.parametrize("prior", [
+    None,
+    PriorSpec.cauchy(2.5),
+    PriorSpec(kind="student_t", scale=1.5, df=3.0,
+              overrides={"x2": {"center": -0.5, "scale": 0.2, "df": 5.0}}),
+], ids=["mle", "cauchy", "t3_override"])
+def test_matches_dense_reference_fit(prior):
+    """Independent route that runs without statsmodels: a dense
+    scipy.optimize fit of the same objective, SEs from its inverse Hessian."""
+    X, y = _oracle_design()
+    dm = make_dm(X, y)
+    if prior is None:
+        mine, ref = fit_mle(dm), oracles.logistic_fit_by_minimize(X, y)
+    else:
+        mine = fit_posterior_mode(dm, prior)
+        ref = oracles.logistic_fit_by_minimize(X, y, *prior.resolve(dm.column_names))
+        # informative only if the prior moves the fit off the MLE
+        assert np.abs(mine.coefficients - fit_mle(dm).coefficients).max() > 1e-3
+    assert mine.converged
+    assert np.allclose(mine.coefficients, ref["coefficients"], rtol=0, atol=1e-6)
+    assert np.allclose(mine.std_errors, ref["std_errors"], rtol=1e-5, atol=0)
+    for key in ("log_likelihood", "deviance", "bic", "aic"):
+        assert getattr(mine, key) == pytest.approx(ref[key], abs=1e-6), key
+
+
+def test_wide_design_converges_by_newton():
+    """Intercept, a lag column and 2,000 endpoint dummies: the full Newton
+    path certifies the gradient contract in a few iterations."""
+    rng = np.random.default_rng(41)
+    rows, k = 6000, 2000
+    # every vertex is an endpoint of some row, so no column is pinned
+    ends = np.column_stack([np.arange(rows) % k, rng.integers(0, k, rows)])
+    ends[:, 1] = np.where(ends[:, 1] == ends[:, 0], (ends[:, 0] + 1) % k, ends[:, 1])
+    lag = (rng.random(rows) < 0.2).astype(float)
+    r = np.arange(rows)
+    X = sp.csr_matrix(
+        (np.concatenate([np.ones(rows), lag, np.ones(2 * rows)]),
+         (np.concatenate([r, r, r, r]),
+          np.concatenate([np.zeros(rows, int), np.ones(rows, int),
+                          2 + ends[:, 0], 2 + ends[:, 1]]))),
+        shape=(rows, k + 2))
+    X.eliminate_zeros()
+    ability = rng.normal(scale=0.5, size=k)
+    y = rng.random(rows) < expit(-2.0 + 2.5 * lag + ability[ends].sum(axis=1))
+    fit = fit_posterior_mode(make_dm(X, y.astype(int)), PriorSpec.cauchy(2.5))
+    assert fit.notes == ()  # all 2,002 columns active
+    assert fit.converged
+    assert fit.gradient_norm <= 1e-8
+    assert fit.iterations < 100
 
 
 def test_prior_override_by_column():

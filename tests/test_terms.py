@@ -13,14 +13,12 @@ from dynetlogit import (
     Snapshot,
     SpecError,
     TermSpec,
-    edge_stat,
     pair_cycle_count,
     seasonal_terms,
     triad_census,
     triangle_count,
     usable_transitions,
     validate_model,
-    vertex_stat,
 )
 import dynetlogit.terms as terms
 from dynetlogit.terms import (
@@ -31,6 +29,7 @@ from dynetlogit.terms import (
 )
 
 import oracles
+from oracles import edge_stat, vertex_stat
 
 
 def snap(t, present, edges, n, attrs=None):

@@ -134,10 +134,10 @@ class Snapshot:
     present.  Sorted this way, the codes are also the upper half of the
     adjacency in CSR order: row i holds the j of its codes, ascending.
     Instances are immutable after construction and cache derived structures
-    (the 2-core, per-edge cycle counts) on first use.
+    (the degrees, the 2-core, per-edge cycle counts) on first use.
     """
 
-    __slots__ = ("t", "present", "codes", "time_attrs", "_core", "_cycle_memo")
+    __slots__ = ("t", "present", "codes", "time_attrs", "_degrees", "_core", "_cycle_memo")
 
     def __init__(self, t, present, edges, time_attrs=None, *, n=None):
         """``present`` is a bool vector over the risk set, or the indices of
@@ -170,6 +170,7 @@ class Snapshot:
             codes = np.unique(codes)
         self.codes = _read_only(codes)
         self.time_attrs = dict(time_attrs or {})
+        self._degrees = None
         self._core = None
         self._cycle_memo = {}
 
@@ -197,9 +198,13 @@ class Snapshot:
         return bool(np.isin(i * len(self.present) + j, self.codes))
 
     def degrees(self) -> np.ndarray:
-        """Degree of every present vertex, ordered as ``present_indices``."""
-        n = len(self.present)
-        return np.bincount(np.concatenate(np.divmod(self.codes, n)), minlength=n)[self.present]
+        """Read-only degree of every risk-set vertex (0 for absent ones)."""
+        if self._degrees is None:
+            n = len(self.present)
+            lo = self.codes // n
+            ends = np.concatenate([lo, self.codes - lo * n])
+            self._degrees = _read_only(np.bincount(ends, minlength=n))
+        return self._degrees
 
     def __eq__(self, other):
         return (
@@ -234,15 +239,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def dyads(indices) -> tuple:
+def _ranges(starts, counts) -> np.ndarray:
+    """The concatenated ranges starts[k], ..., starts[k] + counts[k] - 1."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+
+
+def dyads(indices, counts=None) -> tuple:
     """All unordered pairs (i < j) of the given sorted vertex indices, as two
-    int64 index arrays in row-major order."""
-    k = len(indices)
-    if k < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    iu, ju = np.triu_indices(k, 1)
-    return indices[iu].astype(np.int64), indices[ju].astype(np.int64)
+    int64 index arrays in row-major order.
+
+    With ``counts``, the indices are consecutive runs of those lengths (the
+    vertex sets of several draws, one after another) and the pairs are those
+    within each run, run after run."""
+    indices = np.asarray(indices, dtype=np.int64)
+    pos = np.arange(len(indices))
+    if counts is None:
+        later = len(indices) - 1 - pos
+    else:
+        later = np.cumsum(counts).repeat(counts) - 1 - pos  # later indices in the run
+    return indices.repeat(later), indices[_ranges(pos + 1, later)]
 
 
 class NetworkPanel:

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 from scipy.special import expit
 
-from .gli import GLI_NAMES, gli_vector
+from .gli import GLI_NAMES, gli_matrix, gli_vector
 from .panel import NetworkPanel, RiskSet, Snapshot, dyads
 from .solver import FitResult
 from .terms import (
@@ -191,27 +191,42 @@ def _split_theta(fit: FitResult, spec: ModelSpec):
     return fit.coefficients[:kv], fit.coefficients[kv:]
 
 
+# Most dyads one union of draws holds; a draw with more is a union of its
+# own.  While a union is drawn a dyad holds its endpoints, a uniform, a
+# probability and an edge-term column, so a full union peaks near 6 MB.
+PAIR_BUDGET = 1 << 17
+
+
+def _uniforms(rngs, counts) -> np.ndarray:
+    """counts[r] uniforms from each generator rngs[r], one after another."""
+    out = np.empty(int(counts.sum()))
+    pos = 0
+    for rng, count in zip(rngs, counts.tolist()):
+        rng.random(out=out[pos:pos + count])
+        pos += count
+    return out
+
+
 class StepSampler:
     """Draws snapshots at step ``t`` of one history.
 
     A draw takes the vertex set from the vertex model, then the edges among
     the drawn vertices from the edge model, in that order from its
-    generator; under ``threshold`` both are the 50-percent rule (ties are
-    absent) and no generator is read.  Vertex probabilities are computed
-    once.  Edge probabilities are computed once when every draw shares one
-    vertex set (``fixed_vertex_set`` or ``threshold``), once over all
-    risk-set dyads when ``draws`` > 1 and no edge term reads the drawn
-    vertex set, and otherwise per draw.  Each path yields the same
-    probability for a dyad, so the draws do not depend on which one runs.
+    generator: ``random(n)`` for the vertices, then ``random(#dyads)`` for
+    the dyads in row-major order.  Under ``threshold`` both are the
+    50-percent rule (ties are absent) and no generator is read.  Vertex
+    probabilities are computed once.  When every draw shares one vertex set
+    (``fixed_vertex_set`` or ``threshold``) so do its dyads, whose edge
+    probabilities are computed once; otherwise each edge term is evaluated
+    once per union of draws, on their concatenated dyads.
     """
 
     def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
-                 *, threshold: bool = False, fixed_vertex_set: bool = False,
-                 draws: int = 1):
+                 *, threshold: bool = False, fixed_vertex_set: bool = False):
         self.spec, self.theta_e, self.history, self.t = spec, theta_e, history, t
         self.threshold = threshold
-        n = len(history.risk_set)
-        self.pv = self.bits = self.pairs = self.dyad_pe = None
+        self.n = n = len(history.risk_set)
+        self.pv = self.bits = self.pairs = None
         if fixed_vertex_set:
             self.bits = np.ones(n, dtype=bool)
         else:
@@ -228,9 +243,6 @@ class StepSampler:
         if self.bits is not None:
             ii, jj = dyads(np.flatnonzero(self.bits))
             self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits))
-        elif draws > 1 and not any(term.kind == "log_size" for term in spec.edge_terms):
-            ii, jj = dyads(np.arange(n))
-            self.dyad_pe = self._edge_probs(ii, jj, np.ones(n, dtype=bool))
         self.attrs = history.time_attrs_at(t) or {}
 
     def _edge_probs(self, ii, jj, present):
@@ -243,20 +255,50 @@ class StepSampler:
         return expit(eta)
 
     def draw(self, rng=None) -> Snapshot:
+        """One draw; the batch of one of ``draw_all``."""
+        return next(self.draw_all([rng]))
+
+    def draw_all(self, rngs):
+        """One draw per generator, yielded in order as union snapshots.
+
+        A union holds consecutive draws side by side, vertex r * n + i being
+        vertex i of its r-th draw, and as many draws as fit in PAIR_BUDGET
+        dyads, at least one.  Every vertex set is drawn before any edge.
+        """
+        n, count = self.n, len(rngs)
         if self.pairs is not None:
-            bits = self.bits
-            ii, jj, pe = self.pairs
+            bits = np.broadcast_to(self.bits, (count, n))
+            counts = np.full(count, len(self.pairs[0]))
         else:
-            bits = rng.random(len(self.pv)) < self.pv
-            ii, jj = dyads(np.flatnonzero(bits))
-            if self.dyad_pe is not None:
-                # position of (i, j) in the row-major upper triangle
-                n = len(bits)
-                pe = self.dyad_pe[ii * (2 * n - ii - 3) // 2 + jj - 1]
+            uniforms = np.empty((count, n))
+            for rng, row in zip(rngs, uniforms):
+                rng.random(out=row)
+            bits = uniforms < self.pv
+            k = bits.sum(axis=1)
+            counts = k * (k - 1) // 2
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < count:
+            limit = (ends[lo - 1] if lo else 0) + PAIR_BUDGET
+            hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+            yield self._union(bits[lo:hi], rngs[lo:hi], counts[lo:hi])
+            lo = hi
+
+    def _union(self, bits, rngs, counts) -> Snapshot:
+        present = bits.ravel()
+        if self.pairs is None:
+            ii, jj = dyads(np.flatnonzero(present), bits.sum(axis=1))
+            keep = _uniforms(rngs, counts) < self._edge_probs(ii, jj, present)
+            edges = (ii[keep], jj[keep])
+        else:  # draw r's dyad p is (ii[p], jj[p]), offset by r * n
+            ii, jj, pe = self.pairs
+            if self.threshold:
+                keep = np.broadcast_to(pe > 0.5, (len(bits), len(pe)))
             else:
-                pe = self._edge_probs(ii, jj, bits)
-        keep = pe > 0.5 if self.threshold else rng.random(len(pe)) < pe
-        return Snapshot(self.t, bits, (ii[keep], jj[keep]), self.attrs)
+                keep = _uniforms(rngs, counts).reshape(len(bits), len(pe)) < pe
+            r, p = np.divmod(np.flatnonzero(keep), max(len(pe), 1))
+            edges = (ii[p] + r * self.n, jj[p] + r * self.n)
+        return Snapshot(self.t, present, edges, self.attrs)
 
 
 def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:
@@ -297,10 +339,10 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     """Simulate every one-step prediction and summarize index coverage.
 
     Every predictable step (full lag window observed, target observed) gets
-    one sampler shared by all its replicates, so what the replicates have in
-    common is computed once; replicate r still draws from its own
-    (seed, r, step) generator.  Under ``threshold50`` the draw is
-    deterministic, so one draw per step stands for all replicates.
+    one sampler that draws all its replicates at once, as union snapshots
+    whose indices come out one row per replicate; replicate r still draws
+    from its own (seed, r, step) generator.  Under ``threshold50`` the draw
+    is deterministic, so one draw per step stands for all replicates.
     """
     theta_v, theta_e = _split_theta(fit, spec)
     steps = usable_transitions(panel, spec.max_lag, spec.gap_policy)
@@ -312,24 +354,23 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     history = History(panel, _weekday_attrs_fn(panel))
 
     threshold = config.mode == "threshold50"
+    n = len(panel.risk_set)
     draws = np.empty((len(steps), m, n_g))
     observed = np.empty((len(steps), n_g))
-    small_draws = 0
     for k, s in enumerate(steps):
         sampler = StepSampler(spec, theta_v, theta_e, history, s, threshold=threshold,
-                              fixed_vertex_set=config.fixed_vertex_set, draws=m)
+                              fixed_vertex_set=config.fixed_vertex_set)
         if threshold:  # reads no generator, so every replicate draws this snapshot
-            snap = sampler.draw()
-            draws[k] = gli_vector(snap).as_array()
-            if snap.n_present < 3:
-                small_draws += m
+            draws[k] = gli_vector(sampler.draw()).as_array()
         else:
-            for rep in range(m):
-                snap = sampler.draw(_stream(config.seed, rep, s, base))
-                draws[k, rep] = gli_vector(snap).as_array()
-                if snap.n_present < 3:
-                    small_draws += 1
+            rngs = [_stream(config.seed, rep, s, base) for rep in range(m)]
+            row = 0
+            for union in sampler.draw_all(rngs):
+                block = gli_matrix(union, n)
+                draws[k, row:row + len(block)] = block
+                row += len(block)
         observed[k] = gli_vector(panel.at(s)).as_array()
+    small_draws = int(np.count_nonzero(draws[:, :, 0] < 3))
 
     lo_idx, hi_idx = interval_indices(m, config.alpha)
     ordered = np.sort(draws, axis=1)

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef
+from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, _ranges
 
 __all__ = [
     "GapError",
@@ -312,43 +312,48 @@ def _as_index(p) -> int:
     return p.index if isinstance(p, VertexRef) else int(p)
 
 
-def _ranges(starts, counts) -> np.ndarray:
-    """The concatenated ranges starts[k], ..., starts[k] + counts[k] - 1."""
-    ends = counts.cumsum()
-    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+# Most bitset words one block of triangle_counts gathers per edge endpoint
+# (4 MB of uint32 each).
+BITSET_BLOCK = 1 << 20
 
 
-# Most wedges one block of triangle_counts holds (about 50 MB of int64 columns).
-WEDGE_BLOCK = 1 << 20
+def triangle_counts(snapshot: Snapshot, segment: int | None = None) -> np.ndarray:
+    """Number of triangles through each vertex (0 for absent ones).
 
-
-def triangle_counts(snapshot: Snapshot) -> np.ndarray:
-    """Number of triangles through each risk-set vertex (0 for absent ones).
-
-    Each triangle i < j < k is one wedge at i: two codes i * n + j and
-    i * n + k of row i, closed when j * n + k is a code too.  A row's codes
-    are contiguous and ascending, so the wedges are pairs of positions in
-    one row; a closed wedge counts at all three of its vertices.  Wedges go
-    in blocks of at most WEDGE_BLOCK, or of one code's if it opens more.
+    Each edge {a, b} closes one triangle per common neighbour, so a vertex's
+    count is half the sum of |N(a) & N(b)| over its edges.  Neighbourhoods
+    are bitsets of uint32 words, intersected with ``np.bitwise_count``.
+    A bit numbers a vertex among those with an edge in its segment, the
+    ``segment`` consecutive vertices it belongs to (default: all of them),
+    so a union of disjoint draws needs bitsets only as wide as its largest
+    draw.  Edges go in blocks of at most BITSET_BLOCK words per endpoint.
     """
-    n, codes = len(snapshot.present), snapshot.codes
-    out = np.zeros(n)
-    # ndarray methods, not numpy functions: most snapshots are tiny, so call
-    # overhead is most of the cost
-    row, col = np.divmod(codes, n)
-    pos = np.arange(len(codes))
-    later = row.searchsorted(row, "right") - 1 - pos  # wedges opened at each code
-    if len(codes) < 3 or not later.any():
-        return out
-    step = max(1, WEDGE_BLOCK // int(later.max()))  # codes per block
-    for lo in range(0, len(codes), step):
-        entry, opened = pos[lo:lo + step], later[lo:lo + step]
-        first, second = entry.repeat(opened), _ranges(entry + 1, opened)
-        wedge = col[first] * n + col[second]
-        hit = codes[np.minimum(codes.searchsorted(wedge), len(codes) - 1)] == wedge
-        out += np.bincount(np.concatenate([row[first[hit]], col[first[hit]], col[second[hit]]]),
-                           minlength=n)
-    return out
+    size = len(snapshot.present)
+    n = segment or size
+    codes, degrees = snapshot.codes, snapshot.degrees()
+    if (degrees > 1).sum() < 3:  # a triangle has three vertices of degree 2 or more
+        return np.zeros(size)
+    a = codes // size
+    b = codes - a * size
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    touched = degrees > 0
+    rank = touched.cumsum() - 1  # bitset row of a touched vertex
+    per_segment = touched.reshape(-1, n).sum(axis=1)
+    bit = rank - (per_segment.cumsum() - per_segment).repeat(n)  # rank in its segment
+    words, rows = (int(per_segment.max()) + 31) // 32, int(rank[-1]) + 1
+    # word w of row v at w * rows + v; the bits set in one word are distinct,
+    # so their float sum is exact and is their union
+    bit = bit[dst]
+    bits = np.bincount((bit >> 5) * rows + rank[src], np.ldexp(1.0, bit & 31),
+                       minlength=words * rows).astype(np.uint32).reshape(words, rows)
+    step = max(1, BITSET_BLOCK // words)  # edges per block
+    common = []
+    for lo in range(0, len(a), step):
+        shared = bits.take(rank[a[lo:lo + step]], axis=1)
+        shared &= bits.take(rank[b[lo:lo + step]], axis=1)
+        common.append(np.bitwise_count(shared).sum(axis=0))
+    common = np.concatenate(common)
+    return np.bincount(src, np.concatenate([common, common]), minlength=size) / 2
 
 
 def triangle_count(snapshot: Snapshot, p) -> int:
@@ -391,7 +396,7 @@ def _cycle_core(snapshot: Snapshot):
             if keep.all():
                 break
             a, b = a[keep], b[keep]
-        verts = np.union1d(a, b)
+        verts = np.flatnonzero(np.bincount(np.concatenate([a, b]), minlength=n))
         nc = len(verts)
         ids = np.full(n, -1, dtype=np.int64)
         ids[verts] = np.arange(nc)
@@ -602,10 +607,17 @@ def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
 
     ``present`` is the current vertex set the edge model conditions on; for
     simulated steps it is the sampled one, which is what log_size reads.
+    It may also be the disjoint union of several sampled sets over the risk
+    set of n vertices, one after another: vertex d * n + i is vertex i of
+    set d, and each dyad joins two vertices of one set.
     """
     rs = history.risk_set
     n = len(rs)
     m = len(ii)
+    draw = None
+    if len(present) > n:  # a union: dyads in risk-set indices, and their set
+        draw = ii // n
+        ii, jj = ii - draw * n, jj - draw * n
     kind = term.kind
     if kind == "intercept":
         return np.ones(m)
@@ -628,7 +640,11 @@ def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
             raise SpecError(str(exc)) from None
         return ((ii == idx) | (jj == idx)).astype(float)
     if kind == "log_size":
-        return np.full(m, math.log(int(present.sum())))
+        # math.log, not np.log: they differ in the last bit for some sizes;
+        # a set of fewer than 2 vertices has no dyad and takes no log
+        sizes = present.reshape(-1, n).sum(axis=1).tolist()
+        logs = np.array([math.log(k) if k > 1 else 0.0 for k in sizes])
+        return np.full(m, logs[0]) if draw is None else logs[draw]
     if kind == "seasonal":
         return np.full(m, _seasonal_value(term, history, t))
     u = resolve_lag(history, t, term.lag, policy)

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: triple enumeration, per-pair
 BFS, whole-graph cycle enumeration (via networkx) and path enumeration by
 DFS, instead of the identities and meet-in-the-middle counting used by the
-package; one statistic at a time instead of a design column; and a dense
+package; one statistic at a time instead of a design column; one simulated
+draw at a time instead of all replicates of a step at once; and a dense
 general-purpose optimizer instead of the package's sparse damped Newton.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import optimize, stats
 from scipy.special import expit
 
-from dynetlogit import VertexRef
+from dynetlogit import Snapshot, VertexRef
 from dynetlogit.panel import presence_vector
 from dynetlogit.terms import History, edge_term_values, vertex_term_values
 
@@ -172,6 +173,34 @@ def edge_stat(term, panel, t, i, j, current_present, policy=None) -> float:
     vals = edge_term_values(term, History(panel), t, np.array([i]), np.array([j]),
                             bits, policy or "exclude")
     return float(vals[0])
+
+
+def step_draw_by_replicate(spec, theta_v, theta_e, history, t, rng=None, *,
+                           threshold=False, fixed_vertex_set=False):
+    """One snapshot drawn at step t on its own: the vertex set from
+    ``rng.random(n)`` (or the 50-percent rule, or every vertex), then the
+    dyads of the drawn set from ``np.triu_indices`` and their edge
+    probabilities from the terms evaluated on that set alone, then one
+    uniform per dyad in row-major order."""
+    n = len(history.risk_set)
+    if fixed_vertex_set:
+        bits = np.ones(n, dtype=bool)
+    else:
+        eta = np.zeros(n)
+        for theta, term in zip(theta_v, spec.vertex_terms):
+            eta += theta * vertex_term_values(term, history, t, spec.gap_policy)
+        pv = expit(eta)
+        bits = pv > 0.5 if threshold else rng.random(n) < pv
+    idx = np.flatnonzero(bits)
+    iu, ju = np.triu_indices(len(idx), 1)
+    ii, jj = idx[iu], idx[ju]
+    eta = np.zeros(len(ii))
+    if len(ii):
+        for theta, term in zip(theta_e, spec.edge_terms):
+            eta += theta * edge_term_values(term, history, t, ii, jj, bits, spec.gap_policy)
+    pe = expit(eta)
+    keep = pe > 0.5 if threshold else rng.random(len(pe)) < pe
+    return Snapshot(t, bits, (ii[keep], jj[keep]), history.time_attrs_at(t) or {})
 
 
 def logistic_fit_by_minimize(X, y, centers=None, scales=None, dfs=None):

@@ -95,3 +95,30 @@ def test_bench_tracer_sees_the_fit_layers(tiny_panel, lag1_spec, tmp_path, prior
     assert "design.build" in names
     fits = [rec[5] for rec in tracer.spans if rec[0] == "solver.fit"]
     assert len(fits) == 1 and "iterations" in fits[0]
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["stochastic", "fixed"])
+def test_bench_tracer_sees_the_union_of_replicates(tiny_panel, fixed):
+    # each step's replicates are one union snapshot, built through
+    # simulate.Snapshot, whose indices go through the three bound gli names
+    fit = SimpleNamespace(coefficients=np.array([1.0, 0.2, 0.5, 0.3, -0.1]),
+                          column_names=SPEC.column_names)
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        samples, _ = one_step_intervals(fit, SPEC, tiny_panel,
+                                        SimConfig(replicates=5, seed=1, fixed_vertex_set=fixed))
+    finally:
+        tracer.remove()
+
+    assert tracer.missing == set()
+    count = {}
+    for rec in tracer.spans:
+        count[rec[0]] = count.get(rec[0], 0) + 1
+    unions = count["panel.snapshot"]
+    assert unions == len(samples.steps)
+    # one gli.vector per observed snapshot; every union and every vector
+    # computes each bound index once
+    assert count["gli.vector"] == len(samples.steps)
+    for name in ("gli.triad_census", "gli.connectedness", "gli.centralization"):
+        assert count[name] == unions + count["gli.vector"], name

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -16,6 +17,7 @@ from dynetlogit import (
     mean_degree,
     triad_census,
 )
+from dynetlogit.gli import gli_matrix
 from dynetlogit.terms import triangle_counts
 
 import oracles
@@ -57,12 +59,12 @@ def test_census_examples():
 
 
 def test_gli_vector_empty_snapshot():
-    empty = snap([], [], n=3)
-    v = gli_vector(empty)
-    assert (v.size, v.density, v.mean_degree) == (0, 0.0, 0.0)
-    assert v.degree_centralization == 0.0
-    assert v.connectedness == 1.0
-    assert v.triad_census == (0, 0, 0, 0)
+    for n in (3, 0):  # also an empty risk set
+        v = gli_vector(snap([], [], n=n))
+        assert (v.size, v.density, v.mean_degree) == (0, 0.0, 0.0)
+        assert v.degree_centralization == 0.0
+        assert v.connectedness == 1.0
+        assert v.triad_census == (0, 0, 0, 0)
 
 
 def test_gli_vector_k3():
@@ -201,3 +203,40 @@ def test_kernels_match_networkx_on_larger_graphs(seed):
         assert np.array_equal(other.codes, s.codes)
     assert s.edges.tolist() == [list(e) for e in edges]
     assert not s.codes.flags.writeable and not s.edges.flags.writeable
+
+
+@st.composite
+def draw_lists(draw):
+    """Snapshots over one risk set of n vertices, including empty, 1-vertex
+    and 2-vertex draws, isolated vertices and draws wider than one 32-bit
+    bitset word, cut into consecutive unions."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    snaps = []
+    for _ in range(draw(st.integers(1, 10))):
+        k = draw(st.sampled_from([0, 1, 2, n // 2, n]))
+        p = draw(st.sampled_from([0.05, 0.3, 0.8]))
+        present = sorted(rng.permutation(n)[:k].tolist())
+        edges = [e for e in combinations(present, 2) if rng.random() < p]
+        snaps.append(Snapshot(1, present, edges, n=n))
+    cuts = sorted(draw(st.sets(st.integers(1, len(snaps) - 1))) if len(snaps) > 1 else [])
+    return n, snaps, [0, *cuts, len(snaps)]
+
+
+@given(draw_lists())
+@settings(max_examples=150, deadline=None)
+def test_union_indices_match_each_draw(drawn):
+    """The indices of a union of draws, one row per draw, equal each draw's
+    own index vector bit for bit, whatever the union sizes."""
+    n, snaps, cuts = drawn
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        part = snaps[lo:hi]
+        union = Snapshot(1, np.concatenate([s.present for s in part]), (
+            np.concatenate([s.edges[:, 0] + r * n for r, s in enumerate(part)]),
+            np.concatenate([s.edges[:, 1] + r * n for r, s in enumerate(part)])))
+        expected = np.array([gli_vector(s).as_array() for s in part])
+        assert np.array_equal(gli_matrix(union, n), expected)
+        assert np.array_equal(triangle_counts(union, n),
+                              np.concatenate([triangle_counts(s) for s in part]))
+        assert np.array_equal(triad_census(union, n),
+                              np.array([triad_census(s) for s in part]).reshape(-1, 4))

@@ -17,7 +17,6 @@ from dynetlogit import (
 )
 from dynetlogit.gli import gli_vector
 from dynetlogit.simulate import (
-    StepSampler,
     _stream,
     _weekday_attrs_fn,
     interval_indices,
@@ -25,6 +24,7 @@ from dynetlogit.simulate import (
 )
 from dynetlogit.terms import History, SpecError
 
+import oracles
 from conftest import random_panel
 
 
@@ -259,37 +259,57 @@ def test_edge_indicators_conditionally_independent(core_panel):
 
 
 @pytest.mark.parametrize("with_logsize", [False, True])
-def test_intervals_match_per_replicate_sampling(core_panel, with_logsize):
-    """Sharing work across replicates must not change a single draw: the
-    oracle is a fresh sampler per replicate."""
-    edge_terms = [TermSpec("edge", "intercept")]
+def test_intervals_match_per_replicate_sampling(monkeypatch, with_logsize):
+    """Drawing all replicates of a step at once, on unions of any size, must
+    not change a single draw: the oracle draws each replicate on its own."""
+    import dynetlogit.simulate as simulate
+    panel = random_panel(np.random.default_rng(11), n=9, T=6, density=0.5)
+    edge_terms = [TermSpec("edge", "intercept"),
+                  TermSpec("edge", "individual_dummy", params={"label": "v2"}),
+                  TermSpec("edge", "lag_indicator", lag=1),
+                  TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 5})]
     if with_logsize:
         edge_terms.append(TermSpec("edge", "log_size"))
     spec = ModelSpec(
-        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1),
+         TermSpec("vertex", "lag_triangle", lag=1)],
         edge_terms,
     )
-    theta = [0.2, 0.4, 0.6] + ([-0.3] if with_logsize else [])
-    fit = fake_fit(spec, theta)
-    for mode, fixed in (("stochastic", False), ("stochastic", True),
-                        ("threshold50", False)):
-        config = SimConfig(replicates=25, alpha=0.9, seed=13, mode=mode,
-                           fixed_vertex_set=fixed)
-        samples, _ = one_step_intervals(fit, spec, core_panel, config)
-        for k, s in enumerate(samples.steps):
-            for rep in range(config.replicates):
-                sampler = StepSampler(spec, np.asarray(theta[:2]), np.asarray(theta[2:]),
-                                      History(core_panel), s,
-                                      threshold=mode == "threshold50",
-                                      fixed_vertex_set=fixed)
-                snap = sampler.draw(_stream(13, rep, s, core_panel.t_min))
-                assert np.array_equal(samples.draws[k, rep], gli_vector(snap).as_array())
+    theta_e = [0.6, 0.5, -0.3, 0.4] + ([-0.3] if with_logsize else [])
+    budgets = (simulate.PAIR_BUDGET, 40, 1)  # unions of all, some and single draws
+    # a typical model, and one whose days mostly have 0, 1 or 2 vertices
+    for theta_v in ([0.2, 0.4, 0.1], [-2.5, 0.3, 0.1]):
+        fit = fake_fit(spec, theta_v + theta_e)
+        for mode, fixed in (("stochastic", False), ("stochastic", True),
+                            ("threshold50", False)):
+            config = SimConfig(replicates=25, alpha=0.9, seed=13, mode=mode,
+                               fixed_vertex_set=fixed)
+            steps = simulate.usable_transitions(panel, spec.max_lag)
+            expected = np.array([[
+                gli_vector(oracles.step_draw_by_replicate(
+                    spec, np.asarray(theta_v), np.asarray(theta_e), History(panel), s,
+                    None if mode == "threshold50" else _stream(13, rep, s, panel.t_min),
+                    threshold=mode == "threshold50", fixed_vertex_set=fixed)).as_array()
+                for rep in range(config.replicates)] for s in steps])
+            small = np.count_nonzero(expected[:, :, 0] < 3)
+            if theta_v[0] < 0 and not fixed:
+                assert small > len(steps)  # the small-draw conventions are exercised
+            for budget in budgets:
+                monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
+                samples, report = one_step_intervals(fit, spec, panel, config)
+                assert samples.steps == steps
+                assert np.array_equal(samples.draws, expected)
+                assert report.notes == (
+                    (f"{small} simulated day(s) had fewer than 3 vertices; "
+                     "degenerate-size index conventions applied",) if small else ())
 
 
 @pytest.mark.parametrize("with_logsize", [False, True])
-@pytest.mark.parametrize("mode, fixed", [("stochastic", True), ("threshold50", False)])
+@pytest.mark.parametrize("mode, fixed", [("stochastic", True), ("threshold50", False),
+                                         ("stochastic", False)])
 def test_shared_vertex_set_evaluates_edge_terms_once_per_step(monkeypatch, mode, fixed,
                                                               with_logsize):
+    # shared vertex set or not, each edge term is evaluated once per step
     import dynetlogit.simulate as simulate
     panel = random_panel(np.random.default_rng(3), n=8, T=6)
     edge_terms = [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1)]
@@ -299,7 +319,7 @@ def test_shared_vertex_set_evaluates_edge_terms_once_per_step(monkeypatch, mode,
         [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
         edge_terms,
     )
-    fit = fake_fit(spec, [2.0, 1.0] + [0.3] * len(edge_terms))  # everyone present
+    fit = fake_fit(spec, [2.0, 1.0] + [0.3] * len(edge_terms))  # nearly everyone present
     calls = []
     original = simulate.edge_term_values
 
@@ -314,7 +334,8 @@ def test_shared_vertex_set_evaluates_edge_terms_once_per_step(monkeypatch, mode,
             fit, spec, panel,
             SimConfig(replicates=replicates, seed=2, mode=mode, fixed_vertex_set=fixed),
         )
-        assert np.all(samples.draws[:, :, 0] == 8)
+        if mode == "threshold50" or fixed:
+            assert np.all(samples.draws[:, :, 0] == 8)
         assert len(calls) == len(samples.steps) * len(edge_terms)
 
 
@@ -346,6 +367,25 @@ def test_threshold50_draws_once_per_step(monkeypatch):
     _, report = one_step_intervals(empty, spec, panel,
                                    SimConfig(replicates=7, seed=2, mode="threshold50"))
     assert report.notes[0].startswith(f"{7 * len(report.steps)} simulated day(s)")
+
+
+def test_fixed_vertex_set_adequacy_memory_is_bounded():
+    """Replicates are drawn in unions of at most PAIR_BUDGET dyads, so 100
+    replicates of the 95-vertex month panel (4,465 dyads each) stay small."""
+    import tracemalloc
+    from dynetlogit import build_design, fit_posterior_mode
+    from dynetlogit.synth import make_month_panel, nested_model_specs
+    panel = make_month_panel()
+    spec = nested_model_specs(panel.risk_set)[-1]
+    fit = fit_posterior_mode(build_design(panel, spec))
+    config = SimConfig(replicates=100, seed=6, fixed_vertex_set=True)
+    tracemalloc.start()
+    try:
+        one_step_intervals(fit, spec, panel, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_no_vertex_terms_needs_fixed_vertex_set(core_panel):

@@ -153,7 +153,7 @@ def test_triangle_counts_in_blocks_agree(monkeypatch):
     edges = oracles.random_edge_set(rng, n, 0.3)
     s = snap(1, list(range(n)), edges, n)
     whole = triangle_counts(s)
-    monkeypatch.setattr(terms, "WEDGE_BLOCK", 7)  # one code per block
+    monkeypatch.setattr(terms, "BITSET_BLOCK", 1)  # one edge per block
     assert np.array_equal(triangle_counts(snap(1, list(range(n)), edges, n)), whole)
     assert whole.tolist() == [oracles.triangles_at_vertex_by_enumeration(range(n), edges, v)
                               for v in range(n)]

@@ -183,7 +183,7 @@ def cmd_fit(args) -> int:
                 "columns": dm.n_cols,
                 # steps actually present in the design (lag alignment may
                 # drop more than this spec alone requires)
-                "usable_steps": sorted(int(t) for t in set(dm.tags.t)),
+                "usable_steps": np.unique(dm.tags.t).tolist(),
             },
             "fit": fit.to_dict(),
             "parts": block_summaries(dm, fit.coefficients),

@@ -10,6 +10,7 @@ stacked design is exactly the product of the two sub-likelihoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,8 +24,11 @@ from .terms import (
     vertex_term_values,
 )
 
-__all__ = ["DesignError", "RowTag", "TagTable", "DesignMatrix",
+__all__ = ["DesignError", "RowTag", "TagTable", "Patterns", "DesignMatrix",
            "build_design", "split_design", "dump_design"]
+
+# mixed-radix row keys stay below this; past it the partial key is renumbered
+_KEY_LIMIT = np.iinfo(np.int64).max
 
 
 class DesignError(ValueError):
@@ -64,6 +68,58 @@ class TagTable:
         return TagTable(self.kind[lo:hi], self.t[lo:hi], self.i[lo:hi], self.j[lo:hi])
 
 
+@dataclass(frozen=True)
+class Patterns:
+    """The distinct rows of a design as binomial sufficient statistics.
+
+    Rows that share their block, response and every feature value are one
+    pattern: ``responses`` holds its 0/1 response and ``trials`` counts its
+    rows.  Patterns keep the order of their first row, so the
+    ``n_vertex_patterns`` vertex patterns come first, as vertex rows do.
+    """
+
+    features: sp.csr_matrix  # one row per pattern, every column of the design
+    responses: np.ndarray  # float
+    trials: np.ndarray  # float, summing to the design's rows
+    n_vertex_patterns: int
+
+
+def _row_patterns(features, responses, n_vertex_rows) -> Patterns:
+    """Group rows by an exact key built column by column from the CSC form:
+    each column's values are factorized and their codes added into one int64
+    key per row in mixed radix, renumbering the partial key whenever the
+    next radix would overflow it.  An explicitly stored zero gets a code of
+    its own, so rows equal in value may land in two patterns; the
+    likelihood does not change."""
+    key = responses.astype(np.int64)
+    key[n_vertex_rows:] += 2
+    base = 4  # key < base: block and response take the lowest digits
+    csc = features.tocsc()
+    for lo, hi in zip(csc.indptr[:-1], csc.indptr[1:]):
+        if lo == hi:
+            continue
+        values, codes = np.unique(csc.data[lo:hi], return_inverse=True)
+        radix = len(values) + 1  # code 0 is an unstored zero
+        if base > _KEY_LIMIT // radix:
+            seen, key = np.unique(key, return_inverse=True)
+            base = len(seen)
+        codes += 1
+        codes *= base
+        key[csc.indices[lo:hi]] += codes
+        base *= radix
+    del csc
+    _, first, trials = np.unique(key, return_index=True, return_counts=True)
+    del key
+    order = np.argsort(first)
+    first, trials = first[order], trials[order].astype(float)
+    return Patterns(
+        features=features.tocsr()[first],
+        responses=responses[first].astype(float),
+        trials=trials,
+        n_vertex_patterns=int(np.searchsorted(first, n_vertex_rows)),
+    )
+
+
 @dataclass
 class DesignMatrix:
     """Responses, sparse features, and row provenance for one model fit."""
@@ -83,12 +139,26 @@ class DesignMatrix:
     def n_cols(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def patterns(self) -> Patterns:
+        """The rows collapsed into binomial patterns, computed on first use
+        and kept: a design is not modified once built."""
+        return _row_patterns(self.features, self.responses, self.n_vertex_rows)
+
     def __repr__(self):
         return (
             f"DesignMatrix({self.n_rows} rows = {self.n_vertex_rows} vertex + "
             f"{self.n_rows - self.n_vertex_rows} edge, {self.n_cols} cols, "
             f"nnz={self.features.nnz})"
         )
+
+
+def _is_edge(codes, pairs):
+    """Membership of ``pairs`` in the sorted edge ``codes``."""
+    if not len(codes):
+        return np.zeros(len(pairs), dtype=bool)
+    pos = np.minimum(np.searchsorted(codes, pairs), len(codes) - 1)
+    return codes[pos] == pairs
 
 
 def build_design(panel: NetworkPanel, spec: ModelSpec,
@@ -131,7 +201,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
             cols = [edge_term_values(term, history, t, ii, jj, snap.present, policy)
                     for term in spec.edge_terms]
             e_blocks.append(np.column_stack(cols))
-            e_resp.append(np.isin(ii * n + jj, snap.codes).astype(np.int8))
+            e_resp.append(_is_edge(snap.codes, ii * n + jj).astype(np.int8))
             e_t.append(np.full(len(ii), t, dtype=np.int64))
             e_i.append(ii)
             e_j.append(jj)

@@ -8,6 +8,12 @@ each outer iteration refreshes per-coefficient precision weights
 with a line search on the true penalized objective so every iteration is
 an ascent.  Once the gradient is nearly zero the exact penalized curvature
 is used instead, which restores quadratic convergence.
+
+Rows are independent Bernoulli trials, so the engine runs on the design's
+binomial patterns (:attr:`DesignMatrix.patterns`): ``m`` rows of one feature
+row and response ``y`` contribute s*eta - m*log(1 + e^eta) to the
+log-likelihood, with s = m*y successes, and m*(y - mu) to the score, exactly
+as the m rows would.
 """
 
 from __future__ import annotations
@@ -147,8 +153,8 @@ class FitResult:
 # objective pieces
 # ---------------------------------------------------------------------------
 
-def _data_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+def _data_loglik(eta: np.ndarray, y: np.ndarray, trials: np.ndarray) -> float:
+    return float((trials * y) @ eta - trials @ np.logaddexp(0.0, eta))
 
 
 def _information_criteria(deviance: float, p: int, n: int):
@@ -217,8 +223,9 @@ def _xtwx(X: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
 # core engine
 # ---------------------------------------------------------------------------
 
-def _maximize(X, y, prior_arrays, tolerance, max_iter):
-    """Damped Newton ascent of the (penalized) Bernoulli log-likelihood.
+def _maximize(X, y, trials, prior_arrays, tolerance, max_iter):
+    """Damped Newton ascent of the (penalized) binomial log-likelihood of
+    ``trials`` Bernoulli rows with response ``y`` at each row of X.
 
     Returns (theta, info dict) on the active columns of X.
     """
@@ -229,7 +236,7 @@ def _maximize(X, y, prior_arrays, tolerance, max_iter):
         centers, scales, dfs = prior_arrays
 
     def objective(th):
-        val = _data_loglik(X @ th, y)
+        val = _data_loglik(X @ th, y, trials)
         if use_prior:
             val += _prior_logpdf(th, centers, scales, dfs)
         return val
@@ -237,7 +244,9 @@ def _maximize(X, y, prior_arrays, tolerance, max_iter):
     def gradient(th, mu=None):
         if mu is None:
             mu = expit(X @ th)
-        g = X.T @ (y - mu)
+        # y - mu before the weighting: exact for mu near 1, where s - m*mu
+        # would cancel
+        g = X.T @ (trials * (y - mu))
         if use_prior:
             g = g + _prior_grad(th, centers, scales, dfs)
         return np.asarray(g).ravel()
@@ -257,7 +266,7 @@ def _maximize(X, y, prior_arrays, tolerance, max_iter):
             converged = True
             break
         iterations += 1
-        w = mu * (1.0 - mu) + 1e-12
+        w = trials * (mu * (1.0 - mu) + 1e-12)
         H = _xtwx(X, w)
         if use_prior:
             # EM step far out (surrogate precision is always PD); exact
@@ -307,22 +316,23 @@ def _maximize(X, y, prior_arrays, tolerance, max_iter):
     }
 
 
-def _finalize(dm: DesignMatrix, X, y, theta_active, active, info,
+def _finalize(dm: DesignMatrix, X, y, trials, theta_active, active, info,
               prior: PriorSpec, prior_arrays, notes):
     """FitResult on all columns of ``dm`` from the optimum on the active
-    columns ``X`` (inactive coefficients stay 0, their SEs NaN)."""
+    columns ``X`` of its patterns (inactive coefficients stay 0, their SEs
+    NaN).  BIC's n is the number of trials, the design's rows."""
     p = dm.n_cols
     theta = np.zeros(p)
     theta[active] = theta_active
     eta = X @ theta_active
     mu = expit(eta)
-    ll = _data_loglik(eta, y)
+    ll = _data_loglik(eta, y, trials)
     deviance = -2.0 * ll
     n_obs = dm.n_rows
     bic, aic = _information_criteria(deviance, p, n_obs)
 
     # uncertainty from the curvature of the fitted objective at the optimum
-    H = _xtwx(X, mu * (1.0 - mu))
+    H = _xtwx(X, trials * mu * (1.0 - mu))
     penalized = None
     if prior_arrays is not None:
         centers, scales, dfs = prior_arrays
@@ -381,7 +391,8 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
         prior = PriorSpec()
     if dm.n_rows == 0:
         raise ValueError("cannot fit an empty design")
-    nnz = dm.features.getnnz(axis=0)
+    patterns = dm.patterns
+    nnz = patterns.features.getnnz(axis=0)
     active = np.flatnonzero(nnz > 0)
     notes = ()
     if len(active) < dm.n_cols:
@@ -390,14 +401,14 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
     arrays = None
     if prior.kind != "none":
         arrays = prior.resolve(tuple(dm.column_names[c] for c in active))
-    X = dm.features.tocsr()[:, active].tocsr()
-    y = dm.responses.astype(float)
-    theta, info = _maximize(X, y, arrays, tolerance, max_iter)
+    X = patterns.features[:, active].tocsr()
+    y, m = patterns.responses, patterns.trials
+    theta, info = _maximize(X, y, m, arrays, tolerance, max_iter)
     if info["separation"]:
         notes = notes + ("separation detected: saturated probabilities",)
     elif not info["converged"]:
         notes = notes + (f"no convergence in {max_iter} iterations",)
-    return _finalize(dm, X, y, theta, active, info, prior, arrays, notes)
+    return _finalize(dm, X, y, m, theta, active, info, prior, arrays, notes)
 
 
 def predict_probabilities(fit: FitResult, dm: DesignMatrix) -> np.ndarray:
@@ -412,20 +423,22 @@ def block_summaries(dm: DesignMatrix, coefficients: np.ndarray) -> dict:
     """Data-likelihood summaries of the vertex and edge blocks of a design
     at fixed coefficients, keyed "vertex" and "edge"; a block without rows
     is left out.  Block diagonality makes each block's linear predictor a
-    slice of the joint one, so the block deviances sum to the joint deviance."""
+    slice of the joint one, so the block deviances sum to the joint deviance.
+    Each block's ``n_obs`` counts its rows."""
     coefficients = np.asarray(coefficients, dtype=float)
     if dm.n_cols != len(coefficients):
         raise ValueError("coefficient length does not match design")
-    eta = dm.features @ coefficients
-    y = dm.responses.astype(float)
+    patterns = dm.patterns
+    eta = patterns.features @ coefficients
     nv, kv = dm.n_vertex_rows, dm.n_vertex_terms
+    pv = patterns.n_vertex_patterns
     parts = {}
-    for name, rows, cols in (("vertex", slice(0, nv), slice(0, kv)),
-                             ("edge", slice(nv, dm.n_rows), slice(kv, dm.n_cols))):
-        n_obs = rows.stop - rows.start
+    for name, n_obs, pats, cols in (
+            ("vertex", nv, slice(0, pv), slice(0, kv)),
+            ("edge", dm.n_rows - nv, slice(pv, len(eta)), slice(kv, dm.n_cols))):
         if n_obs == 0:
             continue
-        ll = _data_loglik(eta[rows], y[rows])
+        ll = _data_loglik(eta[pats], patterns.responses[pats], patterns.trials[pats])
         deviance = -2.0 * ll
         bic, aic = _information_criteria(deviance, cols.stop - cols.start, n_obs)
         parts[name] = {

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import expit
 
 from dynetlogit import (
     FitResult,
     PriorSpec,
+    block_summaries,
     build_design,
     fit_mle,
     fit_posterior_mode,
@@ -339,3 +343,176 @@ def test_fit_report_dict_round_trips_json():
     assert back["columns"] == ["x0"]
     assert back["convergence"]["converged"] is True
     assert back["prior"]["df"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# fitting on binomial patterns against the row-level Newton oracle
+# ---------------------------------------------------------------------------
+
+def make_stacked_dm(Xv, yv, Xe, ye):
+    """Block-diagonal vertex/edge design from dense blocks."""
+    Xv, Xe = np.atleast_2d(Xv), np.atleast_2d(Xe)
+    (nv, kv), (ne, ke) = Xv.shape, Xe.shape
+    X = np.zeros((nv + ne, kv + ke))
+    X[:nv, :kv] = Xv
+    X[nv:, kv:] = Xe
+    n = nv + ne
+    return DesignMatrix(
+        responses=np.concatenate([yv, ye]).astype(np.int8),
+        features=sp.csr_matrix(X),
+        tags=TagTable((np.arange(n) >= nv).astype(np.uint8), np.zeros(n),
+                      np.arange(n), np.full(n, -1)),
+        column_names=tuple(f"v{k}" for k in range(kv)) + tuple(f"e{k}" for k in range(ke)),
+        n_vertex_terms=kv,
+        n_vertex_rows=nv,
+    )
+
+
+def distinct_rows(dm):
+    """Counts of the distinct (block, response, feature row) triples."""
+    block = np.arange(dm.n_rows) >= dm.n_vertex_rows
+    full = np.column_stack([block, dm.responses, dm.features.toarray()])
+    return np.unique(full, axis=0, return_counts=True)[1]
+
+
+def assert_fits_agree(fit, ref):
+    """Coefficients, log-likelihood, deviance, BIC and AIC within 1e-9
+    relative, SEs within 1e-6 relative: the two fits take the same Newton
+    steps and differ only in summation order."""
+    assert (fit.converged, fit.separation, fit.iterations, fit.notes, fit.n_obs) == \
+        (ref.converged, ref.separation, ref.iterations, ref.notes, ref.n_obs)
+    np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(fit.std_errors, ref.std_errors, rtol=1e-6, atol=0)
+    for key in ("log_likelihood", "deviance", "bic", "aic"):
+        assert getattr(fit, key) == pytest.approx(getattr(ref, key), rel=1e-9, abs=1e-12), key
+
+
+PRIORS = [PriorSpec.none(), PriorSpec.cauchy(2.5),
+          PriorSpec(kind="student_t", scale=1.5, df=3.0,
+                    overrides={"e0": {"center": -0.5, "scale": 0.4, "df": 5.0}})]
+VALUES = [0.0, 1.0, 0.5, -1.25, 2.0]
+
+
+@st.composite
+def duplicated_designs(draw):
+    """Few distinct feature rows repeated many times, per block; all-zero
+    rows in both blocks give vertex and edge rows identical features, and a
+    block's last column may be zero throughout (its first never is)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kv, ke = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in (kv, ke):
+        pool = rng.choice(VALUES, size=(draw(st.integers(2, 6)), k))
+        pool[0] = 0.0
+        pool[-1, 0] = 1.0
+        if k > 1 and draw(st.booleans()):
+            pool[:, -1] = 0.0
+        n = draw(st.integers(1, 200))
+        X = pool[np.append(rng.integers(0, len(pool), n - 1), len(pool) - 1)]
+        blocks.append((X, (rng.random(n) < draw(st.floats(0.15, 0.85))).astype(int)))
+    (Xv, yv), (Xe, ye) = blocks
+    return make_stacked_dm(Xv, yv, Xe, ye), draw(st.sampled_from(PRIORS))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(duplicated_designs())
+def test_pattern_fit_matches_row_level_newton(case):
+    dm, prior = case
+    fit = fit_posterior_mode(dm, prior)
+    ref = oracles.fit_by_rows(dm, prior)
+    X = dm.features.toarray()
+    active = X[:, np.abs(X).sum(axis=0) > 0]
+    identified = np.linalg.matrix_rank(active) == active.shape[1]
+    saturated = [f.separation or np.abs(X @ f.coefficients).max() > 20 for f in (fit, ref)]
+    if prior.kind == "none" and any(saturated):
+        # no MLE (separation): a probability within 2e-9 of 0 or 1, and
+        # whether the gradient or the separation test ends the ascent first
+        # depends on the last bits
+        event("separated MLE")
+        assert saturated[0] == saturated[1]
+    elif prior.kind == "none" and not identified:
+        # collinear columns: the Hessian is singular along a direction in
+        # which the last bits decide the steps; the likelihood is pinned
+        event("collinear MLE")
+        assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-9, abs=1e-9)
+    else:
+        event(f"prior {prior.kind}")
+        assert_fits_agree(fit, ref)
+    pat = dm.patterns
+    assert np.array_equal(np.sort(pat.trials), np.sort(distinct_rows(dm)))
+    # block summaries from the patterns equal the sums over the rows
+    eta = dm.features @ fit.coefficients
+    y = dm.responses.astype(float)
+    parts = block_summaries(dm, fit.coefficients)
+    for name, rows in (("vertex", slice(0, dm.n_vertex_rows)),
+                       ("edge", slice(dm.n_vertex_rows, dm.n_rows))):
+        ll = float(y[rows] @ eta[rows] - np.logaddexp(0.0, eta[rows]).sum())
+        assert parts[name]["log_likelihood"] == pytest.approx(ll, rel=1e-9, abs=1e-12)
+        assert parts[name]["n_obs"] == rows.stop - rows.start
+
+
+@pytest.mark.parametrize("prior", PRIORS[:2], ids=["mle", "cauchy"])
+def test_separated_duplicated_design_matches_row_level_newton(prior):
+    X = np.repeat([[1.0, 0.0], [1.0, 1.0]], [40, 60], axis=0)
+    y = np.repeat([0, 1], [40, 60])
+    dm = make_stacked_dm(X, y, np.ones((30, 1)), np.arange(30) % 3 == 0)
+    fit = fit_posterior_mode(dm, prior)
+    assert fit.separation == (prior.kind == "none")
+    assert len(dm.patterns.trials) == 4
+    assert_fits_agree(fit, oracles.fit_by_rows(dm, prior))
+
+
+def test_wide_dummy_design_keys_exactly():
+    """70 binary columns need 70 bits of mixed-radix key: the partial key is
+    renumbered on the way, and the patterns are still exactly the distinct
+    rows."""
+    rng = np.random.default_rng(43)
+    k = 70
+    pool = (rng.random((400, k)) < 0.3).astype(float)
+    pool[:, 0] = 1.0
+    pool[1::2] = pool[::2]
+    pool[1::2, -8:] = rng.random((200, 8)) < 0.3  # pairs differ past the renumbering
+    X = pool[rng.integers(0, len(pool), 4000)]
+    beta = rng.normal(scale=0.3, size=k)
+    y = (rng.random(4000) < expit(X @ beta - 0.5)).astype(int)
+    dm = make_stacked_dm(X, y, np.ones((5, 1)), [1, 0, 0, 1, 0])
+    assert np.array_equal(np.sort(dm.patterns.trials), np.sort(distinct_rows(dm)))
+    assert dm.patterns.trials.sum() == dm.n_rows
+    prior = PriorSpec.cauchy(2.5)
+    assert_fits_agree(fit_posterior_mode(dm, prior), oracles.fit_by_rows(dm, prior))
+
+
+def test_bic_counts_trials_not_patterns():
+    rng = np.random.default_rng(47)
+    X = np.column_stack([np.ones(5000), rng.integers(0, 2, 5000)])
+    y = (rng.random(5000) < expit(X @ np.array([-1.0, 0.7]))).astype(int)
+    dm = make_dm(X, y)
+    fit = fit_mle(dm)
+    assert len(dm.patterns.trials) == 4
+    assert fit.n_obs == dm.n_rows == 5000
+    assert fit.bic == pytest.approx(fit.deviance + 2 * math.log(5000), rel=1e-12)
+    assert block_summaries(dm, fit.coefficients)["vertex"]["n_obs"] == 5000
+
+
+def test_fit_memory_stays_near_the_design():
+    """The fit collapses the rows before it slices or weights them: its
+    tracemalloc peak, over the design it is given, stays under 3.3 times the
+    design's CSR bytes (a row-level Newton needs about 3.9 times)."""
+    rng = np.random.default_rng(53)
+    n = 300_000
+    lag = rng.random(n) < 0.05
+    size = np.log(rng.integers(150, 250, n) / 200.0)
+    X = sp.csr_matrix(np.column_stack([np.ones(n), lag, size]))
+    y = (rng.random(n) < expit(-2.0 + 3.0 * lag + 0.5 * size)).astype(int)
+    dm = make_dm(X, y)
+    csr_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit = fit_posterior_mode(dm)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < 3.3 * csr_bytes, peak / csr_bytes

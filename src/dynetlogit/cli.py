@@ -157,6 +157,10 @@ def cmd_fit(args) -> int:
             return EXIT_VALIDATION
 
         dm = build_design(panel, spec, gap_policy=args.gap_policy, align_to_lag=align)
+        if args.dump_design:  # reads the rows: over the row budget, exit 3 before the fit
+            dump_design(dm, panel.risk_set, out / f"{stem}_design.txt",
+                        out / f"{stem}_design_columns.csv",
+                        out / f"{stem}_design_tags.csv")
         fit = fit_posterior_mode(dm, prior, tolerance=args.tolerance,
                                  max_iter=args.max_iter)
 
@@ -183,7 +187,7 @@ def cmd_fit(args) -> int:
                 "columns": dm.n_cols,
                 # steps actually present in the design (lag alignment may
                 # drop more than this spec alone requires)
-                "usable_steps": np.unique(dm.tags.t).tolist(),
+                "usable_steps": list(dm.steps),
             },
             "fit": fit.to_dict(),
             "parts": block_summaries(dm, fit.coefficients),
@@ -192,10 +196,6 @@ def cmd_fit(args) -> int:
         if args.format == "csv":
             _write_csv(out / f"{stem}_coefficients.csv", _coefficient_csv_rows(fit),
                        manifest_name=report_path.name)
-        if args.dump_design:
-            dump_design(dm, panel.risk_set, out / f"{stem}_design.txt",
-                        out / f"{stem}_design_columns.csv",
-                        out / f"{stem}_design_tags.csv")
         ranking.append({
             "spec": stem,
             "bic": fit.bic,

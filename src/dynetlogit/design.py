@@ -5,30 +5,56 @@ The joint likelihood factors into independent Bernoulli rows: one row per
 row per (time, present dyad) with the edge indicator.  Vertex terms and
 edge terms occupy disjoint column blocks, so a single logistic fit of the
 stacked design is exactly the product of the two sub-likelihoods.
+
+The fit needs only the design's binomial patterns, and ``build_design``
+assembles those without building dyad rows, in O(|V_t| + |E_t|) per step
+plus one row per class pair of present endpoints.  Every edge kind except
+the lagged ones is constant over the dyads of one pair of endpoint classes
+(a vertex's class is its values of the spec's mixing attributes and its
+individual-dummy identity), and the lagged kinds are zero off the dyads
+tied at their lag.  So each step's edge rows are one row per lagged tie
+among present vertices plus one weighted row per (class pair, response),
+whose trials are counted from the class sizes and whose successes from the
+current edges.  The rows themselves (``responses``, ``features``, ``tags``)
+are expanded on first access, as ``--dump-design`` does, and only up to
+``ROW_BUDGET`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .panel import NetworkPanel, dyads
+from .panel import NetworkPanel, _ranges, dyads
 from .terms import (
     History,
     ModelSpec,
+    SpecError,
     edge_term_values,
+    resolve_lag,
     usable_transitions,
     vertex_term_values,
 )
 
 __all__ = ["DesignError", "RowTag", "TagTable", "Patterns", "DesignMatrix",
-           "build_design", "split_design", "dump_design"]
+           "ROW_BUDGET", "build_design", "split_design", "dump_design"]
 
 # mixed-radix row keys stay below this; past it the partial key is renumbered
 _KEY_LIMIT = np.iinfo(np.int64).max
+
+# Most rows a design built from a panel expands to.  With three edge terms
+# expanding peaks at about 165 bytes per row (185 MB under tracemalloc for
+# the million workload's 1.13M rows), so about 1.6 GB here, more with more
+# terms; the fit never expands rows.
+ROW_BUDGET = 10_000_000
+
+# Edge kinds constant over the dyads of one pair of endpoint classes within
+# a step, and lagged kinds, zero on every dyad not tied at their lag.
+CLASS_KINDS = ("intercept", "mixing", "individual_dummy", "log_size", "seasonal")
+TIE_KINDS = ("lag_indicator", "lag_cycle_embed")
 
 
 class DesignError(ValueError):
@@ -84,13 +110,13 @@ class Patterns:
     n_vertex_patterns: int
 
 
-def _row_patterns(features, responses, n_vertex_rows) -> Patterns:
-    """Group rows by an exact key built column by column from the CSC form:
-    each column's values are factorized and their codes added into one int64
-    key per row in mixed radix, renumbering the partial key whenever the
-    next radix would overflow it.  An explicitly stored zero gets a code of
-    its own, so rows equal in value may land in two patterns; the
-    likelihood does not change."""
+def _row_patterns(features, responses, n_vertex_rows, trials) -> Patterns:
+    """Group weighted rows by an exact key built column by column from the
+    CSC form, summing their ``trials``: each column's values are factorized
+    and their codes added into one int64 key per row in mixed radix,
+    renumbering the partial key whenever the next radix would overflow it.
+    An explicitly stored zero gets a code of its own, so rows equal in value
+    may land in two patterns; the likelihood does not change."""
     key = responses.astype(np.int64)
     key[n_vertex_rows:] += 2
     base = 4  # key < base: block and response take the lowest digits
@@ -108,10 +134,11 @@ def _row_patterns(features, responses, n_vertex_rows) -> Patterns:
         key[csc.indices[lo:hi]] += codes
         base *= radix
     del csc
-    _, first, trials = np.unique(key, return_index=True, return_counts=True)
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    trials = np.bincount(key, weights=trials)
     del key
     order = np.argsort(first)
-    first, trials = first[order], trials[order].astype(float)
+    first, trials = first[order], trials[order]
     return Patterns(
         features=features.tocsr()[first],
         responses=responses[first].astype(float),
@@ -120,36 +147,81 @@ def _row_patterns(features, responses, n_vertex_rows) -> Patterns:
     )
 
 
-@dataclass
 class DesignMatrix:
-    """Responses, sparse features, and row provenance for one model fit."""
+    """Responses, sparse features, and row provenance for one model fit.
 
-    responses: np.ndarray
-    features: sp.csr_matrix
-    tags: TagTable
-    column_names: tuple
-    n_vertex_terms: int
-    n_vertex_rows: int
+    Made from rows, a design collapses them into its binomial ``patterns``
+    on first use.  ``build_design`` makes it from the patterns instead, and
+    its rows are expanded from the panel on first access, at most
+    ``ROW_BUDGET`` of them.  Either way both are kept: a design is not
+    modified once built.  ``steps`` are the times that have rows.
+    """
+
+    def __init__(self, responses, features, tags, column_names, n_vertex_terms,
+                 n_vertex_rows):
+        self._set(column_names, n_vertex_terms, n_vertex_rows, len(responses),
+                  tuple(np.unique(tags.t).tolist()))
+        self._rows = (responses, features, tags)
+
+    def _set(self, column_names, n_vertex_terms, n_vertex_rows, n_rows, steps):
+        self.column_names = tuple(column_names)
+        self.n_vertex_terms = n_vertex_terms
+        self.n_vertex_rows = n_vertex_rows
+        self.n_rows = n_rows
+        self.steps = steps
+        self._rows = self._expand = self._patterns = None
+
+    @classmethod
+    def _from_patterns(cls, patterns, expand, column_names, n_vertex_terms,
+                       n_vertex_rows, n_rows, steps):
+        dm = cls.__new__(cls)
+        dm._set(column_names, n_vertex_terms, n_vertex_rows, n_rows, steps)
+        dm._patterns, dm._expand = patterns, expand
+        return dm
+
+    def rows(self):
+        """(responses, features, tags), expanded on the first call if the
+        design was built from a panel."""
+        if self._rows is None:
+            if self.n_rows > ROW_BUDGET:
+                raise DesignError(
+                    f"the design has {self.n_rows:,} rows, over the row budget of "
+                    f"{ROW_BUDGET:,}; fit does not need them (it runs on the "
+                    f"design's binomial patterns), only reading rows, as "
+                    f"--dump-design does, expands them"
+                )
+            self._rows = self._expand()
+        return self._rows
 
     @property
-    def n_rows(self) -> int:
-        return len(self.responses)
+    def responses(self) -> np.ndarray:
+        return self.rows()[0]
+
+    @property
+    def features(self) -> sp.csr_matrix:
+        return self.rows()[1]
+
+    @property
+    def tags(self) -> TagTable:
+        return self.rows()[2]
 
     @property
     def n_cols(self) -> int:
-        return self.features.shape[1]
+        return len(self.column_names)
 
-    @cached_property
+    @property
     def patterns(self) -> Patterns:
-        """The rows collapsed into binomial patterns, computed on first use
-        and kept: a design is not modified once built."""
-        return _row_patterns(self.features, self.responses, self.n_vertex_rows)
+        """The rows collapsed into binomial patterns."""
+        if self._patterns is None:
+            responses, features, _ = self.rows()
+            self._patterns = _row_patterns(features, responses, self.n_vertex_rows,
+                                           np.ones(self.n_rows))
+        return self._patterns
 
     def __repr__(self):
         return (
             f"DesignMatrix({self.n_rows} rows = {self.n_vertex_rows} vertex + "
-            f"{self.n_rows - self.n_vertex_rows} edge, {self.n_cols} cols, "
-            f"nnz={self.features.nnz})"
+            f"{self.n_rows - self.n_vertex_rows} edge, {self.n_cols} cols)"
         )
 
 
@@ -161,6 +233,116 @@ def _is_edge(codes, pairs):
     return codes[pos] == pairs
 
 
+def _endpoint_classes(risk_set, terms) -> np.ndarray:
+    """Class of every risk-set vertex for the edge ``terms``: its values of
+    their mixing attributes and which of their individual dummies it is."""
+    n = len(risk_set)
+    key = np.zeros(n, dtype=np.int64)
+    ident = np.zeros(n, dtype=np.int64)
+    try:
+        for attr in sorted({t.params["attr"] for t in terms if t.kind == "mixing"}):
+            key = 2 * key + risk_set.attr_indicator(attr).astype(np.int64)
+        labels = sorted({t.params["label"] for t in terms if t.kind == "individual_dummy"})
+        ident[[risk_set.index_of(label) for label in labels]] = np.arange(1, len(labels) + 1)
+    except KeyError as exc:
+        raise SpecError(str(exc)) from None
+    return np.unique(key * (len(labels) + 1) + ident, return_inverse=True)[1]
+
+
+def _vertex_block(history, terms, t, policy):
+    """Step t's vertex rows: one per risk-set vertex."""
+    return np.column_stack([vertex_term_values(term, history, t, policy) for term in terms])
+
+
+def _edge_patterns(history, terms, steps, classes, policy):
+    """Edge rows of ``steps`` grouped as (features, responses, trials): one
+    row per lagged tie among a step's present vertices, then per step and
+    pair of endpoint classes (a <= b) one row per response with its dyads
+    off those ties, on which the lagged kinds are 0.  The counting runs
+    over all steps at once; each term is evaluated once per step, on the
+    step's ties and one representative dyad per class pair."""
+    n, k = len(classes), int(classes.max()) + 1
+    snaps = [history.snapshot_at(t) for t in steps]
+    present = np.stack([snap.present for snap in snaps])
+
+    # present vertices by (step, class) cell; class pairs a <= b of a step,
+    # keyed (step * k + a) * k + b and enumerated in ascending key order
+    step_of, vertex = np.nonzero(present)
+    cell = step_of * k + classes[vertex]
+    size = np.bincount(cell, minlength=len(steps) * k)
+    by_class = vertex[np.argsort(cell, kind="stable")]
+    first = np.cumsum(size) - size
+    seen = np.flatnonzero(size)
+    run = np.bincount(seen // k, minlength=len(steps))
+    pos = np.arange(len(seen))
+    count = np.cumsum(run).repeat(run) - pos  # this class and the later ones
+    ca, cb = seen.repeat(count), seen[_ranges(pos, count)]
+    pair_keys = ca * k + cb % k
+    same = ca == cb
+    dyad_count = np.where(same, size[ca] * (size[ca] - 1) // 2, size[ca] * size[cb])
+
+    def pair_of(keys):  # (step * n + i) * n + j -> index into pair_keys
+        s, code = np.divmod(keys, n * n)
+        ci, cj = classes[code // n], classes[code % n]
+        return np.searchsorted(pair_keys, (s * k + np.minimum(ci, cj)) * k + np.maximum(ci, cj))
+
+    # current edges and lagged ties, keyed (step * n + i) * n + j
+    edges = np.concatenate([s * n * n + snap.codes for s, snap in enumerate(snaps)])
+    lags = sorted({term.lag for term in terms if term.kind in TIE_KINDS})
+    ties = np.unique(np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [s * n * n + history.snapshot_at(resolve_lag(history, t, lag, policy)).codes
+           for s, t in enumerate(steps) for lag in lags]))
+    s, code = np.divmod(ties, n * n)
+    ti, tj = np.divmod(code, n)
+    among = present[s, ti] & present[s, tj]
+    ties, ties_at = ties[among], np.column_stack([s, ti, tj])[among]
+
+    new = edges[~_is_edge(ties, edges)]
+    ones = np.bincount(pair_of(new), minlength=len(pair_keys))
+    zeros = dyad_count - np.bincount(pair_of(ties), minlength=len(pair_keys)) - ones
+    left = np.flatnonzero(zeros + ones)
+    ca, cb = ca[left], cb[left]
+    # the first present vertex of class a and the first other one of class b
+    ri, rj = by_class[first[ca]], by_class[first[cb] + same[left]]
+    reps = np.column_stack([ca // k, np.minimum(ri, rj), np.maximum(ri, rj)])
+
+    tie_blocks, rep_blocks = [], []
+    tie_cut = np.searchsorted(ties_at[:, 0], np.arange(len(steps) + 1))
+    rep_cut = np.searchsorted(reps[:, 0], np.arange(len(steps) + 1))
+    for s, (t, snap) in enumerate(zip(steps, snaps)):
+        dyad = np.concatenate([ties_at[tie_cut[s]:tie_cut[s + 1]],
+                               reps[rep_cut[s]:rep_cut[s + 1]]])
+        values = np.column_stack([
+            edge_term_values(term, history, t, dyad[:, 1], dyad[:, 2], snap.present, policy)
+            for term in terms])
+        cut = tie_cut[s + 1] - tie_cut[s]
+        tie_blocks.append(values[:cut])
+        rep_blocks.append(values[cut:])
+    rep_values = np.vstack(rep_blocks)
+    rep_values[:, np.array([term.kind in TIE_KINDS for term in terms])] = 0.0
+    features = np.vstack(tie_blocks + [rep_values, rep_values])
+    responses = np.concatenate([_is_edge(edges, ties).astype(np.int8),
+                                np.zeros(len(left), dtype=np.int8),
+                                np.ones(len(left), dtype=np.int8)])
+    trials = np.concatenate([np.ones(len(ties)), zeros[left], ones[left]])
+    kept = trials > 0
+    return features[kept], responses[kept], trials[kept]
+
+
+def _stack(v_blocks, e_blocks, kv, ke):
+    """The block-diagonal CSR of the vertex and the edge blocks."""
+    vmat = sp.csr_matrix(np.vstack(v_blocks)) if v_blocks else sp.csr_matrix((0, kv))
+    emat = sp.csr_matrix(np.vstack(e_blocks)) if e_blocks else sp.csr_matrix((0, ke))
+    nv, ne = vmat.shape[0], emat.shape[0]
+    return sp.bmat([[vmat, sp.csr_matrix((nv, ke))],
+                    [sp.csr_matrix((ne, kv)), emat]], format="csr")
+
+
+def _concat(arrays, dtype):
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
+
+
 def build_design(panel: NetworkPanel, spec: ModelSpec,
                  gap_policy: str | None = None,
                  align_to_lag: int | None = None) -> DesignMatrix:
@@ -170,6 +352,10 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     under the ``bridge`` policy).  ``align_to_lag`` forces a deeper history
     requirement so that several candidate models can be fit on identical
     rows and compared by BIC.
+
+    The design is built from its binomial patterns: n vertex rows per step
+    and the step's edge rows grouped by endpoint classes and lagged ties
+    (see the module docstring).  Its rows are expanded only when read.
     """
     policy = gap_policy or spec.gap_policy
     history = History(panel)
@@ -182,16 +368,55 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
 
     n = len(panel.risk_set)
     kv, ke = len(spec.vertex_terms), len(spec.edge_terms)
+    classes = _endpoint_classes(panel.risk_set, spec.edge_terms) if ke else None
+
+    v_blocks, v_resp = [], []
+    row_steps, edge_steps, ne = [], [], 0
+    for t in steps:
+        snap = panel.at(t)
+        if kv:
+            v_blocks.append(_vertex_block(history, spec.vertex_terms, t, policy))
+            v_resp.append(snap.present.astype(np.int8))
+        m = snap.n_present
+        dyad_rows = m * (m - 1) // 2 if ke else 0
+        if (kv and n) or dyad_rows:
+            row_steps.append(t)
+        if dyad_rows:
+            edge_steps.append(t)
+            ne += dyad_rows
+
+    nv = n * len(v_resp)
+    if nv + ne == 0:
+        raise DesignError("design has no rows (no vertex terms and no present dyads)")
+
+    e_blocks, e_resp, e_trials = [], np.empty(0, dtype=np.int8), np.empty(0)
+    if edge_steps:
+        block, e_resp, e_trials = _edge_patterns(history, spec.edge_terms, edge_steps,
+                                                 classes, policy)
+        e_blocks.append(block)
+    responses = np.concatenate([_concat(v_resp, np.int8), e_resp])
+    trials = np.concatenate([np.ones(nv), e_trials])
+    patterns = _row_patterns(_stack(v_blocks, e_blocks, kv, ke), responses, nv, trials)
+    return DesignMatrix._from_patterns(
+        patterns, partial(_design_rows, history, spec, steps, policy),
+        column_names=spec.column_names, n_vertex_terms=kv, n_vertex_rows=nv,
+        n_rows=nv + ne, steps=tuple(row_steps),
+    )
+
+
+def _design_rows(history, spec, steps, policy):
+    """(responses, features, tags) of every row: one per (step, risk-set
+    vertex) and one per (step, present dyad)."""
+    n = len(history.risk_set)
+    kv, ke = len(spec.vertex_terms), len(spec.edge_terms)
 
     v_blocks, v_resp, v_t = [], [], []
     e_blocks, e_resp, e_t, e_i, e_j = [], [], [], [], []
 
     for t in steps:
-        snap = panel.at(t)
+        snap = history.snapshot_at(t)
         if kv:
-            cols = [vertex_term_values(term, history, t, policy)
-                    for term in spec.vertex_terms]
-            v_blocks.append(np.column_stack(cols))
+            v_blocks.append(_vertex_block(history, spec.vertex_terms, t, policy))
             v_resp.append(snap.present.astype(np.int8))
             v_t.append(np.full(n, t, dtype=np.int64))
         if ke:
@@ -208,41 +433,15 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
 
     nv = sum(len(r) for r in v_resp)
     ne = sum(len(r) for r in e_resp)
-    if nv + ne == 0:
-        raise DesignError("design has no rows (no vertex terms and no present dyads)")
-
-    vmat = sp.csr_matrix(np.vstack(v_blocks)) if v_blocks else sp.csr_matrix((0, kv))
-    emat = sp.csr_matrix(np.vstack(e_blocks)) if e_blocks else sp.csr_matrix((0, ke))
-    blocks = [[vmat, sp.csr_matrix((nv, ke))],
-              [sp.csr_matrix((ne, kv)), emat]]
-    features = sp.bmat(blocks, format="csr")
-
-    responses = np.concatenate(
-        [np.concatenate(v_resp) if v_resp else np.empty(0, dtype=np.int8),
-         np.concatenate(e_resp) if e_resp else np.empty(0, dtype=np.int8)]
+    responses = np.concatenate([_concat(v_resp, np.int8), _concat(e_resp, np.int8)])
+    tags = TagTable(
+        np.concatenate([np.zeros(nv, dtype=np.uint8), np.ones(ne, dtype=np.uint8)]),
+        np.concatenate([_concat(v_t, np.int64), _concat(e_t, np.int64)]),
+        np.concatenate([np.tile(np.arange(n, dtype=np.int64), len(v_resp)),
+                        _concat(e_i, np.int64)]),
+        np.concatenate([np.full(nv, -1, dtype=np.int64), _concat(e_j, np.int64)]),
     )
-    tag_kind = np.concatenate([np.zeros(nv, dtype=np.uint8), np.ones(ne, dtype=np.uint8)])
-    tag_t = np.concatenate(
-        [np.concatenate(v_t) if v_t else np.empty(0, dtype=np.int64),
-         np.concatenate(e_t) if e_t else np.empty(0, dtype=np.int64)]
-    )
-    tag_i = np.concatenate(
-        [np.tile(np.arange(n, dtype=np.int64), len(v_resp)),
-         np.concatenate(e_i) if e_i else np.empty(0, dtype=np.int64)]
-    )
-    tag_j = np.concatenate(
-        [np.full(nv, -1, dtype=np.int64),
-         np.concatenate(e_j) if e_j else np.empty(0, dtype=np.int64)]
-    )
-
-    return DesignMatrix(
-        responses=responses,
-        features=features,
-        tags=TagTable(tag_kind, tag_t, tag_i, tag_j),
-        column_names=spec.column_names,
-        n_vertex_terms=kv,
-        n_vertex_rows=nv,
-    )
+    return responses, _stack(v_blocks, e_blocks, kv, ke), tags
 
 
 def split_design(dm: DesignMatrix):

@@ -400,7 +400,7 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
         notes = (f"all-zero columns pinned at 0: {', '.join(dead)}",)
     arrays = None
     if prior.kind != "none":
-        arrays = prior.resolve(tuple(dm.column_names[c] for c in active))
+        arrays = tuple(a[active] for a in prior.resolve(dm.column_names))
     X = patterns.features[:, active].tocsr()
     y, m = patterns.responses, patterns.trials
     theta, info = _maximize(X, y, m, arrays, tolerance, max_iter)

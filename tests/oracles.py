@@ -5,8 +5,10 @@ BFS, whole-graph cycle enumeration (via networkx) and path enumeration by
 DFS, instead of the identities and meet-in-the-middle counting used by the
 package; one statistic at a time instead of a design column; one simulated
 draw at a time instead of all replicates of a step at once; a dense
-general-purpose optimizer instead of the package's sparse damped Newton; and
-that Newton run on every Bernoulli row instead of on binomial patterns.
+general-purpose optimizer instead of the package's sparse damped Newton;
+that Newton run on every Bernoulli row instead of on binomial patterns; and
+design rows grouped by ``np.unique`` over whole dense rows instead of
+patterns assembled from endpoint classes and lagged ties.
 """
 
 import math
@@ -385,3 +387,22 @@ def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
         converged=converged, iterations=iterations, prior=prior,
         column_names=tuple(dm.column_names), gradient_norm=gnorm,
         separation=separation, penalized_objective=penalized, notes=notes)
+
+
+def grouped_rows(block, responses, features, trials=None):
+    """Multiset of (block, response, feature row) -> summed trials, as the
+    distinct dense rows in ``np.unique`` order and their trial sums; rows
+    without ``trials`` count one each."""
+    # whole rows compared as bytes (np.unique(axis=0) takes seconds on a
+    # million rows); adding 0.0 turns -0.0 into 0.0, so bytes equal values
+    full = np.column_stack([block, responses, features.toarray()]).astype(float) + 0.0
+    keys = full.view(np.dtype((np.void, full.itemsize * full.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    weights = np.ones(len(full)) if trials is None else trials
+    return full[first], np.bincount(inverse, weights=weights, minlength=len(first))
+
+
+def patterns_by_rows(dm):
+    """The design's rows grouped whole, independently of ``dm.patterns``."""
+    block = np.arange(dm.n_rows) >= dm.n_vertex_rows
+    return grouped_rows(block, dm.responses, dm.features)

@@ -1,5 +1,12 @@
+import importlib.util
+import time
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from dynetlogit import (
     DesignError,
@@ -10,12 +17,20 @@ from dynetlogit import (
     TermSpec,
     block_summaries,
     build_design,
+    cli,
     fit_posterior_mode,
+    save_model_spec,
+    save_panel,
     split_design,
 )
-from dynetlogit.design import dump_design
+from dynetlogit import design
+from dynetlogit.design import CLASS_KINDS, TIE_KINDS, dump_design
+from dynetlogit.terms import EDGE_KINDS, LAGGED_KINDS, MIXING_PAIRS, WEEKDAYS
 
+import oracles
 from conftest import random_panel
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def snap(t, present, edges, n, attrs=None):
@@ -176,3 +191,192 @@ def test_dump_design_round_readable(tmp_path, tiny_panel, lag1_spec):
     assert np.allclose(dense, dm.features.toarray())
     assert cols.read_text().splitlines()[1] == "0,v:intercept"
     assert len(tags.read_text().splitlines()) == dm.n_rows + 1
+
+
+# ---------------------------------------------------------------------------
+# patterns assembled from endpoint classes and lagged ties
+# ---------------------------------------------------------------------------
+
+def test_every_edge_kind_is_classified():
+    assert set(CLASS_KINDS) | set(TIE_KINDS) == set(EDGE_KINDS)
+    assert not set(CLASS_KINDS) & set(TIE_KINDS)
+    assert set(TIE_KINDS) <= set(LAGGED_KINDS)
+
+
+def assert_patterns_equal_rows(dm):
+    """``dm.patterns`` equal the grouped expanded rows as a multiset, and the
+    counts known without rows agree with the rows."""
+    pat = dm.patterns
+    block = np.arange(len(pat.trials)) >= pat.n_vertex_patterns
+    got = oracles.grouped_rows(block, pat.responses, pat.features, pat.trials)
+    want = oracles.patterns_by_rows(dm)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.all(pat.trials > 0)
+    assert dm.n_rows == len(dm.responses) == dm.features.shape[0]
+    assert dm.n_vertex_rows == int(np.sum(dm.tags.kind == 0))
+    assert dm.steps == tuple(np.unique(dm.tags.t).tolist())
+
+
+@st.composite
+def panels_and_specs(draw):
+    """Small panels with gaps, vertices absent on some steps and steps of 0,
+    1 or 2 present vertices, and specs over every edge kind."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 10))
+    slots = draw(st.integers(4, 7))
+    gaps = set(draw(st.lists(st.integers(2, slots - 1), max_size=1)))
+    attrs = {name: [rng.choice([True, False, None]) for _ in range(n)] for name in "ab"}
+    for column in attrs.values():
+        column[0] = True
+    rs = RiskSet([f"v{k}" for k in range(n)], attrs)
+    snaps = []
+    for t in range(1, slots + 1):
+        if t in gaps:
+            continue
+        size = draw(st.sampled_from([0, 1, 2, None]))
+        if size is None:
+            present = rng.random(n) < rng.uniform(0.3, 1.0)
+        else:
+            present = np.zeros(n, dtype=bool)
+            present[rng.choice(n, min(size, n), replace=False)] = True
+        idx = np.flatnonzero(present)
+        ii, jj = np.triu_indices(len(idx), 1)
+        keep = rng.random(len(ii)) < rng.uniform(0.1, 0.8)
+        snaps.append(snap(t, present, (idx[ii[keep]], idx[jj[keep]]), n,
+                          {"day": WEEKDAYS[t % 7]}))
+    panel = NetworkPanel(rs, snaps, gaps=sorted(gaps))
+
+    vertex_pool = [TermSpec("vertex", "intercept"), TermSpec("vertex", "attr_dummy",
+                                                             params={"attr": "a"}),
+                   TermSpec("vertex", "lag_indicator", lag=1),
+                   TermSpec("vertex", "seasonal", params={"day": "Tuesday"})]
+    labels = [f"v{k}" for k in rng.choice(n, min(n, 3), replace=False)]
+    class_pool = (
+        [TermSpec("edge", "intercept"), TermSpec("edge", "log_size"),
+         TermSpec("edge", "seasonal", params={"day": "Wednesday"})]
+        + [TermSpec("edge", "mixing", params={"attr": attr, "pair": pair})
+           for attr in "ab" for pair in MIXING_PAIRS]
+        + [TermSpec("edge", "individual_dummy", params={"label": label}) for label in labels])
+    tie_pool = [TermSpec("edge", "lag_indicator", lag=1),
+                TermSpec("edge", "lag_indicator", lag=2),
+                TermSpec("edge", "lag_cycle_embed", lag=draw(st.integers(1, 2)),
+                         params={"max_len": draw(st.integers(3, 5))})]
+    name = lambda term: term.name  # noqa: E731
+    vertex_terms = draw(st.lists(st.sampled_from(vertex_pool), unique_by=name, max_size=3))
+    edge_terms = draw(st.permutations(
+        draw(st.lists(st.sampled_from(class_pool), unique_by=name, max_size=5))
+        + draw(st.lists(st.sampled_from(tie_pool), unique_by=name, max_size=3))))
+    if not vertex_terms + edge_terms:
+        edge_terms = class_pool[:1]
+    spec = ModelSpec(vertex_terms, edge_terms, gap_policy=draw(st.sampled_from(
+        ["exclude", "bridge"])))
+    return panel, spec, draw(st.sampled_from([None, 1, 3]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(panels_and_specs())
+def test_panel_patterns_equal_grouped_rows(case):
+    panel, spec, align = case
+    try:
+        dm = build_design(panel, spec, align_to_lag=align)
+    except DesignError:
+        event("no rows")
+        return
+    event(f"{'with' if dm.n_vertex_terms else 'no'} vertex terms, "
+          f"{'with' if dm.n_cols > dm.n_vertex_terms else 'no'} edge terms")
+    assert_patterns_equal_rows(dm)
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["month", "cycles", "million"])
+def test_workload_patterns_equal_grouped_rows(workload):
+    panel, specs = _bench_workloads()._base_draw(workload)
+    align = max(s.max_lag for s in specs.values()) if len(specs) > 1 else None
+    for spec in specs.values():
+        assert_patterns_equal_rows(build_design(panel, spec, align_to_lag=align))
+
+
+def _no_rows(*args):
+    raise AssertionError("design rows expanded")
+
+
+def test_fit_never_expands_rows(tmp_path, monkeypatch):
+    panel, specs = _bench_workloads()._base_draw("month")
+    save_panel(panel, tmp_path / "panel.json")
+    paths = []
+    for stem, spec in specs.items():
+        paths.append(str(tmp_path / f"{stem}.json"))
+        save_model_spec(spec, paths[-1])
+    monkeypatch.setattr(design, "_design_rows", _no_rows)
+    assert cli.main(["fit", str(tmp_path / "panel.json"), *paths,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_row_budget_refuses_only_the_row_dump(tmp_path, tiny_panel, lag1_spec,
+                                              monkeypatch, capsys):
+    save_panel(tiny_panel, tmp_path / "panel.json")
+    save_model_spec(lag1_spec, tmp_path / "spec.json")
+    argv = ["fit", str(tmp_path / "panel.json"), str(tmp_path / "spec.json"),
+            "--out-dir", str(tmp_path / "out")]
+    report = tmp_path / "out" / "spec_fit.json"
+    assert cli.main(argv) == 0
+    expected = report.read_bytes()
+    report.unlink()
+    rows = build_design(tiny_panel, lag1_spec).n_rows
+
+    monkeypatch.setattr(design, "ROW_BUDGET", rows - 1)
+    capsys.readouterr()
+    assert cli.main(argv + ["--dump-design"]) == 3
+    err = capsys.readouterr().err
+    assert f"{rows:,} rows" in err and "fit does not need them" in err
+    assert not report.exists()
+    assert cli.main(argv) == 0
+    assert report.read_bytes() == expected
+
+    monkeypatch.setattr(design, "ROW_BUDGET", rows)
+    assert cli.main(argv + ["--dump-design"]) == 0
+    assert (tmp_path / "out" / "spec_design.txt").exists()
+
+
+def test_row_budget_stays_far_above_the_million_workload():
+    assert design.ROW_BUDGET >= 5 * 1_127_027
+
+
+def test_sparse_panel_fits_without_rows(monkeypatch):
+    """About 3.3M dyad rows: built through rows, the design and its fit
+    peak at about 500 MB under tracemalloc; the patterns take a few MB."""
+    rng = np.random.default_rng(3)
+    n = 1500
+    snaps = []
+    for t in range(1, 5):
+        present = rng.random(n) < 0.99
+        idx = np.flatnonzero(present)
+        a, b = rng.choice(idx, 3 * len(idx)), rng.choice(idx, 3 * len(idx))
+        edges = np.unique(np.sort(np.column_stack([a, b])[a != b], axis=1), axis=0)
+        snaps.append(snap(t, present, edges, n))
+    panel = NetworkPanel(RiskSet([f"v{k}" for k in range(n)]), snaps)
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1),
+         TermSpec("edge", "log_size")])
+    monkeypatch.setattr(design, "_design_rows", _no_rows)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        dm = build_design(panel, spec)
+        fit = fit_posterior_mode(dm)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.n_rows - dm.n_vertex_rows > 3_200_000
+    assert fit.converged
+    assert seconds < 3.0
+    assert peak < 24e6, peak

@@ -333,6 +333,24 @@ def test_prior_override_by_column():
     assert abs(tight.coefficients[0]) < abs(loose.coefficients[0])
 
 
+def test_prior_override_on_all_zero_column():
+    # the pinned column x1 still exists: its override is accepted and the
+    # active columns keep their own prior; an unknown name still raises
+    X = np.column_stack([np.ones(6), np.zeros(6), [0, 1, 0, 1, 1, 0]])
+    y = np.array([1, 0, 0, 1, 1, 0])
+    dm = make_dm(X, y)
+    base = PriorSpec(kind="student_t", scale=1.0, df=3.0)
+    fit = fit_posterior_mode(dm, PriorSpec(kind="student_t", scale=1.0, df=3.0,
+                                           overrides={"x1": {"scale": 0.1}}))
+    assert fit.coefficients[1] == 0.0 and np.isnan(fit.std_errors[1])
+    np.testing.assert_array_equal(fit.coefficients, fit_posterior_mode(dm, base).coefficients)
+    tight = fit_posterior_mode(dm, PriorSpec(kind="student_t", scale=1.0, df=3.0,
+                                             overrides={"x2": {"scale": 0.05}}))
+    assert abs(tight.coefficients[2]) < 0.5 * abs(fit.coefficients[2])
+    with pytest.raises(ValueError, match="unknown column 'x9'"):
+        fit_posterior_mode(dm, PriorSpec(overrides={"x9": {"scale": 0.1}}))
+
+
 def test_fit_report_dict_round_trips_json():
     import json
 

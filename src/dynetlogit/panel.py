@@ -10,7 +10,9 @@ dropped, so lagged statistics can decide how to treat them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +62,7 @@ class RiskSet:
     def __init__(self, labels, attrs=None):
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
-            dup = sorted({x for x in labels if labels.count(x) > 1})
+            dup = sorted(x for x, c in Counter(labels).items() if c > 1)
             raise PanelValidationError(f"duplicate vertex label(s): {dup}")
         object.__setattr__(self, "labels", labels)
         table = {}
@@ -274,7 +276,7 @@ class NetworkPanel:
         snaps = tuple(sorted(snapshots, key=lambda s: s.t))
         times = [s.t for s in snaps]
         if len(set(times)) != len(times):
-            dup = sorted({t for t in times if times.count(t) > 1})
+            dup = sorted(t for t, c in Counter(times).items() if c > 1)
             raise PanelValidationError(f"duplicate snapshot time index: {dup}")
         gaps = tuple(sorted(int(g) for g in gaps))
         if len(set(gaps)) != len(gaps):
@@ -340,33 +342,82 @@ class NetworkPanel:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _panel_to_obj(panel: NetworkPanel) -> dict:
-    rs = panel.risk_set
-    risk = []
-    for i, lab in enumerate(rs.labels):
-        attrs = {k: rs.attrs[k][i] for k in sorted(rs.attrs) if rs.attrs[k][i] is not None}
-        risk.append({"label": lab, "attrs": attrs})
-    snaps = []
-    for s in panel.snapshots:
-        labels = [rs.labels[int(i)] for i in s.present_indices]
-        edges = sorted(sorted((rs.labels[i], rs.labels[j])) for i, j in s.edges.tolist())
-        snaps.append({
-            "t": s.t,
-            "attrs": dict(s.time_attrs),
-            "present": labels,
-            "edges": edges,
-        })
-    return {
-        "risk_set": risk,
-        "snapshots": snaps,
-        "gaps": list(panel.gaps),
-        "directed": False,
-    }
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
+
+
+def _json_list(items, depth) -> str:
+    """A JSON array of already encoded ``items``, laid out as
+    ``json.dumps(indent=2)`` lays out an array ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_attrs(attrs: dict, memo) -> str:
+    """``json.dumps(attrs, indent=2, sort_keys=True)`` as the value of a
+    vertex's or snapshot's ``attrs``, encoded once per distinct value in
+    ``memo``.  The memo key is the repr, which tells apart values that
+    compare equal but encode differently (``1`` and ``True``, ``0.0`` and
+    ``-0.0``)."""
+    key = repr(attrs)
+    text = memo.get(key)
+    if text is None:
+        text = json.dumps(attrs, indent=2, sort_keys=True)
+        memo[key] = text = text.replace("\n", "\n      ")
+    return text
 
 
 def panel_to_json(panel: NetworkPanel) -> str:
-    """Canonical serialization: same panel -> identical bytes."""
-    return json.dumps(_panel_to_obj(panel), indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: same panel -> identical bytes.
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` of the
+    object with keys ``risk_set`` (``{"label", "attrs"}`` per vertex, None
+    attrs left out), ``snapshots`` (``t``, ``attrs``, the ``present`` labels
+    in risk-set order and the ``edges`` as label pairs, smaller label first,
+    in sorted order), ``gaps`` and ``directed: false``.  ``json.dumps`` with
+    an indent runs json's pure-Python encoder, so the text is written
+    directly: each label is encoded once, and only attrs go through
+    ``json.dumps``.
+    """
+    rs = panel.risk_set
+    n = len(rs)
+    labels = np.array([_encode_str(lab) for lab in rs.labels], dtype=object)
+    memo = {}
+    names = sorted(rs.attrs)
+    rows = zip(*(rs.attrs[k] for k in names)) if names else [()] * n
+    risk = [
+        '{\n      "attrs": '
+        + _json_attrs({k: v for k, v in zip(names, row) if v is not None}, memo)
+        + ',\n      "label": ' + lab + "\n    }"
+        for lab, row in zip(labels.tolist(), rows)
+    ]
+    # an edge is its two labels in sorted order, and edges sort by that pair:
+    # rank the labels once and sort each snapshot's edges by endpoint ranks
+    order = np.array(sorted(range(n), key=rs.labels.__getitem__), dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    first = "[\n          " + labels[order] + ",\n          "  # by rank
+    second = labels[order] + "\n        ]"
+    snaps = []
+    for s in panel.snapshots:
+        a, b = np.divmod(s.codes, n)
+        a, b = rank[a], rank[b]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        by = np.lexsort((hi, lo))
+        snaps.append(
+            '{\n      "attrs": ' + _json_attrs(dict(s.time_attrs), memo)
+            + ',\n      "edges": ' + _json_list((first[lo[by]] + second[hi[by]]).tolist(), 3)
+            + ',\n      "present": ' + _json_list(labels[s.present_indices].tolist(), 3)
+            + ',\n      "t": ' + str(s.t) + "\n    }"
+        )
+    return (
+        '{\n  "directed": false'
+        + ',\n  "gaps": ' + _json_list([str(g) for g in panel.gaps], 1)
+        + ',\n  "risk_set": ' + _json_list(risk, 1)
+        + ',\n  "snapshots": ' + _json_list(snaps, 1)
+        + "\n}\n"
+    )
 
 
 def save_panel(panel: NetworkPanel, path) -> None:
@@ -382,46 +433,73 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _label_indices(index, groups, count) -> tuple:
+    """The risk-set index of each label in ``groups`` (sequences of labels,
+    ``count`` labels in all), -1 where there is none, in one dict pass, and
+    whether every label was found.  A label that is not a key (a JSON
+    number) is looked up again as ``str(label)``."""
+    try:
+        at = np.fromiter(map(index.get, chain.from_iterable(groups), repeat(-1)),
+                         np.int64, count)
+    except TypeError:  # an unhashable label (a JSON array or object)
+        at = np.full(count, -1, dtype=np.int64)
+    if not count or at.min() >= 0:
+        return at, True
+    labels = list(chain.from_iterable(groups))
+    for k in np.flatnonzero(at < 0).tolist():
+        at[k] = index.get(str(labels[k]), -1)
+    return at, bool(at.min() >= 0)
+
+
+def _edge_indices(risk, edges, bits, t) -> tuple:
+    """Endpoint indices ``(ii, jj)`` of a snapshot's edges, given as label
+    pairs; the first bad edge, in file order, is named."""
+    edges = list(edges)
+    try:
+        widths = set(map(len, edges))
+    except TypeError:  # an edge that is not a list
+        widths = {0}
+    m = len(edges) if widths <= {2} else next(
+        k for k, e in enumerate(edges) if not hasattr(e, "__len__") or len(e) != 2)
+    ends, found = _label_indices(risk._index, edges[:m], 2 * m)
+    ii, jj = ends[0::2], ends[1::2]
+    if m == len(edges) and found and bits[ends].all():
+        return ii, jj
+    ok = (ii >= 0) & (jj >= 0)
+    ok[ok] = bits[ii[ok]] & bits[jj[ok]]
+    k = int(np.argmin(ok)) if np.count_nonzero(ok) < m else m
+    a, b = edges[k]  # an edge of another width than 2 fails here
+    try:
+        risk.index_of(str(a)), risk.index_of(str(b))
+    except KeyError as exc:
+        raise PanelValidationError(f"edge label at t={t}: {exc}") from None
+    raise PanelValidationError(f"edge endpoint absent at t={t}: ({a},{b})")
+
+
 def panel_from_obj(obj: dict) -> NetworkPanel:
     if not isinstance(obj, dict):
         raise PanelFormatError("top level of a panel file must be an object")
+    if obj.get("directed", False):
+        raise PanelValidationError("directed panels are not supported")
     risk_entries = _require(obj, "risk_set", "panel file")
     labels, attr_dicts = [], []
     for k, entry in enumerate(risk_entries):
         labels.append(str(_require(entry, "label", f"risk_set[{k}]")))
         attr_dicts.append(dict(entry.get("attrs", {})))
     risk = RiskSet(labels, attr_dicts)
-    n = len(risk)
 
     snapshots = []
     for k, rec in enumerate(_require(obj, "snapshots", "panel file")):
         t = _require(rec, "t", f"snapshots[{k}]")
-        present = []
-        for lab in _require(rec, "present", f"snapshots[{k}]"):
-            try:
-                present.append(risk.index_of(str(lab)))
-            except KeyError:
-                raise PanelValidationError(
-                    f"present vertex {lab!r} at t={t} is not in the risk set"
-                ) from None
-        bits = presence_vector(present, n)
-        edges = []
-        for a, b in _require(rec, "edges", f"snapshots[{k}]"):
-            try:
-                i, j = risk.index_of(str(a)), risk.index_of(str(b))
-            except KeyError as exc:
-                raise PanelValidationError(f"edge label at t={t}: {exc}") from None
-            if not (bits[i] and bits[j]):
-                raise PanelValidationError(
-                    f"edge endpoint absent at t={t}: ({a},{b})"
-                )
-            edges.append((i, j))
-        snapshots.append(
-            Snapshot(t, bits, edges, rec.get("attrs", {}))
-        )
-
-    if obj.get("directed", False):
-        raise PanelValidationError("directed panels are not supported")
+        present = list(_require(rec, "present", f"snapshots[{k}]"))
+        at, found = _label_indices(risk._index, [present], len(present))
+        if not found:
+            raise PanelValidationError(f"present vertex {present[int(np.argmax(at < 0))]!r} "
+                                       f"at t={t} is not in the risk set")
+        bits = np.zeros(len(risk), dtype=bool)
+        bits[at] = True
+        edges = _edge_indices(risk, _require(rec, "edges", f"snapshots[{k}]"), bits, t)
+        snapshots.append(Snapshot(t, bits, edges, rec.get("attrs", {})))
     return NetworkPanel(risk, snapshots, obj.get("gaps", ()))
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dynetlogit import ModelSpec, NetworkPanel, RiskSet, Snapshot, TermSpec
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def make_snapshot(t, present, edges, n, attrs=None):
@@ -63,3 +66,11 @@ def random_panel(rng, n=6, T=5, presence=0.7, density=0.4, gaps=(), t0=1,
         made += 1
         t += 1
     return NetworkPanel(rs, snaps, gaps=[g for g in gaps if g < t])
+
+
+def bench_workloads():
+    """The benchmark's ``workloads`` module, which draws its input panels."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -8,9 +8,12 @@ draw at a time instead of all replicates of a step at once; a dense
 general-purpose optimizer instead of the package's sparse damped Newton;
 that Newton run on every Bernoulli row instead of on binomial patterns; and
 design rows grouped by ``np.unique`` over whole dense rows instead of
-patterns assembled from endpoint classes and lagged ties.
+patterns assembled from endpoint classes and lagged ties; and panel files
+read one label at a time and written through the panel's JSON object and
+``json.dumps`` instead of on arrays.
 """
 
+import json
 import math
 from itertools import combinations
 from math import comb
@@ -20,8 +23,17 @@ import numpy as np
 from scipy import optimize, stats
 from scipy.special import expit
 
-from dynetlogit import FitResult, PriorSpec, Snapshot, VertexRef
-from dynetlogit.panel import presence_vector
+from dynetlogit import (
+    FitResult,
+    NetworkPanel,
+    PanelFormatError,
+    PanelValidationError,
+    PriorSpec,
+    RiskSet,
+    Snapshot,
+    VertexRef,
+)
+from dynetlogit.panel import _require, presence_vector
 from dynetlogit.solver import (
     SEPARATION_BOUND,
     _information_criteria,
@@ -406,3 +418,78 @@ def patterns_by_rows(dm):
     """The design's rows grouped whole, independently of ``dm.patterns``."""
     block = np.arange(dm.n_rows) >= dm.n_vertex_rows
     return grouped_rows(block, dm.responses, dm.features)
+
+
+def panel_to_obj(panel):
+    """The JSON object of a panel file, built one vertex and edge at a time."""
+    rs = panel.risk_set
+    risk = []
+    for i, lab in enumerate(rs.labels):
+        attrs = {k: rs.attrs[k][i] for k in sorted(rs.attrs) if rs.attrs[k][i] is not None}
+        risk.append({"label": lab, "attrs": attrs})
+    snaps = []
+    for s in panel.snapshots:
+        labels = [rs.labels[int(i)] for i in s.present_indices]
+        edges = sorted(sorted((rs.labels[i], rs.labels[j])) for i, j in s.edges.tolist())
+        snaps.append({
+            "t": s.t,
+            "attrs": dict(s.time_attrs),
+            "present": labels,
+            "edges": edges,
+        })
+    return {
+        "risk_set": risk,
+        "snapshots": snaps,
+        "gaps": list(panel.gaps),
+        "directed": False,
+    }
+
+
+def panel_json_by_dumps(panel):
+    """The canonical panel text, from ``json.dumps`` of the whole object."""
+    return json.dumps(panel_to_obj(panel), indent=2, sort_keys=True) + "\n"
+
+
+def panel_from_obj_by_label(obj):
+    """A panel from its JSON object, looking up one label at a time; the
+    ``directed`` flag is checked after every snapshot has been read."""
+    if not isinstance(obj, dict):
+        raise PanelFormatError("top level of a panel file must be an object")
+    risk_entries = _require(obj, "risk_set", "panel file")
+    labels, attr_dicts = [], []
+    for k, entry in enumerate(risk_entries):
+        labels.append(str(_require(entry, "label", f"risk_set[{k}]")))
+        attr_dicts.append(dict(entry.get("attrs", {})))
+    risk = RiskSet(labels, attr_dicts)
+    n = len(risk)
+
+    snapshots = []
+    for k, rec in enumerate(_require(obj, "snapshots", "panel file")):
+        t = _require(rec, "t", f"snapshots[{k}]")
+        present = []
+        for lab in _require(rec, "present", f"snapshots[{k}]"):
+            try:
+                present.append(risk.index_of(str(lab)))
+            except KeyError:
+                raise PanelValidationError(
+                    f"present vertex {lab!r} at t={t} is not in the risk set"
+                ) from None
+        bits = presence_vector(present, n)
+        edges = []
+        for a, b in _require(rec, "edges", f"snapshots[{k}]"):
+            try:
+                i, j = risk.index_of(str(a)), risk.index_of(str(b))
+            except KeyError as exc:
+                raise PanelValidationError(f"edge label at t={t}: {exc}") from None
+            if not (bits[i] and bits[j]):
+                raise PanelValidationError(
+                    f"edge endpoint absent at t={t}: ({a},{b})"
+                )
+            edges.append((i, j))
+        snapshots.append(
+            Snapshot(t, bits, edges, rec.get("attrs", {}))
+        )
+
+    if obj.get("directed", False):
+        raise PanelValidationError("directed panels are not supported")
+    return NetworkPanel(risk, snapshots, obj.get("gaps", ()))

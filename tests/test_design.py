@@ -1,7 +1,5 @@
-import importlib.util
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +26,7 @@ from dynetlogit.design import CLASS_KINDS, TIE_KINDS, dump_design
 from dynetlogit.terms import EDGE_KINDS, LAGGED_KINDS, MIXING_PAIRS, WEEKDAYS
 
 import oracles
-from conftest import random_panel
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from conftest import bench_workloads, random_panel
 
 
 def snap(t, present, edges, n, attrs=None):
@@ -288,16 +284,9 @@ def test_panel_patterns_equal_grouped_rows(case):
     assert_patterns_equal_rows(dm)
 
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload", ["month", "cycles", "million"])
 def test_workload_patterns_equal_grouped_rows(workload):
-    panel, specs = _bench_workloads()._base_draw(workload)
+    panel, specs = bench_workloads()._base_draw(workload)
     align = max(s.max_lag for s in specs.values()) if len(specs) > 1 else None
     for spec in specs.values():
         assert_patterns_equal_rows(build_design(panel, spec, align_to_lag=align))
@@ -308,7 +297,7 @@ def _no_rows(*args):
 
 
 def test_fit_never_expands_rows(tmp_path, monkeypatch):
-    panel, specs = _bench_workloads()._base_draw("month")
+    panel, specs = bench_workloads()._base_draw("month")
     save_panel(panel, tmp_path / "panel.json")
     paths = []
     for stem, spec in specs.items():

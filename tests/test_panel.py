@@ -1,4 +1,6 @@
 import json
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from dynetlogit import (
     save_panel,
     subpanel,
 )
-from dynetlogit.panel import panel_to_json
+from dynetlogit.panel import panel_from_obj, panel_to_json
 
-from conftest import random_panel
+from conftest import bench_workloads, random_panel
+from oracles import panel_from_obj_by_label, panel_json_by_dumps
 
 
 def test_round_trip_single_snapshot(tmp_path):
@@ -99,6 +102,21 @@ def test_duplicate_label_rejected():
         RiskSet(["a", "a", "b"])
 
 
+def test_duplicate_label_named_in_a_large_risk_set():
+    labels = [f"v{k}" for k in range(200_000)]
+    labels.insert(123_456, "v99")
+    with pytest.raises(PanelValidationError,
+                       match=re.escape("duplicate vertex label(s): ['v99']")):
+        RiskSet(labels)
+
+
+def test_duplicate_snapshot_time_named():
+    snaps = [Snapshot(t, [0], [], n=1) for t in (3, 1, 3, 2, 1)]
+    with pytest.raises(PanelValidationError,
+                       match=re.escape("duplicate snapshot time index: [1, 3]")):
+        NetworkPanel(RiskSet(["a"]), snaps)
+
+
 def test_directed_input_rejected(tmp_path):
     rs = RiskSet(["a", "b"])
     p = NetworkPanel(rs, [])
@@ -109,6 +127,12 @@ def test_directed_input_rejected(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(PanelValidationError, match="directed"):
         load_panel(path)
+
+
+def test_directed_rejected_before_snapshots_are_read():
+    obj = {"directed": True, "risk_set": [], "snapshots": [{"t": 1}]}
+    with pytest.raises(PanelValidationError, match="directed"):
+        panel_from_obj(obj)
 
 
 def test_malformed_json_reports_location(tmp_path):
@@ -193,18 +217,38 @@ def test_subpanel_range_errors(tiny_panel):
         subpanel(tiny_panel, 3, 2)
 
 
+# labels and attrs that json must escape or that sort unlike their code points
+# in another encoding: non-ASCII, quote, backslash, newline, NUL, astral
+_chars = st.one_of(st.characters(), st.sampled_from('"\\\n\x00\U0001F600\u00e9'))
+_labels = st.text(_chars, max_size=4)
+_scalars = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 0.0, -0.0, 1]),
+                     st.integers(), st.floats(allow_nan=False), st.text(_chars, max_size=3))
+
+
 @st.composite
 def panels(draw):
-    n = draw(st.integers(2, 6))
-    T = draw(st.integers(0, 4))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    gap = draw(st.booleans())
-    return random_panel(rng, n=n, T=T, gaps=(2,) if gap and T > 2 else ())
+    """Panels whose labels are listed in any order, with vertex and time
+    attrs of every JSON scalar kind, gaps and snapshots without vertices or
+    edges."""
+    labels = draw(st.lists(_labels, max_size=7, unique=True))
+    n = len(labels)
+    attrs = draw(st.dictionaries(st.text(_chars, max_size=3),
+                                 st.lists(_scalars, min_size=n, max_size=n), max_size=3))
+    times = draw(st.lists(st.integers(-2, 9), max_size=5, unique=True))
+    gaps = draw(st.lists(st.integers(-2, 9).filter(lambda g: g not in times),
+                         max_size=2, unique=True))
+    snaps = []
+    for t in times:
+        bits = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        pairs = list(combinations(np.flatnonzero(bits).tolist(), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+        day = draw(st.dictionaries(st.text(_chars, max_size=3), _scalars, max_size=2))
+        snaps.append(Snapshot(t, bits, edges, day))
+    return NetworkPanel(RiskSet(labels, attrs), snaps, gaps=gaps)
 
 
 @given(panels())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_round_trip_property(tmp_path_factory, panel):
     path = tmp_path_factory.mktemp("rt") / "p.json"
     save_panel(panel, path)
@@ -212,9 +256,111 @@ def test_round_trip_property(tmp_path_factory, panel):
 
 
 @given(panels())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_canonical_bytes_property(panel):
-    assert panel_to_json(panel) == panel_to_json(panel)
+    assert panel_to_json(panel) == panel_json_by_dumps(panel)
+
+
+def test_equal_attrs_of_other_types_keep_their_bytes():
+    # True == 1 == 1.0 and 0.0 == -0.0, but each encodes differently
+    values = [True, 1, 1.0, False, 0, 0.0, -0.0, None, "1"]
+    rs = RiskSet([f"v{k}" for k in range(len(values))], {"x": values})
+    days = [{"day": v} for v in values]
+    panel = NetworkPanel(rs, [Snapshot(t, [t], [], day, n=len(values))
+                              for t, day in enumerate(days)])
+    assert panel_to_json(panel) == panel_json_by_dumps(panel)
+
+
+@given(panels())
+@settings(max_examples=150, deadline=None)
+def test_loader_equals_label_by_label_oracle(panel):
+    obj = json.loads(panel_to_json(panel))
+    assert panel_from_obj(obj) == panel_from_obj_by_label(obj) == panel
+
+
+@pytest.mark.parametrize("workload", ["month", "cycles", "million"])
+def test_workload_panels_match_the_oracles(workload):
+    workloads = bench_workloads()
+    base, _specs = workloads._base_draw(workload)
+    for seed in (0, 17):
+        panel = workloads._permuted(base, seed)
+        text = panel_to_json(panel)
+        assert text == panel_json_by_dumps(panel)
+        obj = json.loads(text)
+        assert panel_from_obj(obj) == panel_from_obj_by_label(obj) == panel
+
+
+def _small_panel_obj():
+    rs = RiskSet(["a", "b", "c", "d", "7"], {"regular": [True, False, None, 1, 0]})
+    snaps = [Snapshot(1, [0, 1, 2, 4], [(0, 1), (1, 2), (4, 0)], {"day": "Mon"}, n=5),
+             Snapshot(3, [0, 3], [(0, 3)], n=5)]
+    return json.loads(panel_to_json(NetworkPanel(rs, snaps, gaps=[2])))
+
+
+def _edit(path, value):
+    """Corruption setting ``path`` (keys and indices) in a panel object to
+    ``value``, or deleting its last key when ``value`` is ``_DELETE``."""
+    def apply(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        if value is _DELETE:
+            del obj[last]
+        else:
+            obj[last] = value
+    return apply
+
+
+_DELETE = object()
+_CORRUPTIONS = {
+    "unknown present": _edit(("snapshots", 0, "present", 1), "zz"),
+    "two unknown present": _edit(("snapshots", 0, "present"), ["a", "yy", "b", "zz"]),
+    "unknown edge first": _edit(("snapshots", 0, "edges", 1), ["zz", "b"]),
+    "unknown edge second": _edit(("snapshots", 0, "edges", 1), ["b", "zz"]),
+    "numeric present match": _edit(("snapshots", 0, "present", 3), 7),
+    "numeric edge match": _edit(("snapshots", 0, "edges", 0), [7, "a"]),
+    "numeric present miss": _edit(("snapshots", 0, "present", 3), 8),
+    "numeric edge miss": _edit(("snapshots", 0, "edges", 0), ["a", 8.5]),
+    "list label": _edit(("snapshots", 0, "present", 0), ["a"]),
+    "two unknown edges": _edit(("snapshots", 0, "edges"), [["a", "b"], ["yy", "b"], ["a", "zz"]]),
+    "absent endpoint": _edit(("snapshots", 0, "edges", 1), ["a", "d"]),
+    "two absent endpoints": _edit(("snapshots", 0, "edges"), [["a", "b"], ["c", "d"], ["d", "a"]]),
+    "absent later endpoint": _edit(("snapshots", 1, "edges", 0), ["a", "b"]),
+    "three-label edge": _edit(("snapshots", 0, "edges", 1), ["a", "b", "c"]),
+    "one-label edge": _edit(("snapshots", 0, "edges", 0), ["a"]),
+    "number edge": _edit(("snapshots", 0, "edges", 2), 5),
+    "string edge": _edit(("snapshots", 0, "edges", 2), "ad"),
+    "edges not a list": _edit(("snapshots", 0, "edges"), 5),
+    "loop": _edit(("snapshots", 0, "edges", 1), ["b", "b"]),
+    "label fault before width fault": _edit(("snapshots", 0, "edges"),
+                                            [["a", "b"], ["a", "zz"], ["a", "b", "c"]]),
+    "width fault before label fault": _edit(("snapshots", 0, "edges"),
+                                            [["a", "b"], ["a"], ["a", "zz"]]),
+    "absent before loop": _edit(("snapshots", 0, "edges"), [["c", "c"], ["a", "d"]]),
+    "missing present": _edit(("snapshots", 1, "present"), _DELETE),
+    "missing edges": _edit(("snapshots", 0, "edges"), _DELETE),
+    "missing t": _edit(("snapshots", 0, "t"), _DELETE),
+    "missing label": _edit(("risk_set", 2, "label"), _DELETE),
+    "missing snapshots": _edit(("snapshots",), _DELETE),
+    "duplicate time": _edit(("snapshots", 1, "t"), 1),
+    "directed": _edit(("directed",), True),
+}
+
+
+def _outcome(load, obj):
+    try:
+        return load(obj)
+    except Exception as exc:  # the outcome compared is the exception raised
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_corrupt_file_fails_as_the_oracle_fails(name):
+    obj = _small_panel_obj()
+    _CORRUPTIONS[name](obj)
+    new, old = _outcome(panel_from_obj, obj), _outcome(panel_from_obj_by_label, obj)
+    assert new == old
+    assert isinstance(new, NetworkPanel) == name.endswith("match")
 
 
 # converter ------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .terms import (
     History,
     ModelSpec,
     SpecError,
+    _is_edge,
     edge_term_values,
     resolve_lag,
     usable_transitions,
@@ -223,14 +224,6 @@ class DesignMatrix:
             f"DesignMatrix({self.n_rows} rows = {self.n_vertex_rows} vertex + "
             f"{self.n_rows - self.n_vertex_rows} edge, {self.n_cols} cols)"
         )
-
-
-def _is_edge(codes, pairs):
-    """Membership of ``pairs`` in the sorted edge ``codes``."""
-    if not len(codes):
-        return np.zeros(len(pairs), dtype=bool)
-    pos = np.minimum(np.searchsorted(codes, pairs), len(codes) - 1)
-    return codes[pos] == pairs
 
 
 def _endpoint_classes(risk_set, terms) -> np.ndarray:

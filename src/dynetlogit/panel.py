@@ -451,10 +451,18 @@ def _label_indices(index, groups, count) -> tuple:
     return at, bool(at.min() >= 0)
 
 
+def _as_json(value) -> str:
+    return json.dumps(value, default=repr)
+
+
 def _edge_indices(risk, edges, bits, t) -> tuple:
     """Endpoint indices ``(ii, jj)`` of a snapshot's edges, given as label
     pairs; the first bad edge, in file order, is named."""
-    edges = list(edges)
+    try:
+        edges = list(edges)
+    except TypeError:
+        raise PanelFormatError(f"edges at t={t} must be a list of label pairs, "
+                               f"got {_as_json(edges)}") from None
     try:
         widths = set(map(len, edges))
     except TypeError:  # an edge that is not a list
@@ -468,7 +476,10 @@ def _edge_indices(risk, edges, bits, t) -> tuple:
     ok = (ii >= 0) & (jj >= 0)
     ok[ok] = bits[ii[ok]] & bits[jj[ok]]
     k = int(np.argmin(ok)) if np.count_nonzero(ok) < m else m
-    a, b = edges[k]  # an edge of another width than 2 fails here
+    if k == m:  # the first edge that is not a pair, every earlier one sound
+        raise PanelFormatError(f"edge at t={t} must be a pair of labels, "
+                               f"got {_as_json(edges[k])}")
+    a, b = edges[k]
     try:
         risk.index_of(str(a)), risk.index_of(str(b))
     except KeyError as exc:

@@ -8,18 +8,29 @@ indices; chaining it forward gives n-step projections in which sampled
 snapshots feed later lag terms.
 
 Randomness is keyed by (seed, replicate, step), so reports are identical
-across runs and scheduling orders.
+across runs and scheduling orders.  Each key's generator is numpy's
+``default_rng(SeedSequence(seed, spawn_key=(replicate, step - base)))``;
+the seeding of every key of a command is hashed in one vectorized pass
+(``_seed_words``), and each generator is built just before its draw.
+
+Edge probabilities cost per class, not per dyad: a sampled dyad that is
+not a lagged tie has the probability of its draw and its pair of endpoint
+classes, so ``StepSampler`` evaluates the edge terms on the ties and one
+dyad per class and gathers the probabilities to every dyad.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
+from .design import TIE_KINDS, _endpoint_classes
 from .gli import GLI_NAMES, gli_matrix, gli_vector
 from .panel import NetworkPanel, RiskSet, Snapshot, dyads
 from .solver import FitResult
@@ -29,7 +40,9 @@ from .terms import (
     ModelSpec,
     SpecError,
     WEEKDAYS,
+    _is_edge,
     edge_term_values,
+    resolve_lag,
     usable_transitions,
     vertex_term_values,
 )
@@ -68,6 +81,8 @@ class SimConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.mode not in ("stochastic", "threshold50"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -171,10 +186,109 @@ def _weekday_attrs_fn(panel: NetworkPanel):
     return None if offset is None else partial(weekday_attrs, offset=offset)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
+# Melissa O'Neill's seed_seq); all arithmetic on them wraps modulo 2**32
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: each call xors in the running
+    constant, advances it by ``mult`` and multiplies by the new one."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _WORD
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ (value >> 16)
+
+
+def _seed_words(seed: int, keys) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for
+    every ``(replicate, step - base)`` key along the last axis of ``keys``.
+
+    numpy's mixing, run on all keys at once: the seed's 32-bit words, least
+    significant first and zero-padded to the pool of 4, then the two key
+    words, are hashed into the pool, which is then hashed out into 8 words.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    keys = np.asarray(keys, dtype=np.int64)
+    bad = np.any((keys < 0) | (keys > _WORD), axis=-1)
+    if bad.any():
+        replicate, offset = keys[bad][0].tolist()
+        raise ValueError(f"stream key (replicate {replicate}, step offset {offset}) "
+                         "is outside [0, 2**32)")
+    shape = keys.shape[:-1]
+    entropy = []
+    while True:
+        entropy.append(np.full(shape, seed & _WORD, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [np.zeros(shape, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    entropy += [keys[..., 0].astype(np.uint32), keys[..., 1].astype(np.uint32)]
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[d % _POOL_SIZE]) for d in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is already derived: the 4 uint64 words
+    PCG64 asks for, its only caller."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generator(words) -> np.random.Generator:
+    """The generator seeded by one row of ``_seed_words``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def _step_keys(steps, replicates: int, base: int) -> np.ndarray:
+    """The (replicate, step - base) stream keys, one row of replicates per step."""
+    keys = np.empty((len(steps), replicates, 2), dtype=np.int64)
+    keys[..., 0] = np.arange(replicates)
+    keys[..., 1] = (np.asarray(steps, dtype=np.int64) - base)[:, None]
+    return keys
+
+
+def _streams(seed: int, keys) -> list:
+    """The generators ``default_rng(SeedSequence(seed, spawn_key=key))`` for a
+    sequence of ``(replicate, step - base)`` keys, hashed in one pass."""
+    return [_generator(words) for words in _seed_words(seed, np.reshape(keys, (-1, 2)))]
+
+
 def _stream(seed: int, replicate: int, step: int, base_step: int = 0):
     """Independent generator per (seed, replicate, step)."""
-    key = (int(replicate), int(step - base_step))
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+    return _streams(seed, [(replicate, step - base_step)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +331,23 @@ class StepSampler:
     50-percent rule (ties are absent) and no generator is read.  Vertex
     probabilities are computed once.  When every draw shares one vertex set
     (``fixed_vertex_set`` or ``threshold``) so do its dyads, whose edge
-    probabilities are computed once; otherwise each edge term is evaluated
-    once per union of draws, on their concatenated dyads.
+    probabilities are computed once; otherwise once per union of draws.
+
+    Edge probabilities come from a class table.  A dyad's class is its draw
+    and the pair of its endpoints' classes (``classes``, from
+    ``design._endpoint_classes``, computed here when not given).  Lagged
+    ties are the dyads that are edges of the history at the lag of a lagged
+    edge kind.  Every edge kind is constant over the other dyads of one
+    class, the lagged kinds being 0 there, so each edge term is evaluated
+    once, on the lagged ties and one representative of each class present
+    among the other dyads; η is summed in spec order and ``expit`` applied
+    on those rows only, and each dyad gathers its row's probability, the
+    same float it would get on its own.
     """
 
     def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
-                 *, threshold: bool = False, fixed_vertex_set: bool = False):
+                 *, threshold: bool = False, fixed_vertex_set: bool = False,
+                 classes=None):
         self.spec, self.theta_e, self.history, self.t = spec, theta_e, history, t
         self.threshold = threshold
         self.n = n = len(history.risk_set)
@@ -240,6 +365,13 @@ class StepSampler:
             self.pv = expit(eta)
             if threshold:
                 self.bits = self.pv > 0.5
+        if classes is None:
+            classes = _endpoint_classes(history.risk_set, spec.edge_terms)
+        self.classes, self.k = classes, int(classes.max(initial=0)) + 1
+        lagged = [history.snapshot_at(resolve_lag(history, t, lag, spec.gap_policy)).codes
+                  for lag in {term.lag for term in spec.edge_terms if term.kind in TIE_KINDS}]
+        self.lagged = lagged[0] if len(lagged) == 1 else np.unique(
+            np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
         if self.bits is not None:
             ii, jj = dyads(np.flatnonzero(self.bits))
             self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits))
@@ -247,12 +379,45 @@ class StepSampler:
 
     def _edge_probs(self, ii, jj, present):
         # never evaluated on no dyads: log_size would take the log of 0
-        eta = np.zeros(len(ii))
-        if len(ii):
-            for theta, term in zip(self.theta_e, self.spec.edge_terms):
-                eta += theta * edge_term_values(term, self.history, self.t, ii, jj,
-                                                present, self.spec.gap_policy)
-        return expit(eta)
+        if not len(ii):
+            return np.empty(0)
+        n, k = self.n, self.k
+        draws = len(present) // n
+        # per union vertex: its risk-set index, and its class plus k times
+        # its draw, so that a dyad's two values, ordered, key its class
+        # (draw, a, b) below draws * k * (k + 1)
+        local = np.tile(np.arange(n), draws)
+        cls = (np.arange(draws)[:, None] * k + self.classes).ravel()
+        tie = _is_edge(self.lagged, local[ii] * n + local[jj])
+        free = np.flatnonzero(~tie)
+        a, b = cls[ii[free]], cls[jj[free]]
+        key = np.minimum(a, b)
+        key *= k
+        key += np.maximum(a, b, out=a)
+        del a, b
+        size = draws * k * (k + 1)
+        if size <= len(ii):  # a table over every key, unless it outgrows the dyads
+            slot = np.full(size, -1)
+            slot[key] = free  # whichever dyad lands here, it represents its class
+            keys = np.flatnonzero(slot >= 0)
+            reps = slot[keys]
+            slot[keys] = np.arange(len(keys))
+            of = slot[key]
+        else:
+            _, first, of = np.unique(key, return_index=True, return_inverse=True)
+            reps = free[first]
+        rows = np.concatenate([np.flatnonzero(tie), reps])
+        ri, rj = ii[rows], jj[rows]
+        eta = np.zeros(len(rows))
+        for theta, term in zip(self.theta_e, self.spec.edge_terms):
+            eta += theta * edge_term_values(term, self.history, self.t, ri, rj, present,
+                                            self.spec.gap_policy)
+        p = expit(eta)
+        out = np.empty(len(ii))
+        cut = len(rows) - len(reps)
+        out[tie] = p[:cut]
+        out[free] = p[cut:][of]
+        return out
 
     def draw(self, rng=None) -> Snapshot:
         """One draw; the batch of one of ``draw_all``."""
@@ -341,8 +506,10 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     Every predictable step (full lag window observed, target observed) gets
     one sampler that draws all its replicates at once, as union snapshots
     whose indices come out one row per replicate; replicate r still draws
-    from its own (seed, r, step) generator.  Under ``threshold50`` the draw
-    is deterministic, so one draw per step stands for all replicates.
+    from its own (seed, r, step) generator.  Every key is hashed in one
+    pass, and a step's generators are built just before it is drawn.
+    Under ``threshold50`` the draw is deterministic, so one draw per step
+    stands for all replicates.
     """
     theta_v, theta_e = _split_theta(fit, spec)
     steps = usable_transitions(panel, spec.max_lag, spec.gap_policy)
@@ -355,15 +522,17 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
 
     threshold = config.mode == "threshold50"
     n = len(panel.risk_set)
+    classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
+    words = None if threshold else _seed_words(config.seed, _step_keys(steps, m, base))
     draws = np.empty((len(steps), m, n_g))
     observed = np.empty((len(steps), n_g))
     for k, s in enumerate(steps):
         sampler = StepSampler(spec, theta_v, theta_e, history, s, threshold=threshold,
-                              fixed_vertex_set=config.fixed_vertex_set)
+                              fixed_vertex_set=config.fixed_vertex_set, classes=classes)
         if threshold:  # reads no generator, so every replicate draws this snapshot
             draws[k] = gli_vector(sampler.draw()).as_array()
         else:
-            rngs = [_stream(config.seed, rep, s, base) for rep in range(m)]
+            rngs = [_generator(w) for w in words[k]]
             row = 0
             for union in sampler.draw_all(rngs):
                 block = gli_matrix(union, n)
@@ -402,7 +571,9 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     """Autoregressive projection past the end of the panel.
 
     Lags reaching back before the projection start read observed snapshots;
-    later lags read the replicate's own sampled snapshots.
+    later lags read the replicate's own sampled snapshots.  Replicate r
+    draws step s from its (seed, r, s) generator, all of them hashed in one
+    pass and each built just before its draw.
     """
     theta_v, theta_e = _split_theta(fit, spec)
     if not panel.snapshots:
@@ -412,6 +583,8 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     base = panel.t_min
     threshold = config.mode == "threshold50"
     attrs_fn = _weekday_attrs_fn(panel)
+    classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
+    words = _seed_words(config.seed, _step_keys(steps, config.replicates, base))
 
     paths = np.empty((config.replicates, config.horizon, len(GLI_NAMES)))
     kept = [] if keep_snapshots else None
@@ -421,8 +594,9 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
         for h, target in enumerate(steps):
             sampler = StepSampler(spec, theta_v, theta_e, history, target,
                                   threshold=threshold,
-                                  fixed_vertex_set=config.fixed_vertex_set)
-            snap = sampler.draw(_stream(config.seed, rep, target, base))
+                                  fixed_vertex_set=config.fixed_vertex_set,
+                                  classes=classes)
+            snap = sampler.draw(_generator(words[h, rep]))
             history.add(snap)
             paths[rep, h] = gli_vector(snap).as_array()
             if keep_snapshots:
@@ -460,19 +634,21 @@ def generate_panel(spec: ModelSpec, coefficients, risk_set: RiskSet,
     history = History(NetworkPanel(risk_set, ()), attrs_fn)
     n = len(risk_set)
     k = max(spec.max_lag, 1)
+    words = _seed_words(seed, [(0, t) for t in range(n_steps + 1)])
     # drawn directly, not by an intercept-only sampler: expit(logit(p)) is
     # not exactly p, so that would change every panel drawn so far
     for t in range(1, k + 1):
-        rng = _stream(seed, 0, t, 0)
+        rng = _generator(words[t])
         bits = rng.random(n) < init_presence
         ii, jj = dyads(np.flatnonzero(bits))
         keep = rng.random(len(ii)) < init_density
         history.add(Snapshot(t, bits, (ii[keep], jj[keep]),
                              history.time_attrs_at(t) or {}))
 
+    classes = _endpoint_classes(risk_set, spec.edge_terms)
     for t in range(k + 1, n_steps + 1):
-        sampler = StepSampler(spec, theta_v, theta_e, history, t)
-        history.add(sampler.draw(_stream(seed, 0, t, 0)))
+        sampler = StepSampler(spec, theta_v, theta_e, history, t, classes=classes)
+        history.add(sampler.draw(_generator(words[t])))
 
     snaps = [history.added[t] for t in sorted(history.added) if t > burn_in]
     return NetworkPanel(risk_set, snaps)

@@ -312,6 +312,14 @@ def _as_index(p) -> int:
     return p.index if isinstance(p, VertexRef) else int(p)
 
 
+def _is_edge(codes, pairs):
+    """Membership of ``pairs`` in the sorted edge ``codes``."""
+    if not len(codes):
+        return np.zeros(len(pairs), dtype=bool)
+    pos = np.minimum(np.searchsorted(codes, pairs), len(codes) - 1)
+    return codes[pos] == pairs
+
+
 # Most bitset words one block of triangle_counts gathers per edge endpoint
 # (4 MB of uint32 each).
 BITSET_BLOCK = 1 << 20
@@ -650,9 +658,7 @@ def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
     u = resolve_lag(history, t, term.lag, policy)
     snap = history.snapshot_at(u)
     if kind == "lag_indicator":
-        if not snap.edge_count:
-            return np.zeros(m)
-        return np.isin(ii.astype(np.int64) * n + jj, snap.codes).astype(float)
+        return _is_edge(snap.codes, ii.astype(np.int64) * n + jj).astype(float)
     if kind == "lag_cycle_embed":
         max_len = term.params["max_len"]
         out = np.zeros(m)

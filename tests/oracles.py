@@ -476,7 +476,15 @@ def panel_from_obj_by_label(obj):
                 ) from None
         bits = presence_vector(present, n)
         edges = []
-        for a, b in _require(rec, "edges", f"snapshots[{k}]"):
+        listed = _require(rec, "edges", f"snapshots[{k}]")
+        if not hasattr(listed, "__iter__"):
+            raise PanelFormatError(f"edges at t={t} must be a list of label pairs, "
+                                   f"got {json.dumps(listed)}")
+        for edge in listed:
+            if not hasattr(edge, "__len__") or len(edge) != 2:
+                raise PanelFormatError(f"edge at t={t} must be a pair of labels, "
+                                       f"got {json.dumps(edge)}")
+            a, b = edge
             try:
                 i, j = risk.index_of(str(a)), risk.index_of(str(b))
             except KeyError as exc:

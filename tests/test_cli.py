@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,20 @@ def test_adequacy_fixed_vertex_set_flag(workdir, tmp_path):
     blob = json.loads((tmp_path / "adequacy.json").read_text())
     size = blob["adequacy"]["glis"]["size"]["steps"]
     assert all(rec["lower"] == 10 and rec["upper"] == 10 for rec in size)
+
+
+@pytest.mark.parametrize("command", ["adequacy", "project"])
+def test_negative_seed_fails_naming_the_seed(workdir, tmp_path, capsys, command):
+    fit_dir = tmp_path / "fit"
+    assert run(["fit", workdir / "panel.json", workdir / "spec.json",
+                "--out-dir", fit_dir]) == EXIT_OK
+    capsys.readouterr()
+    assert run([command, workdir / "panel.json", workdir / "spec.json",
+                fit_dir / "spec_fit.json", "--seed", "-1",
+                "--out-dir", tmp_path / "out"]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation",
+                   "message": "seed must be a non-negative integer, got -1"}
 
 
 def test_project_writes_paths_and_graphs(workdir, tmp_path):
@@ -283,10 +299,14 @@ def test_cycle_budget_exceeded_exits_validation(tmp_path, capsys):
 
 
 def test_console_entry_point(workdir, tmp_path):
+    # the subprocess imports the package the tests import, installed or not
+    import dynetlogit
+    path = [str(Path(dynetlogit.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "dynetlogit.cli", "fit", str(workdir / "panel.json"),
          str(workdir / "spec.json"), "--out-dir", str(tmp_path)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "spec_fit.json").exists()

@@ -329,6 +329,7 @@ _CORRUPTIONS = {
     "three-label edge": _edit(("snapshots", 0, "edges", 1), ["a", "b", "c"]),
     "one-label edge": _edit(("snapshots", 0, "edges", 0), ["a"]),
     "number edge": _edit(("snapshots", 0, "edges", 2), 5),
+    "null edge": _edit(("snapshots", 0, "edges", 1), None),
     "string edge": _edit(("snapshots", 0, "edges", 2), "ad"),
     "edges not a list": _edit(("snapshots", 0, "edges"), 5),
     "loop": _edit(("snapshots", 0, "edges", 1), ["b", "b"]),
@@ -361,6 +362,14 @@ def test_corrupt_file_fails_as_the_oracle_fails(name):
     new, old = _outcome(panel_from_obj, obj), _outcome(panel_from_obj_by_label, obj)
     assert new == old
     assert isinstance(new, NetworkPanel) == name.endswith("match")
+    if name in _NOT_PAIRS:  # a format error that names the time and the edge
+        assert new[0] is PanelFormatError and new[1].startswith("edge")
+        assert "at t=1 must be " in new[1] and new[1].endswith(_NOT_PAIRS[name])
+
+
+_NOT_PAIRS = {"number edge": "got 5", "null edge": "got null",
+              "three-label edge": 'got ["a", "b", "c"]', "one-label edge": 'got ["a"]',
+              "width fault before label fault": 'got ["a"]', "edges not a list": "got 5"}
 
 
 # converter ------------------------------------------------------------------

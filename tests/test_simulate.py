@@ -18,6 +18,7 @@ from dynetlogit import (
 from dynetlogit.gli import gli_vector
 from dynetlogit.simulate import (
     _stream,
+    _streams,
     _weekday_attrs_fn,
     interval_indices,
     weekday_attrs,
@@ -258,50 +259,126 @@ def test_edge_indicators_conditionally_independent(core_panel):
     assert np.all(np.abs(off) < 4 / np.sqrt(m))
 
 
+# (edge terms, their coefficients): 2 classes of endpoints, whose keys are
+# mostly looked up in a table, and every edge kind with 6 classes, whose
+# keys are sorted (more table slots than dyads); the lagged kinds appear
+# at lags 1 and 2
+_FEW_CLASSES = (
+    [TermSpec("edge", "intercept"),
+     TermSpec("edge", "individual_dummy", params={"label": "v2"}),
+     TermSpec("edge", "lag_indicator", lag=1),
+     TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 5})],
+    [0.6, 0.5, -0.3, 0.4],
+)
+_EVERY_KIND = (
+    [TermSpec("edge", "intercept"),
+     *[TermSpec("edge", "mixing", params={"attr": attr, "pair": pair})
+       for attr in ("a", "b") for pair in ("both", "neither", "mixed")],
+     TermSpec("edge", "individual_dummy", params={"label": "v2"}),
+     TermSpec("edge", "individual_dummy", params={"label": "v6"}),
+     TermSpec("edge", "seasonal", params={"day": "Monday"}),
+     TermSpec("edge", "lag_indicator", lag=1),
+     TermSpec("edge", "lag_indicator", lag=2),
+     TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 5}),
+     TermSpec("edge", "lag_cycle_embed", lag=2, params={"max_len": 4})],
+    [0.6, 0.2, -0.3, 0.1, -0.2, 0.3, 0.15, 0.5, -0.4, 0.05, -0.3, 0.35, 0.4, -0.25],
+)
+
+
 @pytest.mark.parametrize("with_logsize", [False, True])
 def test_intervals_match_per_replicate_sampling(monkeypatch, with_logsize):
-    """Drawing all replicates of a step at once, on unions of any size, must
-    not change a single draw: the oracle draws each replicate on its own."""
+    """Drawing all replicates of a step at once, on unions of any size, and
+    edge probabilities from the class table must not change a single draw:
+    the oracle draws each replicate on its own, evaluating every term on
+    every dyad."""
     import dynetlogit.simulate as simulate
-    panel = random_panel(np.random.default_rng(11), n=9, T=6, density=0.5)
-    edge_terms = [TermSpec("edge", "intercept"),
-                  TermSpec("edge", "individual_dummy", params={"label": "v2"}),
-                  TermSpec("edge", "lag_indicator", lag=1),
-                  TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 5})]
-    if with_logsize:
-        edge_terms.append(TermSpec("edge", "log_size"))
-    spec = ModelSpec(
-        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1),
-         TermSpec("vertex", "lag_triangle", lag=1)],
-        edge_terms,
-    )
-    theta_e = [0.6, 0.5, -0.3, 0.4] + ([-0.3] if with_logsize else [])
+    attrs = [{"a": k % 2 == 0, "b": k % 3 == 0} for k in range(9)]
+    panel = random_panel(np.random.default_rng(11), n=9, T=7, density=0.5, attrs=attrs)
     budgets = (simulate.PAIR_BUDGET, 40, 1)  # unions of all, some and single draws
-    # a typical model, and one whose days mostly have 0, 1 or 2 vertices
-    for theta_v in ([0.2, 0.4, 0.1], [-2.5, 0.3, 0.1]):
-        fit = fake_fit(spec, theta_v + theta_e)
-        for mode, fixed in (("stochastic", False), ("stochastic", True),
-                            ("threshold50", False)):
-            config = SimConfig(replicates=25, alpha=0.9, seed=13, mode=mode,
-                               fixed_vertex_set=fixed)
-            steps = simulate.usable_transitions(panel, spec.max_lag)
-            expected = np.array([[
-                gli_vector(oracles.step_draw_by_replicate(
-                    spec, np.asarray(theta_v), np.asarray(theta_e), History(panel), s,
-                    None if mode == "threshold50" else _stream(13, rep, s, panel.t_min),
-                    threshold=mode == "threshold50", fixed_vertex_set=fixed)).as_array()
-                for rep in range(config.replicates)] for s in steps])
-            small = np.count_nonzero(expected[:, :, 0] < 3)
-            if theta_v[0] < 0 and not fixed:
-                assert small > len(steps)  # the small-draw conventions are exercised
-            for budget in budgets:
-                monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
-                samples, report = one_step_intervals(fit, spec, panel, config)
-                assert samples.steps == steps
-                assert np.array_equal(samples.draws, expected)
-                assert report.notes == (
-                    (f"{small} simulated day(s) had fewer than 3 vertices; "
-                     "degenerate-size index conventions applied",) if small else ())
+    for edge_terms, theta_e in (_FEW_CLASSES, _EVERY_KIND):
+        if with_logsize:
+            edge_terms, theta_e = edge_terms + [TermSpec("edge", "log_size")], theta_e + [-0.3]
+        spec = ModelSpec(
+            [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1),
+             TermSpec("vertex", "lag_triangle", lag=1)],
+            edge_terms,
+        )
+        # a typical model, and one whose days mostly have 0, 1 or 2 vertices
+        for theta_v in ([0.2, 0.4, 0.1], [-2.5, 0.3, 0.1]):
+            fit = fake_fit(spec, theta_v + theta_e)
+            for mode, fixed in (("stochastic", False), ("stochastic", True),
+                                ("threshold50", False)):
+                config = SimConfig(replicates=25, alpha=0.9, seed=13, mode=mode,
+                                   fixed_vertex_set=fixed)
+                steps = simulate.usable_transitions(panel, spec.max_lag)
+                expected = np.array([[
+                    gli_vector(oracles.step_draw_by_replicate(
+                        spec, np.asarray(theta_v), np.asarray(theta_e), History(panel), s,
+                        None if mode == "threshold50" else _stream(13, rep, s, panel.t_min),
+                        threshold=mode == "threshold50", fixed_vertex_set=fixed)).as_array()
+                    for rep in range(config.replicates)] for s in steps])
+                small = np.count_nonzero(expected[:, :, 0] < 3)
+                if theta_v[0] < 0 and not fixed:
+                    assert small > len(steps)  # the small-draw conventions are exercised
+                for budget in budgets:
+                    monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
+                    samples, report = one_step_intervals(fit, spec, panel, config)
+                    assert samples.steps == steps
+                    assert np.array_equal(samples.draws, expected)
+                    assert report.notes == (
+                        (f"{small} simulated day(s) had fewer than 3 vertices; "
+                         "degenerate-size index conventions applied",) if small else ())
+
+
+def test_edge_terms_see_ties_and_one_dyad_per_class(monkeypatch):
+    """On month model_4 each edge term of a step is evaluated on at most the
+    replicates' lagged ties and one dyad per (replicate, class pair)."""
+    import dynetlogit.simulate as simulate
+    from dynetlogit.design import _endpoint_classes
+    from dynetlogit.synth import default_coefficients, full_model_spec, make_month_panel
+    panel = make_month_panel()
+    spec = full_model_spec(panel.risk_set)
+    fit = fake_fit(spec, default_coefficients(spec))
+    k = int(_endpoint_classes(panel.risk_set, spec.edge_terms).max()) + 1
+    rows = {}
+    original = simulate.edge_term_values
+
+    def counting(term, history, t, ii, *args):
+        rows[t, term.name] = rows.get((t, term.name), 0) + len(ii)
+        return original(term, history, t, ii, *args)
+
+    monkeypatch.setattr(simulate, "edge_term_values", counting)
+    m = 40
+    samples, _ = one_step_intervals(fit, spec, panel, SimConfig(replicates=m, seed=6))
+    assert {term.lag for term in spec.edge_terms if term.lag} == {1}
+    sizes = samples.draws[:, :, 0]
+    for s, size in zip(samples.steps, sizes):
+        bound = m * (panel.at(s - 1).edge_count + k * (k + 1) // 2)
+        dyads = int(np.sum(size * (size - 1) // 2))
+        assert all(rows[s, term.name] <= min(bound, dyads) for term in spec.edge_terms)
+    evaluated = sum(rows.values()) / len(spec.edge_terms)
+    assert evaluated < np.sum(sizes * (sizes - 1) // 2) / 4
+
+
+@pytest.mark.parametrize("seed", [0, 6, 2**32 - 1, 2**32, 2**64 + 7, 2**100])
+def test_streams_equal_spawned_seed_sequences(seed):
+    keys = [(0, 0), (99, 27), (2**32 - 1, 2**32 - 1)]
+    for rng, key in zip(_streams(seed, keys), keys):
+        expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert np.array_equal(rng.random(64), expected.random(64))
+
+
+def test_streams_refuse_what_seed_sequences_would_read_otherwise():
+    # a negative seed has no words; numpy splits a key of 2**32 into two words
+    with pytest.raises(ValueError, match="got -1"):
+        _streams(-1, [(0, 0)])
+    with pytest.raises(ValueError, match="replicate 4294967296, step offset 3"):
+        _streams(0, [(1, 2), (2**32, 3)])
+    with pytest.raises(ValueError, match="replicate 0, step offset -1"):
+        _stream(0, 0, 1, 2)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
+        SimConfig(seed=-5)
 
 
 @pytest.mark.parametrize("with_logsize", [False, True])

@@ -1,6 +1,6 @@
 """Dynamic network logistic regression for panels with joint edge/vertex dynamics."""
 
-from .design import DesignError, DesignMatrix, RowTag, build_design, dump_design, split_design
+from .design import DesignError, DesignMatrix, build_design, dump_design
 from .gli import (
     GLI_NAMES,
     GliVector,
@@ -40,7 +40,6 @@ from .solver import (
     block_summaries,
     fit_mle,
     fit_posterior_mode,
-    predict_probabilities,
 )
 from .terms import (
     CycleBudgetError,
@@ -53,7 +52,6 @@ from .terms import (
     pair_cycle_counts,
     save_model_spec,
     seasonal_terms,
-    triangle_count,
     usable_transitions,
     validate_model,
 )

@@ -17,7 +17,9 @@ among present vertices plus one weighted row per (class pair, response),
 whose trials are counted from the class sizes and whose successes from the
 current edges.  The rows themselves (``responses``, ``features``, ``tags``)
 are expanded on first access, as ``--dump-design`` does, and only up to
-``ROW_BUDGET`` rows.
+``ROW_BUDGET`` rows.  A step's edge rows are gathered from the values of its
+lagged ties and of one representative dyad per class pair, the dyads that
+``_dyad_rows`` picks; simulation draws its edges through the same function.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .terms import (
     vertex_term_values,
 )
 
-__all__ = ["DesignError", "RowTag", "TagTable", "Patterns", "DesignMatrix",
-           "ROW_BUDGET", "build_design", "split_design", "dump_design"]
+__all__ = ["DesignError", "TagTable", "Patterns", "DesignMatrix", "ROW_BUDGET",
+           "build_design", "dump_design"]
 
 # mixed-radix row keys stay below this; past it the partial key is renumbered
 _KEY_LIMIT = np.iinfo(np.int64).max
@@ -62,18 +64,8 @@ class DesignError(ValueError):
     """The panel/model combination yields no usable design rows."""
 
 
-@dataclass(frozen=True)
-class RowTag:
-    """Provenance of one design row."""
-
-    kind: str  # "vertex" or "edge"
-    t: int
-    i: int
-    j: int | None = None
-
-
 class TagTable:
-    """Columnar row tags; cheap for millions of rows, RowTag view on demand."""
+    """Columnar row tags: the block, time and endpoints of every row."""
 
     __slots__ = ("kind", "t", "i", "j")
 
@@ -85,14 +77,6 @@ class TagTable:
 
     def __len__(self):
         return len(self.kind)
-
-    def row(self, r: int) -> RowTag:
-        if self.kind[r] == 0:
-            return RowTag("vertex", int(self.t[r]), int(self.i[r]), None)
-        return RowTag("edge", int(self.t[r]), int(self.i[r]), int(self.j[r]))
-
-    def slice(self, lo: int, hi: int) -> "TagTable":
-        return TagTable(self.kind[lo:hi], self.t[lo:hi], self.i[lo:hi], self.j[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -242,6 +226,57 @@ def _endpoint_classes(risk_set, terms) -> np.ndarray:
     return np.unique(key * (len(labels) + 1) + ident, return_inverse=True)[1]
 
 
+def _lagged_codes(history, t, terms, policy) -> np.ndarray:
+    """Sorted codes i * n + j of the dyads tied in ``history`` at the lag,
+    from step t, of some lagged edge kind of ``terms``."""
+    lagged = [history.snapshot_at(resolve_lag(history, t, lag, policy)).codes
+              for lag in {term.lag for term in terms if term.kind in TIE_KINDS}]
+    return lagged[0] if len(lagged) == 1 else np.unique(
+        np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
+
+
+def _dyad_rows(ii, jj, classes, draws, lagged):
+    """The dyads an edge term is evaluated on, for dyads (ii, jj) of a union
+    of ``draws`` draws, vertex r * n + i being vertex i of draw r.
+
+    A dyad is a lagged tie when its risk-set pair is in ``lagged`` (sorted
+    codes i * n + j); every other dyad's class is its draw and the pair of
+    its endpoints' ``classes``.  Every edge kind is constant over the
+    dyads of one class, the lagged kinds being 0 there.  ``rows`` lists
+    every lagged tie, then one representative per class, and ``of`` is each
+    dyad's position in ``rows``, so a term's values on ``(ii[rows],
+    jj[rows])`` gathered by ``of`` are its values on every dyad.
+    """
+    n, k = len(classes), int(classes.max(initial=0)) + 1
+    # per union vertex: its risk-set index, and its class plus k times its
+    # draw, so that a dyad's two values, ordered, key its class (draw, a, b)
+    # below draws * k * (k + 1)
+    local = np.tile(np.arange(n), draws)
+    cls = (np.arange(draws)[:, None] * k + classes).ravel()
+    tie = _is_edge(lagged, local[ii] * n + local[jj])
+    ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
+    a, b = cls[ii[free]], cls[jj[free]]
+    key = np.minimum(a, b)
+    key *= k
+    key += np.maximum(a, b, out=a)
+    del a, b
+    size = draws * k * (k + 1)
+    if size <= len(ii):  # a table over every key, unless it outgrows the dyads
+        slot = np.full(size, -1)
+        slot[key] = free  # whichever dyad lands here, it represents its class
+        keys = np.flatnonzero(slot >= 0)
+        reps = slot[keys]
+        slot[keys] = np.arange(len(keys))
+        key = slot[key]
+    else:
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        reps = free[first]
+    of = np.empty(len(ii), dtype=np.int64)
+    of[ties] = np.arange(len(ties))
+    of[free] = key + len(ties)
+    return np.concatenate([ties, reps]), of
+
+
 def _vertex_block(history, terms, t, policy):
     """Step t's vertex rows: one per risk-set vertex."""
     return np.column_stack([vertex_term_values(term, history, t, policy) for term in terms])
@@ -279,13 +314,11 @@ def _edge_patterns(history, terms, steps, classes, policy):
         ci, cj = classes[code // n], classes[code % n]
         return np.searchsorted(pair_keys, (s * k + np.minimum(ci, cj)) * k + np.maximum(ci, cj))
 
-    # current edges and lagged ties, keyed (step * n + i) * n + j
+    # current edges and lagged ties, keyed (step * n + i) * n + j, both
+    # sorted: a step's codes are, and each step's keys exceed the last's
     edges = np.concatenate([s * n * n + snap.codes for s, snap in enumerate(snaps)])
-    lags = sorted({term.lag for term in terms if term.kind in TIE_KINDS})
-    ties = np.unique(np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [s * n * n + history.snapshot_at(resolve_lag(history, t, lag, policy)).codes
-           for s, t in enumerate(steps) for lag in lags]))
+    ties = np.concatenate([s * n * n + _lagged_codes(history, t, terms, policy)
+                           for s, t in enumerate(steps)])
     s, code = np.divmod(ties, n * n)
     ti, tj = np.divmod(code, n)
     among = present[s, ti] & present[s, tj]
@@ -391,15 +424,16 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     trials = np.concatenate([np.ones(nv), e_trials])
     patterns = _row_patterns(_stack(v_blocks, e_blocks, kv, ke), responses, nv, trials)
     return DesignMatrix._from_patterns(
-        patterns, partial(_design_rows, history, spec, steps, policy),
+        patterns, partial(_design_rows, history, spec, steps, policy, classes),
         column_names=spec.column_names, n_vertex_terms=kv, n_vertex_rows=nv,
         n_rows=nv + ne, steps=tuple(row_steps),
     )
 
 
-def _design_rows(history, spec, steps, policy):
+def _design_rows(history, spec, steps, policy, classes):
     """(responses, features, tags) of every row: one per (step, risk-set
-    vertex) and one per (step, present dyad)."""
+    vertex) and one per (step, present dyad), the edge rows gathered from
+    the rows ``_dyad_rows`` picks."""
     n = len(history.risk_set)
     kv, ke = len(spec.vertex_terms), len(spec.edge_terms)
 
@@ -416,9 +450,12 @@ def _design_rows(history, spec, steps, policy):
             ii, jj = dyads(snap.present_indices)
             if len(ii) == 0:
                 continue
-            cols = [edge_term_values(term, history, t, ii, jj, snap.present, policy)
+            rows, of = _dyad_rows(ii, jj, classes, 1,
+                                  _lagged_codes(history, t, spec.edge_terms, policy))
+            ri, rj = ii[rows], jj[rows]
+            cols = [edge_term_values(term, history, t, ri, rj, snap.present, policy)
                     for term in spec.edge_terms]
-            e_blocks.append(np.column_stack(cols))
+            e_blocks.append(np.column_stack(cols).take(of, axis=0))
             e_resp.append(_is_edge(snap.codes, ii * n + jj).astype(np.int8))
             e_t.append(np.full(len(ii), t, dtype=np.int64))
             e_i.append(ii)
@@ -435,29 +472,6 @@ def _design_rows(history, spec, steps, policy):
         np.concatenate([np.full(nv, -1, dtype=np.int64), _concat(e_j, np.int64)]),
     )
     return responses, _stack(v_blocks, e_blocks, kv, ke), tags
-
-
-def split_design(dm: DesignMatrix):
-    """Vertex-only and edge-only sub-designs; block diagonality makes the
-    joint log-likelihood the sum of the parts at any coefficient split."""
-    nv, kv = dm.n_vertex_rows, dm.n_vertex_terms
-    vertex = DesignMatrix(
-        responses=dm.responses[:nv],
-        features=dm.features[:nv, :kv].tocsr(),
-        tags=dm.tags.slice(0, nv),
-        column_names=dm.column_names[:kv],
-        n_vertex_terms=kv,
-        n_vertex_rows=nv,
-    )
-    edge = DesignMatrix(
-        responses=dm.responses[nv:],
-        features=dm.features[nv:, kv:].tocsr(),
-        tags=dm.tags.slice(nv, dm.n_rows),
-        column_names=dm.column_names[kv:],
-        n_vertex_terms=0,
-        n_vertex_rows=0,
-    )
-    return vertex, edge
 
 
 def dump_design(dm: DesignMatrix, risk_set, triplet_path, columns_path, tags_path):

@@ -195,10 +195,6 @@ class Snapshot:
     def edge_count(self) -> int:
         return len(self.codes)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        i, j = min(i, j), max(i, j)
-        return bool(np.isin(i * len(self.present) + j, self.codes))
-
     def degrees(self) -> np.ndarray:
         """Read-only degree of every risk-set vertex (0 for absent ones)."""
         if self._degrees is None:
@@ -463,12 +459,9 @@ def _edge_indices(risk, edges, bits, t) -> tuple:
     except TypeError:
         raise PanelFormatError(f"edges at t={t} must be a list of label pairs, "
                                f"got {_as_json(edges)}") from None
-    try:
-        widths = set(map(len, edges))
-    except TypeError:  # an edge that is not a list
-        widths = {0}
-    m = len(edges) if widths <= {2} else next(
-        k for k, e in enumerate(edges) if not hasattr(e, "__len__") or len(e) != 2)
+    pairs = set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+    m = len(edges) if pairs else next(
+        k for k, e in enumerate(edges) if type(e) is not list or len(e) != 2)
     ends, found = _label_indices(risk._index, edges[:m], 2 * m)
     ii, jj = ends[0::2], ends[1::2]
     if m == len(edges) and found and bits[ends].all():

@@ -16,7 +16,8 @@ the seeding of every key of a command is hashed in one vectorized pass
 Edge probabilities cost per class, not per dyad: a sampled dyad that is
 not a lagged tie has the probability of its draw and its pair of endpoint
 classes, so ``StepSampler`` evaluates the edge terms on the ties and one
-dyad per class and gathers the probabilities to every dyad.
+dyad per class, as ``design._dyad_rows`` picks them, and gathers the
+probabilities to every dyad.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
-from .design import TIE_KINDS, _endpoint_classes
+from .design import _dyad_rows, _endpoint_classes, _lagged_codes
 from .gli import GLI_NAMES, gli_matrix, gli_vector
 from .panel import NetworkPanel, RiskSet, Snapshot, dyads
 from .solver import FitResult
@@ -40,9 +41,7 @@ from .terms import (
     ModelSpec,
     SpecError,
     WEEKDAYS,
-    _is_edge,
     edge_term_values,
-    resolve_lag,
     usable_transitions,
     vertex_term_values,
 )
@@ -333,16 +332,15 @@ class StepSampler:
     (``fixed_vertex_set`` or ``threshold``) so do its dyads, whose edge
     probabilities are computed once; otherwise once per union of draws.
 
-    Edge probabilities come from a class table.  A dyad's class is its draw
-    and the pair of its endpoints' classes (``classes``, from
-    ``design._endpoint_classes``, computed here when not given).  Lagged
-    ties are the dyads that are edges of the history at the lag of a lagged
-    edge kind.  Every edge kind is constant over the other dyads of one
-    class, the lagged kinds being 0 there, so each edge term is evaluated
-    once, on the lagged ties and one representative of each class present
-    among the other dyads; η is summed in spec order and ``expit`` applied
-    on those rows only, and each dyad gathers its row's probability, the
-    same float it would get on its own.
+    Edge probabilities are evaluated per class.  ``design._dyad_rows``
+    sorts the dyads into lagged ties (edges of the history at the lag of a
+    lagged edge kind) and classes of the other dyads (a dyad's draw and the
+    pair of its endpoints' ``classes``, from ``design._endpoint_classes``,
+    computed here when not given), and picks the ties and one
+    representative per class.  Each edge term is evaluated once, on those
+    dyads; η is summed in spec order and ``expit`` applied on them only,
+    and each dyad gathers its row's probability, the same float it would
+    get on its own.
     """
 
     def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
@@ -367,11 +365,8 @@ class StepSampler:
                 self.bits = self.pv > 0.5
         if classes is None:
             classes = _endpoint_classes(history.risk_set, spec.edge_terms)
-        self.classes, self.k = classes, int(classes.max(initial=0)) + 1
-        lagged = [history.snapshot_at(resolve_lag(history, t, lag, spec.gap_policy)).codes
-                  for lag in {term.lag for term in spec.edge_terms if term.kind in TIE_KINDS}]
-        self.lagged = lagged[0] if len(lagged) == 1 else np.unique(
-            np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
+        self.classes = classes
+        self.lagged = _lagged_codes(history, t, spec.edge_terms, spec.gap_policy)
         if self.bits is not None:
             ii, jj = dyads(np.flatnonzero(self.bits))
             self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits))
@@ -381,43 +376,13 @@ class StepSampler:
         # never evaluated on no dyads: log_size would take the log of 0
         if not len(ii):
             return np.empty(0)
-        n, k = self.n, self.k
-        draws = len(present) // n
-        # per union vertex: its risk-set index, and its class plus k times
-        # its draw, so that a dyad's two values, ordered, key its class
-        # (draw, a, b) below draws * k * (k + 1)
-        local = np.tile(np.arange(n), draws)
-        cls = (np.arange(draws)[:, None] * k + self.classes).ravel()
-        tie = _is_edge(self.lagged, local[ii] * n + local[jj])
-        free = np.flatnonzero(~tie)
-        a, b = cls[ii[free]], cls[jj[free]]
-        key = np.minimum(a, b)
-        key *= k
-        key += np.maximum(a, b, out=a)
-        del a, b
-        size = draws * k * (k + 1)
-        if size <= len(ii):  # a table over every key, unless it outgrows the dyads
-            slot = np.full(size, -1)
-            slot[key] = free  # whichever dyad lands here, it represents its class
-            keys = np.flatnonzero(slot >= 0)
-            reps = slot[keys]
-            slot[keys] = np.arange(len(keys))
-            of = slot[key]
-        else:
-            _, first, of = np.unique(key, return_index=True, return_inverse=True)
-            reps = free[first]
-        rows = np.concatenate([np.flatnonzero(tie), reps])
+        rows, of = _dyad_rows(ii, jj, self.classes, len(present) // self.n, self.lagged)
         ri, rj = ii[rows], jj[rows]
         eta = np.zeros(len(rows))
         for theta, term in zip(self.theta_e, self.spec.edge_terms):
             eta += theta * edge_term_values(term, self.history, self.t, ri, rj, present,
                                             self.spec.gap_policy)
-        p = expit(eta)
-        out = np.empty(len(ii))
-        cut = len(rows) - len(reps)
-        out[tie] = p[:cut]
-        out[free] = p[cut:][of]
-        return out
+        return expit(eta)[of]
 
     def draw(self, rng=None) -> Snapshot:
         """One draw; the batch of one of ``draw_all``."""

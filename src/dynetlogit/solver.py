@@ -33,7 +33,6 @@ __all__ = [
     "FitResult",
     "fit_mle",
     "fit_posterior_mode",
-    "predict_probabilities",
     "block_summaries",
 ]
 
@@ -409,14 +408,6 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
     elif not info["converged"]:
         notes = notes + (f"no convergence in {max_iter} iterations",)
     return _finalize(dm, X, y, m, theta, active, info, prior, arrays, notes)
-
-
-def predict_probabilities(fit: FitResult, dm: DesignMatrix) -> np.ndarray:
-    if dm.n_cols != len(fit.coefficients):
-        raise ValueError(
-            f"design has {dm.n_cols} columns, fit has {len(fit.coefficients)}"
-        )
-    return expit(dm.features @ fit.coefficients)
 
 
 def block_summaries(dm: DesignMatrix, coefficients: np.ndarray) -> dict:

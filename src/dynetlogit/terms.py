@@ -32,7 +32,6 @@ __all__ = [
     "seasonal_terms",
     "resolve_lag",
     "usable_transitions",
-    "triangle_count",
     "triangle_counts",
     "CycleBudgetError",
     "pair_cycle_count",
@@ -362,11 +361,6 @@ def triangle_counts(snapshot: Snapshot, segment: int | None = None) -> np.ndarra
         common.append(np.bitwise_count(shared).sum(axis=0))
     common = np.concatenate(common)
     return np.bincount(src, np.concatenate([common, common]), minlength=size) / 2
-
-
-def triangle_count(snapshot: Snapshot, p) -> int:
-    """Triangles containing vertex p; the batch of one of triangle_counts."""
-    return int(triangle_counts(snapshot)[_as_index(p)])
 
 
 # Most half-path rows one call of the cycle kernel may hold, summed over its

@@ -6,11 +6,15 @@ DFS, instead of the identities and meet-in-the-middle counting used by the
 package; one statistic at a time instead of a design column; one simulated
 draw at a time instead of all replicates of a step at once; a dense
 general-purpose optimizer instead of the package's sparse damped Newton;
-that Newton run on every Bernoulli row instead of on binomial patterns; and
-design rows grouped by ``np.unique`` over whole dense rows instead of
-patterns assembled from endpoint classes and lagged ties; and panel files
-read one label at a time and written through the panel's JSON object and
-``json.dumps`` instead of on arrays.
+that Newton run on every Bernoulli row instead of on binomial patterns;
+design rows with every edge term evaluated on every dyad instead of
+gathered from lagged ties and class representatives, and grouped by
+``np.unique`` over whole dense rows instead of patterns assembled from
+endpoint classes and lagged ties; and panel files read one label at a time
+and written through the panel's JSON object and ``json.dumps`` instead of
+on arrays.  The tests' scalar and sub-design helpers (``has_edge``,
+``triangle_count``, ``split_design``, ``predict_probabilities``) live here
+too.
 """
 
 import json
@@ -24,6 +28,7 @@ from scipy import optimize, stats
 from scipy.special import expit
 
 from dynetlogit import (
+    DesignMatrix,
     FitResult,
     NetworkPanel,
     PanelFormatError,
@@ -33,7 +38,8 @@ from dynetlogit import (
     Snapshot,
     VertexRef,
 )
-from dynetlogit.panel import _require, presence_vector
+from dynetlogit.design import TagTable, _concat, _stack, _vertex_block
+from dynetlogit.panel import _require, dyads, presence_vector
 from dynetlogit.solver import (
     SEPARATION_BOUND,
     _information_criteria,
@@ -44,7 +50,13 @@ from dynetlogit.solver import (
     _solve_spd,
     _spd_inverse_diag,
 )
-from dynetlogit.terms import History, edge_term_values, vertex_term_values
+from dynetlogit.terms import (
+    History,
+    _is_edge,
+    edge_term_values,
+    triangle_counts,
+    vertex_term_values,
+)
 
 
 def census_by_enumeration(present, edges):
@@ -179,6 +191,16 @@ def random_edge_set(rng, n, p=0.4):
 
 def _index(v) -> int:
     return v.index if isinstance(v, VertexRef) else int(v)
+
+
+def has_edge(snapshot, i, j) -> bool:
+    """Whether the snapshot has the edge {i, j}."""
+    return (min(i, j), max(i, j)) in set(map(tuple, snapshot.edges.tolist()))
+
+
+def triangle_count(snapshot, p) -> int:
+    """Triangles containing vertex p; the batch of one of triangle_counts."""
+    return int(triangle_counts(snapshot)[_index(p)])
 
 
 def vertex_stat(term, panel, t, p, policy=None) -> float:
@@ -414,10 +436,84 @@ def grouped_rows(block, responses, features, trials=None):
     return full[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
-def patterns_by_rows(dm):
-    """The design's rows grouped whole, independently of ``dm.patterns``."""
-    block = np.arange(dm.n_rows) >= dm.n_vertex_rows
-    return grouped_rows(block, dm.responses, dm.features)
+def design_rows_by_dyad(panel, spec, steps, policy):
+    """(responses, features, tags) of the design's rows at ``steps``: one per
+    (step, risk-set vertex) and one per (step, present dyad), every edge
+    term evaluated on every dyad."""
+    history = History(panel)
+    n = len(history.risk_set)
+    kv, ke = len(spec.vertex_terms), len(spec.edge_terms)
+
+    v_blocks, v_resp, v_t = [], [], []
+    e_blocks, e_resp, e_t, e_i, e_j = [], [], [], [], []
+
+    for t in steps:
+        snap = history.snapshot_at(t)
+        if kv:
+            v_blocks.append(_vertex_block(history, spec.vertex_terms, t, policy))
+            v_resp.append(snap.present.astype(np.int8))
+            v_t.append(np.full(n, t, dtype=np.int64))
+        if ke:
+            ii, jj = dyads(snap.present_indices)
+            if len(ii) == 0:
+                continue
+            cols = [edge_term_values(term, history, t, ii, jj, snap.present, policy)
+                    for term in spec.edge_terms]
+            e_blocks.append(np.column_stack(cols))
+            e_resp.append(_is_edge(snap.codes, ii * n + jj).astype(np.int8))
+            e_t.append(np.full(len(ii), t, dtype=np.int64))
+            e_i.append(ii)
+            e_j.append(jj)
+
+    nv = sum(len(r) for r in v_resp)
+    ne = sum(len(r) for r in e_resp)
+    responses = np.concatenate([_concat(v_resp, np.int8), _concat(e_resp, np.int8)])
+    tags = TagTable(
+        np.concatenate([np.zeros(nv, dtype=np.uint8), np.ones(ne, dtype=np.uint8)]),
+        np.concatenate([_concat(v_t, np.int64), _concat(e_t, np.int64)]),
+        np.concatenate([np.tile(np.arange(n, dtype=np.int64), len(v_resp)),
+                        _concat(e_i, np.int64)]),
+        np.concatenate([np.full(nv, -1, dtype=np.int64), _concat(e_j, np.int64)]),
+    )
+    return responses, _stack(v_blocks, e_blocks, kv, ke), tags
+
+
+def patterns_by_rows(dm, panel, spec):
+    """The rows of ``dm``, a design of ``panel`` under ``spec`` and its gap
+    policy, expanded dyad by dyad and grouped whole: independent of
+    ``dm.patterns`` and of the dyad classification behind ``dm.rows()``."""
+    responses, features, _ = design_rows_by_dyad(panel, spec, dm.steps, spec.gap_policy)
+    block = np.arange(len(responses)) >= dm.n_vertex_rows
+    return grouped_rows(block, responses, features)
+
+
+def split_design(dm):
+    """Vertex-only and edge-only sub-designs; block diagonality makes the
+    joint log-likelihood the sum of the parts at any coefficient split."""
+    nv, kv = dm.n_vertex_rows, dm.n_vertex_terms
+    tags = dm.tags
+
+    def part(rows, cols, n_vertex_terms, n_vertex_rows):
+        return DesignMatrix(
+            responses=dm.responses[rows],
+            features=dm.features[rows, cols].tocsr(),
+            tags=TagTable(tags.kind[rows], tags.t[rows], tags.i[rows], tags.j[rows]),
+            column_names=dm.column_names[cols],
+            n_vertex_terms=n_vertex_terms,
+            n_vertex_rows=n_vertex_rows,
+        )
+
+    return (part(slice(0, nv), slice(0, kv), kv, nv),
+            part(slice(nv, dm.n_rows), slice(kv, dm.n_cols), 0, 0))
+
+
+def predict_probabilities(fit, dm):
+    """The fitted probability of every row of the design."""
+    if dm.n_cols != len(fit.coefficients):
+        raise ValueError(
+            f"design has {dm.n_cols} columns, fit has {len(fit.coefficients)}"
+        )
+    return expit(dm.features @ fit.coefficients)
 
 
 def panel_to_obj(panel):
@@ -481,7 +577,7 @@ def panel_from_obj_by_label(obj):
             raise PanelFormatError(f"edges at t={t} must be a list of label pairs, "
                                    f"got {json.dumps(listed)}")
         for edge in listed:
-            if not hasattr(edge, "__len__") or len(edge) != 2:
+            if not isinstance(edge, list) or len(edge) != 2:
                 raise PanelFormatError(f"edge at t={t} must be a pair of labels, "
                                        f"got {json.dumps(edge)}")
             a, b = edge

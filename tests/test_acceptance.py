@@ -36,7 +36,6 @@ from dynetlogit import (
     pair_cycle_count,
     project,
     save_panel,
-    split_design,
     triad_census,
     validate_model,
 )
@@ -93,7 +92,7 @@ def test_criterion_1_separability():
         joint = fit_mle(dm)
         if joint.separation or not joint.converged:
             continue
-        dv, de = split_design(dm)
+        dv, de = oracles.split_design(dm)
         fv, fe = fit_mle(dv), fit_mle(de)
         if not (fv.converged and fe.converged):
             continue
@@ -106,7 +105,7 @@ def test_criterion_1_separability():
         panel = random_panel(rng2, n=8, T=8, presence=0.6, density=0.4)
         dm = build_design(panel, LAG1_SPEC)
         joint = fit_posterior_mode(dm)
-        dv, de = split_design(dm)
+        dv, de = oracles.split_design(dm)
         stacked = np.concatenate([
             fit_posterior_mode(dv).coefficients,
             fit_posterior_mode(de).coefficients,

@@ -19,7 +19,6 @@ from dynetlogit import (
     fit_posterior_mode,
     save_model_spec,
     save_panel,
-    split_design,
 )
 from dynetlogit import design
 from dynetlogit.design import CLASS_KINDS, TIE_KINDS, dump_design
@@ -78,19 +77,20 @@ def test_block_structure(tiny_panel, lag1_spec):
     # vertex responses are presence indicators, edge responses tie indicators
     tags = dm.tags
     for r in range(dm.n_rows):
-        tag = tags.row(r)
-        s = tiny_panel.at(tag.t)
-        if tag.kind == "vertex":
-            assert dm.responses[r] == int(s.present[tag.i])
+        s = tiny_panel.at(int(tags.t[r]))
+        i, j = int(tags.i[r]), int(tags.j[r])
+        if tags.kind[r] == 0:
+            assert j == -1
+            assert dm.responses[r] == int(s.present[i])
         else:
-            assert tag.i < tag.j
-            assert s.present[tag.i] and s.present[tag.j]
-            assert dm.responses[r] == int(s.has_edge(tag.i, tag.j))
+            assert i < j
+            assert s.present[i] and s.present[j]
+            assert dm.responses[r] == int(oracles.has_edge(s, i, j))
 
 
 def test_split_design_counts_and_deviance(tiny_panel, lag1_spec):
     dm = build_design(tiny_panel, lag1_spec)
-    dv, de = split_design(dm)
+    dv, de = oracles.split_design(dm)
     assert dv.n_rows + de.n_rows == dm.n_rows
     assert dv.n_cols + de.n_cols == dm.n_cols
     fit = fit_posterior_mode(dm)
@@ -107,7 +107,7 @@ def test_split_design_counts_and_deviance(tiny_panel, lag1_spec):
 def test_split_empty_edge_part(tiny_panel):
     spec = ModelSpec([TermSpec("vertex", "intercept")], [])
     dm = build_design(tiny_panel, spec)
-    dv, de = split_design(dm)
+    dv, de = oracles.split_design(dm)
     assert de.n_rows == 0
     assert dv.n_rows == dm.n_rows
     assert set(block_summaries(dm, np.zeros(1))) == {"vertex"}
@@ -199,13 +199,13 @@ def test_every_edge_kind_is_classified():
     assert set(TIE_KINDS) <= set(LAGGED_KINDS)
 
 
-def assert_patterns_equal_rows(dm):
-    """``dm.patterns`` equal the grouped expanded rows as a multiset, and the
-    counts known without rows agree with the rows."""
+def assert_patterns_equal_rows(dm, panel, spec):
+    """``dm.patterns`` equal the grouped rows expanded dyad by dyad as a
+    multiset, and the counts known without rows agree with the rows."""
     pat = dm.patterns
     block = np.arange(len(pat.trials)) >= pat.n_vertex_patterns
     got = oracles.grouped_rows(block, pat.responses, pat.features, pat.trials)
-    want = oracles.patterns_by_rows(dm)
+    want = oracles.patterns_by_rows(dm, panel, spec)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert np.all(pat.trials > 0)
@@ -281,15 +281,51 @@ def test_panel_patterns_equal_grouped_rows(case):
         return
     event(f"{'with' if dm.n_vertex_terms else 'no'} vertex terms, "
           f"{'with' if dm.n_cols > dm.n_vertex_terms else 'no'} edge terms")
-    assert_patterns_equal_rows(dm)
+    assert_patterns_equal_rows(dm, panel, spec)
+
+
+def _workload_designs(workload):
+    panel, specs = bench_workloads()._base_draw(workload)
+    align = max(s.max_lag for s in specs.values()) if len(specs) > 1 else None
+    for spec in specs.values():
+        yield panel, spec, build_design(panel, spec, align_to_lag=align)
 
 
 @pytest.mark.parametrize("workload", ["month", "cycles", "million"])
 def test_workload_patterns_equal_grouped_rows(workload):
-    panel, specs = bench_workloads()._base_draw(workload)
-    align = max(s.max_lag for s in specs.values()) if len(specs) > 1 else None
-    for spec in specs.values():
-        assert_patterns_equal_rows(build_design(panel, spec, align_to_lag=align))
+    for panel, spec, dm in _workload_designs(workload):
+        assert_patterns_equal_rows(dm, panel, spec)
+
+
+def assert_rows_equal_rows_by_dyad(dm, panel, spec):
+    """``dm.rows()``, gathered from lagged ties and class representatives,
+    equal the rows with every edge term evaluated on every dyad, byte for
+    byte."""
+    responses, features, tags = dm.rows()
+    want = oracles.design_rows_by_dyad(panel, spec, dm.steps, spec.gap_policy)
+    got = [responses, features.indptr, features.indices, features.data,
+           tags.kind, tags.t, tags.i, tags.j]
+    for a, b in zip(got, [want[0], want[1].indptr, want[1].indices, want[1].data,
+                          want[2].kind, want[2].t, want[2].i, want[2].j]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert features.shape == want[1].shape
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(panels_and_specs())
+def test_panel_rows_equal_rows_by_dyad(case):
+    panel, spec, align = case
+    try:
+        dm = build_design(panel, spec, align_to_lag=align)
+    except DesignError:
+        return
+    assert_rows_equal_rows_by_dyad(dm, panel, spec)
+
+
+@pytest.mark.parametrize("workload", ["month", "cycles", "million"])
+def test_workload_rows_equal_rows_by_dyad(workload):
+    for panel, spec, dm in _workload_designs(workload):
+        assert_rows_equal_rows_by_dyad(dm, panel, spec)
 
 
 def _no_rows(*args):

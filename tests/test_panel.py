@@ -367,7 +367,7 @@ def test_corrupt_file_fails_as_the_oracle_fails(name):
         assert "at t=1 must be " in new[1] and new[1].endswith(_NOT_PAIRS[name])
 
 
-_NOT_PAIRS = {"number edge": "got 5", "null edge": "got null",
+_NOT_PAIRS = {"number edge": "got 5", "null edge": "got null", "string edge": 'got "ad"',
               "three-label edge": 'got ["a", "b", "c"]', "one-label edge": 'got ["a"]',
               "width fault before label fault": 'got ["a"]', "edges not a list": "got 5"}
 

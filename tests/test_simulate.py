@@ -253,7 +253,7 @@ def test_edge_indicators_conditionally_independent(core_panel):
     for rep in range(m):
         s = one_step_sample(fit, spec, core_panel, 1, _stream(6, rep, 2))
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        indicators[rep] = [s.has_edge(i, j) for i, j in pairs]
+        indicators[rep] = [oracles.has_edge(s, i, j) for i, j in pairs]
     corr = np.corrcoef(indicators.T)
     off = corr[~np.eye(6, dtype=bool)]
     assert np.all(np.abs(off) < 4 / np.sqrt(m))

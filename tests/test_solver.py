@@ -16,14 +16,13 @@ from dynetlogit import (
     build_design,
     fit_mle,
     fit_posterior_mode,
-    predict_probabilities,
-    split_design,
 )
 from dynetlogit.design import DesignMatrix, TagTable
 from dynetlogit.solver import _information_criteria
 
 import oracles
 from conftest import random_panel
+from oracles import predict_probabilities, split_design
 
 
 def make_dm(X, y, names=None):

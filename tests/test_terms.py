@@ -16,7 +16,6 @@ from dynetlogit import (
     pair_cycle_count,
     seasonal_terms,
     triad_census,
-    triangle_count,
     usable_transitions,
     validate_model,
 )
@@ -29,7 +28,7 @@ from dynetlogit.terms import (
 )
 
 import oracles
-from oracles import edge_stat, vertex_stat
+from oracles import edge_stat, triangle_count, vertex_stat
 
 
 def snap(t, present, edges, n, attrs=None):

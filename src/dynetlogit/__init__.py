@@ -3,12 +3,10 @@
 from .design import DesignError, DesignMatrix, build_design, dump_design
 from .gli import (
     GLI_NAMES,
-    GliVector,
     degree_centralization,
-    density,
+    gli_matrix,
     gli_vector,
     krackhardt_connectedness,
-    mean_degree,
     triad_census,
 )
 from .panel import (
@@ -18,6 +16,7 @@ from .panel import (
     RiskSet,
     Snapshot,
     VertexRef,
+    disjoint_union,
     load_panel,
     panel_from_edge_presence,
     save_panel,

@@ -207,6 +207,9 @@ def cmd_fit(args) -> int:
             "separation": fit.separation,
         })
         if fit.separation:  # flagged by maximum likelihood only
+            _fail("separation", f"{stem}: the data separate along "
+                  f"{', '.join(fit.separating_columns)}; no finite maximum likelihood "
+                  "estimate (fit with a prior instead)")
             worst = max(worst, EXIT_SEPARATION)
         elif not fit.converged:
             worst = max(worst, EXIT_CONVERGENCE)
@@ -283,7 +286,7 @@ def cmd_project(args) -> int:
 
     config = SimConfig(replicates=args.sims, horizon=args.horizon, seed=args.seed,
                        fixed_vertex_set=args.fixed_vertex_set)
-    result = project(fit, spec, panel, config, keep_snapshots=args.dump_graphs)
+    result = project(fit, spec, panel, config)
 
     manifest = _manifest(
         args, "project",
@@ -334,7 +337,7 @@ def cmd_gli(args) -> int:
     snap = panel.at(args.t)
     if snap is None:
         raise PanelValidationError(f"no snapshot at t={args.t}")
-    vec = gli_vector(snap).as_array()
+    vec = gli_vector(snap)
     if args.format == "csv":
         print("gli,value")
         for name, val in zip(GLI_NAMES, vec):
@@ -350,11 +353,11 @@ def cmd_gli(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the flags of the commands that write reports; each command takes only
+    # the flags it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed")
     common.add_argument("--out-dir", default=".", help="directory for output files")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="csv additionally writes companion CSV tables")
     common.add_argument("--timestamps", action="store_true",
                         help="embed wall-clock timestamps (breaks byte-identical reruns)")
 
@@ -376,6 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--gap-policy", choices=("exclude", "bridge"), default=None)
     p_fit.add_argument("--dump-design", action="store_true",
                        help="write the design as triplets + column/tag CSVs")
+    p_fit.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="csv also writes the coefficients as a CSV table")
     p_fit.set_defaults(func=cmd_fit)
 
     p_adq = sub.add_parser("adequacy", parents=[common],
@@ -403,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write each trajectory as a panel file")
     p_prj.set_defaults(func=cmd_project)
 
-    p_cnv = sub.add_parser("convert", parents=[common],
+    p_cnv = sub.add_parser("convert",
                            help="build a panel file from edge + presence tables")
     p_cnv.add_argument("edges", help="rows: t,label_i,label_j")
     p_cnv.add_argument("presence", help="rows: t,label")
@@ -412,10 +417,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated unobserved time indices")
     p_cnv.set_defaults(func=cmd_convert)
 
-    p_gli = sub.add_parser("gli", parents=[common],
-                           help="print the GLI vector of one snapshot")
+    p_gli = sub.add_parser("gli", help="print the GLI vector of one snapshot")
     p_gli.add_argument("panel")
     p_gli.add_argument("--t", type=int, required=True)
+    p_gli.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="print a CSV table instead of JSON")
     p_gli.set_defaults(func=cmd_gli)
 
     return parser

@@ -25,6 +25,7 @@ __all__ = [
     "Snapshot",
     "NetworkPanel",
     "dyads",
+    "disjoint_union",
     "load_panel",
     "save_panel",
     "subpanel",
@@ -135,13 +136,18 @@ class Snapshot:
     int64 values ``i * n + j`` with i < j, and every edge endpoint is
     present.  Sorted this way, the codes are also the upper half of the
     adjacency in CSR order: row i holds the j of its codes, ascending.
+
+    A snapshot may hold ``draws`` draws over one risk set side by side (a
+    union of simulated days): vertex r * (n / draws) + i is vertex i of draw
+    r, and no edge joins two draws.  Graph indices come out one per draw.
     Instances are immutable after construction and cache derived structures
     (the degrees, the 2-core, per-edge cycle counts) on first use.
     """
 
-    __slots__ = ("t", "present", "codes", "time_attrs", "_degrees", "_core", "_cycle_memo")
+    __slots__ = ("t", "present", "codes", "time_attrs", "draws", "_degrees", "_core",
+                 "_cycle_memo")
 
-    def __init__(self, t, present, edges, time_attrs=None, *, n=None):
+    def __init__(self, t, present, edges, time_attrs=None, *, n=None, draws=1):
         """``present`` is a bool vector over the risk set, or the indices of
         the present vertices together with the risk-set size ``n``.
         ``edges`` is a sequence of index pairs, an ``(m, 2)`` integer array
@@ -149,6 +155,7 @@ class Snapshot:
         in either order and more than once."""
         self.t = int(t)
         self.present = bits = presence_vector(present, n)
+        self.draws = draws = int(draws)
         n = len(bits)
         if isinstance(edges, tuple) and len(edges) == 2 and all(
                 isinstance(x, np.ndarray) and x.ndim == 1 for x in edges):
@@ -160,11 +167,19 @@ class Snapshot:
             a, b = pairs.reshape(-1, 2).T
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         ok = (lo != hi) & (lo >= 0) & (hi < n)
+        size = n  # vertices per draw
+        if draws != 1:
+            if draws < 1 or n % draws:
+                raise PanelValidationError(
+                    f"{n} vertices at t={self.t} do not split into {draws} draws")
+            size = max(n // draws, 1)
+            ok &= lo // size == hi // size
         ok[ok] = bits[lo[ok]] & bits[hi[ok]]
         if np.count_nonzero(ok) < len(ok):  # name the first bad edge
             k = int(np.argmin(ok))
-            problem = ("loop edge" if lo[k] == hi[k] else "edge endpoint not present"
-                       if 0 <= lo[k] and hi[k] < n else "edge index outside the risk set")
+            problem = ("loop edge" if lo[k] == hi[k] else "edge index outside the risk set"
+                       if lo[k] < 0 or hi[k] >= n else "edge joins two draws"
+                       if lo[k] // size != hi[k] // size else "edge endpoint not present")
             raise PanelValidationError(f"{problem} at t={self.t}: ({lo[k]},{hi[k]})")
         codes = lo * n + hi
         codes.sort()
@@ -211,10 +226,27 @@ class Snapshot:
             and np.array_equal(self.present, other.present)
             and np.array_equal(self.codes, other.codes)
             and self.time_attrs == other.time_attrs
+            and self.draws == other.draws
         )
 
     def __repr__(self):
         return f"Snapshot(t={self.t}, |V|={self.n_present}, |E|={self.edge_count})"
+
+
+def disjoint_union(snapshots) -> Snapshot:
+    """The draws of ``snapshots``, all over one risk set, side by side in one
+    snapshot, in order, with the first snapshot's time and time attributes."""
+    if len({len(s.present) // s.draws for s in snapshots}) > 1:
+        raise PanelValidationError("snapshots of a union differ in risk-set size")
+    offset, ii, jj = 0, [], []
+    for s in snapshots:
+        a, b = np.divmod(s.codes, len(s.present))
+        ii.append(a + offset)
+        jj.append(b + offset)
+        offset += len(s.present)
+    return Snapshot(snapshots[0].t, np.concatenate([s.present for s in snapshots]),
+                    (np.concatenate(ii), np.concatenate(jj)), snapshots[0].time_attrs,
+                    draws=sum(s.draws for s in snapshots))
 
 
 def presence_vector(present, n=None) -> np.ndarray:

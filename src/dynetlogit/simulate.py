@@ -33,7 +33,7 @@ from scipy.special import expit
 
 from .design import _dyad_rows, _endpoint_classes, _lagged_codes
 from .gli import GLI_NAMES, gli_matrix, gli_vector
-from .panel import NetworkPanel, RiskSet, Snapshot, dyads
+from .panel import NetworkPanel, RiskSet, Snapshot, disjoint_union, dyads
 from .solver import FitResult
 from .terms import (
     GapError,
@@ -152,12 +152,12 @@ class AdequacyReport:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """GLI paths of n-step-ahead trajectories; snapshots only when kept."""
+    """GLI paths of n-step-ahead trajectories and the drawn snapshots."""
 
     steps: tuple
     gli_paths: np.ndarray  # (replicates, horizon, n_glis)
+    snapshots: tuple  # per replicate: tuple of Snapshot, one per step
     names: tuple = GLI_NAMES
-    snapshots: tuple | None = None  # per replicate: tuple of Snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +391,10 @@ class StepSampler:
     def draw_all(self, rngs):
         """One draw per generator, yielded in order as union snapshots.
 
-        A union holds consecutive draws side by side, vertex r * n + i being
-        vertex i of its r-th draw, and as many draws as fit in PAIR_BUDGET
-        dyads, at least one.  Every vertex set is drawn before any edge.
+        A union is a snapshot of consecutive draws side by side (its
+        ``draws``), vertex r * n + i being vertex i of its r-th draw, and
+        holds as many draws as fit in PAIR_BUDGET dyads, at least one.
+        Every vertex set is drawn before any edge.
         """
         n, count = self.n, len(rngs)
         if self.pairs is not None:
@@ -428,7 +429,7 @@ class StepSampler:
                 keep = _uniforms(rngs, counts).reshape(len(bits), len(pe)) < pe
             r, p = np.divmod(np.flatnonzero(keep), max(len(pe), 1))
             edges = (ii[p] + r * self.n, jj[p] + r * self.n)
-        return Snapshot(self.t, present, edges, self.attrs)
+        return Snapshot(self.t, present, edges, self.attrs, draws=len(bits))
 
 
 def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:
@@ -486,7 +487,6 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     history = History(panel, _weekday_attrs_fn(panel))
 
     threshold = config.mode == "threshold50"
-    n = len(panel.risk_set)
     classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
     words = None if threshold else _seed_words(config.seed, _step_keys(steps, m, base))
     draws = np.empty((len(steps), m, n_g))
@@ -495,15 +495,14 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
         sampler = StepSampler(spec, theta_v, theta_e, history, s, threshold=threshold,
                               fixed_vertex_set=config.fixed_vertex_set, classes=classes)
         if threshold:  # reads no generator, so every replicate draws this snapshot
-            draws[k] = gli_vector(sampler.draw()).as_array()
+            draws[k] = gli_vector(sampler.draw())
         else:
             rngs = [_generator(w) for w in words[k]]
             row = 0
             for union in sampler.draw_all(rngs):
-                block = gli_matrix(union, n)
-                draws[k, row:row + len(block)] = block
-                row += len(block)
-        observed[k] = gli_vector(panel.at(s)).as_array()
+                draws[k, row:row + union.draws] = gli_matrix(union)
+                row += union.draws
+        observed[k] = gli_vector(panel.at(s))
     small_draws = int(np.count_nonzero(draws[:, :, 0] < 3))
 
     lo_idx, hi_idx = interval_indices(m, config.alpha)
@@ -532,13 +531,15 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
 # ---------------------------------------------------------------------------
 
 def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
-            config: SimConfig, keep_snapshots: bool = False) -> ProjectionResult:
+            config: SimConfig) -> ProjectionResult:
     """Autoregressive projection past the end of the panel.
 
     Lags reaching back before the projection start read observed snapshots;
     later lags read the replicate's own sampled snapshots.  Replicate r
     draws step s from its (seed, r, s) generator, all of them hashed in one
-    pass and each built just before its draw.
+    pass and each built just before its draw.  The drawn snapshots are
+    returned, and their indices come from one ``gli_matrix`` call on their
+    disjoint union.
     """
     theta_v, theta_e = _split_theta(fit, spec)
     if not panel.snapshots:
@@ -551,27 +552,22 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
     words = _seed_words(config.seed, _step_keys(steps, config.replicates, base))
 
-    paths = np.empty((config.replicates, config.horizon, len(GLI_NAMES)))
-    kept = [] if keep_snapshots else None
+    trajectories = []
     for rep in range(config.replicates):
         history = History(panel, attrs_fn)
-        traj = []
         for h, target in enumerate(steps):
             sampler = StepSampler(spec, theta_v, theta_e, history, target,
                                   threshold=threshold,
                                   fixed_vertex_set=config.fixed_vertex_set,
                                   classes=classes)
-            snap = sampler.draw(_generator(words[h, rep]))
-            history.add(snap)
-            paths[rep, h] = gli_vector(snap).as_array()
-            if keep_snapshots:
-                traj.append(snap)
-        if keep_snapshots:
-            kept.append(tuple(traj))
+            history.add(sampler.draw(_generator(words[h, rep])))
+        trajectories.append(tuple(history.added[t] for t in steps))
 
+    paths = gli_matrix(disjoint_union([s for traj in trajectories for s in traj]))
     return ProjectionResult(
-        steps=steps, gli_paths=paths,
-        snapshots=tuple(kept) if keep_snapshots else None,
+        steps=steps,
+        gli_paths=paths.reshape(config.replicates, config.horizon, len(GLI_NAMES)),
+        snapshots=tuple(trajectories),
     )
 
 

@@ -36,10 +36,6 @@ __all__ = [
     "block_summaries",
 ]
 
-# Beyond this coefficient magnitude a logistic probability is numerically
-# saturated; growth past it with still-improving likelihood marks separation.
-SEPARATION_BOUND = 15.0
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -111,9 +107,13 @@ class FitResult:
     prior: PriorSpec
     column_names: tuple
     gradient_norm: float
-    separation: bool = False
+    separating_columns: tuple = ()  # names; empty unless the MLE does not exist
     penalized_objective: float | None = None
     notes: tuple = ()
+
+    @property
+    def separation(self) -> bool:
+        return bool(self.separating_columns)
 
     @property
     def z_scores(self) -> np.ndarray:
@@ -218,6 +218,37 @@ def _xtwx(X: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
     return (X.T @ X.multiply(w[:, None])).toarray()
 
 
+def _separating_columns(X, y, trials) -> np.ndarray:
+    """The columns of a separating direction of the rows of X with 0/1
+    responses ``y``, or none when the maximum likelihood estimate exists.
+
+    Konis's (2007) linear-programming test: the MLE is infinite iff some
+    beta has (2y - 1) x beta >= 0 on every row and > 0 on at least one
+    (Albert & Anderson 1984).  The program maximizes the ``trials``-weighted
+    sum of (2y - 1) x beta subject to those signs and -1 <= beta <= 1, on
+    columns scaled to unit max-norm; it is 0 unless the data are separated,
+    and then the support of its beta names the separating columns.  A
+    feature row seen with both responses is two rows, bounding beta both
+    ways.
+    """
+    # imported here: scipy.optimize costs about 0.26 s, and only fits
+    # without a prior ask for the test
+    from scipy.optimize import linprog
+
+    A = sp.csr_matrix(X.multiply((2.0 * np.asarray(y, dtype=float) - 1.0)[:, None]))
+    A = A @ sp.diags(1.0 / abs(A).max(axis=0).toarray().ravel())
+    res = linprog(-(A.T @ trials), A_ub=-A, b_ub=np.zeros(A.shape[0]), bounds=(-1, 1),
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"separation test failed: {res.message}")
+    beta = res.x
+    # HiGHS meets the sign constraints to about 1e-7; a margin that small is
+    # its tolerance, not a separation
+    if (A @ beta).max(initial=0.0) <= 1e-6:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.abs(beta) > 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # core engine
 # ---------------------------------------------------------------------------
@@ -252,7 +283,6 @@ def _maximize(X, y, trials, prior_arrays, tolerance, max_iter):
 
     obj = objective(theta)
     iterations = 0
-    separation = False
     converged = False
     gnorm = math.inf
 
@@ -296,27 +326,21 @@ def _maximize(X, y, trials, prior_arrays, tolerance, max_iter):
         else:
             break  # no ascent possible; report non-convergence
         theta = theta + lam * step
-        improving = cand_obj > obj + noise
         obj = cand_obj
-        if not use_prior and improving and np.abs(theta).max() > SEPARATION_BOUND:
-            separation = True
-            gnorm = float(np.abs(gradient(theta)).max(initial=0.0))
-            break
 
-    if not converged and not separation:
+    if not converged:
         gnorm = float(np.abs(gradient(theta)).max(initial=0.0))
 
     return theta, {
         "converged": converged,
         "iterations": iterations,
         "gradient_norm": gnorm,
-        "separation": separation,
         "objective": obj,
     }
 
 
 def _finalize(dm: DesignMatrix, X, y, trials, theta_active, active, info,
-              prior: PriorSpec, prior_arrays, notes):
+              prior: PriorSpec, prior_arrays, notes, separating):
     """FitResult on all columns of ``dm`` from the optimum on the active
     columns ``X`` of its patterns (inactive coefficients stay 0, their SEs
     NaN).  BIC's n is the number of trials, the design's rows."""
@@ -365,7 +389,7 @@ def _finalize(dm: DesignMatrix, X, y, trials, theta_active, active, info,
         prior=prior,
         column_names=tuple(dm.column_names),
         gradient_norm=info["gradient_norm"],
-        separation=info["separation"],
+        separating_columns=separating,
         penalized_objective=penalized,
         notes=notes,
     )
@@ -373,9 +397,9 @@ def _finalize(dm: DesignMatrix, X, y, trials, theta_active, active, info,
 
 def fit_mle(dm: DesignMatrix, tolerance: float = 1e-8,
             max_iter: int = 100) -> FitResult:
-    """Maximum likelihood fit.  Separation is detected (coefficient running
-    past +-15 with the likelihood still improving) and flagged rather than
-    raised; the returned estimates are then extreme and untrustworthy."""
+    """Maximum likelihood fit.  Separation is detected before the ascent
+    (see ``_separating_columns``) and flagged rather than raised; the fit is
+    then not converged, and its estimates are extreme and untrustworthy."""
     return fit_posterior_mode(dm, PriorSpec.none(), tolerance, max_iter)
 
 
@@ -402,12 +426,17 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
         arrays = tuple(a[active] for a in prior.resolve(dm.column_names))
     X = patterns.features[:, active].tocsr()
     y, m = patterns.responses, patterns.trials
+    separating = ()
+    if prior.kind == "none":
+        separating = tuple(dm.column_names[c] for c in active[_separating_columns(X, y, m)])
     theta, info = _maximize(X, y, m, arrays, tolerance, max_iter)
-    if info["separation"]:
-        notes = notes + ("separation detected: saturated probabilities",)
+    if separating:
+        info["converged"] = False
+        notes = notes + ("separation: no finite maximum likelihood estimate along "
+                         + ", ".join(separating),)
     elif not info["converged"]:
         notes = notes + (f"no convergence in {max_iter} iterations",)
-    return _finalize(dm, X, y, m, theta, active, info, prior, arrays, notes)
+    return _finalize(dm, X, y, m, theta, active, info, prior, arrays, notes, separating)
 
 
 def block_summaries(dm: DesignMatrix, coefficients: np.ndarray) -> dict:

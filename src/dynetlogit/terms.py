@@ -324,19 +324,18 @@ def _is_edge(codes, pairs):
 BITSET_BLOCK = 1 << 20
 
 
-def triangle_counts(snapshot: Snapshot, segment: int | None = None) -> np.ndarray:
+def triangle_counts(snapshot: Snapshot) -> np.ndarray:
     """Number of triangles through each vertex (0 for absent ones).
 
     Each edge {a, b} closes one triangle per common neighbour, so a vertex's
     count is half the sum of |N(a) & N(b)| over its edges.  Neighbourhoods
     are bitsets of uint32 words, intersected with ``np.bitwise_count``.
-    A bit numbers a vertex among those with an edge in its segment, the
-    ``segment`` consecutive vertices it belongs to (default: all of them),
-    so a union of disjoint draws needs bitsets only as wide as its largest
+    A bit numbers a vertex among those with an edge in its draw, so a union
+    of ``snapshot.draws`` draws needs bitsets only as wide as its largest
     draw.  Edges go in blocks of at most BITSET_BLOCK words per endpoint.
     """
     size = len(snapshot.present)
-    n = segment or size
+    n = size // snapshot.draws
     codes, degrees = snapshot.codes, snapshot.degrees()
     if (degrees > 1).sum() < 3:  # a triangle has three vertices of degree 2 or more
         return np.zeros(size)
@@ -345,9 +344,9 @@ def triangle_counts(snapshot: Snapshot, segment: int | None = None) -> np.ndarra
     src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     touched = degrees > 0
     rank = touched.cumsum() - 1  # bitset row of a touched vertex
-    per_segment = touched.reshape(-1, n).sum(axis=1)
-    bit = rank - (per_segment.cumsum() - per_segment).repeat(n)  # rank in its segment
-    words, rows = (int(per_segment.max()) + 31) // 32, int(rank[-1]) + 1
+    per_draw = touched.reshape(-1, n).sum(axis=1)
+    bit = rank - (per_draw.cumsum() - per_draw).repeat(n)  # rank in its draw
+    words, rows = (int(per_draw.max()) + 31) // 32, int(rank[-1]) + 1
     # word w of row v at w * rows + v; the bits set in one word are distinct,
     # so their float sum is exact and is their union
     bit = bit[dst]
@@ -368,17 +367,23 @@ def triangle_counts(snapshot: Snapshot, segment: int | None = None) -> np.ndarra
 # columns, up to 8 subset keys and their sort), so a call stays near 125 MB.
 # A batch over it is split; one pair over it is refused.
 HALF_PATH_BUDGET = 500_000
+# Most half-path rows one pair_cycle_counts call may grow over all its
+# batches, split ones included: a few seconds of counting on one core, and
+# 300 times the largest call of the bundled workloads.
+CYCLE_WORK_BUDGET = 20 * HALF_PATH_BUDGET
 
 
 class CycleBudgetError(ValueError):
-    """Counting the cycles through one edge would exceed HALF_PATH_BUDGET."""
+    """Counting cycles would exceed HALF_PATH_BUDGET for one edge, or
+    CYCLE_WORK_BUDGET for one snapshot's queried edges."""
 
 
 class _OverBudget(Exception):
-    """A batch of pairs needs more half-path rows than the budget allows."""
+    """A batch of pairs needs more half-path rows than the budget allows:
+    at least ``rows``, of which ``grown`` were grown before it stopped."""
 
-    def __init__(self, rows: int):
-        self.rows = rows
+    def __init__(self, rows: int, grown: int = 0):
+        self.rows, self.grown = rows, grown
 
 
 def _cycle_core(snapshot: Snapshot):
@@ -425,7 +430,8 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarra
     containing S).  The work grows with the number of half-paths, not of
     cycles (Alon, Yuster & Zwick 1997).  Non-adjacent pairs, and edges with
     an endpoint off the 2-core, count 0.  Raises CycleBudgetError when one
-    pair needs more than HALF_PATH_BUDGET half-path rows.
+    pair needs more than HALF_PATH_BUDGET half-path rows, or all of them
+    more than CYCLE_WORK_BUDGET.
     """
     if not 3 <= max_len <= 9:
         raise ValueError(f"max_len must be in [3, 9], got {max_len}")
@@ -448,24 +454,37 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarra
 
 
 def _cycle_batch(snapshot, indptr, indices, src, dst, max_len):
-    try:
-        return _half_path_counts(indptr, indices, src, dst, max_len)
-    except _OverBudget as over:
-        if len(src) == 1:
+    """Cycle counts of the core edges (src[r], dst[r]), in batches of at
+    most HALF_PATH_BUDGET half-path rows; a batch over it is split."""
+    where = (f"cycle statistic at t={snapshot.t} (|V_t|={snapshot.n_present}, "
+             f"|E_t|={snapshot.edge_count})")
+    out = np.empty(len(src), dtype=np.int64)
+    todo = [np.arange(len(src))]
+    total = 0
+    while todo:
+        rows = todo.pop()
+        try:
+            out[rows], held = _half_path_counts(indptr, indices, src[rows], dst[rows],
+                                                max_len)
+        except _OverBudget as over:
+            if len(rows) == 1:
+                raise CycleBudgetError(
+                    f"{where}: one edge needs more than {HALF_PATH_BUDGET} half-paths, "
+                    "the work budget per edge") from None
+            held = over.grown
+            parts = min(len(rows), max(2, -(-over.rows // HALF_PATH_BUDGET)))
+            todo.extend(np.array_split(rows, parts))
+        total += held
+        if total > CYCLE_WORK_BUDGET:
             raise CycleBudgetError(
-                f"cycle statistic at t={snapshot.t}: one edge of the snapshot "
-                f"(|V_t|={snapshot.n_present}, |E_t|={snapshot.edge_count}) needs more "
-                f"than {HALF_PATH_BUDGET} half-paths, the work budget"
-            ) from None
-        parts = min(len(src), max(2, -(-over.rows // HALF_PATH_BUDGET)))
-        return np.concatenate([
-            _cycle_batch(snapshot, indptr, indices, src[p], dst[p], max_len)
-            for p in np.array_split(np.arange(len(src)), parts)
-        ])
+                f"{where}: counting its {len(src)} queried edges passed {total} "
+                f"half-paths, over the work budget of {CYCLE_WORK_BUDGET} per snapshot")
+    return out
 
 
 def _half_path_counts(indptr, indices, src, dst, max_len):
-    """Cycle counts of the core edges (src[r], dst[r]); see pair_cycle_counts.
+    """Cycle counts of the core edges (src[r], dst[r]), and the half-path
+    rows grown for them; see pair_cycle_counts.
 
     Half h < P starts at src[h] and avoids dst[h], half P + h the reverse.
     Level l holds the half-paths of l edges as vertex columns v1..vl, rows
@@ -493,9 +512,9 @@ def _half_path_counts(indptr, indices, src, dst, max_len):
         last = cols[-1] if cols else start[half]
         d = deg[last]
         size = int(d.sum())
+        if held + size > HALF_PATH_BUDGET:
+            raise _OverBudget(held + size, held)
         held += size
-        if held > HALF_PATH_BUDGET:
-            raise _OverBudget(held)
         rep = np.repeat(np.arange(len(last)), d)
         nxt = indices[_ranges(indptr[last], d)]
         h = half[rep]
@@ -517,7 +536,7 @@ def _half_path_counts(indptr, indices, src, dst, max_len):
             if other is not None:
                 counts += _join(left, other, n_pairs, nc, base, slots)
         right_prev = right
-    return counts.astype(np.int64)
+    return counts.astype(np.int64), held
 
 
 def _subset_counts(pair, cols, k_max, n_pairs, nc, base, slots):

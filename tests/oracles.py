@@ -41,12 +41,12 @@ from dynetlogit import (
 from dynetlogit.design import TagTable, _concat, _stack, _vertex_block
 from dynetlogit.panel import _require, dyads, presence_vector
 from dynetlogit.solver import (
-    SEPARATION_BOUND,
     _information_criteria,
     _prior_curvature,
     _prior_grad,
     _prior_logpdf,
     _prior_precision_em,
+    _separating_columns,
     _solve_spd,
     _spd_inverse_diag,
 )
@@ -320,7 +320,8 @@ def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
     """The package's damped Newton fit run on every row of the design as a
     Bernoulli trial, without collapsing rows into binomial patterns: the
     same steps, line search, separation test and result as
-    ``fit_posterior_mode``, so the two agree up to summation order."""
+    ``fit_posterior_mode``, so the two agree up to summation order.  The
+    separation test runs on the rows, each of weight one."""
     prior = PriorSpec() if prior is None else prior
     nnz = dm.features.getnnz(axis=0)
     active = np.flatnonzero(nnz > 0)
@@ -346,9 +347,13 @@ def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
             g = g + _prior_grad(th, centers, scales, dfs)
         return g
 
+    separating = ()
+    if not use_prior:
+        found = _separating_columns(X, y, np.ones(len(y)))
+        separating = tuple(dm.column_names[c] for c in active[found])
     theta = np.zeros(X.shape[1])
     obj = objective(theta)
-    iterations, separation, converged, gnorm = 0, False, False, math.inf
+    iterations, converged, gnorm = 0, False, math.inf
     while iterations < max_iter:
         mu = expit(X @ theta)
         g = gradient(theta)
@@ -379,16 +384,13 @@ def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
         else:
             break
         theta = theta + lam * step
-        improving = cand_obj > obj + noise
         obj = cand_obj
-        if not use_prior and improving and np.abs(theta).max() > SEPARATION_BOUND:
-            separation = True
-            gnorm = float(np.abs(gradient(theta)).max(initial=0.0))
-            break
-    if not converged and not separation:
+    if not converged:
         gnorm = float(np.abs(gradient(theta)).max(initial=0.0))
-    if separation:
-        notes = notes + ("separation detected: saturated probabilities",)
+    if separating:
+        converged = False
+        notes = notes + ("separation: no finite maximum likelihood estimate along "
+                         + ", ".join(separating),)
     elif not converged:
         notes = notes + (f"no convergence in {max_iter} iterations",)
 
@@ -420,7 +422,7 @@ def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
         deviance=deviance, bic=bic, aic=aic, n_obs=dm.n_rows,
         converged=converged, iterations=iterations, prior=prior,
         column_names=tuple(dm.column_names), gradient_norm=gnorm,
-        separation=separation, penalized_objective=penalized, notes=notes)
+        separating_columns=separating, penalized_objective=penalized, notes=notes)
 
 
 def grouped_rows(block, responses, features, trials=None):

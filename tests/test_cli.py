@@ -75,7 +75,7 @@ def test_fit_rerun_byte_identical(workdir, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_fit_separated_data_exits_with_separation_code(tmp_path):
+def test_fit_separated_data_exits_with_separation_code(tmp_path, capsys):
     # a vertex that never re-appears plus one that always does => lag separates
     from dynetlogit import NetworkPanel, RiskSet, Snapshot
     rs = RiskSet(["a", "b"])
@@ -92,6 +92,13 @@ def test_fit_separated_data_exits_with_separation_code(tmp_path):
     assert code == EXIT_SEPARATION
     report = json.loads((tmp_path / "s_fit.json").read_text())
     assert report["fit"]["convergence"]["separation"]
+    # the lag column separates (b never appears, a always re-appears)
+    lag = spec.column_names[1]
+    assert any(lag in note for note in report["fit"]["convergence"]["notes"])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "separation"
+    assert err["message"].startswith("s: the data separate along ")
+    assert lag in err["message"]
 
 
 def test_fit_ranking_richest_wins(tmp_path):
@@ -220,6 +227,27 @@ def test_convert_bad_edge_exits_validation(tmp_path):
     code = run(["convert", tmp_path / "edges.csv", tmp_path / "presence.csv",
                 "-o", tmp_path / "out.json"])
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("convert", "--seed"), ("convert", "--out-dir"), ("convert", "--format"),
+    ("convert", "--timestamps"), ("gli", "--seed"), ("gli", "--out-dir"),
+    ("gli", "--timestamps"), ("adequacy", "--format"), ("project", "--format"),
+])
+def test_flags_a_command_does_not_read_are_refused(workdir, tmp_path, capsys, command,
+                                                   flag):
+    files = {
+        "convert": [tmp_path / "edges.csv", tmp_path / "presence.csv", "-o",
+                    tmp_path / "out.json"],
+        "gli": [workdir / "panel.json", "--t", "1"],
+        "adequacy": [workdir / "panel.json", workdir / "spec.json", tmp_path / "fit.json"],
+        "project": [workdir / "panel.json", workdir / "spec.json", tmp_path / "fit.json"],
+    }[command]
+    value = [] if flag == "--timestamps" else ["csv" if flag == "--format" else "1"]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *files, flag, *value])
+    assert exc.value.code == EXIT_PARSE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 import networkx as nx
 
 from dynetlogit import (
+    GLI_NAMES,
+    PanelValidationError,
     Snapshot,
     degree_centralization,
-    density,
+    disjoint_union,
+    gli_matrix,
     gli_vector,
     krackhardt_connectedness,
-    mean_degree,
     triad_census,
 )
-from dynetlogit.gli import gli_matrix
 from dynetlogit.terms import triangle_counts
 
 import oracles
@@ -30,6 +31,15 @@ def snap(present, edges, n=None):
 
 K3 = snap([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
 PATH4 = snap([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+DENSITY, MEAN_DEGREE = GLI_NAMES.index("density"), GLI_NAMES.index("mean_degree")
+
+
+def density(s):
+    return gli_vector(s)[DENSITY]
+
+
+def mean_degree(s):
+    return gli_vector(s)[MEAN_DEGREE]
 
 
 def test_density_examples():
@@ -40,49 +50,40 @@ def test_density_examples():
 
 def test_centralization_examples():
     star = snap([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    assert degree_centralization(star) == 1.0
+    assert degree_centralization(star).tolist() == [1.0]
     k4 = snap([0, 1, 2, 3], [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert degree_centralization(k4) == 0.0
-    assert degree_centralization(PATH4) == pytest.approx(2 / 6)
+    assert degree_centralization(k4).tolist() == [0.0]
+    assert degree_centralization(PATH4) == pytest.approx([2 / 6])
 
 
 def test_connectedness_examples():
-    assert krackhardt_connectedness(K3) == 1.0
-    assert krackhardt_connectedness(snap([0, 1, 2], [])) == 0.0
-    assert krackhardt_connectedness(snap([0, 1, 2], [(0, 1)])) == pytest.approx(1 / 3)
+    assert krackhardt_connectedness(K3).tolist() == [1.0]
+    assert krackhardt_connectedness(snap([0, 1, 2], [])).tolist() == [0.0]
+    assert krackhardt_connectedness(snap([0, 1, 2], [(0, 1)])) == pytest.approx([1 / 3])
 
 
 def test_census_examples():
-    assert triad_census(snap([0, 1, 2], [])) == (1, 0, 0, 0)
-    assert triad_census(K3) == (0, 0, 0, 1)
-    assert triad_census(PATH4) == (0, 2, 2, 0)
+    assert triad_census(snap([0, 1, 2], [])).tolist() == [[1, 0, 0, 0]]
+    assert triad_census(K3).tolist() == [[0, 0, 0, 1]]
+    assert triad_census(PATH4).tolist() == [[0, 2, 2, 0]]
 
 
 def test_gli_vector_empty_snapshot():
     for n in (3, 0):  # also an empty risk set
         v = gli_vector(snap([], [], n=n))
-        assert (v.size, v.density, v.mean_degree) == (0, 0.0, 0.0)
-        assert v.degree_centralization == 0.0
-        assert v.connectedness == 1.0
-        assert v.triad_census == (0, 0, 0, 0)
+        assert v.tolist() == [0, 0.0, 0.0, 0.0, 1.0, 0, 0, 0, 0]
 
 
 def test_gli_vector_k3():
-    v = gli_vector(K3)
-    assert v.size == 3
-    assert v.density == 1.0
-    assert v.mean_degree == 2.0
-    assert v.degree_centralization == 0.0
-    assert v.connectedness == 1.0
-    assert v.triad_census == (0, 0, 0, 1)
+    assert gli_vector(K3).tolist() == [3, 1.0, 2.0, 0.0, 1.0, 0, 0, 0, 1]
 
 
 def test_degenerate_sizes():
     assert density(snap([0], [], n=4)) == 0.0
     assert mean_degree(snap([], [], n=4)) == 0.0
-    assert degree_centralization(snap([0, 1], [(0, 1)], n=4)) == 0.0
-    assert krackhardt_connectedness(snap([0], [], n=4)) == 1.0
-    assert triad_census(snap([0, 1], [(0, 1)], n=4)) == (0, 0, 0, 0)
+    assert degree_centralization(snap([0, 1], [(0, 1)], n=4)).tolist() == [0.0]
+    assert krackhardt_connectedness(snap([0], [], n=4)).tolist() == [1.0]
+    assert triad_census(snap([0, 1], [(0, 1)], n=4)).tolist() == [[0, 0, 0, 0]]
 
 
 def test_vector_matches_components():
@@ -98,11 +99,10 @@ def test_vector_matches_components():
         ]
         s = snap(present, [(min(a, b), max(a, b)) for a, b in edges], n=10)
         v = gli_vector(s)
-        assert v.density == density(s)
-        assert v.mean_degree == mean_degree(s)
-        assert v.degree_centralization == degree_centralization(s)
-        assert v.connectedness == krackhardt_connectedness(s)
-        assert v.triad_census == triad_census(s)
+        assert v[0] == s.n_present
+        assert v[3] == degree_centralization(s)[0]
+        assert v[4] == krackhardt_connectedness(s)[0]
+        assert v[5:].tolist() == triad_census(s)[0].tolist()
 
 
 def test_against_oracles_random_graphs():
@@ -112,11 +112,12 @@ def test_against_oracles_random_graphs():
         present = list(range(n))
         edges = oracles.random_edge_set(rng, n, p=float(rng.random()))
         s = snap(present, edges, n=max(n, 1))
-        assert triad_census(s) == oracles.census_by_enumeration(present, edges)
+        assert tuple(triad_census(s)[0].tolist()) == oracles.census_by_enumeration(
+            present, edges)
         assert krackhardt_connectedness(s) == pytest.approx(
-            oracles.connectedness_by_bfs(present, edges))
+            [oracles.connectedness_by_bfs(present, edges)])
         assert degree_centralization(s) == pytest.approx(
-            oracles.centralization_by_formula(present, edges))
+            [oracles.centralization_by_formula(present, edges)])
         assert density(s) == pytest.approx(oracles.density_by_count(present, edges))
         assert mean_degree(s) == pytest.approx(
             oracles.mean_degree_by_count(present, edges))
@@ -126,8 +127,8 @@ def test_absent_vertices_do_not_count():
     # same graph embedded in a larger risk set with shuffled indices
     s = Snapshot(1, [2, 5, 9], [(2, 5), (5, 9), (2, 9)], n=12)
     assert density(s) == 1.0
-    assert triad_census(s) == (0, 0, 0, 1)
-    assert gli_vector(s).size == 3
+    assert triad_census(s).tolist() == [[0, 0, 0, 1]]
+    assert gli_vector(s)[0] == 3
 
 
 @st.composite
@@ -143,11 +144,11 @@ def graphs(draw):
 def test_census_sums_and_bounds(g):
     n, edges = g
     s = snap(list(range(n)), edges, n=max(n, 1))
-    census = triad_census(s)
-    assert sum(census) == (comb(n, 3) if n >= 3 else 0)
+    census = triad_census(s)[0]
+    assert census.sum() == (comb(n, 3) if n >= 3 else 0)
     assert 0.0 <= density(s) <= 1.0
-    assert 0.0 <= degree_centralization(s) <= 1.0
-    assert 0.0 <= krackhardt_connectedness(s) <= 1.0
+    assert 0.0 <= degree_centralization(s)[0] <= 1.0
+    assert 0.0 <= krackhardt_connectedness(s)[0] <= 1.0
 
 
 @given(graphs())
@@ -163,7 +164,7 @@ def test_adding_edge_monotone(g):
         return
     s2 = snap(list(range(n)), edges + [missing[0]], n=n)
     assert density(s2) >= density(s)
-    assert krackhardt_connectedness(s2) >= krackhardt_connectedness(s)
+    assert krackhardt_connectedness(s2)[0] >= krackhardt_connectedness(s)[0]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -188,12 +189,13 @@ def test_kernels_match_networkx_on_larger_graphs(seed):
     G.add_edges_from(edges)
     tri = nx.triangles(G)
     assert triangle_counts(s).tolist() == [tri.get(v, 0) for v in range(n)]
-    assert triad_census(s)[3] == sum(tri.values()) // 3
-    assert all(type(k) is int for k in (s.n_present, s.edge_count, *triad_census(s)))
+    assert triad_census(s)[0, 3] == sum(tri.values()) // 3
+    assert triad_census(s).dtype == np.int64
+    assert all(type(k) is int for k in (s.n_present, s.edge_count))
     reachable = sum(comb(len(c), 2) for c in nx.connected_components(G))
-    assert krackhardt_connectedness(s) == reachable / comb(len(present), 2)
+    assert krackhardt_connectedness(s).tolist() == [reachable / comb(len(present), 2)]
     assert degree_centralization(s) == pytest.approx(
-        oracles.centralization_by_formula(present.tolist(), edges))
+        [oracles.centralization_by_formula(present.tolist(), edges)])
 
     arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
     doubled = [(j, i) for i, j in edges] + edges
@@ -233,10 +235,36 @@ def test_union_indices_match_each_draw(drawn):
         part = snaps[lo:hi]
         union = Snapshot(1, np.concatenate([s.present for s in part]), (
             np.concatenate([s.edges[:, 0] + r * n for r, s in enumerate(part)]),
-            np.concatenate([s.edges[:, 1] + r * n for r, s in enumerate(part)])))
-        expected = np.array([gli_vector(s).as_array() for s in part])
-        assert np.array_equal(gli_matrix(union, n), expected)
-        assert np.array_equal(triangle_counts(union, n),
+            np.concatenate([s.edges[:, 1] + r * n for r, s in enumerate(part)])),
+            draws=len(part))
+        assert disjoint_union(part) == union
+        expected = np.array([gli_vector(s) for s in part])
+        assert np.array_equal(gli_matrix(union), expected)
+        assert np.array_equal(triangle_counts(union),
                               np.concatenate([triangle_counts(s) for s in part]))
-        assert np.array_equal(triad_census(union, n),
-                              np.array([triad_census(s) for s in part]).reshape(-1, 4))
+        assert np.array_equal(triad_census(union),
+                              np.concatenate([triad_census(s) for s in part]))
+        for index in (degree_centralization, krackhardt_connectedness):
+            assert np.array_equal(index(union), np.concatenate([index(s) for s in part]))
+
+
+def test_union_checks_its_draws():
+    """A union rejects an edge between two draws and a presence vector that
+    its draw count does not divide; a one-draw snapshot takes both."""
+    edges = [(0, 1), (2, 3)]
+    assert Snapshot(1, range(4), edges, n=4, draws=2).draws == 2
+    with pytest.raises(PanelValidationError, match=r"edge joins two draws at t=1: \(1,2\)"):
+        Snapshot(1, range(4), [(0, 1), (1, 2)], n=4, draws=2)
+    with pytest.raises(PanelValidationError, match="5 vertices at t=1 do not split into 2"):
+        Snapshot(1, range(5), edges, n=5, draws=2)
+    for draws in (0, -1):
+        with pytest.raises(PanelValidationError, match="do not split"):
+            Snapshot(1, range(4), edges, n=4, draws=draws)
+    assert Snapshot(1, range(5), [(1, 2)], n=5).draws == 1
+    # unions of unions keep each draw, and snapshots of unequal draws are refused
+    a, b = snap([0, 1], [(0, 1)], n=3), snap([1, 2], [(1, 2)], n=3)
+    nested = disjoint_union([disjoint_union([a, b]), a])
+    assert nested == disjoint_union([a, b, a])
+    assert nested.draws == 3 and gli_matrix(nested).shape == (3, len(GLI_NAMES))
+    with pytest.raises(PanelValidationError, match="differ in risk-set size"):
+        disjoint_union([a, snap([0, 1], [(0, 1)], n=4)])

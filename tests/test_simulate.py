@@ -15,7 +15,10 @@ from dynetlogit import (
     one_step_sample,
     project,
 )
-from dynetlogit.gli import gli_vector
+from dynetlogit.design import build_design
+from dynetlogit.gli import GLI_NAMES, gli_vector
+from dynetlogit.solver import fit_posterior_mode
+from dynetlogit.synth import make_month_panel, month_risk_set, nested_model_specs
 from dynetlogit.simulate import (
     _stream,
     _streams,
@@ -189,7 +192,7 @@ def test_adequacy_coverage_with_well_matched_model(core_panel):
 def test_project_horizon_one_equals_one_step(core_panel):
     fit = fake_fit(INTERCEPT_SPEC, [0.3, 0.1])
     config = SimConfig(replicates=1, horizon=1, seed=42)
-    result = project(fit, INTERCEPT_SPEC, core_panel, config, keep_snapshots=True)
+    result = project(fit, INTERCEPT_SPEC, core_panel, config)
     direct = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 2,
                              _stream(42, 0, 3, core_panel.t_min))
     assert result.steps == (3,)
@@ -205,7 +208,7 @@ def test_project_zero_vertex_model_goes_empty(core_panel):
     )
     fit = fake_fit(spec, [-60.0, 1.0, 0.0])
     config = SimConfig(replicates=3, horizon=4, seed=1)
-    result = project(fit, spec, core_panel, config, keep_snapshots=True)
+    result = project(fit, spec, core_panel, config)
     for traj in result.snapshots:
         for s in traj:
             assert s.n_present == 0
@@ -220,10 +223,40 @@ def test_projection_feeds_sampled_lags(core_panel):
     )
     fit = fake_fit(spec, [-60.0, 120.0, -2.0])
     config = SimConfig(replicates=2, horizon=3, seed=0)
-    result = project(fit, spec, core_panel, config, keep_snapshots=True)
+    result = project(fit, spec, core_panel, config)
     for traj in result.snapshots:
         for s in traj:
             assert sorted(s.present_indices) == [0, 1, 2, 3]
+
+
+def _month_model_4():
+    panel = make_month_panel()
+    spec = nested_model_specs(month_risk_set())[3]
+    return panel, spec, fit_posterior_mode(build_design(panel, spec))
+
+
+@pytest.mark.parametrize("case", ["month", "core"])
+def test_projection_indices_are_those_of_its_snapshots(core_panel, case):
+    """The projected index paths, computed on the union of every drawn
+    snapshot at once, equal each returned snapshot's own index vector bit
+    for bit."""
+    if case == "month":
+        panel, spec, fit = _month_model_4()
+        config = SimConfig(replicates=20, horizon=5, seed=17)
+    else:
+        panel, spec = core_panel, ModelSpec(
+            [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+            [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1)])
+        fit = fake_fit(spec, [0.2, 0.8, -0.1, 1.0])
+        config = SimConfig(replicates=7, horizon=4, seed=3)
+    result = project(fit, spec, panel, config)
+    assert result.gli_paths.shape == (config.replicates, config.horizon, len(GLI_NAMES))
+    assert len(result.snapshots) == config.replicates
+    for r, traj in enumerate(result.snapshots):
+        assert tuple(s.t for s in traj) == result.steps
+        for h, s in enumerate(traj):
+            assert s.draws == 1
+            assert np.array_equal(result.gli_paths[r, h], gli_vector(s))
 
 
 def test_sampled_snapshots_pass_invariants(core_panel):
@@ -315,7 +348,7 @@ def test_intervals_match_per_replicate_sampling(monkeypatch, with_logsize):
                     gli_vector(oracles.step_draw_by_replicate(
                         spec, np.asarray(theta_v), np.asarray(theta_e), History(panel), s,
                         None if mode == "threshold50" else _stream(13, rep, s, panel.t_min),
-                        threshold=mode == "threshold50", fixed_vertex_set=fixed)).as_array()
+                        threshold=mode == "threshold50", fixed_vertex_set=fixed))
                     for rep in range(config.replicates)] for s in steps])
                 small = np.count_nonzero(expected[:, :, 0] < 3)
                 if theta_v[0] < 0 and not fixed:

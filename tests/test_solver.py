@@ -65,6 +65,31 @@ def test_separated_feature_flags_separation():
     assert fit.separation
 
 
+def test_separation_with_features_beyond_one_is_flagged():
+    """The score falls below the tolerance at theta = -10.6, long before a
+    coefficient bound would notice; the linear program sees the separation
+    before the ascent starts."""
+    fit = fit_mle(make_dm(np.full((6, 1), 2.0), np.zeros(6)))
+    assert fit.separation and not fit.converged
+    assert fit.separating_columns == ("x0",)
+    assert fit.notes == ("separation: no finite maximum likelihood estimate along x0",)
+    assert fit_posterior_mode(make_dm(np.full((6, 1), 2.0), np.zeros(6))).converged
+
+
+def test_quasi_complete_separation_names_its_column():
+    """x1 = 0 is seen with both responses and x1 = 1 only with response 1:
+    the intercept is bounded both ways, the x1 coefficient is not."""
+    x = np.array([[1, 0], [1, 0], [1, 1], [1, 1], [1, 1]], dtype=float)
+    fit = fit_mle(make_dm(x, [0, 1, 1, 1, 1]))
+    assert fit.separating_columns == ("x1",)
+    assert not fit.converged
+    assert abs(fit.coefficients[0]) < 1e-8 and fit.coefficients[1] > 15
+    # one x1 = 1 row with response 0 bounds it: the MLE exists
+    overlap = fit_mle(make_dm(x, [0, 1, 0, 1, 1]))
+    assert overlap.converged and not overlap.separation
+    assert overlap.coefficients[1] == pytest.approx(math.log(2), abs=1e-8)
+
+
 def test_monte_carlo_recovery():
     rng = np.random.default_rng(123)
     n = 50_000
@@ -441,13 +466,13 @@ def test_pattern_fit_matches_row_level_newton(case):
     X = dm.features.toarray()
     active = X[:, np.abs(X).sum(axis=0) > 0]
     identified = np.linalg.matrix_rank(active) == active.shape[1]
-    saturated = [f.separation or np.abs(X @ f.coefficients).max() > 20 for f in (fit, ref)]
-    if prior.kind == "none" and any(saturated):
-        # no MLE (separation): a probability within 2e-9 of 0 or 1, and
-        # whether the gradient or the separation test ends the ascent first
-        # depends on the last bits
+    # the linear program on the patterns and on the rows decides alike
+    assert fit.separation == ref.separation
+    if fit.separation:
+        # no MLE: the ascent ends where the score falls below the
+        # tolerance, at a point its last bits decide
         event("separated MLE")
-        assert saturated[0] == saturated[1]
+        assert prior.kind == "none" and not fit.converged and not ref.converged
     elif prior.kind == "none" and not identified:
         # collinear columns: the Hessian is singular along a direction in
         # which the last bits decide the steps; the likelihood is pinned

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def test_triangle_sum_equals_three_triangles():
     for _ in range(25):
         edges = oracles.random_edge_set(rng, 6, 0.5)
         s = snap(1, list(range(6)), edges, 6)
-        assert triangle_counts(s).sum() == 3 * triad_census(s)[3]
+        assert triangle_counts(s).sum() == 3 * triad_census(s)[0, 3]
 
 
 def test_pair_cycle_count_c4():
@@ -277,6 +278,25 @@ def test_pair_cycle_count_budget_refuses_one_dense_pair():
     with pytest.raises(terms.CycleBudgetError, match=r"t=4.*\|V_t\|=60.*\|E_t\|=1770"):
         pair_cycle_count(s, 0, 1, 9)
     assert pair_cycle_count(s, 0, 1, 4) == 58 + 58 * 57  # triangles and squares
+
+
+def test_cycle_work_budget_refuses_many_affordable_pairs():
+    """Every edge of K18 is well inside the per-edge budget, but all 153 of
+    them together grow more half-paths than one call may: the call stops
+    after a few seconds instead of counting for minutes."""
+    n = 18
+    s = complete(5, list(range(n)), n)
+    held = terms._half_path_counts(*terms._cycle_core(s)[1:3], np.array([0]),
+                                   np.array([1]), 9)[1]
+    assert held < terms.HALF_PATH_BUDGET < terms.CYCLE_WORK_BUDGET < held * s.edge_count
+    ii, jj = np.divmod(s.codes, n)
+    start = time.perf_counter()
+    with pytest.raises(terms.CycleBudgetError,
+                       match=r"t=5 \(\|V_t\|=18, \|E_t\|=153\): counting its 153 queried "
+                             r"edges passed \d+ half-paths, over the work budget of 10000000"):
+        pair_cycle_counts(s, ii, jj, 9)
+    assert time.perf_counter() - start < 30
+    assert pair_cycle_counts(s, ii[:40], jj[:40], 9).tolist() == [63994816] * 40
 
 
 # --- edge statistics -----------------------------------------------------------

@@ -51,7 +51,6 @@ from .terms import (
     pair_cycle_counts,
     save_model_spec,
     seasonal_terms,
-    usable_transitions,
     validate_model,
 )
 

@@ -23,6 +23,7 @@ from .panel import (
     NetworkPanel,
     PanelFormatError,
     PanelValidationError,
+    _typed,
     load_panel,
     panel_from_edge_presence,
     read_edge_presence_tables,
@@ -98,20 +99,52 @@ def _parse_prior(text: str) -> PriorSpec:
         raise SpecError(str(exc)) from None
 
 
-def _load_fit_report(path) -> SimpleNamespace:
-    """Coefficients and column names from a fit report written by cmd_fit."""
+_MISSING = object()
+
+
+def _first_difference(a, b, where=""):
+    """The key path at which the JSON values ``a`` and ``b`` first differ, in
+    sorted key order, or None when they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        items = [(f"{where}.{k}" if where else k, a.get(k, _MISSING), b.get(k, _MISSING))
+                 for k in sorted(a.keys() | b.keys())]
+    elif isinstance(a, list) and isinstance(b, list):
+        items = [(f"{where}[{k}]", a[k] if k < len(a) else _MISSING,
+                  b[k] if k < len(b) else _MISSING) for k in range(max(len(a), len(b)))]
+    else:
+        return None if a == b else where
+    for path, x, y in items:
+        found = _first_difference(x, y, path)
+        if found is not None:
+            return found
+    return None
+
+
+def _load_fit_report(path, spec) -> SimpleNamespace:
+    """Coefficients and column names from a fit report written by cmd_fit,
+    whose ``model`` block, when it has one, must be ``spec``."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PanelFormatError(f"{path}: invalid JSON: {exc.msg}") from exc
-    block = obj.get("fit", obj)
+    _typed(obj, dict, f"{path}: top level of a fit report")
+    block = _typed(obj.get("fit", obj), dict, f"{path}: fit")
     try:
-        return SimpleNamespace(
-            coefficients=np.asarray(block["coefficients"], dtype=float),
-            column_names=tuple(block["columns"]),
-        )
+        coefficients, columns = block["coefficients"], block["columns"]
     except KeyError as exc:
         raise PanelFormatError(f"{path}: fit report lacks key {exc}") from None
+    if not isinstance(coefficients, list) or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coefficients):
+        raise PanelFormatError(f"{path}: fit.coefficients must be a list of numbers")
+    if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+        raise PanelFormatError(f"{path}: fit.columns must be a list of strings")
+    if "model" in obj:
+        key = _first_difference(json.loads(json.dumps(spec.to_dict())), obj["model"])
+        if key is not None:
+            raise ValueError(f"{path}: the model spec differs from the one the fit was "
+                             f"made under, first at {key or 'the top level'}")
+    return SimpleNamespace(coefficients=np.asarray(coefficients, dtype=float),
+                           column_names=tuple(columns))
 
 
 def _out_dir(args) -> Path:
@@ -148,7 +181,7 @@ def cmd_fit(args) -> int:
     ranking = []
     for stem, spec, spec_path in specs:
         report_path = out / f"{stem}_fit.json"
-        vr = validate_model(spec, panel, gap_policy=args.gap_policy)
+        vr = validate_model(spec, panel)
         for w in vr.warnings:
             print(f"warning: {stem}: {w}", file=sys.stderr)
         if not vr.ok:
@@ -156,7 +189,7 @@ def cmd_fit(args) -> int:
                 _fail("validation", f"{stem}: {e}")
             return EXIT_VALIDATION
 
-        dm = build_design(panel, spec, gap_policy=args.gap_policy, align_to_lag=align)
+        dm = build_design(panel, spec, align_to_lag=align)
         if args.dump_design:  # reads the rows: over the row budget, exit 3 before the fit
             dump_design(dm, panel.risk_set, out / f"{stem}_design.txt",
                         out / f"{stem}_design_columns.csv",
@@ -171,7 +204,7 @@ def cmd_fit(args) -> int:
                 "prior": prior.to_dict(),
                 "tolerance": args.tolerance,
                 "max_iter": args.max_iter,
-                "gap_policy": args.gap_policy or spec.gap_policy,
+                "gap_policy": spec.gap_policy,
                 "aligned_max_lag": align,
             },
         )
@@ -240,7 +273,7 @@ def cmd_fit(args) -> int:
 def cmd_adequacy(args) -> int:
     panel = load_panel(args.panel)
     spec = load_model_spec(args.spec)
-    fit = _load_fit_report(args.fit)
+    fit = _load_fit_report(args.fit, spec)
     out = _out_dir(args)
 
     config = SimConfig(
@@ -281,7 +314,7 @@ def cmd_adequacy(args) -> int:
 def cmd_project(args) -> int:
     panel = load_panel(args.panel)
     spec = load_model_spec(args.spec)
-    fit = _load_fit_report(args.fit)
+    fit = _load_fit_report(args.fit, spec)
     out = _out_dir(args)
 
     config = SimConfig(replicates=args.sims, horizon=args.horizon, seed=args.seed,
@@ -353,13 +386,14 @@ def cmd_gli(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    # the flags of the commands that write reports; each command takes only
-    # the flags it reads
+    # the flags of the commands that write reports, and of those that draw;
+    # each command takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root RNG seed")
     common.add_argument("--out-dir", default=".", help="directory for output files")
     common.add_argument("--timestamps", action="store_true",
                         help="embed wall-clock timestamps (breaks byte-identical reruns)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="root RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="dynetlogit",
@@ -376,14 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="none, cauchy:scale=..., or t:scale=...,df=...")
     p_fit.add_argument("--tolerance", type=float, default=1e-8)
     p_fit.add_argument("--max-iter", type=int, default=100)
-    p_fit.add_argument("--gap-policy", choices=("exclude", "bridge"), default=None)
     p_fit.add_argument("--dump-design", action="store_true",
                        help="write the design as triplets + column/tag CSVs")
     p_fit.add_argument("--format", choices=("json", "csv"), default="json",
                        help="csv also writes the coefficients as a CSV table")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_adq = sub.add_parser("adequacy", parents=[common],
+    p_adq = sub.add_parser("adequacy", parents=[seeded],
                            help="one-step simulation intervals and GLI coverage")
     p_adq.add_argument("panel")
     p_adq.add_argument("spec")
@@ -396,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="use the deterministic 50-percent rule instead of sampling")
     p_adq.set_defaults(func=cmd_adequacy)
 
-    p_prj = sub.add_parser("project", parents=[common],
+    p_prj = sub.add_parser("project", parents=[seeded],
                            help="n-step forward projection past the panel end")
     p_prj.add_argument("panel")
     p_prj.add_argument("spec")

@@ -226,10 +226,10 @@ def _endpoint_classes(risk_set, terms) -> np.ndarray:
     return np.unique(key * (len(labels) + 1) + ident, return_inverse=True)[1]
 
 
-def _lagged_codes(history, t, terms, policy) -> np.ndarray:
+def _lagged_codes(history, t, terms) -> np.ndarray:
     """Sorted codes i * n + j of the dyads tied in ``history`` at the lag,
     from step t, of some lagged edge kind of ``terms``."""
-    lagged = [history.snapshot_at(resolve_lag(history, t, lag, policy)).codes
+    lagged = [history.snapshot_at(resolve_lag(history, t, lag)).codes
               for lag in {term.lag for term in terms if term.kind in TIE_KINDS}]
     return lagged[0] if len(lagged) == 1 else np.unique(
         np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
@@ -277,12 +277,12 @@ def _dyad_rows(ii, jj, classes, draws, lagged):
     return np.concatenate([ties, reps]), of
 
 
-def _vertex_block(history, terms, t, policy):
+def _vertex_block(history, terms, t):
     """Step t's vertex rows: one per risk-set vertex."""
-    return np.column_stack([vertex_term_values(term, history, t, policy) for term in terms])
+    return np.column_stack([vertex_term_values(term, history, t) for term in terms])
 
 
-def _edge_patterns(history, terms, steps, classes, policy):
+def _edge_patterns(history, terms, steps, classes):
     """Edge rows of ``steps`` grouped as (features, responses, trials): one
     row per lagged tie among a step's present vertices, then per step and
     pair of endpoint classes (a <= b) one row per response with its dyads
@@ -317,7 +317,7 @@ def _edge_patterns(history, terms, steps, classes, policy):
     # current edges and lagged ties, keyed (step * n + i) * n + j, both
     # sorted: a step's codes are, and each step's keys exceed the last's
     edges = np.concatenate([s * n * n + snap.codes for s, snap in enumerate(snaps)])
-    ties = np.concatenate([s * n * n + _lagged_codes(history, t, terms, policy)
+    ties = np.concatenate([s * n * n + _lagged_codes(history, t, terms)
                            for s, t in enumerate(steps)])
     s, code = np.divmod(ties, n * n)
     ti, tj = np.divmod(code, n)
@@ -340,7 +340,7 @@ def _edge_patterns(history, terms, steps, classes, policy):
         dyad = np.concatenate([ties_at[tie_cut[s]:tie_cut[s + 1]],
                                reps[rep_cut[s]:rep_cut[s + 1]]])
         values = np.column_stack([
-            edge_term_values(term, history, t, dyad[:, 1], dyad[:, 2], snap.present, policy)
+            edge_term_values(term, history, t, dyad[:, 1], dyad[:, 2], snap.present)
             for term in terms])
         cut = tie_cut[s + 1] - tie_cut[s]
         tie_blocks.append(values[:cut])
@@ -370,26 +370,24 @@ def _concat(arrays, dtype):
 
 
 def build_design(panel: NetworkPanel, spec: ModelSpec,
-                 gap_policy: str | None = None,
                  align_to_lag: int | None = None) -> DesignMatrix:
     """Assemble the stacked design over every usable transition step.
 
-    A step is usable when its whole lag window is observed (or bridgeable
-    under the ``bridge`` policy).  ``align_to_lag`` forces a deeper history
-    requirement so that several candidate models can be fit on identical
-    rows and compared by BIC.
+    A step is usable when its whole lag window resolves under the spec's
+    gap policy: observed under ``exclude``, bridgeable under ``bridge``.
+    ``align_to_lag`` forces a deeper history requirement so that several
+    candidate models can be fit on identical rows and compared by BIC.
 
     The design is built from its binomial patterns: n vertex rows per step
     and the step's edge rows grouped by endpoint classes and lagged ties
     (see the module docstring).  Its rows are expanded only when read.
     """
-    policy = gap_policy or spec.gap_policy
-    history = History(panel)
+    history = History(panel, spec.gap_policy)
     window = max(spec.max_lag, align_to_lag or 0)
-    steps = usable_transitions(history, window, policy)
+    steps = usable_transitions(history, window)
     if not steps:
         raise DesignError(
-            f"no usable transition steps (max lag {window}, policy {policy!r})"
+            f"no usable transition steps (max lag {window}, policy {spec.gap_policy!r})"
         )
 
     n = len(panel.risk_set)
@@ -401,7 +399,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     for t in steps:
         snap = panel.at(t)
         if kv:
-            v_blocks.append(_vertex_block(history, spec.vertex_terms, t, policy))
+            v_blocks.append(_vertex_block(history, spec.vertex_terms, t))
             v_resp.append(snap.present.astype(np.int8))
         m = snap.n_present
         dyad_rows = m * (m - 1) // 2 if ke else 0
@@ -418,19 +416,19 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     e_blocks, e_resp, e_trials = [], np.empty(0, dtype=np.int8), np.empty(0)
     if edge_steps:
         block, e_resp, e_trials = _edge_patterns(history, spec.edge_terms, edge_steps,
-                                                 classes, policy)
+                                                 classes)
         e_blocks.append(block)
     responses = np.concatenate([_concat(v_resp, np.int8), e_resp])
     trials = np.concatenate([np.ones(nv), e_trials])
     patterns = _row_patterns(_stack(v_blocks, e_blocks, kv, ke), responses, nv, trials)
     return DesignMatrix._from_patterns(
-        patterns, partial(_design_rows, history, spec, steps, policy, classes),
+        patterns, partial(_design_rows, history, spec, steps, classes),
         column_names=spec.column_names, n_vertex_terms=kv, n_vertex_rows=nv,
         n_rows=nv + ne, steps=tuple(row_steps),
     )
 
 
-def _design_rows(history, spec, steps, policy, classes):
+def _design_rows(history, spec, steps, classes):
     """(responses, features, tags) of every row: one per (step, risk-set
     vertex) and one per (step, present dyad), the edge rows gathered from
     the rows ``_dyad_rows`` picks."""
@@ -443,7 +441,7 @@ def _design_rows(history, spec, steps, policy, classes):
     for t in steps:
         snap = history.snapshot_at(t)
         if kv:
-            v_blocks.append(_vertex_block(history, spec.vertex_terms, t, policy))
+            v_blocks.append(_vertex_block(history, spec.vertex_terms, t))
             v_resp.append(snap.present.astype(np.int8))
             v_t.append(np.full(n, t, dtype=np.int64))
         if ke:
@@ -451,9 +449,9 @@ def _design_rows(history, spec, steps, policy, classes):
             if len(ii) == 0:
                 continue
             rows, of = _dyad_rows(ii, jj, classes, 1,
-                                  _lagged_codes(history, t, spec.edge_terms, policy))
+                                  _lagged_codes(history, t, spec.edge_terms))
             ri, rj = ii[rows], jj[rows]
-            cols = [edge_term_values(term, history, t, ri, rj, snap.present, policy)
+            cols = [edge_term_values(term, history, t, ri, rj, snap.present)
                     for term in spec.edge_terms]
             e_blocks.append(np.column_stack(cols).take(of, axis=0))
             e_resp.append(_is_edge(snap.codes, ii * n + jj).astype(np.int8))

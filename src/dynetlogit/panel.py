@@ -455,10 +455,28 @@ def save_panel(panel: NetworkPanel, path) -> None:
         raise OSError(f"cannot write panel file {path}: {exc}") from exc
 
 
-def _require(obj, key, where):
-    if key not in obj:
+def _json_kind(value) -> str:
+    """What a JSON value is, for naming it in an error: the value itself
+    when it is a scalar, only its kind when it is an object or a list."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    return _as_json(value)
+
+
+def _typed(value, kind, where):
+    """``value`` if it is a ``kind``: dict, list or int (a bool is no int)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        raise PanelFormatError(f"{where} must be {name}, got {_json_kind(value)}")
+    return value
+
+
+def _require(obj, key, where, kind=None):
+    if key not in _typed(obj, dict, where):
         raise PanelFormatError(f"missing key {key!r} in {where}")
-    return obj[key]
+    return obj[key] if kind is None else _typed(obj[key], kind, f"{key} in {where}")
 
 
 def _label_indices(index, groups, count) -> tuple:
@@ -517,17 +535,17 @@ def panel_from_obj(obj: dict) -> NetworkPanel:
         raise PanelFormatError("top level of a panel file must be an object")
     if obj.get("directed", False):
         raise PanelValidationError("directed panels are not supported")
-    risk_entries = _require(obj, "risk_set", "panel file")
+    risk_entries = _require(obj, "risk_set", "panel file", list)
     labels, attr_dicts = [], []
     for k, entry in enumerate(risk_entries):
         labels.append(str(_require(entry, "label", f"risk_set[{k}]")))
-        attr_dicts.append(dict(entry.get("attrs", {})))
+        attr_dicts.append(_typed(entry.get("attrs", {}), dict, f"attrs in risk_set[{k}]"))
     risk = RiskSet(labels, attr_dicts)
 
     snapshots = []
-    for k, rec in enumerate(_require(obj, "snapshots", "panel file")):
-        t = _require(rec, "t", f"snapshots[{k}]")
-        present = list(_require(rec, "present", f"snapshots[{k}]"))
+    for k, rec in enumerate(_require(obj, "snapshots", "panel file", list)):
+        t = _require(rec, "t", f"snapshots[{k}]", int)
+        present = _require(rec, "present", f"snapshots[{k}]", list)
         at, found = _label_indices(risk._index, [present], len(present))
         if not found:
             raise PanelValidationError(f"present vertex {present[int(np.argmax(at < 0))]!r} "
@@ -535,8 +553,12 @@ def panel_from_obj(obj: dict) -> NetworkPanel:
         bits = np.zeros(len(risk), dtype=bool)
         bits[at] = True
         edges = _edge_indices(risk, _require(rec, "edges", f"snapshots[{k}]"), bits, t)
-        snapshots.append(Snapshot(t, bits, edges, rec.get("attrs", {})))
-    return NetworkPanel(risk, snapshots, obj.get("gaps", ()))
+        attrs = _typed(rec.get("attrs", {}), dict, f"attrs in snapshots[{k}]")
+        snapshots.append(Snapshot(t, bits, edges, attrs))
+    gaps = _typed(obj.get("gaps", []), list, "gaps in panel file")
+    for k, gap in enumerate(gaps):
+        _typed(gap, int, f"gaps[{k}] in panel file")
+    return NetworkPanel(risk, snapshots, gaps)
 
 
 def load_panel(path) -> NetworkPanel:

@@ -359,14 +359,14 @@ class StepSampler:
                 )
             eta = np.zeros(n)
             for theta, term in zip(theta_v, spec.vertex_terms):
-                eta += theta * vertex_term_values(term, history, t, spec.gap_policy)
+                eta += theta * vertex_term_values(term, history, t)
             self.pv = expit(eta)
             if threshold:
                 self.bits = self.pv > 0.5
         if classes is None:
             classes = _endpoint_classes(history.risk_set, spec.edge_terms)
         self.classes = classes
-        self.lagged = _lagged_codes(history, t, spec.edge_terms, spec.gap_policy)
+        self.lagged = _lagged_codes(history, t, spec.edge_terms)
         if self.bits is not None:
             ii, jj = dyads(np.flatnonzero(self.bits))
             self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits))
@@ -380,8 +380,7 @@ class StepSampler:
         ri, rj = ii[rows], jj[rows]
         eta = np.zeros(len(rows))
         for theta, term in zip(self.theta_e, self.spec.edge_terms):
-            eta += theta * edge_term_values(term, self.history, self.t, ri, rj, present,
-                                            self.spec.gap_policy)
+            eta += theta * edge_term_values(term, self.history, self.t, ri, rj, present)
         return expit(eta)[of]
 
     def draw(self, rng=None) -> Snapshot:
@@ -434,7 +433,7 @@ class StepSampler:
 
 def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:
     theta_v, theta_e = _split_theta(fit, spec)
-    history = History(panel, _weekday_attrs_fn(panel))
+    history = History(panel, spec.gap_policy, _weekday_attrs_fn(panel))
     return StepSampler(spec, theta_v, theta_e, history, t + 1, **kwargs)
 
 
@@ -478,13 +477,13 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     stands for all replicates.
     """
     theta_v, theta_e = _split_theta(fit, spec)
-    steps = usable_transitions(panel, spec.max_lag, spec.gap_policy)
+    history = History(panel, spec.gap_policy, _weekday_attrs_fn(panel))
+    steps = usable_transitions(history, spec.max_lag)
     if not steps:
         raise GapError("no predictable steps: every lag window crosses a gap")
     m = config.replicates
     n_g = len(GLI_NAMES)
     base = panel.t_min
-    history = History(panel, _weekday_attrs_fn(panel))
 
     threshold = config.mode == "threshold50"
     classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
@@ -554,7 +553,7 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
 
     trajectories = []
     for rep in range(config.replicates):
-        history = History(panel, attrs_fn)
+        history = History(panel, spec.gap_policy, attrs_fn)
         for h, target in enumerate(steps):
             sampler = StepSampler(spec, theta_v, theta_e, history, target,
                                   threshold=threshold,
@@ -592,7 +591,7 @@ def generate_panel(spec: ModelSpec, coefficients, risk_set: RiskSet,
         raise ValueError("coefficient length does not match spec")
     theta_v, theta_e = coefficients[:kv], coefficients[kv:]
 
-    history = History(NetworkPanel(risk_set, ()), attrs_fn)
+    history = History(NetworkPanel(risk_set, ()), spec.gap_policy, attrs_fn)
     n = len(risk_set)
     k = max(spec.max_lag, 1)
     words = _seed_words(seed, [(0, t) for t in range(n_steps + 1)])

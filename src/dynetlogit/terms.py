@@ -13,13 +13,14 @@ lag_cycle_embed, seasonal.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, _ranges
+from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, _json_kind, _ranges
 
 __all__ = [
     "GapError",
@@ -77,12 +78,16 @@ class TermSpec:
         if self.kind not in allowed:
             raise SpecError(f"kind {self.kind!r} not valid for {self.target} terms")
         if self.kind in LAGGED_KINDS:
-            if self.lag is None or int(self.lag) < 1:
-                raise SpecError(f"{self.kind} term requires lag >= 1, got {self.lag}")
-            object.__setattr__(self, "lag", int(self.lag))
+            lag = _integer(self.lag, f"{self.kind} term lag")
+            if lag < 1:
+                raise SpecError(f"{self.kind} term requires lag >= 1, got {lag}")
+            object.__setattr__(self, "lag", lag)
         elif self.lag is not None:
             raise SpecError(f"{self.kind} term does not take a lag")
         p = self.params
+        for key in ("attr", "pair", "label", "day", "key"):
+            if not isinstance(p.get(key, ""), str):
+                raise SpecError(f"params.{key} must be a string, got {_json_kind(p[key])}")
         if self.kind == "attr_dummy" and not p.get("attr"):
             raise SpecError("attr_dummy term requires params.attr")
         if self.kind == "mixing":
@@ -100,7 +105,7 @@ class TermSpec:
             if day not in WEEKDAYS:
                 raise SpecError(f"seasonal term requires params.day in {WEEKDAYS}")
         if self.kind == "lag_cycle_embed":
-            ml = int(p.get("max_len", 9))
+            ml = _integer(p.get("max_len", 9), "lag_cycle_embed max_len")
             if not 3 <= ml <= 9:
                 raise SpecError(f"lag_cycle_embed max_len must be in [3, 9], got {ml}")
             object.__setattr__(self, "params", {**p, "max_len": ml})
@@ -137,9 +142,25 @@ class TermSpec:
         return d
 
     @classmethod
-    def from_dict(cls, target: str, d: dict) -> "TermSpec":
-        return cls(target=target, kind=d.get("kind", ""), lag=d.get("lag"),
-                   params=dict(d.get("params", {})))
+    def from_dict(cls, target: str, d: dict, where: str = "term") -> "TermSpec":
+        """The term of a spec file's entry ``d``; errors name ``where``."""
+        if not isinstance(d, dict):
+            raise SpecError(f"{where} must be an object, got {_json_kind(d)}")
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise SpecError(f"params in {where} must be an object, got {_json_kind(params)}")
+        try:
+            return cls(target=target, kind=d.get("kind", ""), lag=d.get("lag"),
+                       params=dict(params))
+        except SpecError as exc:
+            raise SpecError(f"{where}: {exc}") from None
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{what} must be an integer, got {_json_kind(value)}")
+    return int(value)
 
 
 def seasonal_terms(target: str, reference: str = "Monday", key: str = "day"):
@@ -193,11 +214,17 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            vertex_terms=[TermSpec.from_dict("vertex", x) for x in d.get("vertex_terms", [])],
-            edge_terms=[TermSpec.from_dict("edge", x) for x in d.get("edge_terms", [])],
-            gap_policy=d.get("gap_policy", "exclude"),
-        )
+        if not isinstance(d, dict):
+            raise SpecError(f"top level of a model spec must be an object, got {_json_kind(d)}")
+        terms = {}
+        for target in ("vertex", "edge"):
+            key = f"{target}_terms"
+            entries = d.get(key, [])
+            if not isinstance(entries, list):
+                raise SpecError(f"{key} must be a list of terms, got {_json_kind(entries)}")
+            terms[target] = [TermSpec.from_dict(target, x, f"{key}[{k}]")
+                             for k, x in enumerate(entries)]
+        return cls(terms["vertex"], terms["edge"], d.get("gap_policy", "exclude"))
 
 
 def load_model_spec(path) -> ModelSpec:
@@ -230,15 +257,17 @@ class History:
     """An observed panel plus snapshots added on top of it.
 
     Lag terms read observed and added snapshots alike; an added snapshot
-    takes precedence.  A time with no snapshot has time attributes only
-    through ``attrs_fn``, so without one a term that needs them raises
-    GapError there.
+    takes precedence.  Every lag resolves under ``policy``, the spec's
+    gap policy, so fit, adequacy and projection read the same snapshots.
+    A time with no snapshot has time attributes only through ``attrs_fn``,
+    so without one a term that needs them raises GapError there.
     """
 
-    __slots__ = ("panel", "added", "attrs_fn", "_times")
+    __slots__ = ("panel", "policy", "added", "attrs_fn", "_times")
 
-    def __init__(self, panel: NetworkPanel, attrs_fn=None):
+    def __init__(self, panel: NetworkPanel, policy: str, attrs_fn=None):
         self.panel = panel
+        self.policy = policy
         self.added: dict[int, Snapshot] = {}
         self.attrs_fn = attrs_fn
         self._times = panel.observed_times  # sorted; None once stale
@@ -267,36 +296,35 @@ class History:
         return None if self.attrs_fn is None else self.attrs_fn(t)
 
 
-def resolve_lag(history, t: int, lag: int, policy: str = "exclude") -> int:
-    """Time index a lag-``lag`` statistic at time ``t`` should read.
+def resolve_lag(history: History, t: int, lag: int) -> int:
+    """Time index a lag-``lag`` statistic at time ``t`` should read, under
+    the history's gap policy.
 
     Under ``exclude`` the lag counts calendar slots and any unobserved slot
     in between is an error; under ``bridge`` it counts back over observed
     snapshots only.
     """
-    if policy == "exclude":
+    if history.policy == "exclude":
         u = t - lag
         if history.snapshot_at(u) is None:
             raise GapError(f"lag {lag} at t={t} needs unobserved slot {u}")
         return u
-    if policy == "bridge":
+    if history.policy == "bridge":
         times = history.available_times()
         pos = bisect_left(times, t)
         if pos - lag < 0:
             raise GapError(f"lag {lag} at t={t}: fewer than {lag} earlier snapshots")
         return times[pos - lag]
-    raise SpecError(f"unknown gap policy {policy!r}")
+    raise SpecError(f"unknown gap policy {history.policy!r}")
 
 
-def usable_transitions(history, max_lag: int, policy: str = "exclude"):
-    """Observed times whose entire lag window 1..max_lag is resolvable."""
-    if isinstance(history, NetworkPanel):
-        history = History(history)
+def usable_transitions(history: History, max_lag: int):
+    """Available times whose entire lag window 1..max_lag is resolvable."""
     out = []
     for t in history.available_times():
         try:
             for lag in range(1, max_lag + 1):
-                resolve_lag(history, t, lag, policy)
+                resolve_lag(history, t, lag)
         except GapError:
             continue
         out.append(t)
@@ -597,8 +625,7 @@ def _seasonal_value(term: TermSpec, history, t: int) -> float:
     return 1.0 if day == term.params["day"] else 0.0
 
 
-def vertex_term_values(term: TermSpec, history, t: int,
-                       policy: str = "exclude") -> np.ndarray:
+def vertex_term_values(term: TermSpec, history: History, t: int) -> np.ndarray:
     """Statistic of one vertex term for every risk-set vertex at time t."""
     rs = history.risk_set
     n = len(rs)
@@ -612,7 +639,7 @@ def vertex_term_values(term: TermSpec, history, t: int,
             raise SpecError(str(exc)) from None
     if kind == "seasonal":
         return np.full(n, _seasonal_value(term, history, t))
-    u = resolve_lag(history, t, term.lag, policy)
+    u = resolve_lag(history, t, term.lag)
     snap = history.snapshot_at(u)
     if kind == "lag_indicator":
         return snap.present.astype(float)
@@ -621,9 +648,8 @@ def vertex_term_values(term: TermSpec, history, t: int,
     raise SpecError(f"kind {kind!r} is not a vertex statistic")
 
 
-def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
-                     jj: np.ndarray, present: np.ndarray,
-                     policy: str = "exclude") -> np.ndarray:
+def edge_term_values(term: TermSpec, history: History, t: int, ii: np.ndarray,
+                     jj: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Statistic of one edge term for the dyads (ii[r], jj[r]) at time t.
 
     ``present`` is the current vertex set the edge model conditions on; for
@@ -668,7 +694,7 @@ def edge_term_values(term: TermSpec, history, t: int, ii: np.ndarray,
         return np.full(m, logs[0]) if draw is None else logs[draw]
     if kind == "seasonal":
         return np.full(m, _seasonal_value(term, history, t))
-    u = resolve_lag(history, t, term.lag, policy)
+    u = resolve_lag(history, t, term.lag)
     snap = history.snapshot_at(u)
     if kind == "lag_indicator":
         return _is_edge(snap.codes, ii.astype(np.int64) * n + jj).astype(float)
@@ -738,21 +764,20 @@ def _check_collinear(terms_list, side, warnings):
         warnings.append(f"{side} terms: all 7 day dummies plus full mixing set are collinear")
 
 
-def validate_model(spec: ModelSpec, panel: NetworkPanel,
-                   gap_policy: str | None = None) -> ModelValidationReport:
-    """Static checks of a model against a panel, plus the usable time range."""
-    policy = gap_policy or spec.gap_policy
+def validate_model(spec: ModelSpec, panel: NetworkPanel) -> ModelValidationReport:
+    """Static checks of a model against a panel, plus the usable time range
+    under the spec's gap policy."""
     errors: list[str] = []
     warnings: list[str] = []
     _check_attr_refs(spec.vertex_terms + spec.edge_terms, panel.risk_set, errors)
     _check_collinear(spec.vertex_terms, "vertex", warnings)
     _check_collinear(spec.edge_terms, "edge", warnings)
 
-    steps = usable_transitions(panel, spec.max_lag, policy)
+    steps = usable_transitions(History(panel, spec.gap_policy), spec.max_lag)
     if not steps:
         errors.append(
             f"no usable transition steps for max lag {spec.max_lag} "
-            f"under gap policy {policy!r}"
+            f"under gap policy {spec.gap_policy!r}"
         )
 
     seasonal_keys = {

@@ -203,13 +203,13 @@ def triangle_count(snapshot, p) -> int:
     return int(triangle_counts(snapshot)[_index(p)])
 
 
-def vertex_stat(term, panel, t, p, policy=None) -> float:
+def vertex_stat(term, panel, t, p, policy="exclude") -> float:
     """One vertex statistic value; the per-row scalar entry of the design."""
-    vals = vertex_term_values(term, History(panel), t, policy or "exclude")
+    vals = vertex_term_values(term, History(panel, policy), t)
     return float(vals[_index(p)])
 
 
-def edge_stat(term, panel, t, i, j, current_present, policy=None) -> float:
+def edge_stat(term, panel, t, i, j, current_present, policy="exclude") -> float:
     """One edge statistic value for the dyad {i, j} given the current vertices."""
     i, j = sorted((_index(i), _index(j)))
     if i == j:
@@ -217,8 +217,8 @@ def edge_stat(term, panel, t, i, j, current_present, policy=None) -> float:
     bits = presence_vector(current_present, len(panel.risk_set))
     if not (bits[i] and bits[j]):
         raise ValueError(f"dyad ({i},{j}) endpoints must be in the current vertex set")
-    vals = edge_term_values(term, History(panel), t, np.array([i]), np.array([j]),
-                            bits, policy or "exclude")
+    vals = edge_term_values(term, History(panel, policy), t, np.array([i]), np.array([j]),
+                            bits)
     return float(vals[0])
 
 
@@ -235,7 +235,7 @@ def step_draw_by_replicate(spec, theta_v, theta_e, history, t, rng=None, *,
     else:
         eta = np.zeros(n)
         for theta, term in zip(theta_v, spec.vertex_terms):
-            eta += theta * vertex_term_values(term, history, t, spec.gap_policy)
+            eta += theta * vertex_term_values(term, history, t)
         pv = expit(eta)
         bits = pv > 0.5 if threshold else rng.random(n) < pv
     idx = np.flatnonzero(bits)
@@ -244,7 +244,7 @@ def step_draw_by_replicate(spec, theta_v, theta_e, history, t, rng=None, *,
     eta = np.zeros(len(ii))
     if len(ii):
         for theta, term in zip(theta_e, spec.edge_terms):
-            eta += theta * edge_term_values(term, history, t, ii, jj, bits, spec.gap_policy)
+            eta += theta * edge_term_values(term, history, t, ii, jj, bits)
     pe = expit(eta)
     keep = pe > 0.5 if threshold else rng.random(len(pe)) < pe
     return Snapshot(t, bits, (ii[keep], jj[keep]), history.time_attrs_at(t) or {})
@@ -438,11 +438,11 @@ def grouped_rows(block, responses, features, trials=None):
     return full[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
-def design_rows_by_dyad(panel, spec, steps, policy):
+def design_rows_by_dyad(panel, spec, steps):
     """(responses, features, tags) of the design's rows at ``steps``: one per
     (step, risk-set vertex) and one per (step, present dyad), every edge
-    term evaluated on every dyad."""
-    history = History(panel)
+    term evaluated on every dyad under the spec's gap policy."""
+    history = History(panel, spec.gap_policy)
     n = len(history.risk_set)
     kv, ke = len(spec.vertex_terms), len(spec.edge_terms)
 
@@ -452,14 +452,14 @@ def design_rows_by_dyad(panel, spec, steps, policy):
     for t in steps:
         snap = history.snapshot_at(t)
         if kv:
-            v_blocks.append(_vertex_block(history, spec.vertex_terms, t, policy))
+            v_blocks.append(_vertex_block(history, spec.vertex_terms, t))
             v_resp.append(snap.present.astype(np.int8))
             v_t.append(np.full(n, t, dtype=np.int64))
         if ke:
             ii, jj = dyads(snap.present_indices)
             if len(ii) == 0:
                 continue
-            cols = [edge_term_values(term, history, t, ii, jj, snap.present, policy)
+            cols = [edge_term_values(term, history, t, ii, jj, snap.present)
                     for term in spec.edge_terms]
             e_blocks.append(np.column_stack(cols))
             e_resp.append(_is_edge(snap.codes, ii * n + jj).astype(np.int8))
@@ -484,7 +484,7 @@ def patterns_by_rows(dm, panel, spec):
     """The rows of ``dm``, a design of ``panel`` under ``spec`` and its gap
     policy, expanded dyad by dyad and grouped whole: independent of
     ``dm.patterns`` and of the dyad classification behind ``dm.rows()``."""
-    responses, features, _ = design_rows_by_dyad(panel, spec, dm.steps, spec.gap_policy)
+    responses, features, _ = design_rows_by_dyad(panel, spec, dm.steps)
     block = np.arange(len(responses)) >= dm.n_vertex_rows
     return grouped_rows(block, responses, features)
 

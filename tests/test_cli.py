@@ -233,10 +233,12 @@ def test_convert_bad_edge_exits_validation(tmp_path):
     ("convert", "--seed"), ("convert", "--out-dir"), ("convert", "--format"),
     ("convert", "--timestamps"), ("gli", "--seed"), ("gli", "--out-dir"),
     ("gli", "--timestamps"), ("adequacy", "--format"), ("project", "--format"),
+    ("fit", "--seed"), ("fit", "--gap-policy"),
 ])
 def test_flags_a_command_does_not_read_are_refused(workdir, tmp_path, capsys, command,
                                                    flag):
     files = {
+        "fit": [workdir / "panel.json", workdir / "spec.json"],
         "convert": [tmp_path / "edges.csv", tmp_path / "presence.csv", "-o",
                     tmp_path / "out.json"],
         "gli": [workdir / "panel.json", "--t", "1"],
@@ -256,8 +258,12 @@ def test_parse_error_exit_code(tmp_path):
     assert run(["gli", bad, "--t", "1"]) == EXIT_PARSE
 
 
-def test_fit_gap_policy_flag(tmp_path):
+@pytest.fixture(scope="module")
+def bridge_run(tmp_path_factory):
+    """A 3-vertex panel with a gap at t=3, a spec whose gap policy is
+    ``bridge``, and the fit report of that spec."""
     from dynetlogit import NetworkPanel, RiskSet, Snapshot
+    root = tmp_path_factory.mktemp("bridge")
     rs = RiskSet(["a", "b", "c"])
     rng = np.random.default_rng(5)
     snaps = []
@@ -267,17 +273,136 @@ def test_fit_gap_policy_flag(tmp_path):
         edges = [(int(idx[a]), int(idx[b])) for a in range(len(idx))
                  for b in range(a + 1, len(idx)) if rng.random() < 0.5]
         snaps.append(Snapshot(t, bits, edges, n=3))
-    save_panel(NetworkPanel(rs, snaps, gaps=[3]), tmp_path / "p.json")
+    save_panel(NetworkPanel(rs, snaps, gaps=[3]), root / "p.json")
     spec = ModelSpec(
         [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
-        [],
+        [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1)],
+        gap_policy="bridge",
     )
-    save_model_spec(spec, tmp_path / "s.json")
-    assert run(["fit", tmp_path / "p.json", tmp_path / "s.json",
-                "--gap-policy", "bridge", "--out-dir", tmp_path]) == EXIT_OK
-    report = json.loads((tmp_path / "s_fit.json").read_text())
-    assert report["design"]["usable_steps"] == [2, 4, 5, 6]
+    save_model_spec(spec, root / "s.json")
+    assert run(["fit", root / "p.json", root / "s.json", "--out-dir", root]) == EXIT_OK
+    return root
+
+
+def test_bridge_spec_fits_and_checks_the_same_steps(bridge_run, tmp_path):
+    report = json.loads((bridge_run / "s_fit.json").read_text())
+    assert report["model"]["gap_policy"] == "bridge"
     assert report["manifest"]["settings"]["gap_policy"] == "bridge"
+    # t=4 follows the gap: bridged, its lag reads t=2
+    assert report["design"]["usable_steps"] == [2, 4, 5, 6]
+    assert run(["adequacy", bridge_run / "p.json", bridge_run / "s.json",
+                bridge_run / "s_fit.json", "--sims", "20", "--out-dir", tmp_path]) == EXIT_OK
+    glis = json.loads((tmp_path / "adequacy.json").read_text())["adequacy"]["glis"]
+    assert [rec["step"] for rec in glis["size"]["steps"]] == [2, 4, 5, 6]
+
+
+def test_project_accepts_the_bridge_spec_and_its_fit(bridge_run, tmp_path):
+    assert run(["project", bridge_run / "p.json", bridge_run / "s.json",
+                bridge_run / "s_fit.json", "--horizon", "3", "--sims", "2",
+                "--out-dir", tmp_path]) == EXIT_OK
+    lines = (tmp_path / "project_gli.csv").read_text().splitlines()
+    assert len(lines) == 2 + 2 * 3 * 9  # comment + header + replicates * steps * glis
+
+
+@pytest.mark.parametrize("command", ["adequacy", "project"])
+@pytest.mark.parametrize("fitted, checked, where", [
+    (ModelSpec([TermSpec("vertex", "intercept")], [], gap_policy="bridge"),
+     ModelSpec([TermSpec("vertex", "intercept")], []), "gap_policy"),
+    (ModelSpec([TermSpec("vertex", "seasonal", params={"day": "Friday", "key": "day"})], []),
+     ModelSpec([TermSpec("vertex", "seasonal", params={"day": "Friday", "key": "weekday"})],
+               []), "vertex_terms[0].params.key"),
+    (ModelSpec([TermSpec("vertex", "intercept")], []),
+     ModelSpec([TermSpec("vertex", "intercept"), TermSpec("vertex", "intercept")], []),
+     "vertex_terms[1]"),
+])
+def test_spec_unlike_the_fitted_model_is_refused(workdir, tmp_path, capsys, command,
+                                                 fitted, checked, where):
+    report = {"model": fitted.to_dict(),
+              "fit": {"coefficients": [0.0] * len(fitted.column_names),
+                      "columns": list(fitted.column_names)}}
+    (tmp_path / "fit.json").write_text(json.dumps(report))
+    save_model_spec(checked, tmp_path / "spec.json")
+    assert run([command, workdir / "panel.json", tmp_path / "spec.json",
+                tmp_path / "fit.json", "--out-dir", tmp_path / "out"]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert err["message"].endswith(f"first at {where}")
+
+
+@pytest.fixture(scope="module")
+def workdir_fit(workdir):
+    """The fit report of the shared spec."""
+    assert run(["fit", workdir / "panel.json", workdir / "spec.json",
+                "--out-dir", workdir / "fit"]) == EXIT_OK
+    return workdir / "fit" / "spec_fit.json"
+
+
+# (file, key path to replace, new value, the end of the parse error)
+_MALFORMED = {
+    "spec top level": ("spec", (), [1],
+                       "top level of a model spec must be an object, got a list"),
+    "terms not a list": ("spec", ("vertex_terms",), "intercept",
+                         'vertex_terms must be a list of terms, got "intercept"'),
+    "term a string": ("spec", ("vertex_terms", 0), "intercept",
+                      'vertex_terms[0] must be an object, got "intercept"'),
+    "params a number": ("spec", ("edge_terms", 0, "params"), 5,
+                        "params in edge_terms[0] must be an object, got 5"),
+    "param a list": ("spec", ("vertex_terms", 0), {"kind": "attr_dummy",
+                                                   "params": {"attr": ["regular"]}},
+                     'vertex_terms[0]: params.attr must be a string, got a list'),
+    "lag a string": ("spec", ("vertex_terms", 1, "lag"), "1",
+                     'vertex_terms[1]: lag_indicator term lag must be an integer, got "1"'),
+    "lag a fraction": ("spec", ("edge_terms", 1, "lag"), 1.5,
+                       "edge_terms[1]: lag_indicator term lag must be an integer, got 1.5"),
+    "max_len a string": ("spec", ("edge_terms", 1),
+                         {"kind": "lag_cycle_embed", "lag": 1, "params": {"max_len": "x"}},
+                         'edge_terms[1]: lag_cycle_embed max_len must be an integer, got "x"'),
+    "snapshot a number": ("panel", ("snapshots", 2), 5,
+                          "snapshots[2] must be an object, got 5"),
+    "risk-set entry a number": ("panel", ("risk_set", 1), 5,
+                                "risk_set[1] must be an object, got 5"),
+    "risk set an object": ("panel", ("risk_set",), {"a": {}},
+                           "risk_set in panel file must be a list, got an object"),
+    "vertex attrs a number": ("panel", ("risk_set", 0, "attrs"), 5,
+                              "attrs in risk_set[0] must be an object, got 5"),
+    "snapshot attrs a number": ("panel", ("snapshots", 1, "attrs"), 5,
+                                "attrs in snapshots[1] must be an object, got 5"),
+    "t a string": ("panel", ("snapshots", 0, "t"), "x",
+                   't in snapshots[0] must be an integer, got "x"'),
+    "t a fraction": ("panel", ("snapshots", 0, "t"), 1.5,
+                     "t in snapshots[0] must be an integer, got 1.5"),
+    "fit report top level": ("fit", (), [1],
+                             "top level of a fit report must be an object, got a list"),
+    "fit block a number": ("fit", ("fit",), 5, "fit must be an object, got 5"),
+    "coefficient a string": ("fit", ("fit", "coefficients", 1), "x",
+                             "fit.coefficients must be a list of numbers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_input_is_a_parse_error(workdir, workdir_fit, tmp_path, capsys, name):
+    part, path, value, message = _MALFORMED[name]
+    files = {"panel": workdir / "panel.json", "spec": workdir / "spec.json",
+             "fit": workdir_fit}
+    obj = json.loads(files[part].read_text())
+    if path:
+        *head, last = path
+        target = obj
+        for key in head:
+            target = target[key]
+        target[last] = value
+    else:
+        obj = value
+    files[part] = tmp_path / f"{part}.json"
+    files[part].write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["adequacy", files["panel"], files["spec"], files["fit"], "--sims", "2",
+                "--out-dir", tmp_path / "out"]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "parse"
+    assert err["message"].endswith(message)
 
 
 def test_convergence_exit_code(workdir, tmp_path):

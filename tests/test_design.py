@@ -150,10 +150,9 @@ def test_bridge_policy_recovers_post_gap_step():
     rs = RiskSet(["a", "b", "c"])
     snaps = [snap(t, [0, 1, 2], [(0, 1)], 3) for t in (1, 2, 4, 5)]
     p = NetworkPanel(rs, snaps, gaps=[3])
-    spec = ModelSpec([TermSpec("vertex", "intercept"),
-                      TermSpec("vertex", "lag_indicator", lag=1)], [])
-    excl = build_design(p, spec)
-    bridged = build_design(p, spec, gap_policy="bridge")
+    terms = [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)]
+    excl = build_design(p, ModelSpec(terms, []))
+    bridged = build_design(p, ModelSpec(terms, [], gap_policy="bridge"))
     assert sorted(set(excl.tags.t)) == [2, 5]
     assert sorted(set(bridged.tags.t)) == [2, 4, 5]
     # the bridged t=4 rows read the t=2 snapshot as their lag
@@ -302,7 +301,7 @@ def assert_rows_equal_rows_by_dyad(dm, panel, spec):
     equal the rows with every edge term evaluated on every dyad, byte for
     byte."""
     responses, features, tags = dm.rows()
-    want = oracles.design_rows_by_dyad(panel, spec, dm.steps, spec.gap_policy)
+    want = oracles.design_rows_by_dyad(panel, spec, dm.steps)
     got = [responses, features.indptr, features.indices, features.data,
            tags.kind, tags.t, tags.i, tags.j]
     for a, b in zip(got, [want[0], want[1].indptr, want[1].indices, want[1].data,

@@ -1,0 +1,46 @@
+"""The README's command-line synopsis lists exactly the flags of the parser."""
+
+import argparse
+import re
+from pathlib import Path
+
+from dynetlogit.cli import _build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_synopsis() -> dict:
+    """Flags per command in the first code block under "## Command line"."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    flags, command = {}, None
+    for line in block.splitlines():
+        head = re.match(r"dynetlogit (\w+)", line)
+        if head:
+            command = head.group(1)
+            flags[command] = set()
+        if command is not None:
+            flags[command] |= set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", line))
+    return flags
+
+
+def _parser_flags() -> dict:
+    """Per command, the option strings of each of its optional arguments."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [tuple(a.option_strings) for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, parser in sub.choices.items()}
+
+
+def test_readme_synopsis_matches_parser():
+    documented, actual = _readme_synopsis(), _parser_flags()
+    assert set(documented) == set(actual)
+    for command, options in actual.items():
+        # every documented flag is one of the command's, and every option of
+        # the command is documented under one of its spellings
+        known = {flag for spellings in options for flag in spellings}
+        assert documented[command] <= known, (command, documented[command] - known)
+        missing = [s for s in options if not documented[command] & set(s)]
+        assert not missing, (command, missing)

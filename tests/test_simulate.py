@@ -343,10 +343,11 @@ def test_intervals_match_per_replicate_sampling(monkeypatch, with_logsize):
                                 ("threshold50", False)):
                 config = SimConfig(replicates=25, alpha=0.9, seed=13, mode=mode,
                                    fixed_vertex_set=fixed)
-                steps = simulate.usable_transitions(panel, spec.max_lag)
+                steps = simulate.usable_transitions(History(panel, "exclude"), spec.max_lag)
                 expected = np.array([[
                     gli_vector(oracles.step_draw_by_replicate(
-                        spec, np.asarray(theta_v), np.asarray(theta_e), History(panel), s,
+                        spec, np.asarray(theta_v), np.asarray(theta_e),
+                        History(panel, spec.gap_policy), s,
                         None if mode == "threshold50" else _stream(13, rep, s, panel.t_min),
                         threshold=mode == "threshold50", fixed_vertex_set=fixed))
                     for rep in range(config.replicates)] for s in steps])
@@ -531,10 +532,10 @@ def test_weekday_extrapolation():
     rs = RiskSet(["a", "b"])
     snaps = [Snapshot(t, [0, 1], [], weekday_attrs(t, 2), n=2) for t in (1, 2, 3)]
     panel = NetworkPanel(rs, snaps)
-    hist = History(panel, _weekday_attrs_fn(panel))
+    hist = History(panel, "exclude", _weekday_attrs_fn(panel))
     assert hist.time_attrs_at(4) == weekday_attrs(4, 2)
     assert hist.time_attrs_at(11) == weekday_attrs(11, 2)  # full week later
-    assert History(panel).time_attrs_at(4) is None  # observed days only
+    assert History(panel, "exclude").time_attrs_at(4) is None  # observed days only
 
 
 def test_generate_panel_deterministic_and_valid():

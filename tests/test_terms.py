@@ -17,7 +17,6 @@ from dynetlogit import (
     pair_cycle_count,
     seasonal_terms,
     triad_census,
-    usable_transitions,
     validate_model,
 )
 import dynetlogit.terms as terms
@@ -26,6 +25,7 @@ from dynetlogit.terms import (
     pair_cycle_counts,
     resolve_lag,
     triangle_counts,
+    usable_transitions,
 )
 
 import oracles
@@ -393,23 +393,23 @@ def test_bridge_policy_spans_gap():
     p = gap_panel()
     term = TermSpec("vertex", "lag_indicator", lag=1)
     assert vertex_stat(term, p, 4, 0, policy="bridge") == 1.0
-    assert resolve_lag(History(p), 4, 1, "bridge") == 2
+    assert resolve_lag(History(p, "bridge"), 4, 1) == 2
     with pytest.raises(GapError):
-        resolve_lag(History(p), 1, 1, "bridge")
+        resolve_lag(History(p, "bridge"), 1, 1)
 
 
 def test_usable_transitions_counts():
     p = gap_panel()
-    assert usable_transitions(p, 1, "exclude") == (2, 5)
-    assert usable_transitions(p, 1, "bridge") == (2, 4, 5)
-    assert usable_transitions(p, 0, "exclude") == (1, 2, 4, 5)
+    assert usable_transitions(History(p, "exclude"), 1) == (2, 5)
+    assert usable_transitions(History(p, "bridge"), 1) == (2, 4, 5)
+    assert usable_transitions(History(p, "exclude"), 0) == (1, 2, 4, 5)
 
 
 def test_month_shape_gives_28_usable_steps():
     rs = RiskSet(["a", "b"])
     snaps = [snap(t, [0], [], 2, {"day": "Monday"}) for t in range(1, 32) if t != 25]
     p = NetworkPanel(rs, snaps, gaps=[25])
-    assert len(usable_transitions(p, 1, "exclude")) == 28
+    assert len(usable_transitions(History(p, "exclude"), 1)) == 28
 
 
 # --- model validation ------------------------------------------------------------
@@ -484,12 +484,13 @@ def test_model_spec_bad_json_is_spec_error(tmp_path):
         load_model_spec(path)
 
 
-def test_validate_model_policy_override():
+def test_validate_model_reads_the_spec_policy():
     p = gap_panel()
-    spec = ModelSpec([TermSpec("vertex", "intercept"),
-                      TermSpec("vertex", "lag_indicator", lag=1)], [])
-    assert len(validate_model(spec, p).usable_steps) == 2
-    assert len(validate_model(spec, p, gap_policy="bridge").usable_steps) == 3
+    terms = [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)]
+    assert validate_model(ModelSpec(terms, []), p).usable_steps == (2, 5)
+    bridged = validate_model(ModelSpec(terms, [], gap_policy="bridge"), p)
+    assert bridged.usable_steps == (2, 4, 5)
+    assert bridged.errors == ()
 
 
 # --- invariants ------------------------------------------------------------------

@@ -227,33 +227,47 @@ def _endpoint_classes(risk_set, terms) -> np.ndarray:
 
 
 def _lagged_codes(history, t, terms) -> np.ndarray:
-    """Sorted codes i * n + j of the dyads tied in ``history`` at the lag,
-    from step t, of some lagged edge kind of ``terms``."""
-    lagged = [history.snapshot_at(resolve_lag(history, t, lag)).codes
-              for lag in {term.lag for term in terms if term.kind in TIE_KINDS}]
+    """Sorted codes of the dyads tied in ``history`` at the lag, from step
+    t, of some lagged edge kind of ``terms``: i * n + j over the risk set,
+    or over the union of a history of several draws, where a snapshot the
+    draws share is tiled once per draw."""
+    n, reps = len(history.risk_set), history.draws
+    lagged = []
+    for lag in {term.lag for term in terms if term.kind in TIE_KINDS}:
+        snap = history.snapshot_at(resolve_lag(history, t, lag))
+        codes = snap.codes
+        if snap.draws < reps:
+            i, j = np.divmod(codes, n)
+            shift = np.arange(reps)[:, None] * n
+            codes = ((i + shift) * (reps * n) + (j + shift)).ravel()
+        lagged.append(codes)
     return lagged[0] if len(lagged) == 1 else np.unique(
         np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
 
 
-def _dyad_rows(ii, jj, classes, draws, lagged):
+def _dyad_rows(ii, jj, classes, draws, lagged, union=False):
     """The dyads an edge term is evaluated on, for dyads (ii, jj) of a union
     of ``draws`` draws, vertex r * n + i being vertex i of draw r.
 
-    A dyad is a lagged tie when its risk-set pair is in ``lagged`` (sorted
-    codes i * n + j); every other dyad's class is its draw and the pair of
-    its endpoints' ``classes``.  Every edge kind is constant over the
-    dyads of one class, the lagged kinds being 0 there.  ``rows`` lists
-    every lagged tie, then one representative per class, and ``of`` is each
-    dyad's position in ``rows``, so a term's values on ``(ii[rows],
-    jj[rows])`` gathered by ``of`` are its values on every dyad.
+    A dyad is a lagged tie when its pair is in ``lagged`` (sorted codes
+    i * n + j of risk-set pairs, or with ``union`` of pairs of the union,
+    each draw having lags of its own); every other dyad's class is its draw
+    and the pair of its endpoints' ``classes``.  Every edge kind is
+    constant over the dyads of one class, the lagged kinds being 0 there.
+    ``rows`` lists every lagged tie, then one representative per class, and
+    ``of`` is each dyad's position in ``rows``, so a term's values on
+    ``(ii[rows], jj[rows])`` gathered by ``of`` are its values on every
+    dyad.
     """
     n, k = len(classes), int(classes.max(initial=0)) + 1
-    # per union vertex: its risk-set index, and its class plus k times its
-    # draw, so that a dyad's two values, ordered, key its class (draw, a, b)
-    # below draws * k * (k + 1)
-    local = np.tile(np.arange(n), draws)
+    # per union vertex: its class plus k times its draw, so that a dyad's
+    # two values, ordered, key its class (draw, a, b) below draws * k * (k + 1)
     cls = (np.arange(draws)[:, None] * k + classes).ravel()
-    tie = _is_edge(lagged, local[ii] * n + local[jj])
+    if union:
+        tie = _is_edge(lagged, ii * (draws * n) + jj)
+    else:
+        local = np.tile(np.arange(n), draws)
+        tie = _is_edge(lagged, local[ii] * n + local[jj])
     ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
     a, b = cls[ii[free]], cls[jj[free]]
     key = np.minimum(a, b)

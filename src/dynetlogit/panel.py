@@ -26,6 +26,7 @@ __all__ = [
     "NetworkPanel",
     "dyads",
     "disjoint_union",
+    "split_draws",
     "load_panel",
     "save_panel",
     "subpanel",
@@ -58,7 +59,7 @@ class RiskSet:
     ``None`` so every column covers every vertex.
     """
 
-    __slots__ = ("labels", "attrs", "_index", "_indicators")
+    __slots__ = ("labels", "attrs", "_index", "_indicators", "_json")
 
     def __init__(self, labels, attrs=None):
         labels = tuple(str(x) for x in labels)
@@ -90,6 +91,7 @@ class RiskSet:
         object.__setattr__(self, "_indicators", {
             k: _read_only(np.array([1.0 if v in (True, 1) else 0.0 for v in column]))
             for k, column in table.items()})
+        object.__setattr__(self, "_json", None)
 
     def __len__(self):
         return len(self.labels)
@@ -249,6 +251,19 @@ def disjoint_union(snapshots) -> Snapshot:
                     draws=sum(s.draws for s in snapshots))
 
 
+def split_draws(snapshot: Snapshot) -> tuple:
+    """The draws of a union snapshot, in order, as snapshots of one draw
+    each with the union's time and time attributes."""
+    n_all = len(snapshot.present)
+    size = n_all // snapshot.draws
+    a, b = np.divmod(snapshot.codes, n_all)
+    cut = np.searchsorted(a, np.arange(snapshot.draws + 1) * size).tolist()
+    return tuple(
+        Snapshot(snapshot.t, snapshot.present[r * size:(r + 1) * size],
+                 (a[lo:hi] - r * size, b[lo:hi] - r * size), snapshot.time_attrs)
+        for r, (lo, hi) in enumerate(zip(cut[:-1], cut[1:])))
+
+
 def presence_vector(present, n=None) -> np.ndarray:
     """Read-only bool vector over a risk set, from a bool vector or from the
     indices of the present vertices and the risk-set size ``n``."""
@@ -396,6 +411,34 @@ def _json_attrs(attrs: dict, memo) -> str:
     return text
 
 
+def _risk_set_json(rs: RiskSet) -> tuple:
+    """What a panel's text takes from its risk set, built once and cached
+    on it: the encoded ``risk_set`` array, each vertex's rank among the
+    labels in sorted order, and by rank the encoded first and second label
+    of an edge."""
+    if rs._json is None:
+        n = len(rs)
+        labels = np.array([_encode_str(lab) for lab in rs.labels], dtype=object)
+        memo = {}
+        names = sorted(rs.attrs)
+        rows = zip(*(rs.attrs[k] for k in names)) if names else [()] * n
+        risk = [
+            '{\n      "attrs": '
+            + _json_attrs({k: v for k, v in zip(names, row) if v is not None}, memo)
+            + ',\n      "label": ' + lab + "\n    }"
+            for lab, row in zip(labels.tolist(), rows)
+        ]
+        # an edge is its two labels in sorted order, and edges sort by that
+        # pair: rank the labels once and sort each snapshot's edges by ranks
+        order = np.array(sorted(range(n), key=rs.labels.__getitem__), dtype=np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        object.__setattr__(rs, "_json", (
+            labels, _json_list(risk, 1), rank,
+            "[\n          " + labels[order] + ",\n          ", labels[order] + "\n        ]"))
+    return rs._json
+
+
 def panel_to_json(panel: NetworkPanel) -> str:
     """Canonical serialization: same panel -> identical bytes.
 
@@ -405,28 +448,12 @@ def panel_to_json(panel: NetworkPanel) -> str:
     in risk-set order and the ``edges`` as label pairs, smaller label first,
     in sorted order), ``gaps`` and ``directed: false``.  ``json.dumps`` with
     an indent runs json's pure-Python encoder, so the text is written
-    directly: each label is encoded once, and only attrs go through
-    ``json.dumps``.
+    directly: each label is encoded once per risk set, and only attrs go
+    through ``json.dumps``.
     """
-    rs = panel.risk_set
-    n = len(rs)
-    labels = np.array([_encode_str(lab) for lab in rs.labels], dtype=object)
+    labels, risk, rank, first, second = _risk_set_json(panel.risk_set)
+    n = len(labels)
     memo = {}
-    names = sorted(rs.attrs)
-    rows = zip(*(rs.attrs[k] for k in names)) if names else [()] * n
-    risk = [
-        '{\n      "attrs": '
-        + _json_attrs({k: v for k, v in zip(names, row) if v is not None}, memo)
-        + ',\n      "label": ' + lab + "\n    }"
-        for lab, row in zip(labels.tolist(), rows)
-    ]
-    # an edge is its two labels in sorted order, and edges sort by that pair:
-    # rank the labels once and sort each snapshot's edges by endpoint ranks
-    order = np.array(sorted(range(n), key=rs.labels.__getitem__), dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    first = "[\n          " + labels[order] + ",\n          "  # by rank
-    second = labels[order] + "\n        ]"
     snaps = []
     for s in panel.snapshots:
         a, b = np.divmod(s.codes, n)
@@ -442,7 +469,7 @@ def panel_to_json(panel: NetworkPanel) -> str:
     return (
         '{\n  "directed": false'
         + ',\n  "gaps": ' + _json_list([str(g) for g in panel.gaps], 1)
-        + ',\n  "risk_set": ' + _json_list(risk, 1)
+        + ',\n  "risk_set": ' + risk
         + ',\n  "snapshots": ' + _json_list(snaps, 1)
         + "\n}\n"
     )

@@ -33,7 +33,7 @@ from scipy.special import expit
 
 from .design import _dyad_rows, _endpoint_classes, _lagged_codes
 from .gli import GLI_NAMES, gli_matrix, gli_vector
-from .panel import NetworkPanel, RiskSet, Snapshot, disjoint_union, dyads
+from .panel import NetworkPanel, RiskSet, Snapshot, disjoint_union, dyads, split_draws
 from .solver import FitResult
 from .terms import (
     GapError,
@@ -328,9 +328,14 @@ class StepSampler:
     generator: ``random(n)`` for the vertices, then ``random(#dyads)`` for
     the dyads in row-major order.  Under ``threshold`` both are the
     50-percent rule (ties are absent) and no generator is read.  Vertex
-    probabilities are computed once.  When every draw shares one vertex set
-    (``fixed_vertex_set`` or ``threshold``) so do its dyads, whose edge
-    probabilities are computed once; otherwise once per union of draws.
+    probabilities are computed once.  When every draw shares one history
+    and one vertex set (``fixed_vertex_set`` or ``threshold``) they share
+    their dyads too, whose edge probabilities are computed once; otherwise
+    once per union of draws.
+
+    A history of several draws (a projection advanced in lockstep) is drawn
+    one draw per history draw: draw r reads the lags of draw r, and its
+    vertex probabilities are its own.
 
     Edge probabilities are evaluated per class.  ``design._dyad_rows``
     sorts the dyads into lagged ties (edges of the history at the lag of a
@@ -351,32 +356,33 @@ class StepSampler:
         self.n = n = len(history.risk_set)
         self.pv = self.bits = self.pairs = None
         if fixed_vertex_set:
-            self.bits = np.ones(n, dtype=bool)
+            self.bits = np.ones((1, n), dtype=bool)
         else:
             if not spec.vertex_terms:
                 raise SpecError(
                     "model has no vertex terms; simulate with fixed_vertex_set instead"
                 )
-            eta = np.zeros(n)
+            eta = np.zeros(history.draws * n)
             for theta, term in zip(theta_v, spec.vertex_terms):
                 eta += theta * vertex_term_values(term, history, t)
-            self.pv = expit(eta)
+            self.pv = expit(eta).reshape(history.draws, n)
             if threshold:
                 self.bits = self.pv > 0.5
         if classes is None:
             classes = _endpoint_classes(history.risk_set, spec.edge_terms)
         self.classes = classes
         self.lagged = _lagged_codes(history, t, spec.edge_terms)
-        if self.bits is not None:
+        if self.bits is not None and history.draws == 1:
             ii, jj = dyads(np.flatnonzero(self.bits))
-            self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits))
+            self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits.ravel()))
         self.attrs = history.time_attrs_at(t) or {}
 
     def _edge_probs(self, ii, jj, present):
         # never evaluated on no dyads: log_size would take the log of 0
         if not len(ii):
             return np.empty(0)
-        rows, of = _dyad_rows(ii, jj, self.classes, len(present) // self.n, self.lagged)
+        rows, of = _dyad_rows(ii, jj, self.classes, len(present) // self.n, self.lagged,
+                              union=self.history.draws > 1)
         ri, rj = ii[rows], jj[rows]
         eta = np.zeros(len(rows))
         for theta, term in zip(self.theta_e, self.spec.edge_terms):
@@ -393,17 +399,20 @@ class StepSampler:
         A union is a snapshot of consecutive draws side by side (its
         ``draws``), vertex r * n + i being vertex i of its r-th draw, and
         holds as many draws as fit in PAIR_BUDGET dyads, at least one.
-        Every vertex set is drawn before any edge.
+        Every vertex set is drawn before any edge.  A history of several
+        draws takes one generator per draw.
         """
         n, count = self.n, len(rngs)
-        if self.pairs is not None:
+        if self.bits is not None:
             bits = np.broadcast_to(self.bits, (count, n))
-            counts = np.full(count, len(self.pairs[0]))
         else:
             uniforms = np.empty((count, n))
             for rng, row in zip(rngs, uniforms):
                 rng.random(out=row)
             bits = uniforms < self.pv
+        if self.pairs is not None:
+            counts = np.full(count, len(self.pairs[0]))
+        else:
             k = bits.sum(axis=1)
             counts = k * (k - 1) // 2
         ends = np.cumsum(counts)
@@ -411,24 +420,30 @@ class StepSampler:
         while lo < count:
             limit = (ends[lo - 1] if lo else 0) + PAIR_BUDGET
             hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
-            yield self._union(bits[lo:hi], rngs[lo:hi], counts[lo:hi])
+            yield self._union(bits, lo, hi, rngs[lo:hi], counts[lo:hi])
             lo = hi
 
-    def _union(self, bits, rngs, counts) -> Snapshot:
-        present = bits.ravel()
+    def _union(self, bits, lo, hi, rngs, counts) -> Snapshot:
+        """Draws lo..hi-1 of the vertex sets ``bits`` as one union."""
+        present = bits[lo:hi].ravel()
         if self.pairs is None:
-            ii, jj = dyads(np.flatnonzero(present), bits.sum(axis=1))
-            keep = _uniforms(rngs, counts) < self._edge_probs(ii, jj, present)
+            ii, jj = dyads(np.flatnonzero(present), bits[lo:hi].sum(axis=1))
+            if self.history.draws > 1:  # dyads of the history's union read its draws
+                shift = lo * self.n
+                probs = self._edge_probs(ii + shift, jj + shift, bits.ravel())
+            else:
+                probs = self._edge_probs(ii, jj, present)
+            keep = probs > 0.5 if self.threshold else _uniforms(rngs, counts) < probs
             edges = (ii[keep], jj[keep])
         else:  # draw r's dyad p is (ii[p], jj[p]), offset by r * n
             ii, jj, pe = self.pairs
             if self.threshold:
-                keep = np.broadcast_to(pe > 0.5, (len(bits), len(pe)))
+                keep = np.broadcast_to(pe > 0.5, (hi - lo, len(pe)))
             else:
-                keep = _uniforms(rngs, counts).reshape(len(bits), len(pe)) < pe
+                keep = _uniforms(rngs, counts).reshape(hi - lo, len(pe)) < pe
             r, p = np.divmod(np.flatnonzero(keep), max(len(pe), 1))
             edges = (ii[p] + r * self.n, jj[p] + r * self.n)
-        return Snapshot(self.t, present, edges, self.attrs, draws=len(bits))
+        return Snapshot(self.t, present, edges, self.attrs, draws=hi - lo)
 
 
 def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:
@@ -534,39 +549,40 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     """Autoregressive projection past the end of the panel.
 
     Lags reaching back before the projection start read observed snapshots;
-    later lags read the replicate's own sampled snapshots.  Replicate r
-    draws step s from its (seed, r, s) generator, all of them hashed in one
-    pass and each built just before its draw.  The drawn snapshots are
-    returned, and their indices come from one ``gli_matrix`` call on their
-    disjoint union.
+    later lags read the replicate's own sampled snapshots.  The replicates
+    advance in lockstep on one history of ``config.replicates`` draws: each
+    step's sampler draws every replicate at once, as ``one_step_intervals``
+    does, and the step's union of draws is what later lags read (replicate
+    r's draw being draw r), while an observed snapshot is shared by every
+    replicate.  Replicate r still draws step s from its own (seed, r, s)
+    generator, all of them hashed in one pass and each step's built just
+    before its draw.  The indices come from one ``gli_matrix`` call on the
+    union of every step's draws, and each union is cut into its
+    replicates' snapshots.
     """
     theta_v, theta_e = _split_theta(fit, spec)
     if not panel.snapshots:
         raise ValueError("cannot project from an empty panel")
     start = panel.observed_times[-1] + 1
     steps = tuple(range(start, start + config.horizon))
-    base = panel.t_min
+    m = config.replicates
     threshold = config.mode == "threshold50"
-    attrs_fn = _weekday_attrs_fn(panel)
     classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
-    words = _seed_words(config.seed, _step_keys(steps, config.replicates, base))
+    words = _seed_words(config.seed, _step_keys(steps, m, panel.t_min))
 
-    trajectories = []
-    for rep in range(config.replicates):
-        history = History(panel, spec.gap_policy, attrs_fn)
-        for h, target in enumerate(steps):
-            sampler = StepSampler(spec, theta_v, theta_e, history, target,
-                                  threshold=threshold,
-                                  fixed_vertex_set=config.fixed_vertex_set,
-                                  classes=classes)
-            history.add(sampler.draw(_generator(words[h, rep])))
-        trajectories.append(tuple(history.added[t] for t in steps))
+    history = History(panel, spec.gap_policy, _weekday_attrs_fn(panel), draws=m)
+    for h, target in enumerate(steps):
+        sampler = StepSampler(spec, theta_v, theta_e, history, target, threshold=threshold,
+                              fixed_vertex_set=config.fixed_vertex_set, classes=classes)
+        unions = list(sampler.draw_all([_generator(w) for w in words[h]]))
+        history.add(unions[0] if len(unions) == 1 else disjoint_union(unions))
+    drawn = [history.added[t] for t in steps]
 
-    paths = gli_matrix(disjoint_union([s for traj in trajectories for s in traj]))
+    paths = gli_matrix(disjoint_union(drawn)).reshape(config.horizon, m, len(GLI_NAMES))
     return ProjectionResult(
         steps=steps,
-        gli_paths=paths.reshape(config.replicates, config.horizon, len(GLI_NAMES)),
-        snapshots=tuple(trajectories),
+        gli_paths=np.ascontiguousarray(paths.transpose(1, 0, 2)),
+        snapshots=tuple(zip(*(split_draws(union) for union in drawn))),
     )
 
 

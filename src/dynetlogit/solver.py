@@ -219,17 +219,22 @@ def _xtwx(X: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
 
 
 def _separating_columns(X, y, trials) -> np.ndarray:
-    """The columns of a separating direction of the rows of X with 0/1
-    responses ``y``, or none when the maximum likelihood estimate exists.
+    """The columns that diverge when the rows of X with 0/1 responses ``y``
+    are separated, or none when the maximum likelihood estimate exists.
 
     Konis's (2007) linear-programming test: the MLE is infinite iff some
     beta has (2y - 1) x beta >= 0 on every row and > 0 on at least one
     (Albert & Anderson 1984).  The program maximizes the ``trials``-weighted
     sum of (2y - 1) x beta subject to those signs and -1 <= beta <= 1, on
-    columns scaled to unit max-norm; it is 0 unless the data are separated,
-    and then the support of its beta names the separating columns.  A
-    feature row seen with both responses is two rows, bounding beta both
-    ways.
+    columns scaled to unit max-norm; it is 0 unless the data are separated.
+    The support of the one direction it returns can leave out columns that
+    diverge too, so a separated design then also names every column that is
+    nonzero in some direction of the same cone and box: one program
+    maximizes, and one minimizes, each column not yet named.  Given one
+    separating direction, any direction of the cone plus a small multiple of
+    it separates, so these are the columns of some separating direction
+    (collinear columns included).  A feature row seen with both responses
+    is two rows, bounding beta both ways.
     """
     # imported here: scipy.optimize costs about 0.26 s, and only fits
     # without a prior ask for the test
@@ -237,16 +242,25 @@ def _separating_columns(X, y, trials) -> np.ndarray:
 
     A = sp.csr_matrix(X.multiply((2.0 * np.asarray(y, dtype=float) - 1.0)[:, None]))
     A = A @ sp.diags(1.0 / abs(A).max(axis=0).toarray().ravel())
-    res = linprog(-(A.T @ trials), A_ub=-A, b_ub=np.zeros(A.shape[0]), bounds=(-1, 1),
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"separation test failed: {res.message}")
-    beta = res.x
+    cone = {"A_ub": -A, "b_ub": np.zeros(A.shape[0]), "bounds": (-1, 1), "method": "highs"}
+
+    def solve(cost):
+        res = linprog(cost, **cone)
+        if res.status != 0:
+            raise RuntimeError(f"separation test failed: {res.message}")
+        return res.x
+
+    beta = solve(-(A.T @ trials))
     # HiGHS meets the sign constraints to about 1e-7; a margin that small is
     # its tolerance, not a separation
     if (A @ beta).max(initial=0.0) <= 1e-6:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.abs(beta) > 1e-6)
+    named = np.abs(beta) > 1e-6
+    for c in range(A.shape[1]):
+        for sign in (-1.0, 1.0):  # maximize the column, then minimize it
+            if not named[c]:
+                named |= np.abs(solve(np.eye(1, A.shape[1], c).ravel() * sign)) > 1e-6
+    return np.flatnonzero(named)
 
 
 # ---------------------------------------------------------------------------

@@ -261,15 +261,22 @@ class History:
     gap policy, so fit, adequacy and projection read the same snapshots.
     A time with no snapshot has time attributes only through ``attrs_fn``,
     so without one a term that needs them raises GapError there.
+
+    A history may hold ``draws`` histories side by side, one per draw of
+    a projection advanced in lockstep: every added snapshot is then a union
+    of ``draws`` draws (vertex r * n + i being vertex i of draw r), and an
+    observed snapshot is shared by every draw, as if tiled ``draws`` times.
+    Term values then come one block of n per draw.
     """
 
-    __slots__ = ("panel", "policy", "added", "attrs_fn", "_times")
+    __slots__ = ("panel", "policy", "added", "attrs_fn", "draws", "_times")
 
-    def __init__(self, panel: NetworkPanel, policy: str, attrs_fn=None):
+    def __init__(self, panel: NetworkPanel, policy: str, attrs_fn=None, *, draws=1):
         self.panel = panel
         self.policy = policy
         self.added: dict[int, Snapshot] = {}
         self.attrs_fn = attrs_fn
+        self.draws = draws
         self._times = panel.observed_times  # sorted; None once stale
 
     @property
@@ -277,6 +284,9 @@ class History:
         return self.panel.risk_set
 
     def add(self, snap: Snapshot) -> None:
+        if snap.draws != self.draws:
+            raise ValueError(f"a history of {self.draws} draw(s) cannot add a snapshot "
+                             f"of {snap.draws}")
         self.added[snap.t] = snap
         self._times = None
 
@@ -403,24 +413,25 @@ CYCLE_WORK_BUDGET = 20 * HALF_PATH_BUDGET
 
 class CycleBudgetError(ValueError):
     """Counting cycles would exceed HALF_PATH_BUDGET for one edge, or
-    CYCLE_WORK_BUDGET for one snapshot's queried edges."""
+    CYCLE_WORK_BUDGET for one draw's queried edges."""
 
 
 class _OverBudget(Exception):
     """A batch of pairs needs more half-path rows than the budget allows:
-    at least ``rows``, of which ``grown`` were grown before it stopped."""
+    at least ``rows``."""
 
-    def __init__(self, rows: int, grown: int = 0):
-        self.rows, self.grown = rows, grown
+    def __init__(self, rows: int):
+        self.rows = rows
 
 
 def _cycle_core(snapshot: Snapshot):
     """The snapshot's 2-core as compact CSR, cached on the snapshot.
 
-    Returns (ids, indptr, indices, edges): ``ids`` maps a risk-set index to
+    Returns (ids, indptr, indices, edges, starts): ``ids`` maps a vertex to
     its core id (-1 off the core), ``indptr``/``indices`` are the core's
-    adjacency with sorted rows, and ``edges`` its edges as sorted codes
-    ``a * nc + b`` with a < b.  Every cycle lies in the 2-core.
+    adjacency with sorted rows, ``edges`` its edges as sorted codes
+    ``a * nc + b`` with a < b, and the core ids of draw d are
+    ``starts[d]`` up to ``starts[d + 1]``.  Every cycle lies in the 2-core.
     """
     if snapshot._core is None:
         n = len(snapshot.present)
@@ -440,11 +451,13 @@ def _cycle_core(snapshot: Snapshot):
         indptr = np.zeros(nc + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=nc), out=indptr[1:])
         indices = dst[np.argsort(src * nc + dst)]
-        snapshot._core = (ids, indptr, indices, a * nc + b)
+        starts = np.searchsorted(verts, np.arange(snapshot.draws + 1) * (n // snapshot.draws))
+        snapshot._core = (ids, indptr, indices, a * nc + b, starts)
     return snapshot._core
 
 
-def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarray:
+def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9,
+                      groups=None) -> np.ndarray:
     """Simple cycles of length 3..max_len through each edge {ii[r], jj[r]}.
 
     A cycle through the edge {i, j} is a simple i-j path of e = 2..max_len-1
@@ -457,9 +470,15 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarra
     sum over S of (-1)^|S| (#halves from i containing S) (#halves from j
     containing S).  The work grows with the number of half-paths, not of
     cycles (Alon, Yuster & Zwick 1997).  Non-adjacent pairs, and edges with
-    an endpoint off the 2-core, count 0.  Raises CycleBudgetError when one
-    pair needs more than HALF_PATH_BUDGET half-path rows, or all of them
-    more than CYCLE_WORK_BUDGET.
+    an endpoint off the 2-core, count 0.
+
+    On a union snapshot each draw is counted as if on its own: keys number
+    vertices within their draw, and the budgets apply per draw.  Raises
+    CycleBudgetError when one pair needs more than HALF_PATH_BUDGET
+    half-path rows, or the pairs of one draw more than CYCLE_WORK_BUDGET.
+    ``groups``, when given, names for each pair the budget it counts
+    against in place of its draw's (the draw that queries it, on a snapshot
+    that several draws share).
     """
     if not 3 <= max_len <= 9:
         raise ValueError(f"max_len must be in [3, 9], got {max_len}")
@@ -468,7 +487,7 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarra
     if np.any(ii == jj):
         raise ValueError("pair endpoints must differ")
     out = np.zeros(len(ii), dtype=np.int64)
-    ids, indptr, indices, edges = _cycle_core(snapshot)
+    ids, indptr, indices, edges, starts = _cycle_core(snapshot)
     if not len(edges) or not len(ii):
         return out
     a, b = ids[ii], ids[jj]
@@ -477,60 +496,83 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarra
     pos = np.minimum(np.searchsorted(edges, code), len(edges) - 1)
     rows = np.flatnonzero((lo >= 0) & (edges[pos] == code))
     if len(rows):
-        out[rows] = _cycle_batch(snapshot, indptr, indices, a[rows], b[rows], max_len)
+        out[rows] = _cycle_batch(snapshot, a[rows], b[rows], max_len,
+                                 None if groups is None else np.asarray(groups)[rows])
     return out
 
 
-def _cycle_batch(snapshot, indptr, indices, src, dst, max_len):
+def _cycle_batch(snapshot, src, dst, max_len, groups):
     """Cycle counts of the core edges (src[r], dst[r]), in batches of at
-    most HALF_PATH_BUDGET half-path rows; a batch over it is split."""
-    where = (f"cycle statistic at t={snapshot.t} (|V_t|={snapshot.n_present}, "
-             f"|E_t|={snapshot.edge_count})")
+    most HALF_PATH_BUDGET half-path rows; a batch over it is split.  A
+    pair's work is the half-path rows it grows in the batch that counts
+    it, so a draw's work does not depend on the other draws of a union."""
+    _, indptr, indices, _, starts = _cycle_core(snapshot)
+    draw = np.searchsorted(starts, src, "right") - 1
+    width = np.diff(starts)[draw]
+    offset = starts[draw] if snapshot.draws > 1 else None
+    groups = draw if groups is None else groups
+    work = np.zeros(int(groups.max()) + 1)
     out = np.empty(len(src), dtype=np.int64)
     todo = [np.arange(len(src))]
-    total = 0
     while todo:
         rows = todo.pop()
         try:
-            out[rows], held = _half_path_counts(indptr, indices, src[rows], dst[rows],
-                                                max_len)
+            out[rows], grown = _half_path_counts(
+                indptr, indices, src[rows], dst[rows], max_len,
+                None if offset is None else offset[rows], int(width[rows].max()))
         except _OverBudget as over:
             if len(rows) == 1:
                 raise CycleBudgetError(
-                    f"{where}: one edge needs more than {HALF_PATH_BUDGET} half-paths, "
-                    "the work budget per edge") from None
-            held = over.grown
+                    f"{_cycle_site(snapshot, draw[rows[0]])}: one edge needs more than "
+                    f"{HALF_PATH_BUDGET} half-paths, the work budget per edge") from None
             parts = min(len(rows), max(2, -(-over.rows // HALF_PATH_BUDGET)))
             todo.extend(np.array_split(rows, parts))
-        total += held
-        if total > CYCLE_WORK_BUDGET:
+            continue
+        work += np.bincount(groups[rows], grown, minlength=len(work))
+        if work.max() > CYCLE_WORK_BUDGET:
+            g = int(np.argmax(work > CYCLE_WORK_BUDGET))
+            mine = np.flatnonzero(groups == g)
             raise CycleBudgetError(
-                f"{where}: counting its {len(src)} queried edges passed {total} "
-                f"half-paths, over the work budget of {CYCLE_WORK_BUDGET} per snapshot")
+                f"{_cycle_site(snapshot, draw[mine[0]])}: counting its {len(mine)} queried "
+                f"edges passed {int(work[g])} half-paths, over the work budget of "
+                f"{CYCLE_WORK_BUDGET} per draw")
     return out
 
 
-def _half_path_counts(indptr, indices, src, dst, max_len):
+def _cycle_site(snapshot, d):
+    """The time and sizes of draw d of ``snapshot``, for a budget error."""
+    size = len(snapshot.present) // snapshot.draws
+    cut = np.searchsorted(snapshot.codes, np.array([d, d + 1]) * size * len(snapshot.present))
+    return (f"cycle statistic at t={snapshot.t} (|V_t|="
+            f"{np.count_nonzero(snapshot.present[d * size:(d + 1) * size])}, "
+            f"|E_t|={cut[1] - cut[0]})")
+
+
+def _half_path_counts(indptr, indices, src, dst, max_len, offset=None, width=None):
     """Cycle counts of the core edges (src[r], dst[r]), and the half-path
-    rows grown for them; see pair_cycle_counts.
+    rows grown for each; see pair_cycle_counts.
 
     Half h < P starts at src[h] and avoids dst[h], half P + h the reverse.
     Level l holds the half-paths of l edges as vertex columns v1..vl, rows
     sorted by half.  A subset key packs (pair, m, sorted subset) into one
-    int64, each subset vertex as one base-(nc+1) digit and padded with zero
-    digits, so keys from both sides and every level share one key space.
+    int64, each vertex numbered within its draw (core id minus the pair's
+    ``offset``, below ``width``, the core ids of the widest draw), each
+    subset vertex as one base-(width+1) digit and padded with zero digits,
+    so keys from both sides and every level share one key space.
     """
-    n_pairs, nc = len(src), len(indptr) - 1
+    n_pairs = len(src)
+    nc = len(indptr) - 1 if width is None else width
     left_levels, right_levels = max_len // 2, (max_len - 1) // 2
     slots = right_levels - 1  # the largest subset two joined halves can share
     base = nc + 1
-    if n_pairs * nc * base**slots >= 2**63:  # for one pair: a core of ~55k vertices
+    if n_pairs * nc * base**slots >= 2**63:  # for one pair: a draw's core of ~55k vertices
         raise _OverBudget(2 * HALF_PATH_BUDGET)
     deg = np.diff(indptr)
     start, avoid = np.concatenate([src, dst]), np.concatenate([dst, src])
     half = np.arange(2 * n_pairs)
     cols = []
     held = 0
+    grown = np.zeros(n_pairs)
     counts = np.zeros(n_pairs)
     right_prev = None
     for level in range(1, left_levels + 1):
@@ -541,8 +583,9 @@ def _half_path_counts(indptr, indices, src, dst, max_len):
         d = deg[last]
         size = int(d.sum())
         if held + size > HALF_PATH_BUDGET:
-            raise _OverBudget(held + size, held)
+            raise _OverBudget(held + size)
         held += size
+        grown += np.bincount(half % n_pairs, d, minlength=n_pairs)
         rep = np.repeat(np.arange(len(last)), d)
         nxt = indices[_ranges(indptr[last], d)]
         h = half[rep]
@@ -554,20 +597,22 @@ def _half_path_counts(indptr, indices, src, dst, max_len):
 
         k_max = min(level, right_levels) - 1
         n_left = np.searchsorted(half, n_pairs)
-        left = _subset_counts(half[:n_left], [c[:n_left] for c in cols], k_max,
-                              n_pairs, nc, base, slots)
+        pair = (half[:n_left], half[n_left:] - n_pairs)
+        local = cols if offset is None else [c - offset[half % n_pairs] for c in cols]
+        left = _subset_counts(pair[0], [c[:n_left] for c in local], k_max,
+                              nc, base, slots)
         right = None
         if level <= right_levels:
-            right = _subset_counts(half[n_left:] - n_pairs, [c[n_left:] for c in cols],
-                                   k_max, n_pairs, nc, base, slots)
+            right = _subset_counts(pair[1], [c[n_left:] for c in local], k_max,
+                                   nc, base, slots)
         for other in (right, right_prev):  # e = 2 * level, then 2 * level - 1
             if other is not None:
                 counts += _join(left, other, n_pairs, nc, base, slots)
         right_prev = right
-    return counts.astype(np.int64), held
+    return counts.astype(np.int64), grown
 
 
-def _subset_counts(pair, cols, k_max, n_pairs, nc, base, slots):
+def _subset_counts(pair, cols, k_max, nc, base, slots):
     """Sorted distinct subset keys of these half-paths, with multiplicities."""
     inner = cols[:-1]
     for stop in range(len(inner) - 1, 0, -1):  # sort each row's interior
@@ -625,16 +670,22 @@ def _seasonal_value(term: TermSpec, history, t: int) -> float:
     return 1.0 if day == term.params["day"] else 0.0
 
 
+def _tiled(values, reps: int) -> np.ndarray:
+    return values if reps == 1 else np.tile(values, reps)
+
+
 def vertex_term_values(term: TermSpec, history: History, t: int) -> np.ndarray:
-    """Statistic of one vertex term for every risk-set vertex at time t."""
+    """Statistic of one vertex term for every risk-set vertex at time t,
+    one block of n per draw of the history."""
     rs = history.risk_set
-    n = len(rs)
+    reps = history.draws
+    n = len(rs) * reps
     kind = term.kind
     if kind == "intercept":
         return np.ones(n)
     if kind == "attr_dummy":
         try:
-            return rs.attr_indicator(term.params["attr"])
+            return _tiled(rs.attr_indicator(term.params["attr"]), reps)
         except KeyError as exc:
             raise SpecError(str(exc)) from None
     if kind == "seasonal":
@@ -642,9 +693,9 @@ def vertex_term_values(term: TermSpec, history: History, t: int) -> np.ndarray:
     u = resolve_lag(history, t, term.lag)
     snap = history.snapshot_at(u)
     if kind == "lag_indicator":
-        return snap.present.astype(float)
+        return _tiled(snap.present.astype(float), reps // snap.draws)
     if kind == "lag_triangle":
-        return triangle_counts(snap)
+        return _tiled(triangle_counts(snap), reps // snap.draws)
     raise SpecError(f"kind {kind!r} is not a vertex statistic")
 
 
@@ -656,11 +707,14 @@ def edge_term_values(term: TermSpec, history: History, t: int, ii: np.ndarray,
     simulated steps it is the sampled one, which is what log_size reads.
     It may also be the disjoint union of several sampled sets over the risk
     set of n vertices, one after another: vertex d * n + i is vertex i of
-    set d, and each dyad joins two vertices of one set.
+    set d, and each dyad joins two vertices of one set.  A history of
+    several draws needs such a union of one set per draw: a lagged term
+    reads set d's lag in draw d of the history.
     """
     rs = history.risk_set
     n = len(rs)
     m = len(ii)
+    union = ii, jj
     draw = None
     if len(present) > n:  # a union: dyads in risk-set indices, and their set
         draw = ii // n
@@ -696,23 +750,38 @@ def edge_term_values(term: TermSpec, history: History, t: int, ii: np.ndarray,
         return np.full(m, _seasonal_value(term, history, t))
     u = resolve_lag(history, t, term.lag)
     snap = history.snapshot_at(u)
+    size = len(snap.present)
+    if snap.draws > 1:  # one lag per draw: the dyads index the history's union
+        if size != len(present):
+            raise ValueError(f"dyads over {len(present)} vertices cannot read the "
+                             f"{snap.draws} draws of the history at t={u}")
+        ii, jj = union
+    pair = ii.astype(np.int64) * size + jj
     if kind == "lag_indicator":
-        return _is_edge(snap.codes, ii.astype(np.int64) * n + jj).astype(float)
+        return _is_edge(snap.codes, pair).astype(float)
     if kind == "lag_cycle_embed":
         max_len = term.params["max_len"]
         out = np.zeros(m)
         if snap.edge_count:
             # the same lagged snapshot is queried for many rows and
             # replicates, so log1p(count) is memoized per edge code on it
-            codes, pair = snap.codes, ii.astype(np.int64) * n + jj
+            codes = snap.codes
             pos = np.minimum(np.searchsorted(codes, pair), len(codes) - 1)
             rows = np.flatnonzero(codes[pos] == pair)
             pos = pos[rows]
             memo = snap._cycle_memo.setdefault(max_len, np.full(len(codes), np.nan))
             todo = np.flatnonzero(np.isnan(memo) & (np.bincount(pos, minlength=len(codes)) > 0))
-            if len(todo):  # math.log1p: np.log1p differs in the last bit for some counts
+            if len(todo):
+                groups = None
+                if draw is not None and snap.draws == 1:
+                    # a snapshot the draws share: each edge counts against
+                    # the budget of the first draw that queries it
+                    first = np.full(len(codes), len(present))
+                    np.minimum.at(first, pos, draw[rows])
+                    groups = first[todo]
+                # math.log1p: np.log1p differs in the last bit for some counts
                 memo[todo] = np.frompyfunc(math.log1p, 1, 1)(
-                    pair_cycle_counts(snap, *np.divmod(codes[todo], n), max_len))
+                    pair_cycle_counts(snap, *np.divmod(codes[todo], size), max_len, groups))
             out[rows] = memo[pos]
         return out
     raise SpecError(f"kind {kind!r} is not an edge statistic")

@@ -4,8 +4,10 @@ Everything here favors obviousness over speed: triple enumeration, per-pair
 BFS, whole-graph cycle enumeration (via networkx) and path enumeration by
 DFS, instead of the identities and meet-in-the-middle counting used by the
 package; one statistic at a time instead of a design column; one simulated
-draw at a time instead of all replicates of a step at once; a dense
-general-purpose optimizer instead of the package's sparse damped Newton;
+draw at a time instead of all replicates of a step at once, and each
+projected replicate on a history of its own instead of all of them in
+lockstep; a dense general-purpose optimizer instead of the package's
+sparse damped Newton;
 that Newton run on every Bernoulli row instead of on binomial patterns;
 design rows with every edge term evaluated on every dyad instead of
 gathered from lagged ties and class representatives, and grouped by
@@ -38,8 +40,18 @@ from dynetlogit import (
     Snapshot,
     VertexRef,
 )
-from dynetlogit.design import TagTable, _concat, _stack, _vertex_block
-from dynetlogit.panel import _require, dyads, presence_vector
+from dynetlogit.design import TagTable, _concat, _endpoint_classes, _stack, _vertex_block
+from dynetlogit.gli import GLI_NAMES, gli_matrix
+from dynetlogit.panel import _require, _typed, disjoint_union, dyads, presence_vector
+from dynetlogit.simulate import (
+    ProjectionResult,
+    StepSampler,
+    _generator,
+    _seed_words,
+    _split_theta,
+    _step_keys,
+    _weekday_attrs_fn,
+)
 from dynetlogit.solver import (
     _information_criteria,
     _prior_curvature,
@@ -248,6 +260,38 @@ def step_draw_by_replicate(spec, theta_v, theta_e, history, t, rng=None, *,
     pe = expit(eta)
     keep = pe > 0.5 if threshold else rng.random(len(pe)) < pe
     return Snapshot(t, bits, (ii[keep], jj[keep]), history.time_attrs_at(t) or {})
+
+
+def project_by_replicate(fit, spec, panel, config):
+    """n-step projection one replicate at a time: each replicate has a
+    history of its own and draws every step with a sampler of its own, from
+    its (seed, replicate, step) generator; the indices come from one
+    ``gli_matrix`` call on the union of every drawn snapshot."""
+    theta_v, theta_e = _split_theta(fit, spec)
+    start = panel.observed_times[-1] + 1
+    steps = tuple(range(start, start + config.horizon))
+    threshold = config.mode == "threshold50"
+    attrs_fn = _weekday_attrs_fn(panel)
+    classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
+    words = _seed_words(config.seed, _step_keys(steps, config.replicates, panel.t_min))
+
+    trajectories = []
+    for rep in range(config.replicates):
+        history = History(panel, spec.gap_policy, attrs_fn)
+        for h, target in enumerate(steps):
+            sampler = StepSampler(spec, theta_v, theta_e, history, target,
+                                  threshold=threshold,
+                                  fixed_vertex_set=config.fixed_vertex_set,
+                                  classes=classes)
+            history.add(sampler.draw(_generator(words[h, rep])))
+        trajectories.append(tuple(history.added[t] for t in steps))
+
+    paths = gli_matrix(disjoint_union([s for traj in trajectories for s in traj]))
+    return ProjectionResult(
+        steps=steps,
+        gli_paths=paths.reshape(config.replicates, config.horizon, len(GLI_NAMES)),
+        snapshots=tuple(trajectories),
+    )
 
 
 def logistic_fit_by_minimize(X, y, centers=None, scales=None, dfs=None):
@@ -550,22 +594,24 @@ def panel_json_by_dumps(panel):
 
 def panel_from_obj_by_label(obj):
     """A panel from its JSON object, looking up one label at a time; the
-    ``directed`` flag is checked after every snapshot has been read."""
+    ``directed`` flag is checked after every snapshot has been read.  The
+    shapes are checked as the loader checks them: lists, objects and
+    integers where the file format has them."""
     if not isinstance(obj, dict):
         raise PanelFormatError("top level of a panel file must be an object")
-    risk_entries = _require(obj, "risk_set", "panel file")
+    risk_entries = _require(obj, "risk_set", "panel file", list)
     labels, attr_dicts = [], []
     for k, entry in enumerate(risk_entries):
         labels.append(str(_require(entry, "label", f"risk_set[{k}]")))
-        attr_dicts.append(dict(entry.get("attrs", {})))
+        attr_dicts.append(dict(_typed(entry.get("attrs", {}), dict, f"attrs in risk_set[{k}]")))
     risk = RiskSet(labels, attr_dicts)
     n = len(risk)
 
     snapshots = []
-    for k, rec in enumerate(_require(obj, "snapshots", "panel file")):
-        t = _require(rec, "t", f"snapshots[{k}]")
+    for k, rec in enumerate(_require(obj, "snapshots", "panel file", list)):
+        t = _require(rec, "t", f"snapshots[{k}]", int)
         present = []
-        for lab in _require(rec, "present", f"snapshots[{k}]"):
+        for lab in _require(rec, "present", f"snapshots[{k}]", list):
             try:
                 present.append(risk.index_of(str(lab)))
             except KeyError:
@@ -592,10 +638,12 @@ def panel_from_obj_by_label(obj):
                     f"edge endpoint absent at t={t}: ({a},{b})"
                 )
             edges.append((i, j))
-        snapshots.append(
-            Snapshot(t, bits, edges, rec.get("attrs", {}))
-        )
+        attrs = _typed(rec.get("attrs", {}), dict, f"attrs in snapshots[{k}]")
+        snapshots.append(Snapshot(t, bits, edges, attrs))
 
     if obj.get("directed", False):
         raise PanelValidationError("directed panels are not supported")
-    return NetworkPanel(risk, snapshots, obj.get("gaps", ()))
+    gaps = _typed(obj.get("gaps", []), list, "gaps in panel file")
+    for k, gap in enumerate(gaps):
+        _typed(gap, int, f"gaps[{k}] in panel file")
+    return NetworkPanel(risk, snapshots, gaps)

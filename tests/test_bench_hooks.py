@@ -122,3 +122,30 @@ def test_bench_tracer_sees_the_union_of_replicates(tiny_panel, fixed):
     assert count["gli.vector"] == len(samples.steps)
     for name in ("gli.triad_census", "gli.connectedness", "gli.centralization"):
         assert count[name] == unions + count["gli.vector"], name
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["stochastic", "fixed"])
+def test_bench_tracer_sees_the_lockstep_projection(tiny_panel, fixed):
+    # projection draws each step's replicates as one union through
+    # simulate.Snapshot, and evaluates its terms through simulate's names
+    fit = SimpleNamespace(coefficients=np.array([1.0, 0.2, 0.5, 0.3, -0.1]),
+                          column_names=SPEC.column_names)
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        project(fit, SPEC, tiny_panel,
+                SimConfig(replicates=4, horizon=3, seed=1, fixed_vertex_set=fixed))
+    finally:
+        tracer.remove()
+
+    assert tracer.missing == set()
+    count = {}
+    for rec in tracer.spans:
+        count[rec[0]] = count.get(rec[0], 0) + 1
+    assert count["panel.snapshot"] == 3  # one union per step
+    simulate_spans = [rec[5] for rec in tracer.spans if rec[0] == "terms.simulate"]
+    kinds = {attrs["kind"] for attrs in simulate_spans}
+    assert kinds == {"attr_dummy", "lag_triangle", "intercept", "lag_indicator", "log_size"} \
+        - ({"attr_dummy", "lag_triangle"} if fixed else set())
+    for attrs in simulate_spans:
+        assert ("key" in attrs) == (attrs["kind"] not in VERTEX_KINDS), attrs

@@ -101,6 +101,26 @@ def test_fit_separated_data_exits_with_separation_code(tmp_path, capsys):
     assert lag in err["message"]
 
 
+def test_separation_names_every_diverging_column(tmp_path, capsys):
+    """On the separated two-vertex panel the fit sends the intercept to -inf
+    and the lag to +inf; the note and the exit-6 message name both."""
+    from dynetlogit import NetworkPanel, RiskSet, Snapshot
+    panel = NetworkPanel(RiskSet(["a", "b"]), [Snapshot(t, [0], [], n=2) for t in range(1, 12)])
+    save_panel(panel, tmp_path / "p.json")
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)], [])
+    save_model_spec(spec, tmp_path / "s.json")
+    assert run(["fit", tmp_path / "p.json", tmp_path / "s.json",
+                "--prior", "none", "--out-dir", tmp_path]) == EXIT_SEPARATION
+    fit = json.loads((tmp_path / "s_fit.json").read_text())["fit"]
+    intercept, lag = fit["coefficients"]
+    assert intercept < -15 and lag > 15
+    assert fit["convergence"]["notes"] == [
+        "separation: no finite maximum likelihood estimate along v:intercept, v:lag1"]
+    message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+    assert "v:intercept" in message and "v:lag1" in message
+
+
 def test_fit_ranking_richest_wins(tmp_path):
     panel = make_month_panel()
     save_panel(panel, tmp_path / "month.json")
@@ -199,6 +219,42 @@ def test_project_horizon_one_matches_one_step(workdir, tmp_path):
     direct = one_step_sample(fit, spec, panel, 8, _stream(11, 0, 9, panel.t_min))
     assert np.array_equal(dumped.at(9).codes, direct.codes)
     assert dumped.at(9).present.tolist() == direct.present.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_project_outputs_equal_the_per_replicate_oracle(tmp_path, seed):
+    """The lockstep projection's paths and trajectory files are those of
+    the per-replicate oracle, and each file is its trajectory's canonical
+    panel text."""
+    from types import SimpleNamespace
+    import oracles
+    from dynetlogit import NetworkPanel, SimConfig
+    from dynetlogit.panel import panel_to_json
+    panel = make_month_panel()
+    spec = nested_model_specs(month_risk_set())[3]
+    save_panel(panel, tmp_path / "month.json")
+    save_model_spec(spec, tmp_path / "m4.json")
+    assert run(["fit", tmp_path / "month.json", tmp_path / "m4.json",
+                "--out-dir", tmp_path / "fit"]) == EXIT_OK
+    assert run(["project", tmp_path / "month.json", tmp_path / "m4.json",
+                tmp_path / "fit" / "m4_fit.json", "--horizon", "5", "--sims", "20",
+                "--seed", str(seed), "--dump-graphs", "--out-dir", tmp_path / "out"]) == EXIT_OK
+
+    report = json.loads((tmp_path / "fit" / "m4_fit.json").read_text())["fit"]
+    fit = SimpleNamespace(coefficients=np.array(report["coefficients"]),
+                          column_names=tuple(report["columns"]))
+    expected = oracles.project_by_replicate(
+        fit, spec, load_panel(tmp_path / "month.json"),
+        SimConfig(replicates=20, horizon=5, seed=seed))
+    rows = (tmp_path / "out" / "project_gli.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[3] for row in rows] == \
+        [repr(float(x)) for x in expected.gli_paths.ravel()]
+    files = sorted((tmp_path / "out").glob("project_rep*.json"))
+    assert len(files) == 20
+    for path, traj in zip(files, expected.snapshots):
+        traj_panel = NetworkPanel(panel.risk_set, traj)
+        text = path.read_text(encoding="utf-8")
+        assert text == panel_to_json(traj_panel) == oracles.panel_json_by_dumps(traj_panel)
 
 
 def test_gli_subcommand(workdir, capsys):

@@ -345,6 +345,14 @@ _CORRUPTIONS = {
     "missing snapshots": _edit(("snapshots",), _DELETE),
     "duplicate time": _edit(("snapshots", 1, "t"), 1),
     "directed": _edit(("directed",), True),
+    "float t": _edit(("snapshots", 0, "t"), 1.5),
+    "string present": _edit(("snapshots", 0, "present"), "ab"),
+    "non-object attrs": _edit(("snapshots", 0, "attrs"), ["day", "Mon"]),
+    "non-object vertex attrs": _edit(("risk_set", 1, "attrs"), "regular"),
+    "risk set not a list": _edit(("risk_set",), {"label": "a"}),
+    "snapshots not a list": _edit(("snapshots",), 5),
+    "gaps not a list": _edit(("gaps",), 2),
+    "float gap": _edit(("gaps", 0), 2.0),
 }
 
 
@@ -404,3 +412,22 @@ def test_convert_three_day_toy_equals_handwritten():
         Snapshot(3, [0, 1, 2], [(1, 2)], n=3),
     ])
     assert built == hand
+
+
+def test_risk_set_is_encoded_once_for_many_panels(monkeypatch):
+    """Writing many panels over one risk set, as ``project --dump-graphs``
+    does, encodes its labels and attributes once; every text stays the
+    canonical one."""
+    import dynetlogit.panel as panel_module
+    encoded = []
+    original = panel_module._encode_str
+    monkeypatch.setattr(panel_module, "_encode_str",
+                        lambda label: encoded.append(label) or original(label))
+    rng = np.random.default_rng(9)
+    rs = RiskSet([f"w{k}" for k in range(12)], {"club": [k % 3 == 0 for k in range(12)]})
+    for k in range(5):
+        bits = rng.random(12) < 0.6
+        idx = np.flatnonzero(bits)
+        panel = NetworkPanel(rs, [Snapshot(k + 1, bits, [(idx[0], idx[-1])], {"day": "Mon"})])
+        assert panel_to_json(panel) == panel_json_by_dumps(panel)
+    assert sorted(encoded) == sorted(rs.labels)

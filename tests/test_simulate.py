@@ -259,6 +259,140 @@ def test_projection_indices_are_those_of_its_snapshots(core_panel, case):
             assert np.array_equal(result.gli_paths[r, h], gli_vector(s))
 
 
+def _weekly_panel(seed, gaps):
+    """A 9-vertex random panel with two attributes and a weekly day cycle,
+    so that seasonal terms extrapolate past its end."""
+    attrs = [{"a": k % 2 == 0, "b": k % 3 == 0} for k in range(9)]
+    panel = random_panel(np.random.default_rng(seed), n=9, T=7, density=0.5, gaps=gaps,
+                         attrs=attrs)
+    return NetworkPanel(panel.risk_set, [
+        Snapshot(s.t, s.present, (s.codes // 9, s.codes % 9), weekday_attrs(s.t))
+        for s in panel.snapshots], panel.gaps)
+
+
+def _assert_same_projection(result, expected):
+    assert result.steps == expected.steps
+    assert result.gli_paths.tobytes() == expected.gli_paths.tobytes()
+    assert result.gli_paths.shape == expected.gli_paths.shape
+    assert result.snapshots == expected.snapshots
+
+
+# every vertex kind and every edge kind, the lagged ones at lags 1 and 2
+_EVERY_VERTEX_KIND = (
+    [TermSpec("vertex", "intercept"),
+     TermSpec("vertex", "attr_dummy", params={"attr": "a"}),
+     TermSpec("vertex", "seasonal", params={"day": "Tuesday"}),
+     TermSpec("vertex", "lag_indicator", lag=1),
+     TermSpec("vertex", "lag_indicator", lag=2),
+     TermSpec("vertex", "lag_triangle", lag=1),
+     TermSpec("vertex", "lag_triangle", lag=2)],
+    [0.3, -0.4, 0.2, 0.8, 0.3, 0.1, -0.1],
+)
+
+
+@pytest.mark.parametrize("policy, gaps", [("exclude", (3,)), ("bridge", (7,))],
+                         ids=["exclude", "bridge"])
+def test_lockstep_projection_equals_the_per_replicate_oracle(policy, gaps):
+    """Advancing every replicate at once, with lags read from the previous
+    step's union, must not change a bit of any path or drawn snapshot.
+    Under bridge the gap sits right before the panel's last day, so the
+    lag-2 terms of the first step bridge it."""
+    panel = _weekly_panel(21, gaps)
+    edge_terms, theta_e = _EVERY_KIND
+    spec = ModelSpec(_EVERY_VERTEX_KIND[0], edge_terms + [TermSpec("edge", "log_size")],
+                     gap_policy=policy)
+    fit = fake_fit(spec, _EVERY_VERTEX_KIND[1] + theta_e + [-0.3])
+    for mode, fixed in (("stochastic", False), ("stochastic", True), ("threshold50", False)):
+        for horizon in (1, 5):
+            for replicates in (1, 2, 20):
+                for seed in (0, 17):
+                    config = SimConfig(replicates=replicates, horizon=horizon, seed=seed,
+                                       mode=mode, fixed_vertex_set=fixed)
+                    _assert_same_projection(project(fit, spec, panel, config),
+                                            oracles.project_by_replicate(fit, spec, panel,
+                                                                         config))
+
+
+def test_lockstep_projection_splits_steps_into_unions(monkeypatch):
+    """A step whose draws outgrow PAIR_BUDGET is drawn as several unions, and
+    the history reads them as one."""
+    import dynetlogit.simulate as simulate
+    panel = _weekly_panel(4, ())
+    spec = ModelSpec(_EVERY_VERTEX_KIND[0], _EVERY_KIND[0])
+    fit = fake_fit(spec, _EVERY_VERTEX_KIND[1] + _EVERY_KIND[1])
+    for fixed in (False, True):
+        config = SimConfig(replicates=20, horizon=5, seed=17, fixed_vertex_set=fixed)
+        expected = oracles.project_by_replicate(fit, spec, panel, config)
+        unions = []
+        original = simulate.disjoint_union
+
+        def counting(snaps):
+            unions.append(len(snaps))
+            return original(snaps)
+
+        monkeypatch.setattr(simulate, "disjoint_union", counting)
+        for budget in (40, 1):
+            monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
+            unions.clear()
+            _assert_same_projection(project(fit, spec, panel, config), expected)
+            assert max(unions[:-1]) > 1  # some step was several unions
+        monkeypatch.setattr(simulate, "disjoint_union", original)
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_lockstep_projection_of_month_equals_the_oracle(seed):
+    panel, spec, fit = _month_model_4()
+    config = SimConfig(replicates=20, horizon=5, seed=seed)
+    _assert_same_projection(project(fit, spec, panel, config),
+                            oracles.project_by_replicate(fit, spec, panel, config))
+
+
+def test_lockstep_projection_is_refused_when_a_replicate_is(monkeypatch):
+    """The cycle work budget applies per draw of a union.  Set to the most
+    half-paths one per-replicate call grows, it refuses neither path; one
+    below, it refuses both, though the union's draws together grow more.
+    At horizon 1 every replicate reads the panel's last day, whose ties
+    count against the first replicate that queries them.  Every run reads a
+    fresh panel, whose days have no cycle counts memoized yet."""
+    import dynetlogit.terms as terms
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        [TermSpec("edge", "intercept"),
+         TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9})])
+    fit = fake_fit(spec, [0.2, 0.5, 0.8, 0.2])
+    calls = []
+    counts, half_paths = terms.pair_cycle_counts, terms._half_path_counts
+
+    def per_call(*args):
+        calls.append(0.0)
+        return counts(*args)
+
+    def grown(*args):
+        out = half_paths(*args)
+        calls[-1] += out[1].sum()
+        return out
+
+    for fixed, horizon in ((False, 4), (True, 4), (False, 1)):
+        config = SimConfig(replicates=6, horizon=horizon, seed=3, fixed_vertex_set=fixed)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(terms, "pair_cycle_counts", per_call)
+            m.setattr(terms, "_half_path_counts", grown)
+            m.setattr(terms, "CYCLE_WORK_BUDGET", 10**12)
+            expected = oracles.project_by_replicate(fit, spec, _weekly_panel(5, ()),
+                                                     config)
+        most = int(max(calls))
+        for budget, refused in ((most, False), (most - 1, True)):
+            monkeypatch.setattr(terms, "CYCLE_WORK_BUDGET", budget)
+            for run in (project, oracles.project_by_replicate):
+                if refused:
+                    with pytest.raises(terms.CycleBudgetError):
+                        run(fit, spec, _weekly_panel(5, ()), config)
+                else:
+                    _assert_same_projection(run(fit, spec, _weekly_panel(5, ()), config),
+                                            expected)
+
+
 def test_sampled_snapshots_pass_invariants(core_panel):
     fit = fake_fit(INTERCEPT_SPEC, [0.0, 0.0])
     for rep in range(30):

@@ -90,6 +90,30 @@ def test_quasi_complete_separation_names_its_column():
     assert overlap.coefficients[1] == pytest.approx(math.log(2), abs=1e-8)
 
 
+def test_separation_names_columns_beyond_one_direction(monkeypatch):
+    """Vertex a always re-appears and b never does: beta = (0, 1) separates,
+    and so does (-1, 2), so the intercept diverges as well as the lag.
+    Only a separated design runs the programs beyond the first."""
+    import scipy.optimize
+    calls = []
+    original = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    x = np.array([[1.0, 1.0], [1.0, 0.0]] * 10)
+    fit = fit_mle(make_dm(x, [1, 0] * 10))
+    assert fit.separating_columns == ("x0", "x1")
+    assert fit.coefficients[0] < -15 and fit.coefficients[1] > 15
+    assert len(calls) > 1
+    calls.clear()
+    overlap = fit_mle(make_dm(x, [1, 0, 0, 1] * 5))
+    assert overlap.converged and not overlap.separation
+    assert len(calls) == 1
+
+
 def test_monte_carlo_recovery():
     rng = np.random.default_rng(123)
     n = 50_000

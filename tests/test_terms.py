@@ -14,6 +14,7 @@ from dynetlogit import (
     Snapshot,
     SpecError,
     TermSpec,
+    disjoint_union,
     pair_cycle_count,
     seasonal_terms,
     triad_census,
@@ -297,6 +298,73 @@ def test_cycle_work_budget_refuses_many_affordable_pairs():
         pair_cycle_counts(s, ii, jj, 9)
     assert time.perf_counter() - start < 30
     assert pair_cycle_counts(s, ii[:40], jj[:40], 9).tolist() == [63994816] * 40
+
+
+def _random_union(rng, sizes):
+    """Random snapshots over one risk set of max(sizes) vertices, with about
+    sizes[d] of them present in draw d, and their disjoint union."""
+    n = max(sizes)
+    snaps = []
+    for d, k in enumerate(sizes):
+        members = sorted(rng.choice(n, size=k, replace=False).tolist())
+        edges = [(members[a], members[b]) for a in range(k) for b in range(a + 1, k)
+                 if rng.random() < 5 / max(k - 1, 1)]
+        snaps.append(snap(3, members, edges, n))
+    return snaps, disjoint_union(snaps)
+
+
+@pytest.mark.parametrize("budget", [None, 3000], ids=["whole", "split"])
+def test_pair_cycle_counts_on_a_union_are_per_draw_counts(monkeypatch, budget):
+    """Counting every edge of a union at once gives each draw's counts on its
+    own, in batches that mix draws too."""
+    if budget:
+        monkeypatch.setattr(terms, "HALF_PATH_BUDGET", budget)
+    rng = np.random.default_rng(5)
+    snaps, union = _random_union(rng, [30, 12, 3, 40, 25])
+    n = len(snaps[0].present)
+    ii, jj = np.divmod(union.codes, len(union.present))
+    for max_len in (4, 9):
+        expected = np.concatenate([
+            pair_cycle_counts(s, *np.divmod(s.codes, n), max_len) for s in snaps])
+        assert expected.any()
+        assert np.array_equal(pair_cycle_counts(union, ii, jj, max_len), expected)
+
+
+def test_cycle_work_budget_applies_per_draw(monkeypatch):
+    """Three K10 draws of a union each grow fewer half-paths than one draw
+    may, all of them together more: the union passes with each draw's own
+    counts.  An over-budget draw is named with its own sizes."""
+    n = 12
+    k10, k11 = complete(5, list(range(10)), n), complete(5, list(range(11)), n)
+    sparse = snap(5, range(6), [(0, 1), (1, 2), (0, 2)], n)
+    ii, jj = np.divmod(k10.codes, n)
+    work = terms._half_path_counts(*terms._cycle_core(k10)[1:3], ii, jj, 9)[1].sum()
+    monkeypatch.setattr(terms, "CYCLE_WORK_BUDGET", int(1.2 * work))
+    alone = pair_cycle_counts(k10, ii, jj, 9)
+    union = disjoint_union([k10, sparse, k10, k10])
+    ui, uj = np.divmod(union.codes, len(union.present))
+    assert np.array_equal(pair_cycle_counts(union, ui, uj, 9),
+                          np.concatenate([alone, [1, 1, 1], alone, alone]))
+
+    mixed = disjoint_union([sparse, k11, sparse])
+    ui, uj = np.divmod(mixed.codes, len(mixed.present))
+    with pytest.raises(terms.CycleBudgetError,
+                       match=r"t=5 \(\|V_t\|=11, \|E_t\|=55\): counting its 55 queried "
+                             r"edges passed \d+ half-paths, over the work budget of "
+                             rf"{int(1.2 * work)} per draw"):
+        pair_cycle_counts(mixed, ui, uj, 9)
+
+
+def test_cycle_key_space_is_per_draw():
+    """Keys number vertices within their draw: three draws of a 20,000-vertex
+    cycle are counted, where keys over the union's 60,000 core vertices
+    would overflow for even one pair."""
+    n = 20_000
+    ring = snap(1, range(n), [(k, (k + 1) % n) for k in range(n)], n)
+    union = disjoint_union([ring] * 3)
+    assert 60_000 * 60_001**3 >= 2**63 > n * (n + 1)**3
+    ii = np.arange(3) * n
+    assert pair_cycle_counts(union, ii, ii + 1, 9).tolist() == [0, 0, 0]
 
 
 # --- edge statistics -----------------------------------------------------------

@@ -8,18 +8,20 @@ stacked design is exactly the product of the two sub-likelihoods.
 
 The fit needs only the design's binomial patterns, and ``build_design``
 assembles those without building dyad rows, in O(|V_t| + |E_t|) per step
-plus one row per class pair of present endpoints.  Every edge kind except
-the lagged ones is constant over the dyads of one pair of endpoint classes
-(a vertex's class is its values of the spec's mixing attributes and its
-individual-dummy identity), and the lagged kinds are zero off the dyads
-tied at their lag.  So each step's edge rows are one row per lagged tie
-among present vertices plus one weighted row per (class pair, response),
-whose trials are counted from the class sizes and whose successes from the
-current edges.  The rows themselves (``responses``, ``features``, ``tags``)
-are expanded on first access, as ``--dump-design`` does, and only up to
-``ROW_BUDGET`` rows.  A step's edge rows are gathered from the values of its
-lagged ties and of one representative dyad per class pair, the dyads that
-``_dyad_rows`` picks; simulation draws its edges through the same function.
+plus one row per class pair of present endpoints.  An edge term's scope
+(``terms.KINDS``) says where it is constant: a term of ``step`` or
+``class`` scope is constant over the dyads of one pair of endpoint classes
+(a vertex's class is its values of the ``attr`` params of the spec's
+class-scope terms and which of their ``label`` params it is), and a term
+of ``lag`` scope is zero off the dyads tied at its lag.  So each step's
+edge rows are one row per lagged tie among present vertices plus one
+weighted row per (class pair, response), whose trials are counted from
+the class sizes and whose successes from the current edges.  The rows
+themselves (``responses``, ``features``, ``tags``) are expanded on first
+access, as ``--dump-design`` does, and only up to ``ROW_BUDGET`` rows.
+A step's edge rows are gathered from the values of its lagged ties and of
+one representative dyad per class pair, the dyads that ``_dyad_rows``
+picks; simulation draws its edges through the same function.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ _KEY_LIMIT = np.iinfo(np.int64).max
 # the million workload's 1.13M rows), so about 1.6 GB here, more with more
 # terms; the fit never expands rows.
 ROW_BUDGET = 10_000_000
-
-# Edge kinds constant over the dyads of one pair of endpoint classes within
-# a step, and lagged kinds, zero on every dyad not tied at their lag.
-CLASS_KINDS = ("intercept", "mixing", "individual_dummy", "log_size", "seasonal")
-TIE_KINDS = ("lag_indicator", "lag_cycle_embed")
 
 
 class DesignError(ValueError):
@@ -211,15 +208,17 @@ class DesignMatrix:
 
 
 def _endpoint_classes(risk_set, terms) -> np.ndarray:
-    """Class of every risk-set vertex for the edge ``terms``: its values of
-    their mixing attributes and which of their individual dummies it is."""
+    """Class of every risk-set vertex: its values of the ``attr`` params of
+    the class-scope ``terms`` and which of their ``label`` params it is,
+    numbered in that order (which fixes the order of the edge patterns)."""
     n = len(risk_set)
     key = np.zeros(n, dtype=np.int64)
     ident = np.zeros(n, dtype=np.int64)
+    params = [t.params for t in terms if t.scope == "class"]
     try:
-        for attr in sorted({t.params["attr"] for t in terms if t.kind == "mixing"}):
+        for attr in sorted({p["attr"] for p in params if "attr" in p}):
             key = 2 * key + risk_set.attr_indicator(attr).astype(np.int64)
-        labels = sorted({t.params["label"] for t in terms if t.kind == "individual_dummy"})
+        labels = sorted({p["label"] for p in params if "label" in p})
         ident[[risk_set.index_of(label) for label in labels]] = np.arange(1, len(labels) + 1)
     except KeyError as exc:
         raise SpecError(str(exc)) from None
@@ -228,12 +227,12 @@ def _endpoint_classes(risk_set, terms) -> np.ndarray:
 
 def _lagged_codes(history, t, terms) -> np.ndarray:
     """Sorted codes of the dyads tied in ``history`` at the lag, from step
-    t, of some lagged edge kind of ``terms``: i * n + j over the risk set,
+    t, of some lag-scope term of ``terms``: i * n + j over the risk set,
     or over the union of a history of several draws, where a snapshot the
     draws share is tiled once per draw."""
     n, reps = len(history.risk_set), history.draws
     lagged = []
-    for lag in {term.lag for term in terms if term.kind in TIE_KINDS}:
+    for lag in {term.lag for term in terms if term.scope == "lag"}:
         snap = history.snapshot_at(resolve_lag(history, t, lag))
         codes = snap.codes
         if snap.draws < reps:
@@ -252,8 +251,8 @@ def _dyad_rows(ii, jj, classes, draws, lagged, union=False):
     A dyad is a lagged tie when its pair is in ``lagged`` (sorted codes
     i * n + j of risk-set pairs, or with ``union`` of pairs of the union,
     each draw having lags of its own); every other dyad's class is its draw
-    and the pair of its endpoints' ``classes``.  Every edge kind is
-    constant over the dyads of one class, the lagged kinds being 0 there.
+    and the pair of its endpoints' ``classes``.  Every edge term is
+    constant over the dyads of one class, lag-scope terms being 0 there.
     ``rows`` lists every lagged tie, then one representative per class, and
     ``of`` is each dyad's position in ``rows``, so a term's values on
     ``(ii[rows], jj[rows])`` gathered by ``of`` are its values on every
@@ -300,7 +299,7 @@ def _edge_patterns(history, terms, steps, classes):
     """Edge rows of ``steps`` grouped as (features, responses, trials): one
     row per lagged tie among a step's present vertices, then per step and
     pair of endpoint classes (a <= b) one row per response with its dyads
-    off those ties, on which the lagged kinds are 0.  The counting runs
+    off those ties, on which lag-scope terms are 0.  The counting runs
     over all steps at once; each term is evaluated once per step, on the
     step's ties and one representative dyad per class pair."""
     n, k = len(classes), int(classes.max()) + 1
@@ -360,7 +359,7 @@ def _edge_patterns(history, terms, steps, classes):
         tie_blocks.append(values[:cut])
         rep_blocks.append(values[cut:])
     rep_values = np.vstack(rep_blocks)
-    rep_values[:, np.array([term.kind in TIE_KINDS for term in terms])] = 0.0
+    rep_values[:, np.array([term.scope == "lag" for term in terms])] = 0.0
     features = np.vstack(tie_blocks + [rep_values, rep_values])
     responses = np.concatenate([_is_edge(edges, ties).astype(np.int8),
                                 np.zeros(len(left), dtype=np.int8),

@@ -279,17 +279,6 @@ def _step_keys(steps, replicates: int, base: int) -> np.ndarray:
     return keys
 
 
-def _streams(seed: int, keys) -> list:
-    """The generators ``default_rng(SeedSequence(seed, spawn_key=key))`` for a
-    sequence of ``(replicate, step - base)`` keys, hashed in one pass."""
-    return [_generator(words) for words in _seed_words(seed, np.reshape(keys, (-1, 2)))]
-
-
-def _stream(seed: int, replicate: int, step: int, base_step: int = 0):
-    """Independent generator per (seed, replicate, step)."""
-    return _streams(seed, [(replicate, step - base_step)])[0]
-
-
 # ---------------------------------------------------------------------------
 # per-step prediction
 # ---------------------------------------------------------------------------
@@ -339,7 +328,7 @@ class StepSampler:
 
     Edge probabilities are evaluated per class.  ``design._dyad_rows``
     sorts the dyads into lagged ties (edges of the history at the lag of a
-    lagged edge kind) and classes of the other dyads (a dyad's draw and the
+    lag-scope edge term) and classes of the other dyads (a dyad's draw and the
     pair of its endpoints' ``classes``, from ``design._endpoint_classes``,
     computed here when not given), and picks the ties and one
     representative per class.  Each edge term is evaluated once, on those

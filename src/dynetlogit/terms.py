@@ -5,9 +5,10 @@ statistic per vertex row or per edge row.  Lagged terms read only strictly
 earlier snapshots, so the value at time t never depends on the time-t
 outcome being predicted.
 
-Vertex kinds: intercept, attr_dummy, lag_indicator, lag_triangle, seasonal.
-Edge kinds: intercept, mixing, individual_dummy, log_size, lag_indicator,
-lag_cycle_embed, seasonal.
+``KINDS`` declares every kind once: the targets it may model, its params,
+its column name and its scope, where its value is constant.  Validation,
+naming, the design's patterns and the sampler's class table read it; the
+values themselves come from ``vertex_term_values`` and ``edge_term_values``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "GapError",
     "SpecError",
     "WEEKDAYS",
+    "KINDS",
     "TermSpec",
     "ModelSpec",
     "ModelValidationReport",
@@ -55,16 +57,49 @@ WEEKDAYS = (
     "Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday",
 )
 
-VERTEX_KINDS = ("intercept", "attr_dummy", "lag_indicator", "lag_triangle", "seasonal")
-EDGE_KINDS = ("intercept", "mixing", "individual_dummy", "log_size", "lag_indicator",
-              "lag_cycle_embed", "seasonal")
-LAGGED_KINDS = ("lag_indicator", "lag_triangle", "lag_cycle_embed")
 MIXING_PAIRS = ("both", "neither", "mixed")
+
+# A param's values, by name: a non-empty string, one of a tuple or an int in a
+# range; ``attr`` names a vertex attribute, ``label`` a vertex, ``key`` a time attribute.
+PARAMS = {"attr": str, "pair": MIXING_PAIRS, "label": str, "day": WEEKDAYS, "key": str,
+          "max_len": range(3, 10)}
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One term kind: the targets it may model, its params (each with its
+    default, None when required), its column name as a template over its
+    params and lag, and its scope, where its value is constant.  A ``step``
+    term has one value per step (per draw, on a union of draws), a ``class``
+    term one per class of vertex or pair of endpoint classes (a vertex's
+    class being its values of the ``attr`` params and which ``label`` it
+    is), and a ``lag`` term is 0 off the vertices or ties at its lag."""
+
+    targets: tuple
+    scope: str
+    name: str
+    params: dict = field(default_factory=dict)
+
+
+# One row per kind; adding a kind means a row here and its branch in
+# vertex_term_values or edge_term_values.
+KINDS = {
+    "intercept": Kind(("vertex", "edge"), "step", "intercept"),
+    "attr_dummy": Kind(("vertex",), "class", "{attr}", {"attr": None}),
+    "mixing": Kind(("edge",), "class", "mix_{attr}_{pair}", {"attr": None, "pair": None}),
+    "individual_dummy": Kind(("edge",), "class", "indiv_{label}", {"label": None}),
+    "log_size": Kind(("edge",), "step", "log_size"),
+    "lag_indicator": Kind(("vertex", "edge"), "lag", "lag{lag}"),
+    "lag_triangle": Kind(("vertex",), "lag", "triangle_lag{lag}"),
+    "lag_cycle_embed": Kind(("edge",), "lag", "cycles{max_len}_lag{lag}", {"max_len": 9}),
+    "seasonal": Kind(("vertex", "edge"), "step", "day_{day}", {"day": None, "key": "day"}),
+}
 
 
 @dataclass(frozen=True)
 class TermSpec:
-    """Declarative description of one sufficient statistic."""
+    """One sufficient statistic: a kind of ``KINDS``, its lag and its params,
+    every default filled in."""
 
     target: str
     kind: str
@@ -72,66 +107,32 @@ class TermSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        allowed = {"vertex": VERTEX_KINDS, "edge": EDGE_KINDS}.get(self.target)
-        if allowed is None:
+        if self.target not in ("vertex", "edge"):
             raise SpecError(f"term target must be 'vertex' or 'edge', got {self.target!r}")
-        if self.kind not in allowed:
+        kind = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind is None or self.target not in kind.targets:
             raise SpecError(f"kind {self.kind!r} not valid for {self.target} terms")
-        if self.kind in LAGGED_KINDS:
+        if kind.scope == "lag":
             lag = _integer(self.lag, f"{self.kind} term lag")
             if lag < 1:
                 raise SpecError(f"{self.kind} term requires lag >= 1, got {lag}")
             object.__setattr__(self, "lag", lag)
         elif self.lag is not None:
             raise SpecError(f"{self.kind} term does not take a lag")
-        p = self.params
-        for key in ("attr", "pair", "label", "day", "key"):
-            if not isinstance(p.get(key, ""), str):
-                raise SpecError(f"params.{key} must be a string, got {_json_kind(p[key])}")
-        if self.kind == "attr_dummy" and not p.get("attr"):
-            raise SpecError("attr_dummy term requires params.attr")
-        if self.kind == "mixing":
-            if not p.get("attr"):
-                raise SpecError("mixing term requires params.attr")
-            if p.get("pair") not in MIXING_PAIRS:
-                raise SpecError(
-                    f"mixing term requires params.pair in {MIXING_PAIRS}, "
-                    f"got {p.get('pair')!r}"
-                )
-        if self.kind == "individual_dummy" and not p.get("label"):
-            raise SpecError("individual_dummy term requires params.label")
-        if self.kind == "seasonal":
-            day = p.get("day")
-            if day not in WEEKDAYS:
-                raise SpecError(f"seasonal term requires params.day in {WEEKDAYS}")
-        if self.kind == "lag_cycle_embed":
-            ml = _integer(p.get("max_len", 9), "lag_cycle_embed max_len")
-            if not 3 <= ml <= 9:
-                raise SpecError(f"lag_cycle_embed max_len must be in [3, 9], got {ml}")
-            object.__setattr__(self, "params", {**p, "max_len": ml})
+        for name in self.params:
+            if name not in kind.params:
+                raise SpecError(f"{self.kind} term does not take params.{name}")
+        object.__setattr__(self, "params", {
+            name: _param(self.kind, name, self.params.get(name, default))
+            for name, default in kind.params.items()})
+
+    @property
+    def scope(self) -> str:
+        return KINDS[self.kind].scope
 
     @property
     def name(self) -> str:
-        k, p = self.kind, self.params
-        if k == "intercept":
-            return "intercept"
-        if k == "attr_dummy":
-            return p["attr"]
-        if k == "mixing":
-            return f"mix_{p['attr']}_{p['pair']}"
-        if k == "individual_dummy":
-            return f"indiv_{p['label']}"
-        if k == "log_size":
-            return "log_size"
-        if k == "lag_indicator":
-            return f"lag{self.lag}"
-        if k == "lag_triangle":
-            return f"triangle_lag{self.lag}"
-        if k == "lag_cycle_embed":
-            return f"cycles{p['max_len']}_lag{self.lag}"
-        if k == "seasonal":
-            return f"day_{p['day']}"
-        raise AssertionError(k)
+        return KINDS[self.kind].name.format(lag=self.lag, **self.params)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -154,6 +155,24 @@ class TermSpec:
                        params=dict(params))
         except SpecError as exc:
             raise SpecError(f"{where}: {exc}") from None
+
+
+def _param(kind: str, name: str, value):
+    """``value`` of param ``name`` of a ``kind`` term, checked against PARAMS;
+    None (a required param not given) and the empty string are refused."""
+    domain = PARAMS[name]
+    if value is None or value == "":
+        raise SpecError(f"{kind} term requires params.{name}")
+    if domain is str:
+        if not isinstance(value, str):
+            raise SpecError(f"params.{name} must be a string, got {_json_kind(value)}")
+    elif isinstance(domain, range):
+        value = _integer(value, f"{kind} {name}")
+        if value not in domain:
+            raise SpecError(f"{kind} {name} must be in [{domain[0]}, {domain[-1]}], got {value}")
+    elif value not in domain:
+        raise SpecError(f"{kind} term requires params.{name} in {domain}, got {value!r}")
+    return value
 
 
 def _integer(value, what: str) -> int:
@@ -660,7 +679,7 @@ def pair_cycle_count(snapshot: Snapshot, i, j, max_len: int = 9) -> int:
 
 
 def _seasonal_value(term: TermSpec, history, t: int) -> float:
-    key = term.params.get("key", "day")
+    key = term.params["key"]
     attrs = history.time_attrs_at(t)
     if attrs is None:
         raise GapError(f"seasonal term needs time attributes at unobserved t={t}")
@@ -805,26 +824,21 @@ class ModelValidationReport:
 
 def _check_attr_refs(terms_list, risk_set, errors):
     for term in terms_list:
-        if term.kind in ("attr_dummy", "mixing"):
-            attr = term.params["attr"]
-            if attr not in risk_set.attrs:
-                errors.append(f"term {term.name}: unknown vertex attribute {attr!r}")
-        if term.kind == "individual_dummy":
-            label = term.params["label"]
-            if label not in risk_set.labels:
-                errors.append(f"term {term.name}: label {label!r} not in risk set")
+        attr, label = term.params.get("attr"), term.params.get("label")
+        if attr is not None and attr not in risk_set.attrs:
+            errors.append(f"term {term.name}: unknown vertex attribute {attr!r}")
+        if label is not None and label not in risk_set.labels:
+            errors.append(f"term {term.name}: label {label!r} not in risk set")
 
 
 def _check_collinear(terms_list, side, warnings):
-    kinds = [t.kind for t in terms_list]
     names = [t.name for t in terms_list]
     for name in sorted({x for x in names if names.count(x) > 1}):
         warnings.append(f"{side} terms: duplicate term {name}")
-    days = {t.params["day"] for t in terms_list if t.kind == "seasonal"}
-    full_week = len(days) == 7
-    has_intercept = "intercept" in kinds
-    mix_pairs = {t.params["pair"] for t in terms_list if t.kind == "mixing"}
-    full_mixing = mix_pairs == set(MIXING_PAIRS)
+    full_week = len({t.params["day"] for t in terms_list if "day" in t.params}) == 7
+    has_intercept = any(t.kind == "intercept" for t in terms_list)
+    pairs = {t.params["pair"] for t in terms_list if "pair" in t.params}
+    full_mixing = pairs == set(MIXING_PAIRS)
     if full_week and has_intercept:
         warnings.append(f"{side} terms: all 7 day dummies plus intercept are collinear")
     if full_mixing and has_intercept:
@@ -849,12 +863,9 @@ def validate_model(spec: ModelSpec, panel: NetworkPanel) -> ModelValidationRepor
             f"under gap policy {spec.gap_policy!r}"
         )
 
-    seasonal_keys = {
-        t.params.get("key", "day")
-        for t in spec.vertex_terms + spec.edge_terms
-        if t.kind == "seasonal"
-    }
-    for key in sorted(seasonal_keys):
+    time_keys = {t.params["key"] for t in spec.vertex_terms + spec.edge_terms
+                 if "key" in t.params}
+    for key in sorted(time_keys):
         missing = [t for t in steps if key not in (panel.at(t).time_attrs or {})]
         if missing:
             errors.append(

@@ -8,8 +8,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dynetlogit import ModelSpec, NetworkPanel, RiskSet, Snapshot, TermSpec
+from dynetlogit.simulate import _generator, _seed_words
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def stream(seed, replicate, step, base=0):
+    """The generator of stream key (replicate, step - base) under ``seed``,
+    built as the library builds it."""
+    return _generator(_seed_words(seed, [(replicate, step - base)])[0])
 
 
 def make_snapshot(t, present, edges, n, attrs=None):

@@ -12,9 +12,10 @@ that Newton run on every Bernoulli row instead of on binomial patterns;
 design rows with every edge term evaluated on every dyad instead of
 gathered from lagged ties and class representatives, and grouped by
 ``np.unique`` over whole dense rows instead of patterns assembled from
-endpoint classes and lagged ties; and panel files read one label at a time
-and written through the panel's JSON object and ``json.dumps`` instead of
-on arrays.  The tests' scalar and sub-design helpers (``has_edge``,
+endpoint classes and lagged ties; endpoint classes keyed by kind name
+instead of read from the kind table's scopes and params; and panel files
+read one label at a time and written through the panel's JSON object and
+``json.dumps`` instead of on arrays.  The tests' scalar and sub-design helpers (``has_edge``,
 ``triangle_count``, ``split_design``, ``predict_probabilities``) live here
 too.
 """
@@ -64,6 +65,7 @@ from dynetlogit.solver import (
 )
 from dynetlogit.terms import (
     History,
+    SpecError,
     _is_edge,
     edge_term_values,
     triangle_counts,
@@ -232,6 +234,23 @@ def edge_stat(term, panel, t, i, j, current_present, policy="exclude") -> float:
     vals = edge_term_values(term, History(panel, policy), t, np.array([i]), np.array([j]),
                             bits)
     return float(vals[0])
+
+
+def endpoint_classes_by_kind(risk_set, terms):
+    """Class of every risk-set vertex for the edge ``terms``, by kind name:
+    its values of their mixing attributes and which of their individual
+    dummies it is; the class ids ``design._endpoint_classes`` must give."""
+    n = len(risk_set)
+    key = np.zeros(n, dtype=np.int64)
+    ident = np.zeros(n, dtype=np.int64)
+    try:
+        for attr in sorted({t.params["attr"] for t in terms if t.kind == "mixing"}):
+            key = 2 * key + risk_set.attr_indicator(attr).astype(np.int64)
+        labels = sorted({t.params["label"] for t in terms if t.kind == "individual_dummy"})
+        ident[[risk_set.index_of(label) for label in labels]] = np.arange(1, len(labels) + 1)
+    except KeyError as exc:
+        raise SpecError(str(exc)) from None
+    return np.unique(key * (len(labels) + 1) + ident, return_inverse=True)[1]
 
 
 def step_draw_by_replicate(spec, theta_v, theta_e, history, t, rng=None, *,

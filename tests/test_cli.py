@@ -20,7 +20,7 @@ from dynetlogit.cli import (
 )
 from dynetlogit.synth import make_month_panel, month_risk_set, nested_model_specs
 
-from conftest import random_panel
+from conftest import random_panel, stream
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,6 @@ def test_project_writes_paths_and_graphs(workdir, tmp_path):
 def test_project_horizon_one_matches_one_step(workdir, tmp_path):
     from types import SimpleNamespace
     from dynetlogit import one_step_sample
-    from dynetlogit.simulate import _stream
     from dynetlogit.terms import load_model_spec
 
     fit_dir = tmp_path / "fit"
@@ -216,7 +215,7 @@ def test_project_horizon_one_matches_one_step(workdir, tmp_path):
                           column_names=tuple(report["fit"]["columns"]))
     spec = load_model_spec(workdir / "spec.json")
     panel = load_panel(workdir / "panel.json")
-    direct = one_step_sample(fit, spec, panel, 8, _stream(11, 0, 9, panel.t_min))
+    direct = one_step_sample(fit, spec, panel, 8, stream(11, 0, 9, panel.t_min))
     assert np.array_equal(dumped.at(9).codes, direct.codes)
     assert dumped.at(9).present.tolist() == direct.present.tolist()
 
@@ -410,6 +409,13 @@ _MALFORMED = {
                      'vertex_terms[1]: lag_indicator term lag must be an integer, got "1"'),
     "lag a fraction": ("spec", ("edge_terms", 1, "lag"), 1.5,
                        "edge_terms[1]: lag_indicator term lag must be an integer, got 1.5"),
+    "kind a list": ("spec", ("vertex_terms", 0, "kind"), ["intercept"],
+                    "vertex_terms[0]: kind ['intercept'] not valid for vertex terms"),
+    "param misspelt": ("spec", ("vertex_terms", 0),
+                       {"kind": "seasonal", "params": {"day": "Tuesday", "kye": "weekday"}},
+                       "vertex_terms[0]: seasonal term does not take params.kye"),
+    "param undeclared": ("spec", ("edge_terms", 0, "params"), {"attr": "nosuch"},
+                         "edge_terms[0]: intercept term does not take params.attr"),
     "max_len a string": ("spec", ("edge_terms", 1),
                          {"kind": "lag_cycle_embed", "lag": 1, "params": {"max_len": "x"}},
                          'edge_terms[1]: lag_cycle_embed max_len must be an integer, got "x"'),

@@ -21,8 +21,18 @@ from dynetlogit import (
     save_panel,
 )
 from dynetlogit import design
-from dynetlogit.design import CLASS_KINDS, TIE_KINDS, dump_design
-from dynetlogit.terms import EDGE_KINDS, LAGGED_KINDS, MIXING_PAIRS, WEEKDAYS
+from dynetlogit.design import _endpoint_classes, dump_design
+from dynetlogit.panel import dyads
+from dynetlogit.terms import (
+    KINDS,
+    MIXING_PAIRS,
+    WEEKDAYS,
+    History,
+    edge_term_values,
+    resolve_lag,
+    usable_transitions,
+    vertex_term_values,
+)
 
 import oracles
 from conftest import bench_workloads, random_panel
@@ -192,12 +202,6 @@ def test_dump_design_round_readable(tmp_path, tiny_panel, lag1_spec):
 # patterns assembled from endpoint classes and lagged ties
 # ---------------------------------------------------------------------------
 
-def test_every_edge_kind_is_classified():
-    assert set(CLASS_KINDS) | set(TIE_KINDS) == set(EDGE_KINDS)
-    assert not set(CLASS_KINDS) & set(TIE_KINDS)
-    assert set(TIE_KINDS) <= set(LAGGED_KINDS)
-
-
 def assert_patterns_equal_rows(dm, panel, spec):
     """``dm.patterns`` equal the grouped rows expanded dyad by dyad as a
     multiset, and the counts known without rows agree with the rows."""
@@ -211,6 +215,28 @@ def assert_patterns_equal_rows(dm, panel, spec):
     assert dm.n_rows == len(dm.responses) == dm.features.shape[0]
     assert dm.n_vertex_rows == int(np.sum(dm.tags.kind == 0))
     assert dm.steps == tuple(np.unique(dm.tags.t).tolist())
+
+
+def term_pools(labels, lags, max_len):
+    """Vertex terms, edge terms of step or class scope and edge terms of lag
+    scope, over attributes a and b and risk-set ``labels``; ``lags`` are
+    the lags of the vertex lag indicator, the vertex triangle count and the
+    edge cycle term."""
+    vertex_pool = [TermSpec("vertex", "intercept"),
+                   TermSpec("vertex", "attr_dummy", params={"attr": "a"}),
+                   TermSpec("vertex", "lag_indicator", lag=lags[0]),
+                   TermSpec("vertex", "lag_triangle", lag=lags[1]),
+                   TermSpec("vertex", "seasonal", params={"day": "Tuesday"})]
+    class_pool = (
+        [TermSpec("edge", "intercept"), TermSpec("edge", "log_size"),
+         TermSpec("edge", "seasonal", params={"day": "Wednesday"})]
+        + [TermSpec("edge", "mixing", params={"attr": attr, "pair": pair})
+           for attr in "ab" for pair in MIXING_PAIRS]
+        + [TermSpec("edge", "individual_dummy", params={"label": label}) for label in labels])
+    tie_pool = [TermSpec("edge", "lag_indicator", lag=1),
+                TermSpec("edge", "lag_indicator", lag=2),
+                TermSpec("edge", "lag_cycle_embed", lag=lags[2], params={"max_len": max_len})]
+    return vertex_pool, class_pool, tie_pool
 
 
 @st.composite
@@ -242,21 +268,10 @@ def panels_and_specs(draw):
                           {"day": WEEKDAYS[t % 7]}))
     panel = NetworkPanel(rs, snaps, gaps=sorted(gaps))
 
-    vertex_pool = [TermSpec("vertex", "intercept"), TermSpec("vertex", "attr_dummy",
-                                                             params={"attr": "a"}),
-                   TermSpec("vertex", "lag_indicator", lag=1),
-                   TermSpec("vertex", "seasonal", params={"day": "Tuesday"})]
     labels = [f"v{k}" for k in rng.choice(n, min(n, 3), replace=False)]
-    class_pool = (
-        [TermSpec("edge", "intercept"), TermSpec("edge", "log_size"),
-         TermSpec("edge", "seasonal", params={"day": "Wednesday"})]
-        + [TermSpec("edge", "mixing", params={"attr": attr, "pair": pair})
-           for attr in "ab" for pair in MIXING_PAIRS]
-        + [TermSpec("edge", "individual_dummy", params={"label": label}) for label in labels])
-    tie_pool = [TermSpec("edge", "lag_indicator", lag=1),
-                TermSpec("edge", "lag_indicator", lag=2),
-                TermSpec("edge", "lag_cycle_embed", lag=draw(st.integers(1, 2)),
-                         params={"max_len": draw(st.integers(3, 5))})]
+    vertex_pool, class_pool, tie_pool = term_pools(
+        labels, draw(st.lists(st.integers(1, 2), min_size=3, max_size=3)),
+        draw(st.integers(3, 5)))
     name = lambda term: term.name  # noqa: E731
     vertex_terms = draw(st.lists(st.sampled_from(vertex_pool), unique_by=name, max_size=3))
     edge_terms = draw(st.permutations(
@@ -308,6 +323,70 @@ def assert_rows_equal_rows_by_dyad(dm, panel, spec):
                           want[2].kind, want[2].t, want[2].i, want[2].j]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert features.shape == want[1].shape
+
+
+def test_term_pools_cover_every_kind():
+    pools = term_pools(["v0"], (1, 2, 1), 3)
+    for target in ("vertex", "edge"):
+        pooled = {term.kind for pool in pools for term in pool if term.target == target}
+        assert pooled == {name for name, kind in KINDS.items() if target in kind.targets}
+    assert {term.scope for term in pools[1]} == {"step", "class"}
+    assert {term.scope for term in pools[2]} == {"lag"}
+
+
+def _one_value_per(key, values):
+    """Whether ``values`` take one value per distinct ``key``."""
+    return len(np.unique(np.column_stack([key, values]), axis=0)) == len(np.unique(key))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(panels_and_specs())
+def test_term_scopes_hold(case):
+    """Every term is constant where its kind's scope says, on every usable
+    step: a ``step`` term over the risk set (vertex) or the present dyads
+    (edge), a ``class`` term within each class of its own params' classes
+    (vertex) or pair of them (edge), and a ``lag`` term is 0 off the
+    vertices or ties of the snapshot at its lag.  The spec's endpoint
+    classes equal the oracle's, keyed by kind name."""
+    panel, spec, _ = case
+    rs = panel.risk_set
+    n = len(rs)
+    assert np.array_equal(_endpoint_classes(rs, spec.edge_terms),
+                          oracles.endpoint_classes_by_kind(rs, spec.edge_terms))
+    history = History(panel, spec.gap_policy)
+    steps = usable_transitions(history, spec.max_lag)
+    event(f"{'some' if steps else 'no'} usable steps")
+    for t in steps:
+        snap = panel.at(t)
+        ii, jj = dyads(snap.present_indices)
+        for term in spec.vertex_terms + spec.edge_terms:
+            classes = _endpoint_classes(rs, [term])
+            if term.target == "vertex":
+                values, pair = vertex_term_values(term, history, t), classes
+            elif len(ii):
+                values = edge_term_values(term, history, t, ii, jj, snap.present)
+                lo, hi = np.sort([classes[ii], classes[jj]], axis=0)
+                pair = lo * n + hi
+            else:
+                continue
+            if term.scope == "step":
+                assert len(np.unique(values)) == 1, (t, term)
+            elif term.scope == "class":
+                assert _one_value_per(pair, values), (t, term)
+            else:
+                lagged = history.snapshot_at(resolve_lag(history, t, term.lag))
+                on = (lagged.present if term.target == "vertex"
+                      else np.isin(ii * n + jj, lagged.codes))
+                assert np.all(values[~on] == 0), (t, term)
+
+
+@pytest.mark.parametrize("workload", ["month", "cycles", "million"])
+def test_workload_classes_equal_the_oracle(workload):
+    panel, specs = bench_workloads()._base_draw(workload)
+    for spec in specs.values():
+        assert np.array_equal(
+            _endpoint_classes(panel.risk_set, spec.edge_terms),
+            oracles.endpoint_classes_by_kind(panel.risk_set, spec.edge_terms))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

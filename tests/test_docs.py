@@ -1,10 +1,12 @@
-"""The README's command-line synopsis lists exactly the flags of the parser."""
+"""The README lists exactly the flags of the parser and the kinds of the
+kind table."""
 
 import argparse
 import re
 from pathlib import Path
 
 from dynetlogit.cli import _build_parser
+from dynetlogit.terms import KINDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +46,11 @@ def test_readme_synopsis_matches_parser():
         assert documented[command] <= known, (command, documented[command] - known)
         missing = [s for s in options if not documented[command] & set(s)]
         assert not missing, (command, missing)
+
+
+def test_readme_kinds_match_the_kind_table():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    vertex, edge = re.search(r"Kinds: (.*?) \(vertex\); (.*?) \(edge\)\.", text).groups()
+    for target, listed in (("vertex", vertex), ("edge", edge)):
+        declared = [name for name, kind in KINDS.items() if target in kind.targets]
+        assert re.findall(r"`(\w+)`", listed) == declared, target

@@ -20,8 +20,8 @@ from dynetlogit.gli import GLI_NAMES, gli_vector
 from dynetlogit.solver import fit_posterior_mode
 from dynetlogit.synth import make_month_panel, month_risk_set, nested_model_specs
 from dynetlogit.simulate import (
-    _stream,
-    _streams,
+    _generator,
+    _seed_words,
     _weekday_attrs_fn,
     interval_indices,
     weekday_attrs,
@@ -29,7 +29,7 @@ from dynetlogit.simulate import (
 from dynetlogit.terms import History, SpecError
 
 import oracles
-from conftest import random_panel
+from conftest import random_panel, stream
 
 
 def fake_fit(spec, coefficients):
@@ -60,7 +60,7 @@ def test_all_zero_probabilities_yield_empty_snapshot(core_panel):
     fit = fake_fit(INTERCEPT_SPEC, [-50.0, -50.0])
     for rep in range(5):
         snap = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1,
-                               _stream(0, rep, 2))
+                               stream(0, rep, 2))
         assert snap.n_present == 0
         assert snap.edge_count == 0
 
@@ -72,19 +72,19 @@ def test_deterministic_limit_gives_k3(core_panel):
         [TermSpec("edge", "intercept")],
     )
     fit = fake_fit(spec, [-60.0, 120.0, 60.0])
-    snap = one_step_sample(fit, spec, core_panel, 1, _stream(0, 0, 2))
+    snap = one_step_sample(fit, spec, core_panel, 1, stream(0, 0, 2))
     assert sorted(snap.present_indices) == [0, 1, 2]
     assert snap.edge_count == 3
 
 
 def test_same_seed_reproducible_and_replicates_differ(core_panel):
     fit = fake_fit(INTERCEPT_SPEC, [0.0, 0.0])
-    a = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, _stream(9, 0, 2))
-    b = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, _stream(9, 0, 2))
+    a = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, stream(9, 0, 2))
+    b = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, stream(9, 0, 2))
     assert a == b
     draws = {
         tuple(sorted(one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1,
-                                     _stream(9, rep, 2)).present_indices))
+                                     stream(9, rep, 2)).present_indices))
         for rep in range(40)
     }
     assert len(draws) > 1
@@ -96,7 +96,7 @@ def test_fit_spec_mismatch_raises(core_panel):
                        TermSpec("vertex", "lag_indicator", lag=1)],
                       [TermSpec("edge", "intercept")])
     with pytest.raises(ValueError, match="do not match"):
-        one_step_sample(fit, other, core_panel, 1, _stream(0, 0, 2))
+        one_step_sample(fit, other, core_panel, 1, stream(0, 0, 2))
 
 
 def test_interval_indices_formula():
@@ -132,7 +132,7 @@ def test_threshold_matches_modal_sample(core_panel):
     from collections import Counter
     outcomes = Counter()
     for rep in range(2000):
-        s = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, _stream(5, rep, 2))
+        s = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, stream(5, rep, 2))
         outcomes[(tuple(s.present_indices.tolist()), tuple(s.codes.tolist()))] += 1
     modal = outcomes.most_common(1)[0][0]
     assert modal[0] == tuple(predicted.present_indices.tolist())
@@ -194,7 +194,7 @@ def test_project_horizon_one_equals_one_step(core_panel):
     config = SimConfig(replicates=1, horizon=1, seed=42)
     result = project(fit, INTERCEPT_SPEC, core_panel, config)
     direct = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 2,
-                             _stream(42, 0, 3, core_panel.t_min))
+                             stream(42, 0, 3, core_panel.t_min))
     assert result.steps == (3,)
     traj = result.snapshots[0][0]
     assert traj.present.tolist() == direct.present.tolist()
@@ -396,7 +396,7 @@ def test_lockstep_projection_is_refused_when_a_replicate_is(monkeypatch):
 def test_sampled_snapshots_pass_invariants(core_panel):
     fit = fake_fit(INTERCEPT_SPEC, [0.0, 0.0])
     for rep in range(30):
-        s = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, _stream(3, rep, 2))
+        s = one_step_sample(fit, INTERCEPT_SPEC, core_panel, 1, stream(3, rep, 2))
         for i, j in s.edges:
             assert s.present[i] and s.present[j]
             assert i < j
@@ -418,7 +418,7 @@ def test_edge_indicators_conditionally_independent(core_panel):
     m = 4000
     indicators = np.zeros((m, 6))
     for rep in range(m):
-        s = one_step_sample(fit, spec, core_panel, 1, _stream(6, rep, 2))
+        s = one_step_sample(fit, spec, core_panel, 1, stream(6, rep, 2))
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         indicators[rep] = [oracles.has_edge(s, i, j) for i, j in pairs]
     corr = np.corrcoef(indicators.T)
@@ -482,7 +482,7 @@ def test_intervals_match_per_replicate_sampling(monkeypatch, with_logsize):
                     gli_vector(oracles.step_draw_by_replicate(
                         spec, np.asarray(theta_v), np.asarray(theta_e),
                         History(panel, spec.gap_policy), s,
-                        None if mode == "threshold50" else _stream(13, rep, s, panel.t_min),
+                        None if mode == "threshold50" else stream(13, rep, s, panel.t_min),
                         threshold=mode == "threshold50", fixed_vertex_set=fixed))
                     for rep in range(config.replicates)] for s in steps])
                 small = np.count_nonzero(expected[:, :, 0] < 3)
@@ -531,7 +531,8 @@ def test_edge_terms_see_ties_and_one_dyad_per_class(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 6, 2**32 - 1, 2**32, 2**64 + 7, 2**100])
 def test_streams_equal_spawned_seed_sequences(seed):
     keys = [(0, 0), (99, 27), (2**32 - 1, 2**32 - 1)]
-    for rng, key in zip(_streams(seed, keys), keys):
+    for words, key in zip(_seed_words(seed, keys), keys):
+        rng = _generator(words)
         expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
         assert rng.bit_generator.state == expected.bit_generator.state
         assert np.array_equal(rng.random(64), expected.random(64))
@@ -540,11 +541,11 @@ def test_streams_equal_spawned_seed_sequences(seed):
 def test_streams_refuse_what_seed_sequences_would_read_otherwise():
     # a negative seed has no words; numpy splits a key of 2**32 into two words
     with pytest.raises(ValueError, match="got -1"):
-        _streams(-1, [(0, 0)])
+        _seed_words(-1, [(0, 0)])
     with pytest.raises(ValueError, match="replicate 4294967296, step offset 3"):
-        _streams(0, [(1, 2), (2**32, 3)])
+        _seed_words(0, [(1, 2), (2**32, 3)])
     with pytest.raises(ValueError, match="replicate 0, step offset -1"):
-        _stream(0, 0, 1, 2)
+        _seed_words(0, [(0, -1)])
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
         SimConfig(seed=-5)
 
@@ -640,7 +641,7 @@ def test_no_vertex_terms_needs_fixed_vertex_set(core_panel):
     for simulate_call in (
         lambda: one_step_intervals(fit, spec, core_panel, config),
         lambda: project(fit, spec, core_panel, config),
-        lambda: one_step_sample(fit, spec, core_panel, 1, _stream(0, 0, 2)),
+        lambda: one_step_sample(fit, spec, core_panel, 1, stream(0, 0, 2)),
         lambda: classify_threshold(fit, spec, core_panel, 1),
     ):
         with pytest.raises(SpecError, match="fixed_vertex_set"):
@@ -659,7 +660,7 @@ def test_gap_in_lag_window_raises(core_panel):
     fit = fake_fit(spec, [0.0, 0.0, 0.0])
     from dynetlogit import GapError
     with pytest.raises(GapError):
-        one_step_sample(fit, spec, core_panel, 5, _stream(0, 0, 6))
+        one_step_sample(fit, spec, core_panel, 5, stream(0, 0, 6))
 
 
 def test_weekday_extrapolation():

@@ -71,6 +71,21 @@ def test_kind_target_compatibility():
         TermSpec("edge", "lag_triangle", lag=1)
 
 
+def test_params_are_the_declared_ones():
+    # a misspelt optional param would otherwise fall back to its default
+    with pytest.raises(SpecError, match="seasonal term does not take params.kye"):
+        TermSpec("vertex", "seasonal", params={"day": "Tuesday", "kye": "weekday"})
+    with pytest.raises(SpecError, match="intercept term does not take params.attr"):
+        TermSpec("edge", "intercept", params={"attr": "nosuch"})
+    with pytest.raises(SpecError, match="mixing term requires params.pair"):
+        TermSpec("edge", "mixing", params={"attr": "a"})
+    with pytest.raises(SpecError, match="individual_dummy term requires params.label"):
+        TermSpec("edge", "individual_dummy", params={"label": ""})
+    day = TermSpec("edge", "seasonal", params={"day": "Friday"})
+    assert day.params == {"day": "Friday", "key": "day"} and day.name == "day_Friday"
+    assert TermSpec("edge", "lag_cycle_embed", lag=2).name == "cycles9_lag2"
+
+
 def test_seasonal_terms_helper():
     terms = seasonal_terms("vertex")
     assert len(terms) == 6

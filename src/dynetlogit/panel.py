@@ -143,11 +143,12 @@ class Snapshot:
     union of simulated days): vertex r * (n / draws) + i is vertex i of draw
     r, and no edge joins two draws.  Graph indices come out one per draw.
     Instances are immutable after construction and cache derived structures
-    (the degrees, the 2-core, per-edge cycle counts) on first use.
+    (the degrees, the 2-core, per-edge cycle counts) on first use, beside
+    each draw's running total of cycle-counting work.
     """
 
     __slots__ = ("t", "present", "codes", "time_attrs", "draws", "_degrees", "_core",
-                 "_cycle_memo")
+                 "_cycle_memo", "_cycle_work")
 
     def __init__(self, t, present, edges, time_attrs=None, *, n=None, draws=1):
         """``present`` is a bool vector over the risk set, or the indices of
@@ -189,8 +190,7 @@ class Snapshot:
             codes = np.unique(codes)
         self.codes = _read_only(codes)
         self.time_attrs = dict(time_attrs or {})
-        self._degrees = None
-        self._core = None
+        self._degrees = self._core = self._cycle_work = None
         self._cycle_memo = {}
 
     # -- basic accessors -------------------------------------------------
@@ -414,8 +414,8 @@ def _json_attrs(attrs: dict, memo) -> str:
 def _risk_set_json(rs: RiskSet) -> tuple:
     """What a panel's text takes from its risk set, built once and cached
     on it: the encoded ``risk_set`` array, each vertex's rank among the
-    labels in sorted order, and by rank the encoded first and second label
-    of an edge."""
+    labels in sorted order, by rank the encoded first and second label of
+    an edge, and the ``_json_attrs`` memo its panels share."""
     if rs._json is None:
         n = len(rs)
         labels = np.array([_encode_str(lab) for lab in rs.labels], dtype=object)
@@ -435,7 +435,8 @@ def _risk_set_json(rs: RiskSet) -> tuple:
         rank[order] = np.arange(n)
         object.__setattr__(rs, "_json", (
             labels, _json_list(risk, 1), rank,
-            "[\n          " + labels[order] + ",\n          ", labels[order] + "\n        ]"))
+            "[\n          " + labels[order] + ",\n          ", labels[order] + "\n        ]",
+            memo))
     return rs._json
 
 
@@ -451,9 +452,8 @@ def panel_to_json(panel: NetworkPanel) -> str:
     directly: each label is encoded once per risk set, and only attrs go
     through ``json.dumps``.
     """
-    labels, risk, rank, first, second = _risk_set_json(panel.risk_set)
+    labels, risk, rank, first, second, memo = _risk_set_json(panel.risk_set)
     n = len(labels)
-    memo = {}
     snaps = []
     for s in panel.snapshots:
         a, b = np.divmod(s.codes, n)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -424,15 +425,15 @@ def triangle_counts(snapshot: Snapshot) -> np.ndarray:
 # columns, up to 8 subset keys and their sort), so a call stays near 125 MB.
 # A batch over it is split; one pair over it is refused.
 HALF_PATH_BUDGET = 500_000
-# Most half-path rows one pair_cycle_counts call may grow over all its
-# batches, split ones included: a few seconds of counting on one core, and
-# 300 times the largest call of the bundled workloads.
+# Most half-path rows grown on one draw of a snapshot, its running total
+# over every pair_cycle_counts call on it: a few seconds of counting on one
+# core, and 300 times the largest total of the bundled workloads.
 CYCLE_WORK_BUDGET = 20 * HALF_PATH_BUDGET
 
 
 class CycleBudgetError(ValueError):
-    """Counting cycles would exceed HALF_PATH_BUDGET for one edge, or
-    CYCLE_WORK_BUDGET for one draw's queried edges."""
+    """Counting cycles would exceed HALF_PATH_BUDGET for one edge, or take
+    one draw's running total of half-path rows past CYCLE_WORK_BUDGET."""
 
 
 class _OverBudget(Exception):
@@ -475,8 +476,7 @@ def _cycle_core(snapshot: Snapshot):
     return snapshot._core
 
 
-def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9,
-                      groups=None) -> np.ndarray:
+def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarray:
     """Simple cycles of length 3..max_len through each edge {ii[r], jj[r]}.
 
     A cycle through the edge {i, j} is a simple i-j path of e = 2..max_len-1
@@ -492,12 +492,12 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9,
     an endpoint off the 2-core, count 0.
 
     On a union snapshot each draw is counted as if on its own: keys number
-    vertices within their draw, and the budgets apply per draw.  Raises
-    CycleBudgetError when one pair needs more than HALF_PATH_BUDGET
-    half-path rows, or the pairs of one draw more than CYCLE_WORK_BUDGET.
-    ``groups``, when given, names for each pair the budget it counts
-    against in place of its draw's (the draw that queries it, on a snapshot
-    that several draws share).
+    vertices within their draw, and the budgets apply per draw.  A draw's
+    total over all calls of the half-path rows grown for its pairs does not
+    depend on how its pairs are split into calls or ordered.  Raises
+    CycleBudgetError when one pair needs more than HALF_PATH_BUDGET rows,
+    or a draw's total would pass CYCLE_WORK_BUDGET; a refused call adds
+    nothing to the total.
     """
     if not 3 <= max_len <= 9:
         raise ValueError(f"max_len must be in [3, 9], got {max_len}")
@@ -515,22 +515,21 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9,
     pos = np.minimum(np.searchsorted(edges, code), len(edges) - 1)
     rows = np.flatnonzero((lo >= 0) & (edges[pos] == code))
     if len(rows):
-        out[rows] = _cycle_batch(snapshot, a[rows], b[rows], max_len,
-                                 None if groups is None else np.asarray(groups)[rows])
+        out[rows] = _cycle_batch(snapshot, a[rows], b[rows], max_len)
     return out
 
 
-def _cycle_batch(snapshot, src, dst, max_len, groups):
+def _cycle_batch(snapshot, src, dst, max_len):
     """Cycle counts of the core edges (src[r], dst[r]), in batches of at
     most HALF_PATH_BUDGET half-path rows; a batch over it is split.  A
-    pair's work is the half-path rows it grows in the batch that counts
-    it, so a draw's work does not depend on the other draws of a union."""
+    pair's work is the half-path rows it grows in the batch that counts it,
+    added to its draw's running total once every batch has passed."""
     _, indptr, indices, _, starts = _cycle_core(snapshot)
     draw = np.searchsorted(starts, src, "right") - 1
     width = np.diff(starts)[draw]
     offset = starts[draw] if snapshot.draws > 1 else None
-    groups = draw if groups is None else groups
-    work = np.zeros(int(groups.max()) + 1)
+    done = snapshot._cycle_work  # None until the snapshot's first count
+    work = np.zeros(snapshot.draws) if done is None else done.copy()
     out = np.empty(len(src), dtype=np.int64)
     todo = [np.arange(len(src))]
     while todo:
@@ -547,14 +546,14 @@ def _cycle_batch(snapshot, src, dst, max_len, groups):
             parts = min(len(rows), max(2, -(-over.rows // HALF_PATH_BUDGET)))
             todo.extend(np.array_split(rows, parts))
             continue
-        work += np.bincount(groups[rows], grown, minlength=len(work))
+        work += np.bincount(draw[rows], grown, minlength=len(work))
         if work.max() > CYCLE_WORK_BUDGET:
-            g = int(np.argmax(work > CYCLE_WORK_BUDGET))
-            mine = np.flatnonzero(groups == g)
+            d = int(np.argmax(work > CYCLE_WORK_BUDGET))
             raise CycleBudgetError(
-                f"{_cycle_site(snapshot, draw[mine[0]])}: counting its {len(mine)} queried "
-                f"edges passed {int(work[g])} half-paths, over the work budget of "
+                f"{_cycle_site(snapshot, d)}: counting its {np.count_nonzero(draw == d)} "
+                f"queried edges passed {int(work[d])} half-paths, over the work budget of "
                 f"{CYCLE_WORK_BUDGET} per draw")
+    snapshot._cycle_work = work
     return out
 
 
@@ -791,16 +790,9 @@ def edge_term_values(term: TermSpec, history: History, t: int, ii: np.ndarray,
             memo = snap._cycle_memo.setdefault(max_len, np.full(len(codes), np.nan))
             todo = np.flatnonzero(np.isnan(memo) & (np.bincount(pos, minlength=len(codes)) > 0))
             if len(todo):
-                groups = None
-                if draw is not None and snap.draws == 1:
-                    # a snapshot the draws share: each edge counts against
-                    # the budget of the first draw that queries it
-                    first = np.full(len(codes), len(present))
-                    np.minimum.at(first, pos, draw[rows])
-                    groups = first[todo]
                 # math.log1p: np.log1p differs in the last bit for some counts
                 memo[todo] = np.frompyfunc(math.log1p, 1, 1)(
-                    pair_cycle_counts(snap, *np.divmod(codes[todo], size), max_len, groups))
+                    pair_cycle_counts(snap, *np.divmod(codes[todo], size), max_len))
             out[rows] = memo[pos]
         return out
     raise SpecError(f"kind {kind!r} is not an edge statistic")
@@ -835,10 +827,12 @@ def _check_collinear(terms_list, side, warnings):
     names = [t.name for t in terms_list]
     for name in sorted({x for x in names if names.count(x) > 1}):
         warnings.append(f"{side} terms: duplicate term {name}")
-    full_week = len({t.params["day"] for t in terms_list if "day" in t.params}) == 7
+    # a week is full on one time attribute, a mixing set on one vertex attribute
+    days = {(t.params["key"], t.params["day"]) for t in terms_list if "day" in t.params}
+    pairs = {(t.params["attr"], t.params["pair"]) for t in terms_list if "pair" in t.params}
+    full_week = 7 in Counter(key for key, _ in days).values()
+    full_mixing = len(MIXING_PAIRS) in Counter(attr for attr, _ in pairs).values()
     has_intercept = any(t.kind == "intercept" for t in terms_list)
-    pairs = {t.params["pair"] for t in terms_list if "pair" in t.params}
-    full_mixing = pairs == set(MIXING_PAIRS)
     if full_week and has_intercept:
         warnings.append(f"{side} terms: all 7 day dummies plus intercept are collinear")
     if full_mixing and has_intercept:

@@ -1,10 +1,11 @@
 """The README lists exactly the flags of the parser and the kinds of the
-kind table."""
+kind table, and quotes the budgets the code sets."""
 
 import argparse
 import re
 from pathlib import Path
 
+from dynetlogit import design, simulate, terms
 from dynetlogit.cli import _build_parser
 from dynetlogit.terms import KINDS
 
@@ -54,3 +55,22 @@ def test_readme_kinds_match_the_kind_table():
     for target, listed in (("vertex", vertex), ("edge", edge)):
         declared = [name for name, kind in KINDS.items() if target in kind.targets]
         assert re.findall(r"`(\w+)`", listed) == declared, target
+
+
+def _quoted_value(text: str):
+    """The number a README quote such as "10 million" or "2^17" states."""
+    million = re.fullmatch(r"(\d+) million", text)
+    if million:
+        return int(million[1]) * 10**6
+    power = re.fullmatch(r"(\d+)\^(\d+)", text)
+    return int(power[1]) ** int(power[2]) if power else None
+
+
+def test_readme_budgets_match_the_code():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    quoted = {(module, name): _quoted_value(value) for module, name, value
+              in re.findall(r"`(\w+)\.([A-Z_]+)` \(([^)]*)\)", text)}
+    modules = {"design": design, "simulate": simulate, "terms": terms}
+    for module, name in (("design", "ROW_BUDGET"), ("simulate", "PAIR_BUDGET"),
+                         ("terms", "CYCLE_WORK_BUDGET")):
+        assert quoted[module, name] == getattr(modules[module], name), name

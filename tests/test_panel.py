@@ -19,6 +19,7 @@ from dynetlogit import (
     subpanel,
 )
 from dynetlogit.panel import panel_from_obj, panel_to_json
+from dynetlogit.terms import WEEKDAYS
 
 from conftest import bench_workloads, random_panel
 from oracles import panel_from_obj_by_label, panel_json_by_dumps
@@ -269,6 +270,26 @@ def test_equal_attrs_of_other_types_keep_their_bytes():
     panel = NetworkPanel(rs, [Snapshot(t, [t], [], day, n=len(values))
                               for t, day in enumerate(days)])
     assert panel_to_json(panel) == panel_json_by_dumps(panel)
+
+
+def test_attrs_are_encoded_once_per_risk_set(monkeypatch):
+    """Panels over one risk set share its encoded attrs: three weeks of days
+    in each of two panels take one encoding per distinct value, and the
+    vertices' and days' equal values share theirs."""
+    import dynetlogit.panel as panel_module
+    rs = RiskSet(["a", "b", "c"], {"day": ["Monday", None, "Friday"]})
+    days = [Snapshot(t, [0, 1], [(0, 1)], {"day": WEEKDAYS[t % 7]}, n=3)
+            for t in range(21)]
+    encoded = []
+    dumps = json.dumps
+    monkeypatch.setattr(panel_module.json, "dumps",
+                        lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
+    texts = [panel_to_json(NetworkPanel(rs, days[k::2])) for k in (0, 1)]
+    assert sorted(map(repr, encoded)) == sorted(
+        repr(x) for x in [{"day": "Monday"}, {}, {"day": "Friday"},
+                          *({"day": d} for d in WEEKDAYS[1:4] + WEEKDAYS[5:])])
+    monkeypatch.undo()
+    assert texts == [panel_json_by_dumps(NetworkPanel(rs, days[k::2])) for k in (0, 1)]
 
 
 @given(panels())

@@ -347,41 +347,31 @@ def test_lockstep_projection_of_month_equals_the_oracle(seed):
                             oracles.project_by_replicate(fit, spec, panel, config))
 
 
-def test_lockstep_projection_is_refused_when_a_replicate_is(monkeypatch):
-    """The cycle work budget applies per draw of a union.  Set to the most
-    half-paths one per-replicate call grows, it refuses neither path; one
-    below, it refuses both, though the union's draws together grow more.
-    At horizon 1 every replicate reads the panel's last day, whose ties
-    count against the first replicate that queries them.  Every run reads a
-    fresh panel, whose days have no cycle counts memoized yet."""
+def _most_cycle_work(days):
+    """The largest per-draw total of cycle work on these days."""
+    return int(max((s._cycle_work.max() for s in days if s._cycle_work is not None),
+                   default=0))
+
+
+def _assert_refused_alike(monkeypatch, spec, coefficients, cases):
+    """Set to the largest per-draw total of the per-replicate projection,
+    the cycle work budget refuses neither projection; one below, it refuses
+    both, though a union's draws together grow more.  Every run reads a
+    fresh panel, whose days have no cycle counts memoized yet.  Returns,
+    per case, whether a day of the panel held the largest total."""
     import dynetlogit.terms as terms
-    spec = ModelSpec(
-        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
-        [TermSpec("edge", "intercept"),
-         TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9})])
-    fit = fake_fit(spec, [0.2, 0.5, 0.8, 0.2])
-    calls = []
-    counts, half_paths = terms.pair_cycle_counts, terms._half_path_counts
-
-    def per_call(*args):
-        calls.append(0.0)
-        return counts(*args)
-
-    def grown(*args):
-        out = half_paths(*args)
-        calls[-1] += out[1].sum()
-        return out
-
-    for fixed, horizon in ((False, 4), (True, 4), (False, 1)):
+    fit = fake_fit(spec, coefficients)
+    on_panel = []
+    for fixed, horizon in cases:
         config = SimConfig(replicates=6, horizon=horizon, seed=3, fixed_vertex_set=fixed)
-        calls.clear()
+        panel = _weekly_panel(5, ())
         with monkeypatch.context() as m:
-            m.setattr(terms, "pair_cycle_counts", per_call)
-            m.setattr(terms, "_half_path_counts", grown)
             m.setattr(terms, "CYCLE_WORK_BUDGET", 10**12)
-            expected = oracles.project_by_replicate(fit, spec, _weekly_panel(5, ()),
-                                                     config)
-        most = int(max(calls))
+            expected = oracles.project_by_replicate(fit, spec, panel, config)
+        most = _most_cycle_work([*panel.snapshots, *(s for trajectory in expected.snapshots
+                                                     for s in trajectory)])
+        assert most > 0
+        on_panel.append(most == _most_cycle_work(panel.snapshots))
         for budget, refused in ((most, False), (most - 1, True)):
             monkeypatch.setattr(terms, "CYCLE_WORK_BUDGET", budget)
             for run in (project, oracles.project_by_replicate):
@@ -391,6 +381,35 @@ def test_lockstep_projection_is_refused_when_a_replicate_is(monkeypatch):
                 else:
                     _assert_same_projection(run(fit, spec, _weekly_panel(5, ()), config),
                                             expected)
+    return on_panel
+
+
+def test_lockstep_projection_is_refused_when_a_replicate_is(monkeypatch):
+    """The cycle work budget applies per draw of a union.  At horizon 1
+    every replicate reads the panel's last day, whose work is the day's,
+    whichever replicate queries its ties."""
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        [TermSpec("edge", "intercept"),
+         TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9})])
+    _assert_refused_alike(monkeypatch, spec, [0.2, 0.5, 0.8, 0.2],
+                          ((False, 4), (True, 4), (False, 1)))
+
+
+def test_two_lag_cycle_projection_is_refused_when_a_replicate_is(monkeypatch):
+    """Cycle terms at lags 1 and 2 read the panel's last day at the first
+    and at the second step: replicate by replicate, one replicate's second
+    step counts ties there before the next replicate's first step does,
+    while in lockstep every first step comes first.  The day's total is
+    the same in both orders, and so is the refusal.  The drawn days are
+    sparse, so the panel's days hold the most work."""
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        [TermSpec("edge", "intercept"),
+         TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9}),
+         TermSpec("edge", "lag_cycle_embed", lag=2, params={"max_len": 9})])
+    assert all(_assert_refused_alike(monkeypatch, spec, [0.2, 0.5, -1.5, 0.2, 0.1],
+                                     ((False, 2), (True, 2), (False, 3), (True, 3))))
 
 
 def test_sampled_snapshots_pass_invariants(core_panel):

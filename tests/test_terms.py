@@ -1,5 +1,7 @@
 import math
 import time
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,12 +300,14 @@ def test_pair_cycle_count_budget_refuses_one_dense_pair():
 
 def test_cycle_work_budget_refuses_many_affordable_pairs():
     """Every edge of K18 is well inside the per-edge budget, but all 153 of
-    them together grow more half-paths than one call may: the call stops
-    after a few seconds instead of counting for minutes."""
+    them together grow more half-paths than one draw may: the call stops
+    after a few seconds instead of counting for minutes.  The budget holds
+    the draw's running total over calls, to which a refused call adds
+    nothing."""
     n = 18
     s = complete(5, list(range(n)), n)
     held = terms._half_path_counts(*terms._cycle_core(s)[1:3], np.array([0]),
-                                   np.array([1]), 9)[1]
+                                   np.array([1]), 9)[1][0]
     assert held < terms.HALF_PATH_BUDGET < terms.CYCLE_WORK_BUDGET < held * s.edge_count
     ii, jj = np.divmod(s.codes, n)
     start = time.perf_counter()
@@ -312,7 +316,15 @@ def test_cycle_work_budget_refuses_many_affordable_pairs():
                              r"edges passed \d+ half-paths, over the work budget of 10000000"):
         pair_cycle_counts(s, ii, jj, 9)
     assert time.perf_counter() - start < 30
+    assert s._cycle_work is None  # a refused call adds nothing
     assert pair_cycle_counts(s, ii[:40], jj[:40], 9).tolist() == [63994816] * 40
+    assert s._cycle_work.tolist() == [40 * held]
+    # 42 more ties would pass on their own, but not on top of the draw's
+    # total; the refusal leaves the total as it was
+    assert 42 * held < terms.CYCLE_WORK_BUDGET < 82 * held
+    with pytest.raises(terms.CycleBudgetError, match=r"counting its 42 queried edges"):
+        pair_cycle_counts(s, ii[40:82], jj[40:82], 9)
+    assert s._cycle_work.tolist() == [40 * held]
 
 
 def _random_union(rng, sizes):
@@ -368,6 +380,44 @@ def test_cycle_work_budget_applies_per_draw(monkeypatch):
                              r"edges passed \d+ half-paths, over the work budget of "
                              rf"{int(1.2 * work)} per draw"):
         pair_cycle_counts(mixed, ui, uj, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       density=st.floats(0.2, 1.0), max_len=st.sampled_from([3, 5, 9]),
+       seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 200), max_size=4),
+       batch=st.sampled_from([None, 5000]))
+def test_cycle_work_does_not_depend_on_how_ties_are_counted(sizes, density, max_len,
+                                                            seed, cuts, batch):
+    """Counting the ties of a union in one call, or in any split and order
+    of calls, gives the same counts and the same per-draw running total;
+    so does counting each draw on its own snapshot."""
+    rng = np.random.default_rng(seed)
+    n = max(sizes)
+    snaps = []
+    for k in sizes:
+        members = sorted(rng.choice(n, size=k, replace=False).tolist())
+        snaps.append(snap(3, members, [(a, b) for a, b in combinations(members, 2)
+                                       if rng.random() < density], n))
+    whole, split = disjoint_union(snaps), disjoint_union(snaps)
+    ii, jj = np.divmod(whole.codes, len(whole.present))
+    order = rng.permutation(len(ii))
+    parts = np.split(order, sorted({c % (len(ii) + 1) for c in cuts}))
+    # a batch of 5000 rows splits, but holds any one pair: 4160 rows in K9
+    with mock.patch.object(terms, "HALF_PATH_BUDGET", batch or terms.HALF_PATH_BUDGET):
+        expected = pair_cycle_counts(whole, ii, jj, max_len)
+        counts = np.zeros_like(expected)
+        for rows in parts:
+            counts[rows] = pair_cycle_counts(split, ii[rows], jj[rows], max_len)
+        alone = [pair_cycle_counts(s, *np.divmod(s.codes, n), max_len) for s in snaps]
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(np.concatenate(alone), expected)
+    totals = [0.0 if s._cycle_work is None else s._cycle_work[0] for s in snaps]
+    if whole._cycle_work is None:  # no tie on a 2-core
+        assert split._cycle_work is None and not any(totals)
+    else:
+        assert np.array_equal(split._cycle_work, whole._cycle_work)
+        assert whole._cycle_work.tolist() == totals
 
 
 def test_cycle_key_space_is_per_draw():
@@ -507,6 +557,38 @@ def test_validate_flags_dummy_trap(tiny_panel):
     report = validate_model(spec, tiny_panel)
     assert any("collinear" in w for w in report.warnings)
     assert report.ok
+
+
+def _collinear_warnings(panel, edge_terms):
+    report = validate_model(ModelSpec([TermSpec("vertex", "intercept")], edge_terms), panel)
+    return [w for w in report.warnings if "collinear" in w]
+
+
+def test_validate_groups_collinear_sets_by_attribute_and_key(tiny_panel):
+    """The three mixing pairs are collinear with the intercept only on one
+    attribute, and the seven day dummies only on one time attribute."""
+    intercept = TermSpec("edge", "intercept")
+
+    def mixing(attr, pair):
+        return TermSpec("edge", "mixing", params={"attr": attr, "pair": pair})
+
+    def week(key, days):
+        return [TermSpec("edge", "seasonal", params={"day": d, "key": key}) for d in days]
+
+    spread = [mixing("regular", "both"), mixing("group1", "neither"),
+              mixing("regular", "mixed")]
+    assert _collinear_warnings(tiny_panel, [intercept, *spread]) == []
+    full = [mixing("group1", "both"), mixing("group1", "neither"), mixing("group1", "mixed")]
+    assert _collinear_warnings(tiny_panel, [intercept, *spread[:2], *full]) == [
+        "edge terms: full mixing set plus intercept is collinear"]
+
+    six = week("day", terms.WEEKDAYS[1:])
+    assert _collinear_warnings(tiny_panel, [intercept, *six, *week("weekday", ["Monday"])]) == []
+    assert _collinear_warnings(tiny_panel, [intercept, *six, *week("day", ["Monday"])]) == [
+        "edge terms: all 7 day dummies plus intercept are collinear"]
+    assert _collinear_warnings(tiny_panel, [*week("weekday", terms.WEEKDAYS), *full]) == [
+        "edge terms: all 7 day dummies plus full mixing set are collinear"]
+    assert _collinear_warnings(tiny_panel, [*six, *week("weekday", ["Monday"]), *spread]) == []
 
 
 def test_validate_counts_usable_steps():

@@ -374,7 +374,7 @@ def cmd_gli(args) -> int:
     if args.format == "csv":
         print("gli,value")
         for name, val in zip(GLI_NAMES, vec):
-            print(f"{name},{val!r}")
+            print(f"{name},{float(val)!r}")
     else:
         print(json.dumps({name: float(val) for name, val in zip(GLI_NAMES, vec)},
                          indent=2, sort_keys=True))

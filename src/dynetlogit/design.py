@@ -227,9 +227,9 @@ def _endpoint_classes(risk_set, terms) -> np.ndarray:
 
 def _lagged_codes(history, t, terms) -> np.ndarray:
     """Sorted codes of the dyads tied in ``history`` at the lag, from step
-    t, of some lag-scope term of ``terms``: i * n + j over the risk set,
-    or over the union of a history of several draws, where a snapshot the
-    draws share is tiled once per draw."""
+    t, of some lag-scope term of ``terms``: i * (draws * n) + j over the
+    union of the history's draws, where a snapshot the draws share is
+    tiled once per draw."""
     n, reps = len(history.risk_set), history.draws
     lagged = []
     for lag in {term.lag for term in terms if term.scope == "lag"}:
@@ -244,29 +244,25 @@ def _lagged_codes(history, t, terms) -> np.ndarray:
         np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
 
 
-def _dyad_rows(ii, jj, classes, draws, lagged, union=False):
-    """The dyads an edge term is evaluated on, for dyads (ii, jj) of a union
-    of ``draws`` draws, vertex r * n + i being vertex i of draw r.
+def _dyad_rows(ii, jj, classes, draws, lagged):
+    """The dyads an edge term is evaluated on, for dyads (ii, jj) of the
+    union of a history's ``draws`` draws, vertex r * n + i being vertex i
+    of draw r.
 
-    A dyad is a lagged tie when its pair is in ``lagged`` (sorted codes
-    i * n + j of risk-set pairs, or with ``union`` of pairs of the union,
-    each draw having lags of its own); every other dyad's class is its draw
-    and the pair of its endpoints' ``classes``.  Every edge term is
-    constant over the dyads of one class, lag-scope terms being 0 there.
-    ``rows`` lists every lagged tie, then one representative per class, and
-    ``of`` is each dyad's position in ``rows``, so a term's values on
-    ``(ii[rows], jj[rows])`` gathered by ``of`` are its values on every
-    dyad.
+    A dyad is a lagged tie when its code i * (draws * n) + j is in
+    ``lagged``, as ``_lagged_codes`` gives them; every other dyad's class
+    is its draw and the pair of its endpoints' ``classes``.  Every edge
+    term is constant over the dyads of one class, lag-scope terms being 0
+    there.  ``rows`` lists every lagged tie, then one representative per
+    class, and ``of`` is each dyad's position in ``rows``, so a term's
+    values on ``(ii[rows], jj[rows])`` gathered by ``of`` are its values
+    on every dyad.
     """
     n, k = len(classes), int(classes.max(initial=0)) + 1
     # per union vertex: its class plus k times its draw, so that a dyad's
     # two values, ordered, key its class (draw, a, b) below draws * k * (k + 1)
     cls = (np.arange(draws)[:, None] * k + classes).ravel()
-    if union:
-        tie = _is_edge(lagged, ii * (draws * n) + jj)
-    else:
-        local = np.tile(np.arange(n), draws)
-        tie = _is_edge(lagged, local[ii] * n + local[jj])
+    tie = _is_edge(lagged, ii * (draws * n) + jj)
     ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
     a, b = cls[ii[free]], cls[jj[free]]
     key = np.minimum(a, b)

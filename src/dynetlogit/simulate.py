@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -42,6 +42,7 @@ from .terms import (
     SpecError,
     WEEKDAYS,
     edge_term_values,
+    resolve_lag,
     usable_transitions,
     vertex_term_values,
 )
@@ -156,8 +157,13 @@ class ProjectionResult:
 
     steps: tuple
     gli_paths: np.ndarray  # (replicates, horizon, n_glis)
-    snapshots: tuple  # per replicate: tuple of Snapshot, one per step
+    unions: tuple  # per step: one Snapshot holding every replicate's draw
     names: tuple = GLI_NAMES
+
+    @cached_property
+    def snapshots(self) -> tuple:
+        """Per replicate: its Snapshot at each step, cut from the unions."""
+        return tuple(zip(*(split_draws(union) for union in self.unions)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +316,19 @@ def _uniforms(rngs, counts) -> np.ndarray:
 
 
 class StepSampler:
-    """Draws snapshots at step ``t`` of one history.
+    """Draws snapshots at step ``t``, one per draw of the history; draw r
+    reads the lags of history draw r.
 
     A draw takes the vertex set from the vertex model, then the edges among
     the drawn vertices from the edge model, in that order from its
     generator: ``random(n)`` for the vertices, then ``random(#dyads)`` for
     the dyads in row-major order.  Under ``threshold`` both are the
-    50-percent rule (ties are absent) and no generator is read.  Vertex
-    probabilities are computed once.  When every draw shares one history
-    and one vertex set (``fixed_vertex_set`` or ``threshold``) they share
-    their dyads too, whose edge probabilities are computed once; otherwise
-    once per union of draws.
-
-    A history of several draws (a projection advanced in lockstep) is drawn
-    one draw per history draw: draw r reads the lags of draw r, and its
-    vertex probabilities are its own.
+    50-percent rule (ties are absent) and no generator is read.  The vertex
+    probabilities ``pv`` are one row that every draw shares, or one row per
+    draw when a vertex term reads drawn lags.  When every draw has one
+    vertex set and every lag-scope edge term reads a snapshot they share,
+    they share their dyads too, whose edge probabilities are computed once
+    (``pairs``); otherwise once per union of draws.
 
     Edge probabilities are evaluated per class.  ``design._dyad_rows``
     sorts the dyads into lagged ties (edges of the history at the lag of a
@@ -351,17 +355,19 @@ class StepSampler:
                 raise SpecError(
                     "model has no vertex terms; simulate with fixed_vertex_set instead"
                 )
-            eta = np.zeros(history.draws * n)
+            eta = np.zeros((1, n))
             for theta, term in zip(theta_v, spec.vertex_terms):
-                eta += theta * vertex_term_values(term, history, t)
-            self.pv = expit(eta).reshape(history.draws, n)
+                eta = eta + theta * vertex_term_values(term, history, t).reshape(-1, n)
+            self.pv = expit(eta)
             if threshold:
                 self.bits = self.pv > 0.5
         if classes is None:
             classes = _endpoint_classes(history.risk_set, spec.edge_terms)
         self.classes = classes
         self.lagged = _lagged_codes(history, t, spec.edge_terms)
-        if self.bits is not None and history.draws == 1:
+        if self.bits is not None and len(self.bits) == 1 and all(
+                history.snapshot_at(resolve_lag(history, t, term.lag)).draws == 1
+                for term in spec.edge_terms if term.scope == "lag"):
             ii, jj = dyads(np.flatnonzero(self.bits))
             self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits.ravel()))
         self.attrs = history.time_attrs_at(t) or {}
@@ -370,8 +376,7 @@ class StepSampler:
         # never evaluated on no dyads: log_size would take the log of 0
         if not len(ii):
             return np.empty(0)
-        rows, of = _dyad_rows(ii, jj, self.classes, len(present) // self.n, self.lagged,
-                              union=self.history.draws > 1)
+        rows, of = _dyad_rows(ii, jj, self.classes, self.history.draws, self.lagged)
         ri, rj = ii[rows], jj[rows]
         eta = np.zeros(len(rows))
         for theta, term in zip(self.theta_e, self.spec.edge_terms):
@@ -379,19 +384,22 @@ class StepSampler:
         return expit(eta)[of]
 
     def draw(self, rng=None) -> Snapshot:
-        """One draw; the batch of one of ``draw_all``."""
+        """The draw of a history of one draw; the batch of one of ``draw_all``."""
         return next(self.draw_all([rng]))
 
     def draw_all(self, rngs):
-        """One draw per generator, yielded in order as union snapshots.
+        """One draw per history draw, draw r from generator rngs[r], yielded
+        in order as union snapshots.
 
         A union is a snapshot of consecutive draws side by side (its
         ``draws``), vertex r * n + i being vertex i of its r-th draw, and
         holds as many draws as fit in PAIR_BUDGET dyads, at least one.
-        Every vertex set is drawn before any edge.  A history of several
-        draws takes one generator per draw.
+        Every vertex set is drawn before any edge.
         """
         n, count = self.n, len(rngs)
+        if count != self.history.draws:
+            raise ValueError(f"a history of {self.history.draws} draw(s) is drawn with as "
+                             f"many generators, not {count}")
         if self.bits is not None:
             bits = np.broadcast_to(self.bits, (count, n))
         else:
@@ -415,15 +423,12 @@ class StepSampler:
     def _union(self, bits, lo, hi, rngs, counts) -> Snapshot:
         """Draws lo..hi-1 of the vertex sets ``bits`` as one union."""
         present = bits[lo:hi].ravel()
-        if self.pairs is None:
-            ii, jj = dyads(np.flatnonzero(present), bits[lo:hi].sum(axis=1))
-            if self.history.draws > 1:  # dyads of the history's union read its draws
-                shift = lo * self.n
-                probs = self._edge_probs(ii + shift, jj + shift, bits.ravel())
-            else:
-                probs = self._edge_probs(ii, jj, present)
+        if self.pairs is None:  # its dyads, numbered in the history's union
+            shift = lo * self.n
+            ii, jj = dyads(np.flatnonzero(present) + shift, bits[lo:hi].sum(axis=1))
+            probs = self._edge_probs(ii, jj, bits.ravel())
             keep = probs > 0.5 if self.threshold else _uniforms(rngs, counts) < probs
-            edges = (ii[keep], jj[keep])
+            edges = (ii[keep] - shift, jj[keep] - shift)
         else:  # draw r's dyad p is (ii[p], jj[p]), offset by r * n
             ii, jj, pe = self.pairs
             if self.threshold:
@@ -472,24 +477,26 @@ def one_step_intervals(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
                        config: SimConfig):
     """Simulate every one-step prediction and summarize index coverage.
 
-    Every predictable step (full lag window observed, target observed) gets
-    one sampler that draws all its replicates at once, as union snapshots
-    whose indices come out one row per replicate; replicate r still draws
-    from its own (seed, r, step) generator.  Every key is hashed in one
-    pass, and a step's generators are built just before it is drawn.
-    Under ``threshold50`` the draw is deterministic, so one draw per step
-    stands for all replicates.
+    The replicates are the draws of one history, as in ``project``, whose
+    observed lags they share.  Every predictable step (full lag window
+    observed, target observed) gets one sampler that draws all of them at
+    once, as union snapshots whose indices come out one row per replicate;
+    replicate r still draws from its own (seed, r, step) generator.  Every
+    key is hashed in one pass, and a step's generators are built just
+    before it is drawn.  Under ``threshold50`` the draw is deterministic,
+    so a history of one draw stands for all replicates.
     """
     theta_v, theta_e = _split_theta(fit, spec)
-    history = History(panel, spec.gap_policy, _weekday_attrs_fn(panel))
+    m = config.replicates
+    threshold = config.mode == "threshold50"
+    history = History(panel, spec.gap_policy, _weekday_attrs_fn(panel),
+                      draws=1 if threshold else m)
     steps = usable_transitions(history, spec.max_lag)
     if not steps:
         raise GapError("no predictable steps: every lag window crosses a gap")
-    m = config.replicates
     n_g = len(GLI_NAMES)
     base = panel.t_min
 
-    threshold = config.mode == "threshold50"
     classes = _endpoint_classes(panel.risk_set, spec.edge_terms)
     words = None if threshold else _seed_words(config.seed, _step_keys(steps, m, base))
     draws = np.empty((len(steps), m, n_g))
@@ -546,8 +553,8 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     replicate.  Replicate r still draws step s from its own (seed, r, s)
     generator, all of them hashed in one pass and each step's built just
     before its draw.  The indices come from one ``gli_matrix`` call on the
-    union of every step's draws, and each union is cut into its
-    replicates' snapshots.
+    union of every step's draws; the result cuts the unions into each
+    replicate's snapshots when they are read.
     """
     theta_v, theta_e = _split_theta(fit, spec)
     if not panel.snapshots:
@@ -565,13 +572,13 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
                               fixed_vertex_set=config.fixed_vertex_set, classes=classes)
         unions = list(sampler.draw_all([_generator(w) for w in words[h]]))
         history.add(unions[0] if len(unions) == 1 else disjoint_union(unions))
-    drawn = [history.added[t] for t in steps]
+    drawn = tuple(history.added[t] for t in steps)
 
     paths = gli_matrix(disjoint_union(drawn)).reshape(config.horizon, m, len(GLI_NAMES))
     return ProjectionResult(
         steps=steps,
         gli_paths=np.ascontiguousarray(paths.transpose(1, 0, 2)),
-        snapshots=tuple(zip(*(split_draws(union) for union in drawn))),
+        unions=drawn,
     )
 
 

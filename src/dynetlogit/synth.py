@@ -107,6 +107,7 @@ DEFAULT_COEFFS = {
     "v:intercept": -3.1,
     "v:regular": 0.9,
     "v:group1": 0.8,
+    "v:group2": 0.2,
     "v:lag1": 0.7,
     "v:triangle_lag1": 0.25,
     "v:day_Tuesday": -0.1,
@@ -115,6 +116,7 @@ DEFAULT_COEFFS = {
     "v:day_Friday": 0.2,
     "v:day_Saturday": 1.4,
     "v:day_Sunday": 1.1,
+    "e:intercept": -4.2,
     "e:mix_regular_both": -4.9,
     "e:mix_regular_neither": -6.0,
     "e:mix_regular_mixed": -5.5,
@@ -141,10 +143,6 @@ def default_coefficients(spec: ModelSpec) -> np.ndarray:
             n_indiv += 1
         elif name in DEFAULT_COEFFS:
             out.append(DEFAULT_COEFFS[name])
-        elif name == "v:group2":
-            out.append(0.2)
-        elif name == "e:intercept":
-            out.append(-4.2)
         else:
             raise KeyError(f"no default coefficient for column {name}")
     return np.array(out)

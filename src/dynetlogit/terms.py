@@ -282,11 +282,11 @@ class History:
     A time with no snapshot has time attributes only through ``attrs_fn``,
     so without one a term that needs them raises GapError there.
 
-    A history may hold ``draws`` histories side by side, one per draw of
-    a projection advanced in lockstep: every added snapshot is then a union
-    of ``draws`` draws (vertex r * n + i being vertex i of draw r), and an
-    observed snapshot is shared by every draw, as if tiled ``draws`` times.
-    Term values then come one block of n per draw.
+    A history holds ``draws`` histories side by side, one per draw that
+    simulation makes on it: adequacy's replicates of a step and
+    projection's replicates advanced in lockstep alike.  Every added
+    snapshot is then a union of ``draws`` draws (vertex r * n + i being
+    vertex i of draw r), and an observed snapshot is shared by every draw.
     """
 
     __slots__ = ("panel", "policy", "added", "attrs_fn", "draws", "_times")
@@ -528,8 +528,9 @@ def _cycle_batch(snapshot, src, dst, max_len):
     draw = np.searchsorted(starts, src, "right") - 1
     width = np.diff(starts)[draw]
     offset = starts[draw] if snapshot.draws > 1 else None
-    done = snapshot._cycle_work  # None until the snapshot's first count
-    work = np.zeros(snapshot.draws) if done is None else done.copy()
+    # each draw's total before this call; None until the snapshot's first count
+    done = np.zeros(snapshot.draws) if snapshot._cycle_work is None else snapshot._cycle_work
+    work = done.copy()
     out = np.empty(len(src), dtype=np.int64)
     todo = [np.arange(len(src))]
     while todo:
@@ -551,7 +552,8 @@ def _cycle_batch(snapshot, src, dst, max_len):
             d = int(np.argmax(work > CYCLE_WORK_BUDGET))
             raise CycleBudgetError(
                 f"{_cycle_site(snapshot, d)}: counting its {np.count_nonzero(draw == d)} "
-                f"queried edges passed {int(work[d])} half-paths, over the work budget of "
+                f"queried edges grew {int(work[d] - done[d])} half-paths, taking the "
+                f"draw's total to {int(work[d])}, over the work budget of "
                 f"{CYCLE_WORK_BUDGET} per draw")
     snapshot._cycle_work = work
     return out
@@ -688,22 +690,18 @@ def _seasonal_value(term: TermSpec, history, t: int) -> float:
     return 1.0 if day == term.params["day"] else 0.0
 
 
-def _tiled(values, reps: int) -> np.ndarray:
-    return values if reps == 1 else np.tile(values, reps)
-
-
 def vertex_term_values(term: TermSpec, history: History, t: int) -> np.ndarray:
-    """Statistic of one vertex term for every risk-set vertex at time t,
-    one block of n per draw of the history."""
+    """Statistic of one vertex term for every risk-set vertex at time t:
+    one block of n that every draw of the history shares, or one block per
+    draw when the term reads a lagged union of the history's draws."""
     rs = history.risk_set
-    reps = history.draws
-    n = len(rs) * reps
+    n = len(rs)
     kind = term.kind
     if kind == "intercept":
         return np.ones(n)
     if kind == "attr_dummy":
         try:
-            return _tiled(rs.attr_indicator(term.params["attr"]), reps)
+            return rs.attr_indicator(term.params["attr"])
         except KeyError as exc:
             raise SpecError(str(exc)) from None
     if kind == "seasonal":
@@ -711,9 +709,9 @@ def vertex_term_values(term: TermSpec, history: History, t: int) -> np.ndarray:
     u = resolve_lag(history, t, term.lag)
     snap = history.snapshot_at(u)
     if kind == "lag_indicator":
-        return _tiled(snap.present.astype(float), reps // snap.draws)
+        return snap.present.astype(float)
     if kind == "lag_triangle":
-        return _tiled(triangle_counts(snap), reps // snap.draws)
+        return triangle_counts(snap)
     raise SpecError(f"kind {kind!r} is not a vertex statistic")
 
 

@@ -285,7 +285,9 @@ def project_by_replicate(fit, spec, panel, config):
     """n-step projection one replicate at a time: each replicate has a
     history of its own and draws every step with a sampler of its own, from
     its (seed, replicate, step) generator; the indices come from one
-    ``gli_matrix`` call on the union of every drawn snapshot."""
+    ``gli_matrix`` call on the union of every drawn snapshot.  The result
+    holds each step's draws as one union too, and its ``snapshots`` are the
+    replicates' own draws, not cut from the unions."""
     theta_v, theta_e = _split_theta(fit, spec)
     start = panel.observed_times[-1] + 1
     steps = tuple(range(start, start + config.horizon))
@@ -306,11 +308,13 @@ def project_by_replicate(fit, spec, panel, config):
         trajectories.append(tuple(history.added[t] for t in steps))
 
     paths = gli_matrix(disjoint_union([s for traj in trajectories for s in traj]))
-    return ProjectionResult(
+    result = ProjectionResult(
         steps=steps,
         gli_paths=paths.reshape(config.replicates, config.horizon, len(GLI_NAMES)),
-        snapshots=tuple(trajectories),
+        unions=tuple(disjoint_union(step) for step in zip(*trajectories)),
     )
+    object.__setattr__(result, "snapshots", tuple(trajectories))
+    return result
 
 
 def logistic_fit_by_minimize(X, y, centers=None, scales=None, dfs=None):

@@ -438,6 +438,10 @@ _MALFORMED = {
     "fit block a number": ("fit", ("fit",), 5, "fit must be an object, got 5"),
     "coefficient a string": ("fit", ("fit", "coefficients", 1), "x",
                              "fit.coefficients must be a list of numbers"),
+    "coefficients missing": ("fit", ("fit",), {"columns": ["v:intercept"]},
+                             "fit report lacks key 'coefficients'"),
+    "column a number": ("fit", ("fit", "columns", 0), 5,
+                        "fit.columns must be a list of strings"),
 }
 
 
@@ -465,6 +469,84 @@ def test_malformed_input_is_a_parse_error(workdir, workdir_fit, tmp_path, capsys
     err = json.loads(err[0])
     assert err["error"] == "parse"
     assert err["message"].endswith(message)
+
+
+def test_fit_report_of_invalid_json_is_a_parse_error(workdir, tmp_path, capsys):
+    bad = tmp_path / "fit.json"
+    bad.write_text("{not json")
+    capsys.readouterr()
+    assert run(["adequacy", workdir / "panel.json", workdir / "spec.json", bad, "--sims", "2",
+                "--out-dir", tmp_path / "out"]) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert err["message"].startswith(f"{bad}: invalid JSON: ")
+
+
+# --prior value: the parse error it stops the fit with
+_BAD_PRIORS = {
+    "gauss:scale=1": "unknown prior 'gauss' (use none, cauchy, or t)",
+    "t:scale=1,width=2": "unknown prior parameter 'width'",
+    "t:scale=wide": "prior parameter scale needs a number, got 'wide'",
+    "cauchy:df=2": "a cauchy prior has df=1; use t:df=... for other df",
+    "t:scale=0": "prior scale must be positive",
+    "cauchy:scale=-2.5": "prior scale must be positive",
+}
+
+
+@pytest.mark.parametrize("prior", sorted(_BAD_PRIORS))
+def test_malformed_prior_is_a_parse_error(workdir, tmp_path, capsys, prior):
+    capsys.readouterr()
+    assert run(["fit", workdir / "panel.json", workdir / "spec.json", "--prior", prior,
+                "--out-dir", tmp_path]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err) == {"error": "parse",
+                                                   "message": _BAD_PRIORS[prior]}
+    assert not any(tmp_path.iterdir())
+
+
+def test_gli_at_a_gap_day_exits_validation(bridge_run, capsys):
+    capsys.readouterr()
+    assert run(["gli", bridge_run / "p.json", "--t", "3"]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {"error": "validation",
+                                                   "message": "no snapshot at t=3"}
+
+
+def test_gli_csv_holds_the_json_values(workdir, capsys):
+    from dynetlogit import GLI_NAMES
+    capsys.readouterr()
+    assert run(["gli", workdir / "panel.json", "--t", "2"]) == EXIT_OK
+    values = json.loads(capsys.readouterr().out)
+    assert run(["gli", workdir / "panel.json", "--t", "2", "--format", "csv"]) == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "gli,value"
+    assert [row.split(",") for row in rows] == [[name, repr(values[name])]
+                                                for name in GLI_NAMES]
+
+
+# (edge rows, presence rows, exit code, the end of the error message)
+_BAD_TABLES = {
+    "edge row of two columns": ("1,a,b\n1,b\n", "1,a\n1,b\n", EXIT_PARSE,
+                                "edges.csv:2: expected 3 columns in edge row, got 2"),
+    "time not an integer": ("1,a,b\n", "1,a\n1.5,b\n", EXIT_PARSE,
+                            "presence.csv:2: first column must be an integer time index"),
+    "edge at an unrecorded time": ("1,a,b\n2,a,b\n", "1,a\n1,b\n", EXIT_VALIDATION,
+                                   "edge row 2: time 2 has no presence records"),
+    "loop edge": ("1,a,b\n1,b,b\n", "1,a\n1,b\n", EXIT_VALIDATION,
+                  "edge row 2: loop edge at t=1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TABLES))
+def test_convert_refuses_bad_rows(tmp_path, capsys, name):
+    edges, presence, code, message = _BAD_TABLES[name]
+    (tmp_path / "edges.csv").write_text(edges)
+    (tmp_path / "presence.csv").write_text(presence)
+    capsys.readouterr()
+    assert run(["convert", tmp_path / "edges.csv", tmp_path / "presence.csv",
+                "-o", tmp_path / "out.json"]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == ("parse" if code == EXIT_PARSE else "validation")
+    assert err["message"].endswith(message)
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_convergence_exit_code(workdir, tmp_path):

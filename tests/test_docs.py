@@ -1,11 +1,11 @@
 """The README lists exactly the flags of the parser and the kinds of the
-kind table, and quotes the budgets the code sets."""
+kind table, and quotes the budgets and exit codes the code sets."""
 
 import argparse
 import re
 from pathlib import Path
 
-from dynetlogit import design, simulate, terms
+from dynetlogit import cli, design, simulate, terms
 from dynetlogit.cli import _build_parser
 from dynetlogit.terms import KINDS
 
@@ -74,3 +74,16 @@ def test_readme_budgets_match_the_code():
     for module, name in (("design", "ROW_BUDGET"), ("simulate", "PAIR_BUDGET"),
                          ("terms", "CYCLE_WORK_BUDGET")):
         assert quoted[module, name] == getattr(modules[module], name), name
+
+
+def test_readme_exit_codes_match_the_code():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Exit codes: (.*?)\.(?: |$)", text)[1]
+    while "(" in sentence:  # drop the asides, innermost first
+        sentence = re.sub(r"\([^()]*\)", "", sentence)
+    documented = dict(re.findall(r"(\d+) ([a-zA-Z/ -]+?)(?:,| detected|$)", sentence))
+    names = {"success": "EXIT_OK", "parse error": "EXIT_PARSE",
+             "validation error": "EXIT_VALIDATION", "non-convergence": "EXIT_CONVERGENCE",
+             "I/O error": "EXIT_IO", "separation": "EXIT_SEPARATION"}
+    assert {code: names[what.strip()] for code, what in documented.items()} == {
+        str(getattr(cli, name)): name for name in dir(cli) if name.startswith("EXIT_")}

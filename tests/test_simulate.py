@@ -17,9 +17,11 @@ from dynetlogit import (
 )
 from dynetlogit.design import build_design
 from dynetlogit.gli import GLI_NAMES, gli_vector
+from dynetlogit.panel import split_draws
 from dynetlogit.solver import fit_posterior_mode
 from dynetlogit.synth import make_month_panel, month_risk_set, nested_model_specs
 from dynetlogit.simulate import (
+    StepSampler,
     _generator,
     _seed_words,
     _weekday_attrs_fn,
@@ -345,6 +347,100 @@ def test_lockstep_projection_of_month_equals_the_oracle(seed):
     config = SimConfig(replicates=20, horizon=5, seed=seed)
     _assert_same_projection(project(fit, spec, panel, config),
                             oracles.project_by_replicate(fit, spec, panel, config))
+
+
+def _recording_samplers(monkeypatch):
+    """The list of every StepSampler that simulate builds from now on."""
+    import dynetlogit.simulate as simulate
+    built = []
+
+    class Recording(simulate.StepSampler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(simulate, "StepSampler", Recording)
+    return built
+
+
+def test_draw_all_takes_one_generator_per_history_draw(core_panel):
+    """A sampler draws exactly its history's draws, draw r from the r-th
+    generator as a history of one draw would, and refuses any other number
+    of generators."""
+    theta_v, theta_e = np.array([0.3]), np.array([0.1])
+    alone = [StepSampler(INTERCEPT_SPEC, theta_v, theta_e, History(core_panel, "exclude"),
+                         3).draw(stream(5, r, 3)) for r in range(3)]
+    for draws in (1, 3):
+        sampler = StepSampler(INTERCEPT_SPEC, theta_v, theta_e,
+                              History(core_panel, "exclude", draws=draws), 3)
+        unions = list(sampler.draw_all([stream(5, r, 3) for r in range(draws)]))
+        assert [s for union in unions for s in split_draws(union)] == alone[:draws]
+        for count in (draws - 1, draws + 1):
+            with pytest.raises(ValueError, match=rf"a history of {draws} draw\(s\) is drawn "
+                                                 rf"with as many generators, not {count}"):
+                list(sampler.draw_all([stream(5, r, 3) for r in range(count)]))
+
+
+def test_vertex_probabilities_are_one_row_unless_lags_are_drawn(monkeypatch):
+    """Adequacy's draws share their observed vertex lags, so its samplers
+    compute one row of vertex probabilities for all of them; so does a
+    lockstep projection's first step, and from its second step on, where
+    the lag-1 terms read the drawn union, each draw has a row of its own."""
+    panel = _weekly_panel(21, ())
+    spec = ModelSpec(_EVERY_VERTEX_KIND[0], _EVERY_KIND[0])
+    fit = fake_fit(spec, _EVERY_VERTEX_KIND[1] + _EVERY_KIND[1])
+    n, m = len(panel.risk_set), 7
+    built = _recording_samplers(monkeypatch)
+    samples, _ = one_step_intervals(fit, spec, panel, SimConfig(replicates=m, seed=4))
+    assert len(built) == len(samples.steps) > 1
+    assert all(s.history.draws == m and s.pv.shape == (1, n) for s in built)
+    built.clear()
+    project(fit, spec, panel, SimConfig(replicates=m, horizon=3, seed=4))
+    assert [s.pv.shape for s in built] == [(1, n), (m, n), (m, n)]
+
+
+@pytest.mark.parametrize("lags", [(), (1,), (2, 1)], ids=["no lag", "lag 1", "lags 1 and 2"])
+def test_fixed_vertex_projection_shares_pairs_while_lags_are_observed(monkeypatch, lags):
+    """Under a fixed vertex set every draw has the same dyads, and at a step
+    whose lag-scope edge terms all read observed snapshots the same edge
+    probabilities, computed once (``pairs``): the first step always, and
+    every step of a spec without such terms.  The paths and snapshots are
+    still the per-replicate oracle's."""
+    panel = _weekly_panel(21, ())
+    spec = ModelSpec([TermSpec("vertex", "intercept")],
+                     [TermSpec("edge", "intercept"), TermSpec("edge", "log_size"),
+                      *[TermSpec("edge", "lag_indicator", lag=lag) for lag in lags]])
+    fit = fake_fit(spec, [0.0, -0.5, 0.3] + [0.8, -0.4][:len(lags)])
+    config = SimConfig(replicates=6, horizon=4, seed=9, fixed_vertex_set=True)
+    built = _recording_samplers(monkeypatch)
+    result = project(fit, spec, panel, config)
+    observed = min(lags, default=config.horizon)  # steps before a lag reads a draw
+    assert [s.pairs is not None for s in built] == [h < observed for h in range(config.horizon)]
+    _assert_same_projection(result, oracles.project_by_replicate(fit, spec, panel, config))
+
+
+def test_projection_cuts_snapshots_only_when_read(monkeypatch):
+    """A projection keeps each step's union of draws, and cuts the
+    replicates' snapshots from them when they are first read: until then
+    it has built one snapshot per step and the one its indices are
+    computed on."""
+    panel, spec, fit = _month_model_4()
+    config = SimConfig(replicates=20, horizon=5, seed=17)
+    built = []
+    original = Snapshot.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Snapshot, "__init__", counting)
+    result = project(fit, spec, panel, config)
+    assert len(built) == config.horizon + 1
+    assert [u.draws for u in result.unions] == [config.replicates] * config.horizon
+    built.clear()
+    trajectories = result.snapshots
+    assert result.snapshots is trajectories  # cut once
+    assert len(built) == config.horizon * config.replicates
 
 
 def _most_cycle_work(days):

@@ -313,16 +313,23 @@ def test_cycle_work_budget_refuses_many_affordable_pairs():
     start = time.perf_counter()
     with pytest.raises(terms.CycleBudgetError,
                        match=r"t=5 \(\|V_t\|=18, \|E_t\|=153\): counting its 153 queried "
-                             r"edges passed \d+ half-paths, over the work budget of 10000000"):
+                             r"edges grew (\d+) half-paths, taking the draw's total to \1, "
+                             r"over the work budget of 10000000 per draw"):
         pair_cycle_counts(s, ii, jj, 9)
     assert time.perf_counter() - start < 30
     assert s._cycle_work is None  # a refused call adds nothing
     assert pair_cycle_counts(s, ii[:40], jj[:40], 9).tolist() == [63994816] * 40
     assert s._cycle_work.tolist() == [40 * held]
     # 42 more ties would pass on their own, but not on top of the draw's
-    # total; the refusal leaves the total as it was
-    assert 42 * held < terms.CYCLE_WORK_BUDGET < 82 * held
-    with pytest.raises(terms.CycleBudgetError, match=r"counting its 42 queried edges"):
+    # total, which only the last of them takes over the budget: the message
+    # names the call's share and the draw's total apart, and the refusal
+    # leaves the total as it was
+    assert 42 * held < terms.CYCLE_WORK_BUDGET
+    assert 81 * held < terms.CYCLE_WORK_BUDGET < 82 * held
+    with pytest.raises(terms.CycleBudgetError,
+                       match=rf"counting its 42 queried edges grew {42 * int(held)} half-paths, "
+                             rf"taking the draw's total to {82 * int(held)}, over the work "
+                             r"budget of 10000000 per draw"):
         pair_cycle_counts(s, ii[40:82], jj[40:82], 9)
     assert s._cycle_work.tolist() == [40 * held]
 
@@ -377,8 +384,8 @@ def test_cycle_work_budget_applies_per_draw(monkeypatch):
     ui, uj = np.divmod(mixed.codes, len(mixed.present))
     with pytest.raises(terms.CycleBudgetError,
                        match=r"t=5 \(\|V_t\|=11, \|E_t\|=55\): counting its 55 queried "
-                             r"edges passed \d+ half-paths, over the work budget of "
-                             rf"{int(1.2 * work)} per draw"):
+                             r"edges grew (\d+) half-paths, taking the draw's total to \1, "
+                             rf"over the work budget of {int(1.2 * work)} per draw"):
         pair_cycle_counts(mixed, ui, uj, 9)
 
 

@@ -256,20 +256,25 @@ def _dyad_rows(ii, jj, classes, draws, lagged):
     there.  ``rows`` lists every lagged tie, then one representative per
     class, and ``of`` is each dyad's position in ``rows``, so a term's
     values on ``(ii[rows], jj[rows])`` gathered by ``of`` are its values
-    on every dyad.
+    on every dyad.  The work is that of the draws the dyads are in, not of
+    all ``draws``: a step drawn as several unions pays for each once.
     """
     n, k = len(classes), int(classes.max(initial=0)) + 1
-    # per union vertex: its class plus k times its draw, so that a dyad's
-    # two values, ordered, key its class (draw, a, b) below draws * k * (k + 1)
-    cls = (np.arange(draws)[:, None] * k + classes).ravel()
-    tie = _is_edge(lagged, ii * (draws * n) + jj)
+    lo, hi = int(ii.min()) // n, int(ii.max()) // n + 1  # draws lo..hi-1
+    # per vertex of those draws: its class plus k times its draw past lo, so
+    # that a dyad's two values, ordered, key its class (draw, a, b) below
+    # (hi - lo) * k * (k + 1)
+    cls = (np.arange(hi - lo)[:, None] * k + classes).ravel()
+    width = draws * n  # the codes of draws lo..hi-1 are a slice of lagged
+    tie = _is_edge(lagged[np.searchsorted(lagged, lo * n * width):
+                          np.searchsorted(lagged, hi * n * width)], ii * width + jj)
     ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
-    a, b = cls[ii[free]], cls[jj[free]]
+    a, b = cls[ii[free] - lo * n], cls[jj[free] - lo * n]
     key = np.minimum(a, b)
     key *= k
     key += np.maximum(a, b, out=a)
     del a, b
-    size = draws * k * (k + 1)
+    size = (hi - lo) * k * (k + 1)
     if size <= len(ii):  # a table over every key, unless it outgrows the dyads
         slot = np.full(size, -1)
         slot[key] = free  # whichever dyad lands here, it represents its class

@@ -27,6 +27,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit, gammaln
 
 from .design import DesignMatrix
+from .panel import _ranges
 
 __all__ = [
     "PriorSpec",
@@ -162,14 +163,18 @@ def _information_criteria(deviance: float, p: int, n: int):
     return bic, deviance + 2.0 * p
 
 
-def _prior_logpdf(theta, centers, scales, dfs) -> float:
-    z2 = ((theta - centers) / scales) ** 2
-    const = (
+def _prior_log_const(scales, dfs) -> np.ndarray:
+    """Per-coefficient log normalizing constants of the t prior."""
+    return (
         gammaln((dfs + 1) / 2.0)
         - gammaln(dfs / 2.0)
         - 0.5 * np.log(dfs * math.pi)
         - np.log(scales)
     )
+
+
+def _prior_logpdf(theta, centers, scales, dfs, const) -> float:
+    z2 = ((theta - centers) / scales) ** 2
     return float(np.sum(const - (dfs + 1) / 2.0 * np.log1p(z2 / dfs)))
 
 
@@ -214,8 +219,82 @@ def _spd_inverse_diag(H: np.ndarray):
     return d
 
 
-def _xtwx(X: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
-    return (X.T @ X.multiply(w[:, None])).toarray()
+# Most within-row pairs of entries that X'WX keeps between products, at 32
+# bytes a pair; a design with more rebuilds them per product, in blocks of
+# rows holding at most this many (or one row).
+ENTRY_PAIR_BUDGET = 1 << 20
+
+
+def _sums(index, values, size) -> np.ndarray:
+    """The ``values`` summed by ``index`` in order, as floats (an empty
+    ``np.bincount`` counts in integers)."""
+    return np.bincount(index, values, size).astype(float, copy=False)
+
+
+class _Rows:
+    """The rows of a CSR on its ``active`` columns, as plain arrays, and the
+    three products the Newton loop needs: X @ theta, X'v and X'WX.
+
+    ``row``, ``col`` and ``data`` list the stored entries in CSR order, and
+    X'WX sums over the pairs of entries of each row.  Each product adds its
+    terms into an output element in row order, starting from 0.0, with
+    the same floating-point products as ``X @ theta``, ``X.T @ v`` and
+    ``(X.T @ X.multiply(w[:, None])).toarray()`` on the sliced CSR, so the
+    floats are those of scipy.sparse; at the sizes of a design's patterns
+    they come without its per-call overhead.
+    """
+
+    def __init__(self, features: sp.csr_matrix, active: np.ndarray):
+        n, p = features.shape[0], len(active)
+        where = np.full(features.shape[1], -1)
+        where[active] = np.arange(p)
+        col = where[features.indices]
+        keep = col >= 0
+        self.shape = (n, p)
+        self.row = np.repeat(np.arange(n), np.diff(features.indptr))[keep]
+        self.col, self.data = col[keep], features.data[keep]
+        length = np.bincount(self.row, minlength=n)
+        self._first = np.cumsum(length) - length
+        self._length = length
+        ends = np.cumsum(length * length)
+        cuts = [0]
+        while cuts[-1] < n:
+            lo = cuts[-1]
+            limit = (ends[lo - 1] if lo else 0) + ENTRY_PAIR_BUDGET
+            cuts.append(max(lo + 1, int(np.searchsorted(ends, limit, "right"))))
+        self._blocks = list(zip(cuts[:-1], cuts[1:]))
+        self._pairs = [self._block_pairs(*self._blocks[0])] if len(self._blocks) == 1 else None
+
+    def _block_pairs(self, lo, hi):
+        """(key, left, right, row) of every ordered pair of entries within
+        rows lo..hi-1, row by row: the pair's output element, its two
+        values and its row."""
+        first, length = self._first, self._length
+        e = np.arange(first[lo], first[hi - 1] + length[hi - 1])
+        r = self.row[e]
+        k1 = e.repeat(length[r])
+        k2 = _ranges(first[r], length[r])
+        return (self.col[k1] * self.shape[1] + self.col[k2], self.data[k1],
+                self.data[k2], self.row[k2])
+
+    def dot(self, theta: np.ndarray) -> np.ndarray:
+        """X @ theta."""
+        return _sums(self.row, self.data * theta[self.col], self.shape[0])
+
+    def rdot(self, v: np.ndarray) -> np.ndarray:
+        """X'v."""
+        return _sums(self.col, self.data * v[self.row], self.shape[1])
+
+    def xtwx(self, w: np.ndarray) -> np.ndarray:
+        """X'WX for row weights ``w``, dense."""
+        p = self.shape[1]
+        out = np.zeros(p * p)
+        # np.add.at adds in order, continuing from out: blocks of rows give
+        # the sums of one pass over all of them
+        for key, left, right, row in self._pairs or (
+                self._block_pairs(lo, hi) for lo, hi in self._blocks):
+            np.add.at(out, key, left * (right * w[row]))
+        return out.reshape(p, p)
 
 
 def _separating_columns(X, y, trials) -> np.ndarray:
@@ -267,33 +346,32 @@ def _separating_columns(X, y, trials) -> np.ndarray:
 # core engine
 # ---------------------------------------------------------------------------
 
-def _maximize(X, y, trials, prior_arrays, tolerance, max_iter):
+def _maximize(X: _Rows, y, trials, prior_arrays, tolerance, max_iter):
     """Damped Newton ascent of the (penalized) binomial log-likelihood of
     ``trials`` Bernoulli rows with response ``y`` at each row of X.
 
     Returns (theta, info dict) on the active columns of X.
     """
-    n, p = X.shape
-    theta = np.zeros(p)
+    theta = np.zeros(X.shape[1])
     use_prior = prior_arrays is not None
     if use_prior:
-        centers, scales, dfs = prior_arrays
+        centers, scales, dfs, const = prior_arrays
 
     def objective(th):
-        val = _data_loglik(X @ th, y, trials)
+        val = _data_loglik(X.dot(th), y, trials)
         if use_prior:
-            val += _prior_logpdf(th, centers, scales, dfs)
+            val += _prior_logpdf(th, centers, scales, dfs, const)
         return val
 
     def gradient(th, mu=None):
         if mu is None:
-            mu = expit(X @ th)
+            mu = expit(X.dot(th))
         # y - mu before the weighting: exact for mu near 1, where s - m*mu
         # would cancel
-        g = X.T @ (trials * (y - mu))
+        g = X.rdot(trials * (y - mu))
         if use_prior:
             g = g + _prior_grad(th, centers, scales, dfs)
-        return np.asarray(g).ravel()
+        return g
 
     obj = objective(theta)
     iterations = 0
@@ -301,8 +379,7 @@ def _maximize(X, y, trials, prior_arrays, tolerance, max_iter):
     gnorm = math.inf
 
     while iterations < max_iter:
-        eta = X @ theta
-        mu = expit(eta)
+        mu = expit(X.dot(theta))
         g = gradient(theta, mu)
         gnorm = float(np.abs(g).max(initial=0.0))
         if gnorm <= tolerance:
@@ -310,7 +387,7 @@ def _maximize(X, y, trials, prior_arrays, tolerance, max_iter):
             break
         iterations += 1
         w = trials * (mu * (1.0 - mu) + 1e-12)
-        H = _xtwx(X, w)
+        H = X.xtwx(w)
         if use_prior:
             # EM step far out (surrogate precision is always PD); exact
             # penalized curvature near the mode for a fast tail
@@ -353,7 +430,7 @@ def _maximize(X, y, trials, prior_arrays, tolerance, max_iter):
     }
 
 
-def _finalize(dm: DesignMatrix, X, y, trials, theta_active, active, info,
+def _finalize(dm: DesignMatrix, X: _Rows, y, trials, theta_active, active, info,
               prior: PriorSpec, prior_arrays, notes, separating):
     """FitResult on all columns of ``dm`` from the optimum on the active
     columns ``X`` of its patterns (inactive coefficients stay 0, their SEs
@@ -361,7 +438,7 @@ def _finalize(dm: DesignMatrix, X, y, trials, theta_active, active, info,
     p = dm.n_cols
     theta = np.zeros(p)
     theta[active] = theta_active
-    eta = X @ theta_active
+    eta = X.dot(theta_active)
     mu = expit(eta)
     ll = _data_loglik(eta, y, trials)
     deviance = -2.0 * ll
@@ -369,11 +446,11 @@ def _finalize(dm: DesignMatrix, X, y, trials, theta_active, active, info,
     bic, aic = _information_criteria(deviance, p, n_obs)
 
     # uncertainty from the curvature of the fitted objective at the optimum
-    H = _xtwx(X, trials * mu * (1.0 - mu))
+    H = X.xtwx(trials * mu * (1.0 - mu))
     penalized = None
     if prior_arrays is not None:
-        centers, scales, dfs = prior_arrays
-        penalized = ll + _prior_logpdf(theta_active, centers, scales, dfs)
+        centers, scales, dfs, const = prior_arrays
+        penalized = ll + _prior_logpdf(theta_active, centers, scales, dfs, const)
         curv = _prior_curvature(theta_active, centers, scales, dfs)
         d = _spd_inverse_diag(H + np.diag(curv))
         if d is None:
@@ -429,20 +506,24 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
     if dm.n_rows == 0:
         raise ValueError("cannot fit an empty design")
     patterns = dm.patterns
-    nnz = patterns.features.getnnz(axis=0)
-    active = np.flatnonzero(nnz > 0)
+    features = patterns.features
+    # counted by value: an explicitly stored 0.0 does not make a column active
+    nonzero = np.bincount(features.indices[features.data != 0], minlength=dm.n_cols)
+    active = np.flatnonzero(nonzero)
     notes = ()
     if len(active) < dm.n_cols:
-        dead = [dm.column_names[c] for c in np.flatnonzero(nnz == 0)]
+        dead = [dm.column_names[c] for c in np.flatnonzero(nonzero == 0)]
         notes = (f"all-zero columns pinned at 0: {', '.join(dead)}",)
     arrays = None
     if prior.kind != "none":
-        arrays = tuple(a[active] for a in prior.resolve(dm.column_names))
-    X = patterns.features[:, active].tocsr()
+        centers, scales, dfs = (a[active] for a in prior.resolve(dm.column_names))
+        arrays = (centers, scales, dfs, _prior_log_const(scales, dfs))
+    X = _Rows(features, active)
     y, m = patterns.responses, patterns.trials
     separating = ()
-    if prior.kind == "none":
-        separating = tuple(dm.column_names[c] for c in active[_separating_columns(X, y, m)])
+    if prior.kind == "none" and len(active):  # no columns, nothing to separate along
+        found = _separating_columns(features[:, active], y, m)
+        separating = tuple(dm.column_names[c] for c in active[found])
     theta, info = _maximize(X, y, m, arrays, tolerance, max_iter)
     if separating:
         info["converged"] = False

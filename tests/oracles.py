@@ -9,6 +9,8 @@ projected replicate on a history of its own instead of all of them in
 lockstep; a dense general-purpose optimizer instead of the package's
 sparse damped Newton;
 that Newton run on every Bernoulli row instead of on binomial patterns;
+the Newton loop's products taken with scipy.sparse instead of on plain
+arrays;
 design rows with every edge term evaluated on every dyad instead of
 gathered from lagged ties and class representatives, and grouped by
 ``np.unique`` over whole dense rows instead of patterns assembled from
@@ -57,6 +59,7 @@ from dynetlogit.solver import (
     _information_criteria,
     _prior_curvature,
     _prior_grad,
+    _prior_log_const,
     _prior_logpdf,
     _prior_precision_em,
     _separating_columns,
@@ -383,6 +386,24 @@ def _row_xtwx(X, w):
     return (X.T @ X.multiply(w[:, None])).toarray()
 
 
+class ScipyRows:
+    """The Newton loop's three products on the active columns of a CSR,
+    taken with scipy.sparse: the interface of ``solver._Rows``."""
+
+    def __init__(self, features, active):
+        self.X = features[:, active].tocsr()
+        self.shape = self.X.shape
+
+    def dot(self, theta):
+        return self.X @ theta
+
+    def rdot(self, v):
+        return self.X.T @ v
+
+    def xtwx(self, w):
+        return _row_xtwx(self.X, w)
+
+
 def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
     """The package's damped Newton fit run on every row of the design as a
     Bernoulli trial, without collapsing rows into binomial patterns: the
@@ -390,22 +411,23 @@ def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
     ``fit_posterior_mode``, so the two agree up to summation order.  The
     separation test runs on the rows, each of weight one."""
     prior = PriorSpec() if prior is None else prior
-    nnz = dm.features.getnnz(axis=0)
-    active = np.flatnonzero(nnz > 0)
+    nonzero = np.abs(dm.features).sum(axis=0).A1
+    active = np.flatnonzero(nonzero > 0)
     notes = ()
     if len(active) < dm.n_cols:
-        dead = [dm.column_names[c] for c in np.flatnonzero(nnz == 0)]
+        dead = [dm.column_names[c] for c in np.flatnonzero(nonzero == 0)]
         notes = (f"all-zero columns pinned at 0: {', '.join(dead)}",)
     use_prior = prior.kind != "none"
     if use_prior:
         centers, scales, dfs = prior.resolve(tuple(dm.column_names[c] for c in active))
+        const = _prior_log_const(scales, dfs)
     X = dm.features.tocsr()[:, active].tocsr()
     y = dm.responses.astype(float)
 
     def objective(th):
         val = _row_loglik(X @ th, y)
         if use_prior:
-            val += _prior_logpdf(th, centers, scales, dfs)
+            val += _prior_logpdf(th, centers, scales, dfs, const)
         return val
 
     def gradient(th):
@@ -471,7 +493,7 @@ def fit_by_rows(dm, prior=None, tolerance=1e-8, max_iter=100):
     H = _row_xtwx(X, mu * (1.0 - mu))
     penalized = None
     if use_prior:
-        penalized = ll + _prior_logpdf(theta, centers, scales, dfs)
+        penalized = ll + _prior_logpdf(theta, centers, scales, dfs, const)
         d = _spd_inverse_diag(H + np.diag(_prior_curvature(theta, centers, scales, dfs)))
         if d is None:
             d = _spd_inverse_diag(
@@ -670,3 +692,21 @@ def panel_from_obj_by_label(obj):
     for k, gap in enumerate(gaps):
         _typed(gap, int, f"gaps[{k}] in panel file")
     return NetworkPanel(risk, snapshots, gaps)
+
+
+def dyad_rows_by_class(ii, jj, classes, draws, lagged):
+    """``design._dyad_rows`` by brute force: the lagged ties found by
+    ``np.isin`` among all of ``lagged``, and the other dyads keyed
+    (draw, smaller class, larger class) over every draw of the union and
+    numbered by ``np.unique`` in that order, each class represented by its
+    first dyad."""
+    n = len(classes)
+    tie = np.isin(ii * (draws * n) + jj, lagged)
+    ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
+    a, b = classes[ii[free] % n], classes[jj[free] % n]
+    keys = np.column_stack([ii[free] // n, np.minimum(a, b), np.maximum(a, b)])
+    _, first, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    of = np.empty(len(ii), dtype=np.int64)
+    of[ties] = np.arange(len(ties))
+    of[free] = key.ravel() + len(ties)
+    return np.concatenate([ties, free[first]]), of

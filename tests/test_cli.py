@@ -607,3 +607,24 @@ def test_console_entry_point(workdir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "spec_fit.json").exists()
+
+
+@pytest.mark.parametrize("prior", ["none", "cauchy:scale=2.5,df=1"])
+def test_fit_of_an_all_zero_design_pins_every_column(tmp_path, prior):
+    """An edge lag whose lagged ties are never among present vertices is
+    zero on every row: both priors fit it, pinned at 0, and exit 0."""
+    from dynetlogit import NetworkPanel, RiskSet, Snapshot
+    panel = NetworkPanel(RiskSet(["a", "b", "c"]), [
+        Snapshot(1, [0, 1, 2], [], n=3),
+        Snapshot(2, [0, 1, 2], [(0, 1)], n=3),
+        Snapshot(3, [0, 2], [], n=3),
+    ])
+    save_panel(panel, tmp_path / "p.json")
+    save_model_spec(ModelSpec([], [TermSpec("edge", "lag_indicator", lag=1)]),
+                    tmp_path / "s.json")
+    assert run(["fit", tmp_path / "p.json", tmp_path / "s.json",
+                "--prior", prior, "--out-dir", tmp_path]) == EXIT_OK
+    fit = json.loads((tmp_path / "s_fit.json").read_text())["fit"]
+    assert fit["coefficients"] == [0.0] and fit["std_errors"] == [None]
+    assert fit["convergence"]["notes"] == ["all-zero columns pinned at 0: e:lag1"]
+    assert fit["convergence"]["converged"] and not fit["convergence"]["separation"]

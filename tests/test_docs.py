@@ -5,7 +5,7 @@ import argparse
 import re
 from pathlib import Path
 
-from dynetlogit import cli, design, simulate, terms
+from dynetlogit import cli, design, simulate, solver, terms
 from dynetlogit.cli import _build_parser
 from dynetlogit.terms import KINDS
 
@@ -70,9 +70,9 @@ def test_readme_budgets_match_the_code():
     text = " ".join(README.read_text(encoding="utf-8").split())
     quoted = {(module, name): _quoted_value(value) for module, name, value
               in re.findall(r"`(\w+)\.([A-Z_]+)` \(([^)]*)\)", text)}
-    modules = {"design": design, "simulate": simulate, "terms": terms}
+    modules = {"design": design, "simulate": simulate, "solver": solver, "terms": terms}
     for module, name in (("design", "ROW_BUDGET"), ("simulate", "PAIR_BUDGET"),
-                         ("terms", "CYCLE_WORK_BUDGET")):
+                         ("solver", "ENTRY_PAIR_BUDGET"), ("terms", "CYCLE_WORK_BUDGET")):
         assert quoted[module, name] == getattr(modules[module], name), name
 
 

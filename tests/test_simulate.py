@@ -341,6 +341,33 @@ def test_lockstep_projection_splits_steps_into_unions(monkeypatch):
         monkeypatch.setattr(simulate, "disjoint_union", original)
 
 
+def test_unions_of_a_step_read_only_their_own_draws(monkeypatch):
+    """A step drawn as several unions (PAIR_BUDGET small) sorts each union's
+    dyads into lagged ties and classes as brute force over every draw of
+    the history does, and draws what one union per step draws."""
+    import dynetlogit.simulate as simulate
+    panel, spec, fit = _month_model_4()
+    config = SimConfig(replicates=12, horizon=3, seed=5)
+    expected = project(fit, spec, panel, config)
+    original, starts = simulate._dyad_rows, []
+
+    def checked(ii, jj, classes, draws, lagged):
+        rows, of = original(ii, jj, classes, draws, lagged)
+        ref_rows, ref_of = oracles.dyad_rows_by_class(ii, jj, classes, draws, lagged)
+        assert np.array_equal(of, ref_of)
+        assert len(rows) == len(ref_rows)
+        assert np.array_equal(of[rows], np.arange(len(rows)))  # each row stands for itself
+        starts.append((int(ii.min()) // len(classes), draws))
+        return rows, of
+
+    monkeypatch.setattr(simulate, "_dyad_rows", checked)
+    for budget in (2000, 1):
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
+        starts.clear()
+        _assert_same_projection(project(fit, spec, panel, config), expected)
+        assert any(lo > 0 and draws == config.replicates for lo, draws in starts)
+
+
 @pytest.mark.parametrize("seed", [0, 17])
 def test_lockstep_projection_of_month_equals_the_oracle(seed):
     panel, spec, fit = _month_model_4()

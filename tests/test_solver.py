@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from dynetlogit import (
     fit_mle,
     fit_posterior_mode,
 )
+from dynetlogit import solver
 from dynetlogit.design import DesignMatrix, TagTable
-from dynetlogit.solver import _information_criteria
+from dynetlogit.solver import _information_criteria, _Rows
+from dynetlogit.synth import make_month_panel, month_risk_set, nested_model_specs
 
 import oracles
 from conftest import random_panel
@@ -372,6 +375,28 @@ def test_wide_design_converges_by_newton():
     assert fit.iterations < 100
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("prior", [PriorSpec.none(), PriorSpec.cauchy(2.5)],
+                         ids=["mle", "cauchy"])
+def test_stored_zeros_do_not_make_a_column_active(prior):
+    """Columns are active by value: a CSR that stores 0.0 at every entry of
+    column x1 fits as the one without those entries, x1 pinned at 0."""
+    rng = np.random.default_rng(59)
+    x = (rng.random(40) < 0.5).astype(float)
+    y = (rng.random(40) < expit(-0.3 + 0.8 * x)).astype(int)
+    dense = np.column_stack([np.ones(40), np.zeros(40), x])
+    stored = sp.csr_matrix((dense.ravel(), (np.arange(40).repeat(3), np.tile([0, 1, 2], 40))),
+                           shape=(40, 3))
+    eliminated = stored.copy()
+    eliminated.eliminate_zeros()
+    dm = make_dm(stored, y)
+    assert dm.patterns.features[:, 1].nnz > 0  # the stored zeros reach the patterns
+    fit = fit_posterior_mode(dm, prior)
+    assert fit.to_dict() == fit_posterior_mode(make_dm(eliminated, y), prior).to_dict()
+    assert fit.notes == ("all-zero columns pinned at 0: x1",)
+    assert fit.coefficients[1] == 0.0 and np.isnan(fit.std_errors[1])
+
+
 def test_prior_override_by_column():
     dm = make_dm(np.ones((5, 1)), np.ones(5), names=("intercept",))
     tight = fit_posterior_mode(
@@ -582,3 +607,67 @@ def test_fit_memory_stays_near_the_design():
         tracemalloc.stop()
     assert fit.converged
     assert peak < 3.3 * csr_bytes, peak / csr_bytes
+
+
+# ---------------------------------------------------------------------------
+# the Newton loop's products on plain arrays against scipy.sparse
+# ---------------------------------------------------------------------------
+
+STORED = st.sampled_from([1.0, -1.0, 0.0, 0.5, -2.75, 1e-3]) | st.floats(
+    -50.0, 50.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def sliced_csrs(draw):
+    """A CSR with empty rows, stored zeros and negative and fractional
+    values, a sorted subset of its columns (maybe none or one), and
+    arguments for the three products."""
+    n, k = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, max(n - 1, 0)),
+                                           st.integers(0, k - 1)),
+                                 STORED, max_size=n * k))
+    rows, cols = (np.array(c, dtype=np.int64) for c in zip(*cells)) if cells else ([], [])
+    features = sp.csr_matrix((list(cells.values()), (rows, cols)), shape=(n, k))
+    active = np.flatnonzero(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.normal(scale=3.0, size=len(active))
+    w = rng.random(n) * 10.0 ** rng.integers(-6, 3, n)
+    return features, active, theta, rng.normal(size=n), w
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(sliced_csrs())
+def test_row_products_equal_scipy_bit_for_bit(case):
+    """X @ theta, X'v and X'WX on plain arrays are the floats scipy.sparse
+    gives on the sliced CSR, however many blocks X'WX is taken in."""
+    features, active, theta, v, w = case
+    ref = oracles.ScipyRows(features, active)
+    for budget in (solver.ENTRY_PAIR_BUDGET, 5, 1):
+        with mock.patch.object(solver, "ENTRY_PAIR_BUDGET", budget):
+            rows = _Rows(features, active)
+        assert rows.shape == ref.shape
+        assert same_bits(rows.dot(theta), ref.dot(theta))
+        assert same_bits(rows.rdot(v), ref.rdot(v))
+        assert same_bits(rows.xtwx(w), ref.xtwx(w))
+
+
+@pytest.mark.parametrize("prior", [PriorSpec.cauchy(2.5), PriorSpec.none()],
+                         ids=["cauchy", "mle"])
+def test_month_fits_equal_newton_on_scipy(monkeypatch, prior):
+    """The month study's four nested fits run on plain arrays equal, bit for
+    bit and iteration for iteration, the same Newton loop on scipy.sparse."""
+    panel = make_month_panel()
+    dms = [build_design(panel, spec) for spec in nested_model_specs(month_risk_set())]
+    fits = [fit_posterior_mode(dm, prior) for dm in dms]
+    monkeypatch.setattr(solver, "_Rows", oracles.ScipyRows)
+    for dm, fit in zip(dms, fits):
+        ref = fit_posterior_mode(dm, prior)
+        assert fit.iterations == ref.iterations > 0
+        assert same_bits(fit.coefficients, ref.coefficients)
+        assert same_bits(fit.std_errors, ref.std_errors)
+        assert fit.to_dict() == ref.to_dict()

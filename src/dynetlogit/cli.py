@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -173,6 +174,10 @@ def cmd_fit(args) -> int:
     panel = load_panel(args.panel)
     out = _out_dir(args)
     prior = _parse_prior(args.prior)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise SpecError(f"--tolerance must be a positive finite number, got {args.tolerance}")
+    if args.max_iter < 0:
+        raise SpecError(f"--max-iter must be non-negative, got {args.max_iter}")
 
     specs = [(Path(p).stem, load_model_spec(p), p) for p in args.spec]
     align = max(spec.max_lag for _, spec, _ in specs) if len(specs) > 1 else None

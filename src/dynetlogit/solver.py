@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.special import expit, gammaln
 
 from .design import DesignMatrix
@@ -52,11 +52,18 @@ class PriorSpec:
         if self.kind not in ("none", "student_t"):
             raise ValueError(f"prior kind must be 'none' or 'student_t', got {self.kind!r}")
         if self.kind == "student_t":
+            for key in ("center", "scale", "df"):
+                if not math.isfinite(getattr(self, key)):
+                    raise ValueError(f"prior {key} must be finite, got {getattr(self, key)}")
             if self.scale <= 0:
                 raise ValueError("prior scale must be positive")
             if self.df <= 0:
                 raise ValueError("prior df must be positive")
         for name, over in self.overrides.items():
+            for key in ("center", "scale", "df"):
+                if not math.isfinite(over.get(key, 0.0)):
+                    raise ValueError(f"override for {name!r} has non-finite {key}, "
+                                     f"got {over[key]}")
             if over.get("scale", 1.0) <= 0 or over.get("df", 1.0) <= 0:
                 raise ValueError(f"override for {name!r} has nonpositive scale or df")
 
@@ -195,25 +202,44 @@ def _prior_curvature(theta, centers, scales, dfs) -> np.ndarray:
     return (dfs + 1) * (s2 - d2) / (s2 + d2) ** 2
 
 
+# LAPACK's Cholesky factor and solve in float64, the routines that
+# scipy.linalg.cho_factor and cho_solve wrap: the same bits, without the
+# wrappers' argument handling, which costs more than the solve itself on
+# the solver's systems of a few dozen columns.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
+
+
+def _cholesky(H: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of H, as ``cho_factor(H, lower=True)`` gives
+    it: ValueError when H holds an inf or NaN, LinAlgError when H is not
+    positive definite."""
+    c, info = _POTRF(np.asarray_chkfinite(H), lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
 def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(8):
         try:
-            c = cho_factor(H + jitter * np.eye(H.shape[0]), lower=True)
-            return cho_solve(c, g)
+            c = _cholesky(H + jitter * np.eye(H.shape[0]))
         except LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 100.0
+            continue
+        return _POTRS(c, np.asarray_chkfinite(g), lower=1)[0]
     return np.linalg.lstsq(H, g, rcond=None)[0]
 
 
 def _spd_inverse_diag(H: np.ndarray):
     """Diagonal of H^-1 if H is positive definite, else None."""
+    if not H.size:  # no active column
+        return np.zeros(0)
     try:
-        c = cho_factor(H, lower=True)
+        c = _cholesky(H)
     except LinAlgError:
         return None
-    inv = cho_solve(c, np.eye(H.shape[0]))
-    d = np.diag(inv)
+    d = np.diag(_POTRS(c, np.eye(H.shape[0]), lower=1)[0])
     if np.any(d <= 0):
         return None
     return d
@@ -503,6 +529,10 @@ def fit_posterior_mode(dm: DesignMatrix, prior: PriorSpec | None = None,
     """
     if prior is None:
         prior = PriorSpec()
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if dm.n_rows == 0:
         raise ValueError("cannot fit an empty design")
     patterns = dm.patterns

@@ -483,13 +483,18 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarra
     edges.  Split at its ceil(e/2)-th vertex m, it is a half-path of
     ceil(e/2) edges from i that avoids j and one of floor(e/2) edges from j
     that avoids i, both ending at m, whose interiors are disjoint.  All
-    half-paths of at most 4 edges are grown for every pair at once, and the
-    pairs of halves with disjoint interiors are counted by inclusion-exclusion
-    over the interior subsets S they share:
-    sum over S of (-1)^|S| (#halves from i containing S) (#halves from j
-    containing S).  The work grows with the number of half-paths, not of
-    cycles (Alon, Yuster & Zwick 1997).  Non-adjacent pairs, and edges with
-    an endpoint off the 2-core, count 0.
+    half-paths of at most 4 edges are grown for every pair at once.  The
+    pairs of halves that meet at m with disjoint interiors are then counted
+    per pair of lengths by one of two routes, after counting the candidate
+    pairs exactly.  Where few candidates meet at each (pair, m), each is
+    checked directly.  Where many do, they are counted by inclusion-exclusion
+    over the interior subsets S the halves share: sum over S of
+    (-1)^|S| (#halves from i containing S) (#halves from j containing S),
+    from at most 8 subset keys per half.  The direct route runs only when
+    its candidates are no more than the keys it saves, so either way the
+    work grows with the number of half-paths, not of cycles (Alon, Yuster
+    & Zwick 1997).  Non-adjacent pairs, and edges with an endpoint off the
+    2-core, count 0.
 
     On a union snapshot each draw is counted as if on its own: keys number
     vertices within their draw, and the budgets apply per draw.  A draw's
@@ -574,11 +579,13 @@ def _half_path_counts(indptr, indices, src, dst, max_len, offset=None, width=Non
 
     Half h < P starts at src[h] and avoids dst[h], half P + h the reverse.
     Level l holds the half-paths of l edges as vertex columns v1..vl, rows
-    sorted by half.  A subset key packs (pair, m, sorted subset) into one
-    int64, each vertex numbered within its draw (core id minus the pair's
-    ``offset``, below ``width``, the core ids of the widest draw), each
-    subset vertex as one base-(width+1) digit and padded with zero digits,
-    so keys from both sides and every level share one key space.
+    sorted by half, each vertex numbered within its draw (core id minus the
+    pair's ``offset``, below ``width``, the core ids of the widest draw).
+    Each join of a left and a right level is counted by ``_join_halves``,
+    directly or by inclusion-exclusion.  A subset key packs (pair, m,
+    sorted subset) into one int64, each subset vertex as one
+    base-(width+1) digit and padded with zero digits, so keys from both
+    sides and every level share one key space.
     """
     n_pairs = len(src)
     nc = len(indptr) - 1 if width is None else width
@@ -606,44 +613,135 @@ def _half_path_counts(indptr, indices, src, dst, max_len, offset=None, width=Non
             raise _OverBudget(held + size)
         held += size
         grown += np.bincount(half % n_pairs, d, minlength=n_pairs)
-        rep = np.repeat(np.arange(len(last)), d)
-        nxt = indices[_ranges(indptr[last], d)]
-        h = half[rep]
-        ok = (nxt != start[h]) & (nxt != avoid[h])
-        for c in cols[:-1]:
-            ok &= nxt != c[rep]
-        rep, half = rep[ok], h[ok]
-        cols = [c[rep] for c in cols] + [nxt[ok]]
+        half, cols = _grow(indptr, indices, start, avoid, half, cols, last, d)
 
         k_max = min(level, right_levels) - 1
         n_left = np.searchsorted(half, n_pairs)
-        pair = (half[:n_left], half[n_left:] - n_pairs)
         local = cols if offset is None else [c - offset[half % n_pairs] for c in cols]
-        left = _subset_counts(pair[0], [c[:n_left] for c in local], k_max,
-                              nc, base, slots)
+        left = _Halves(half[:n_left], [c[:n_left] for c in local], k_max, nc)
         right = None
         if level <= right_levels:
-            right = _subset_counts(pair[1], [c[n_left:] for c in local], k_max,
-                                   nc, base, slots)
+            right = _Halves(half[n_left:] - n_pairs, [c[n_left:] for c in local], k_max, nc)
         for other in (right, right_prev):  # e = 2 * level, then 2 * level - 1
             if other is not None:
-                counts += _join(left, other, n_pairs, nc, base, slots)
+                counts += _join_halves(left, other, n_pairs, nc, base, slots)
         right_prev = right
     return counts.astype(np.int64), grown
 
 
-def _subset_counts(pair, cols, k_max, nc, base, slots):
-    """Sorted distinct subset keys of these half-paths, with multiplicities."""
+def _grow(indptr, indices, start, avoid, half, cols, last, d):
+    """The half-paths one edge longer than ``cols``, ending at ``last``
+    of degree ``d``: each extended to every neighbour off its own path and
+    off its pair's other endpoint."""
+    rep = np.repeat(np.arange(len(last)), d)
+    nxt = indices[_ranges(indptr[last], d)]
+    h = half[rep]
+    ok = (nxt != start[h]) & (nxt != avoid[h])
+    for c in cols[:-1]:
+        ok &= nxt != c[rep]
+    rep = rep[ok]
+    return h[ok], [c[rep] for c in cols] + [nxt[ok]]
+
+
+# A join of two levels' halves runs directly when its candidate pairs of
+# halves are at most this many times the subset keys inclusion-exclusion
+# would still have to build for it, and by inclusion-exclusion otherwise.
+DIRECT_JOIN_RATIO = 1.0
+
+
+class _Halves:
+    """One side's half-paths of one level: their pair, vertex columns
+    numbered within their draw and (pair, end) group; their interiors as
+    bit sets and their subset keys are built at most once, when a join
+    needs them."""
+
+    __slots__ = ("pair", "cols", "k_max", "group", "_bits", "_keys")
+
+    def __init__(self, pair, cols, k_max, nc):
+        self.pair, self.cols, self.k_max = pair, cols, k_max
+        self.group = pair * nc + cols[-1]
+        self._bits = self._keys = None
+
+    def bits(self):
+        """Each half's interior as one int64 of bits, bit v % 64 for vertex v."""
+        if self._bits is None:
+            self._bits = np.zeros(len(self.pair), dtype=np.int64)
+            for c in self.cols[:-1]:
+                self._bits |= np.left_shift(1, c & 63)
+        return self._bits
+
+    def unbuilt_keys(self) -> int:
+        """Subset keys ``keys`` would build: none once built."""
+        if self._keys is not None:
+            return 0
+        inner = len(self.cols) - 1
+        return len(self.pair) * sum(math.comb(inner, k) for k in range(self.k_max + 1))
+
+    def keys(self, base, slots):
+        if self._keys is None:
+            self._keys = _subset_counts(self.group, self.cols, self.k_max, base, slots)
+        return self._keys
+
+
+def _join_halves(left, right, n_pairs, nc, base, slots):
+    """Per pair, the pairs of a left and a right half that end at the same
+    vertex with disjoint interiors.
+
+    The candidates, Σ |L_g|·|R_g| over (pair, end) groups g, are counted
+    from one table of right halves per group: n_pairs * nc slots when that
+    is no more than the halves joined, else the groups present, numbered by
+    a sort.  Few candidates are checked directly: the right halves are
+    sorted by group, each left half meets its group's, and a meeting whose
+    interior bit sets share a bit is a clash, checked vertex by vertex when
+    a bit stands for more than one vertex.  Many go to inclusion-exclusion
+    (``_join``), whose work is bounded by the subset keys however many
+    halves meet at one end.
+    """
+    gl, gr = left.group, right.group
+    size = n_pairs * nc
+    if size > len(gl) + len(gr):
+        groups, inverse = np.unique(np.concatenate([gl, gr]), return_inverse=True)
+        gl, gr, size = inverse[:len(gl)], inverse[len(gl):], len(groups)
+    per_group = np.bincount(gr, minlength=size)
+    partners = per_group[gl]
+    inner_l, inner_r = left.cols[:-1], right.cols[:-1]
+    if not inner_l or not inner_r:  # a half of one edge has no interior to share
+        return np.bincount(left.pair, partners, minlength=n_pairs)
+    if partners.sum() > DIRECT_JOIN_RATIO * (left.unbuilt_keys() + right.unbuilt_keys()):
+        return _join(left.keys(base, slots), right.keys(base, slots),
+                     n_pairs, nc, base, slots)
+    meets = np.bincount(left.pair, partners, minlength=n_pairs)
+    order = np.argsort(gr)
+    first = per_group.cumsum() - per_group  # of each group among the sorted right halves
+    at = _ranges(first[gl], partners)  # each meeting's right half, in that order
+    li = np.repeat(np.arange(len(gl)), partners)  # and its left half
+    shared = left.bits()[li]
+    shared &= right.bits()[order][at]
+    shared = np.flatnonzero(shared != 0)
+    li = li[shared]
+    if nc > 64:
+        ri = order[at[shared]]
+        clash = np.zeros(len(shared), dtype=bool)
+        for a in inner_l:
+            a = a[li]
+            for b in inner_r:
+                clash |= a == b[ri]
+        li = li[clash]
+    return meets - np.bincount(left.pair[li], minlength=n_pairs)
+
+
+def _subset_counts(group, cols, k_max, base, slots):
+    """Sorted distinct subset keys of these half-paths, with multiplicities;
+    ``group`` is each half's (pair, end) as pair * width + m."""
     inner = cols[:-1]
     for stop in range(len(inner) - 1, 0, -1):  # sort each row's interior
         for k in range(stop):
             lo, hi = np.minimum(inner[k], inner[k + 1]), np.maximum(inner[k], inner[k + 1])
             inner[k], inner[k + 1] = lo, hi
-    head = pair * nc + cols[-1]
     keys = []
     for k in range(k_max + 1):
         for subset in combinations(inner, k):
-            key = head
+            key = group
             for c in subset:
                 key = key * base + (c + 1)
             keys.append(key * base ** (slots - k))

@@ -490,6 +490,11 @@ _BAD_PRIORS = {
     "cauchy:df=2": "a cauchy prior has df=1; use t:df=... for other df",
     "t:scale=0": "prior scale must be positive",
     "cauchy:scale=-2.5": "prior scale must be positive",
+    "cauchy:scale=nan": "prior scale must be finite, got nan",
+    "cauchy:scale=inf": "prior scale must be finite, got inf",
+    "cauchy:center=inf": "prior center must be finite, got inf",
+    "t:df=inf": "prior df must be finite, got inf",
+    "t:df=nan": "prior df must be finite, got nan",
 }
 
 
@@ -500,6 +505,22 @@ def test_malformed_prior_is_a_parse_error(workdir, tmp_path, capsys, prior):
                 "--out-dir", tmp_path]) == EXIT_PARSE
     assert json.loads(capsys.readouterr().err) == {"error": "parse",
                                                    "message": _BAD_PRIORS[prior]}
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tolerance", "inf"], "--tolerance must be a positive finite number, got inf"),
+    (["--tolerance", "nan"], "--tolerance must be a positive finite number, got nan"),
+    (["--tolerance", "-1"], "--tolerance must be a positive finite number, got -1.0"),
+    (["--tolerance", "0"], "--tolerance must be a positive finite number, got 0.0"),
+    (["--max-iter", "-3"], "--max-iter must be non-negative, got -3"),
+])
+def test_fit_refuses_a_stopping_rule_that_cannot_stop_right(workdir, tmp_path, capsys,
+                                                            flags, message):
+    capsys.readouterr()
+    assert run(["fit", workdir / "panel.json", workdir / "spec.json", *flags,
+                "--out-dir", tmp_path]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err) == {"error": "parse", "message": message}
     assert not any(tmp_path.iterdir())
 
 

@@ -671,3 +671,66 @@ def test_month_fits_equal_newton_on_scipy(monkeypatch, prior):
         assert same_bits(fit.coefficients, ref.coefficients)
         assert same_bits(fit.std_errors, ref.std_errors)
         assert fit.to_dict() == ref.to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 27),
+       ridge=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]))
+def test_lapack_cholesky_equals_scipy_wrappers_bit_for_bit(seed, p, ridge):
+    """The solver's direct potrf/potrs calls give the bits of
+    scipy.linalg.cho_factor and cho_solve, the wrappers they replace."""
+    from scipy.linalg import cho_factor, cho_solve
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p + 2, p)) * rng.uniform(0.01, 100, size=p)
+    H = A.T @ A + ridge * np.eye(p)
+    g = rng.normal(size=p)
+    c = cho_factor(H, lower=True)
+    assert same_bits(solver._solve_spd(H, g), cho_solve(c, g))
+    assert same_bits(solver._spd_inverse_diag(H), np.diag(cho_solve(c, np.eye(p))))
+
+
+def test_cholesky_refuses_what_cho_factor_refuses():
+    """Not positive definite: the jitter loop or None, as before.  An inf
+    or NaN: the ValueError cho_factor's finite check raises."""
+    H = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        solver._cholesky(H)
+    assert solver._spd_inverse_diag(H) is None
+    assert np.isfinite(solver._solve_spd(H, np.ones(2))).all()  # a jittered step
+    assert solver._spd_inverse_diag(np.zeros((0, 0))).shape == (0,)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            solver._solve_spd(np.array([[1.0, 0.0], [0.0, bad]]), np.ones(2))
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            solver._solve_spd(np.eye(2), np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"scale": math.nan}, "prior scale must be finite, got nan"),
+    ({"scale": math.inf}, "prior scale must be finite, got inf"),
+    ({"center": -math.inf}, "prior center must be finite, got -inf"),
+    ({"df": math.inf}, "prior df must be finite, got inf"),
+    ({"df": math.nan}, "prior df must be finite, got nan"),
+    ({"overrides": {"x0": {"scale": math.inf}}},
+     "override for 'x0' has non-finite scale, got inf"),
+    ({"overrides": {"x0": {"center": math.nan}}},
+     "override for 'x0' has non-finite center, got nan"),
+    ({"overrides": {"x0": {"df": math.inf}}}, "override for 'x0' has non-finite df, got inf"),
+])
+def test_prior_refuses_non_finite_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PriorSpec(kind="student_t", **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tolerance": math.inf}, "tolerance must be a positive finite number, got inf"),
+    ({"tolerance": math.nan}, "tolerance must be a positive finite number, got nan"),
+    ({"tolerance": 0.0}, "tolerance must be a positive finite number, got 0.0"),
+    ({"tolerance": -1.0}, "tolerance must be a positive finite number, got -1.0"),
+    ({"max_iter": -3}, "max_iter must be non-negative, got -3"),
+])
+def test_fit_refuses_a_stopping_rule_that_cannot_stop_right(kwargs, message):
+    dm = make_dm(np.ones((4, 1)), [1, 0, 0, 1])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_posterior_mode(dm, PriorSpec(), **kwargs)
+    assert not fit_posterior_mode(dm, PriorSpec(), max_iter=0).converged

@@ -439,6 +439,106 @@ def test_cycle_key_space_is_per_draw():
     assert pair_cycle_counts(union, ii, ii + 1, 9).tolist() == [0, 0, 0]
 
 
+def _block_and_periphery(rng, k, density, m, chords):
+    """Edges of a dense block on vertices 0..k-1 and a sparse periphery of m
+    more: each periphery vertex joins a random earlier vertex, and
+    ``chords`` random edges close cycles through both parts."""
+    n = k + m
+    edges = {(a, b) for a, b in combinations(range(k), 2) if rng.random() < density}
+    edges |= {(int(rng.integers(0, v)), v) for v in range(k, n)}
+    edges |= {tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
+              for _ in range(chords)}
+    return sorted(edges), n
+
+
+class _RouteLog:
+    """The levels whose halves a cycle count joins directly (their interior
+    bit sets are built) and by inclusion-exclusion (their subset keys are)."""
+
+    def __init__(self, monkeypatch):
+        self.direct, self.keyed = set(), set()
+        bits, keys = terms._Halves.bits, terms._Halves.keys
+
+        def logged_bits(halves):
+            self.direct.add(len(halves.cols))
+            return bits(halves)
+
+        def logged_keys(halves, *args):
+            self.keyed.add(len(halves.cols))
+            return keys(halves, *args)
+
+        monkeypatch.setattr(terms._Halves, "bits", logged_bits)
+        monkeypatch.setattr(terms._Halves, "keys", logged_keys)
+
+
+@given(seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 4),
+       block=st.integers(5, 8), density=st.floats(0.7, 1.0))
+@settings(max_examples=12, deadline=None)
+def test_pair_cycle_counts_match_dfs_across_join_routes(seed, draws, block, density):
+    """A dense block joined to a sparse periphery, alone or as a union of
+    draws, at every max_len: the block's halves meet in crowds, the
+    periphery's in ones and twos, so one call can join some levels directly
+    and others by inclusion-exclusion."""
+    rng = np.random.default_rng(seed)
+    graphs = [_block_and_periphery(rng, block, density, int(rng.integers(10, 30)),
+                                   int(rng.integers(2, 10))) for _ in range(draws)]
+    n = max(size for _, size in graphs)
+    snaps = [snap(2, range(size), edges, n) for edges, size in graphs]
+    union = disjoint_union(snaps)
+    ii, jj = np.divmod(union.codes, len(union.present))
+    draw = ii // n
+    sample = rng.choice(len(ii), size=min(10, len(ii)), replace=False)
+    for max_len in range(3, 10):
+        counts = pair_cycle_counts(union, ii, jj, max_len)
+        for r in sample:
+            d = draw[r]
+            assert counts[r] == oracles.cycles_through_edge_by_dfs(
+                graphs[d][0], int(ii[r] - d * n), int(jj[r] - d * n), max_len)
+
+
+def test_cycle_join_routes_agree(monkeypatch):
+    """Counting every join by inclusion-exclusion, or every join directly,
+    gives the counts of the default routing, which on K8 joined to a sparse
+    periphery takes both routes in one call."""
+    rng = np.random.default_rng(0)
+    edges, n = _block_and_periphery(rng, 8, 1.0, 100, 40)
+    single = snap(1, range(n), edges, n)
+    union = disjoint_union([single, snap(1, range(n), edges[28:], n), single])
+    for s in (single, union):
+        ii, jj = np.divmod(s.codes, len(s.present))
+        routes = _RouteLog(monkeypatch)
+        default = pair_cycle_counts(s, ii, jj, 9)
+        assert routes.direct and routes.keyed
+        for ratio, route in ((0.0, "keyed"), (1e12, "direct")):
+            monkeypatch.setattr(terms, "DIRECT_JOIN_RATIO", ratio)
+            routes = _RouteLog(monkeypatch)
+            assert np.array_equal(pair_cycle_counts(s, ii, jj, 9), default)
+            other = routes.direct if route == "keyed" else routes.keyed
+            assert getattr(routes, route) and not other
+        monkeypatch.setattr(terms, "DIRECT_JOIN_RATIO", 1.0)
+    periphery = [k for k, (a, b) in enumerate(edges) if a >= 8 and b >= 8]
+    for k in periphery[:5]:
+        assert default[k] == oracles.cycles_through_edge_by_dfs(edges, *edges[k], 9)
+
+
+def test_dense_levels_go_to_inclusion_exclusion(monkeypatch):
+    """On K10 and G(60, 0.2) the deep levels' halves meet in crowds and are
+    joined by inclusion-exclusion; on a sparse ring with chords every level
+    is joined directly."""
+    k10 = complete(1, list(range(10)), 10)
+    rng = np.random.default_rng(0)
+    g60 = snap(1, range(60), oracles.random_edge_set(rng, 60, 0.2), 60)
+    for s, ties in ((k10, 45), (g60, 4)):
+        routes = _RouteLog(monkeypatch)
+        pair_cycle_counts(s, *np.divmod(s.codes[:ties], len(s.present)), 9)
+        assert {3, 4} <= routes.keyed
+    ring = [(k, (k + 1) % 200) for k in range(200)] + [(k, k + 7) for k in range(0, 190, 5)]
+    sparse = snap(1, range(200), ring, 200)
+    routes = _RouteLog(monkeypatch)
+    counts = pair_cycle_counts(sparse, *np.divmod(sparse.codes, 200), 9)
+    assert counts.any() and routes.direct == {2, 3, 4} and not routes.keyed
+
+
 # --- edge statistics -----------------------------------------------------------
 
 

@@ -14,13 +14,13 @@ from dynetlogit import save_model_spec, save_panel
 from dynetlogit.synth import make_month_panel, month_risk_set, nested_model_specs
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="data", help="output directory")
     ap.add_argument("--seed", type=int, default=20230828)
     ap.add_argument("--days", type=int, default=31)
     ap.add_argument("--gap-day", type=int, default=25)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .design import DesignError, build_design, dump_design
+from .design import DesignError, _csv_line, build_design, dump_design
 from .gli import GLI_NAMES, gli_vector
 from .panel import (
     NetworkPanel,
@@ -51,11 +51,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, rows, manifest_name: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         if manifest_name:
             fh.write(f"# manifest: {manifest_name}\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        # str() first: csv would write a numpy float by its repr
+        fh.writelines(_csv_line(map(str, row)) for row in rows)
 
 
 def _manifest(args, command: str, inputs: dict, settings: dict) -> dict:
@@ -171,13 +171,13 @@ def _coefficient_csv_rows(fit):
 
 
 def cmd_fit(args) -> int:
-    panel = load_panel(args.panel)
-    out = _out_dir(args)
     prior = _parse_prior(args.prior)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise SpecError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     if args.max_iter < 0:
         raise SpecError(f"--max-iter must be non-negative, got {args.max_iter}")
+    panel = load_panel(args.panel)
+    out = _out_dir(args)
 
     specs = [(Path(p).stem, load_model_spec(p), p) for p in args.spec]
     align = max(spec.max_lag for _, spec, _ in specs) if len(specs) > 1 else None

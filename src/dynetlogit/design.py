@@ -19,15 +19,16 @@ weighted row per (class pair, response), whose trials are counted from
 the class sizes and whose successes from the current edges.  The rows
 themselves (``responses``, ``features``, ``tags``) are expanded on first
 access, as ``--dump-design`` does, and only up to ``ROW_BUDGET`` rows.
-A step's edge rows are gathered from the values of its lagged ties and of
-one representative dyad per class pair, the dyads that ``_dyad_rows``
-picks; simulation draws its edges through the same function.
+Each row is a pointer to its pattern: a vertex row is its own weighted
+row, a dyad row its lagged tie's or else its class pair's and response's,
+so rows are gathered from the patterns by integer work alone.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,10 +51,10 @@ __all__ = ["DesignError", "TagTable", "Patterns", "DesignMatrix", "ROW_BUDGET",
 # mixed-radix row keys stay below this; past it the partial key is renumbered
 _KEY_LIMIT = np.iinfo(np.int64).max
 
-# Most rows a design built from a panel expands to.  With three edge terms
-# expanding peaks at about 165 bytes per row (185 MB under tracemalloc for
-# the million workload's 1.13M rows), so about 1.6 GB here, more with more
-# terms; the fit never expands rows.
+# Most rows a design built from a panel expands to.  With two stored entries
+# a row, expanding peaks at about 64 bytes per row (72 MB under tracemalloc
+# for the million workload's 1.13M rows), so about 0.64 GB here, more with
+# more entries; the fit never expands rows.
 ROW_BUDGET = 10_000_000
 
 
@@ -92,13 +93,15 @@ class Patterns:
     n_vertex_patterns: int
 
 
-def _row_patterns(features, responses, n_vertex_rows, trials) -> Patterns:
-    """Group weighted rows by an exact key built column by column from the
-    CSC form, summing their ``trials``: each column's values are factorized
-    and their codes added into one int64 key per row in mixed radix,
-    renumbering the partial key whenever the next radix would overflow it.
-    An explicitly stored zero gets a code of its own, so rows equal in value
-    may land in two patterns; the likelihood does not change."""
+def _row_patterns(features, responses, n_vertex_rows, trials):
+    """(Patterns, the pattern of each row) of weighted rows, grouped by an
+    exact key built column by column from the CSC form, summing their
+    ``trials``: each column's values are factorized and their codes added
+    into one int64 key per row in mixed radix, renumbering the partial key
+    whenever the next radix would overflow it.  An explicitly stored zero
+    gets a code of its own, so rows equal in value may land in two
+    patterns; the likelihood does not change, and every row is its
+    pattern's row, stored entries included."""
     key = responses.astype(np.int64)
     key[n_vertex_rows:] += 2
     base = 4  # key < base: block and response take the lowest digits
@@ -118,15 +121,16 @@ def _row_patterns(features, responses, n_vertex_rows, trials) -> Patterns:
     del csc
     _, first, key = np.unique(key, return_index=True, return_inverse=True)
     trials = np.bincount(key, weights=trials)
-    del key
     order = np.argsort(first)
     first, trials = first[order], trials[order]
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order))
     return Patterns(
         features=features.tocsr()[first],
         responses=responses[first].astype(float),
         trials=trials,
         n_vertex_patterns=int(np.searchsorted(first, n_vertex_rows)),
-    )
+    ), rank[key]
 
 
 class DesignMatrix:
@@ -134,9 +138,9 @@ class DesignMatrix:
 
     Made from rows, a design collapses them into its binomial ``patterns``
     on first use.  ``build_design`` makes it from the patterns instead, and
-    its rows are expanded from the panel on first access, at most
-    ``ROW_BUDGET`` of them.  Either way both are kept: a design is not
-    modified once built.  ``steps`` are the times that have rows.
+    its rows are gathered from them on first access, at most ``ROW_BUDGET``
+    of them.  Either way both are kept: a design is not modified once
+    built.  ``steps`` are the times that have rows.
     """
 
     def __init__(self, responses, features, tags, column_names, n_vertex_terms,
@@ -151,28 +155,39 @@ class DesignMatrix:
         self.n_vertex_rows = n_vertex_rows
         self.n_rows = n_rows
         self.steps = steps
-        self._rows = self._expand = self._patterns = None
+        self._rows = self._layout = self._patterns = None
 
     @classmethod
-    def _from_patterns(cls, patterns, expand, column_names, n_vertex_terms,
-                       n_vertex_rows, n_rows, steps):
+    def _from_patterns(cls, patterns, layout, column_names, n_vertex_terms, n_vertex_rows,
+                       n_rows, steps):
         dm = cls.__new__(cls)
         dm._set(column_names, n_vertex_terms, n_vertex_rows, n_rows, steps)
-        dm._patterns, dm._expand = patterns, expand
+        dm._patterns, dm._layout = patterns, layout
         return dm
 
+    def _gather(self):
+        """(the row of ``x`` each row is, features x, responses of x, tags):
+        x holds the patterns of a design built from a panel, whose rows are
+        read only up to ``ROW_BUDGET``, and the rows of one made from rows."""
+        if self._layout is None:
+            responses, features, tags = self._rows
+            return np.arange(self.n_rows), features, responses, tags
+        if self.n_rows > ROW_BUDGET:
+            raise DesignError(
+                f"the design has {self.n_rows:,} rows, over the row budget of "
+                f"{ROW_BUDGET:,}; fit does not need them (it runs on the "
+                f"design's binomial patterns), only reading rows, as "
+                f"--dump-design does, expands them"
+            )
+        of, tags = self._layout.expand()
+        return of, self._patterns.features, self._patterns.responses, tags
+
     def rows(self):
-        """(responses, features, tags), expanded on the first call if the
-        design was built from a panel."""
+        """(responses, features, tags), gathered from the patterns on the
+        first call if the design was built from a panel."""
         if self._rows is None:
-            if self.n_rows > ROW_BUDGET:
-                raise DesignError(
-                    f"the design has {self.n_rows:,} rows, over the row budget of "
-                    f"{ROW_BUDGET:,}; fit does not need them (it runs on the "
-                    f"design's binomial patterns), only reading rows, as "
-                    f"--dump-design does, expands them"
-                )
-            self._rows = self._expand()
+            of, x, responses, tags = self._gather()
+            self._rows = (responses[of].astype(np.int8), x[of], tags)
         return self._rows
 
     @property
@@ -197,7 +212,7 @@ class DesignMatrix:
         if self._patterns is None:
             responses, features, _ = self.rows()
             self._patterns = _row_patterns(features, responses, self.n_vertex_rows,
-                                           np.ones(self.n_rows))
+                                           np.ones(self.n_rows))[0]
         return self._patterns
 
     def __repr__(self):
@@ -244,65 +259,15 @@ def _lagged_codes(history, t, terms) -> np.ndarray:
         np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
 
 
-def _dyad_rows(ii, jj, classes, draws, lagged):
-    """The dyads an edge term is evaluated on, for dyads (ii, jj) of the
-    union of a history's ``draws`` draws, vertex r * n + i being vertex i
-    of draw r.
-
-    A dyad is a lagged tie when its code i * (draws * n) + j is in
-    ``lagged``, as ``_lagged_codes`` gives them; every other dyad's class
-    is its draw and the pair of its endpoints' ``classes``.  Every edge
-    term is constant over the dyads of one class, lag-scope terms being 0
-    there.  ``rows`` lists every lagged tie, then one representative per
-    class, and ``of`` is each dyad's position in ``rows``, so a term's
-    values on ``(ii[rows], jj[rows])`` gathered by ``of`` are its values
-    on every dyad.  The work is that of the draws the dyads are in, not of
-    all ``draws``: a step drawn as several unions pays for each once.
-    """
-    n, k = len(classes), int(classes.max(initial=0)) + 1
-    lo, hi = int(ii.min()) // n, int(ii.max()) // n + 1  # draws lo..hi-1
-    # per vertex of those draws: its class plus k times its draw past lo, so
-    # that a dyad's two values, ordered, key its class (draw, a, b) below
-    # (hi - lo) * k * (k + 1)
-    cls = (np.arange(hi - lo)[:, None] * k + classes).ravel()
-    width = draws * n  # the codes of draws lo..hi-1 are a slice of lagged
-    tie = _is_edge(lagged[np.searchsorted(lagged, lo * n * width):
-                          np.searchsorted(lagged, hi * n * width)], ii * width + jj)
-    ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
-    a, b = cls[ii[free] - lo * n], cls[jj[free] - lo * n]
-    key = np.minimum(a, b)
-    key *= k
-    key += np.maximum(a, b, out=a)
-    del a, b
-    size = (hi - lo) * k * (k + 1)
-    if size <= len(ii):  # a table over every key, unless it outgrows the dyads
-        slot = np.full(size, -1)
-        slot[key] = free  # whichever dyad lands here, it represents its class
-        keys = np.flatnonzero(slot >= 0)
-        reps = slot[keys]
-        slot[keys] = np.arange(len(keys))
-        key = slot[key]
-    else:
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
-        reps = free[first]
-    of = np.empty(len(ii), dtype=np.int64)
-    of[ties] = np.arange(len(ties))
-    of[free] = key + len(ties)
-    return np.concatenate([ties, reps]), of
-
-
-def _vertex_block(history, terms, t):
-    """Step t's vertex rows: one per risk-set vertex."""
-    return np.column_stack([vertex_term_values(term, history, t) for term in terms])
-
-
 def _edge_patterns(history, terms, steps, classes):
     """Edge rows of ``steps`` grouped as (features, responses, trials): one
     row per lagged tie among a step's present vertices, then per step and
     pair of endpoint classes (a <= b) one row per response with its dyads
     off those ties, on which lag-scope terms are 0.  The counting runs
     over all steps at once; each term is evaluated once per step, on the
-    step's ties and one representative dyad per class pair."""
+    step's ties and one representative dyad per class pair.  Also returns
+    (ties, pair_keys, pair_rows), where ``_RowLayout`` finds each dyad's
+    row."""
     n, k = len(classes), int(classes.max()) + 1
     snaps = [history.snapshot_at(t) for t in steps]
     present = np.stack([snap.present for snap in snaps])
@@ -367,7 +332,77 @@ def _edge_patterns(history, terms, steps, classes):
                                 np.ones(len(left), dtype=np.int8)])
     trials = np.concatenate([np.ones(len(ties)), zeros[left], ones[left]])
     kept = trials > 0
-    return features[kept], responses[kept], trials[kept]
+    # each class pair's weighted row per response, -1 where it has none
+    pair_rows = np.full((2, len(pair_keys)), -1)
+    pair_rows[:, left] = np.where(kept, np.cumsum(kept) - 1, -1)[len(ties):].reshape(2, -1)
+    return (features[kept], responses[kept], trials[kept]), (ties, pair_keys, pair_rows)
+
+
+@dataclass(frozen=True)
+class _RowLayout:
+    """Which weighted row of ``build_design`` each row of its design is,
+    and so which pattern: ``pattern_of`` each weighted row.
+
+    The n vertex rows of each of ``vertex_steps`` come first, each its own
+    weighted row.  The dyad rows of ``edge_steps`` follow, step by step in
+    row-major order.  A lagged tie among present vertices is its own
+    weighted edge row, in the order of ``ties`` (keyed (s * n + i) * n + j
+    at the s-th edge step).  Any other dyad is the weighted edge row
+    ``pair_rows[response, p]`` of its class pair ``pair_keys[p]``, keyed
+    (s * k + a) * k + b over its endpoints' ``classes`` a <= b.
+    """
+
+    history: History
+    pattern_of: np.ndarray
+    vertex_steps: np.ndarray
+    edge_steps: np.ndarray
+    classes: np.ndarray | None = None
+    ties: np.ndarray | None = None
+    pair_keys: np.ndarray | None = None
+    pair_rows: np.ndarray | None = None
+
+    def expand(self):
+        """(the pattern of every row, its tags), by integer work."""
+        n, steps = len(self.history.risk_set), len(self.edge_steps)
+        nv = n * len(self.vertex_steps)
+        present = np.array([self.history.snapshot_at(t).present for t in self.edge_steps],
+                           dtype=bool).reshape(steps, n)
+        m = present.sum(axis=1)
+        per_step = m * (m - 1) // 2
+        ii, jj = dyads(np.nonzero(present)[1], m)
+        of = self.pattern_of[nv:]  # of each weighted edge row
+        if steps:
+            ci, cj = self.classes[ii], self.classes[jj]
+            k = int(self.classes.max()) + 1
+            key = np.minimum(ci, cj)
+            key += np.arange(0, steps * k, k).repeat(per_step)
+            key *= k
+            key += np.maximum(ci, cj, out=ci)
+            del ci, cj
+            p = np.searchsorted(self.pair_keys, key)
+            # where pair_rows is -1 the gather is junk that no dyad reads
+            pair, tie = of[self.pair_rows], of[:len(self.ties)]
+            of = pair[0, p]
+
+            rank = np.cumsum(present, axis=1) - 1  # among the step's present vertices
+            first = np.cumsum(per_step) - per_step
+
+            def row_of(keys):  # (s * n + i) * n + j -> its dyad row
+                s, i, j = keys // (n * n), keys // n % n, keys % n
+                a, b = rank[s, i], rank[s, j]
+                return first[s] + a * m[s] - a * (a + 1) // 2 + b - a - 1
+
+            edges = row_of(np.concatenate([s * n * n + self.history.snapshot_at(t).codes
+                                           for s, t in enumerate(self.edge_steps)]))
+            of[edges] = pair[1, p[edges]]
+            of[row_of(self.ties)] = tie
+        tags = TagTable(
+            np.repeat(np.array([0, 1], dtype=np.uint8), [nv, len(ii)]),
+            np.concatenate([self.vertex_steps.repeat(n), self.edge_steps.repeat(per_step)]),
+            np.concatenate([np.tile(np.arange(n), len(self.vertex_steps)), ii]),
+            np.concatenate([np.full(nv, -1), jj]),
+        )
+        return np.concatenate([self.pattern_of[:nv], of]), tags
 
 
 def _stack(v_blocks, e_blocks, kv, ke):
@@ -413,7 +448,8 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     for t in steps:
         snap = panel.at(t)
         if kv:
-            v_blocks.append(_vertex_block(history, spec.vertex_terms, t))
+            v_blocks.append(np.column_stack([vertex_term_values(term, history, t)
+                                             for term in spec.vertex_terms]))
             v_resp.append(snap.present.astype(np.int8))
         m = snap.n_present
         dyad_rows = m * (m - 1) // 2 if ke else 0
@@ -428,84 +464,58 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
         raise DesignError("design has no rows (no vertex terms and no present dyads)")
 
     e_blocks, e_resp, e_trials = [], np.empty(0, dtype=np.int8), np.empty(0)
+    edge_layout = ()
     if edge_steps:
-        block, e_resp, e_trials = _edge_patterns(history, spec.edge_terms, edge_steps,
-                                                 classes)
+        (block, e_resp, e_trials), edge_layout = _edge_patterns(
+            history, spec.edge_terms, edge_steps, classes)
         e_blocks.append(block)
     responses = np.concatenate([_concat(v_resp, np.int8), e_resp])
     trials = np.concatenate([np.ones(nv), e_trials])
-    patterns = _row_patterns(_stack(v_blocks, e_blocks, kv, ke), responses, nv, trials)
+    patterns, pattern_of = _row_patterns(_stack(v_blocks, e_blocks, kv, ke), responses,
+                                         nv, trials)
+    layout = _RowLayout(history, pattern_of, np.array(steps if kv else [], dtype=np.int64),
+                        np.array(edge_steps, dtype=np.int64), classes, *edge_layout)
     return DesignMatrix._from_patterns(
-        patterns, partial(_design_rows, history, spec, steps, classes),
+        patterns, layout,
         column_names=spec.column_names, n_vertex_terms=kv, n_vertex_rows=nv,
         n_rows=nv + ne, steps=tuple(row_steps),
     )
 
 
-def _design_rows(history, spec, steps, classes):
-    """(responses, features, tags) of every row: one per (step, risk-set
-    vertex) and one per (step, present dyad), the edge rows gathered from
-    the rows ``_dyad_rows`` picks."""
-    n = len(history.risk_set)
-    kv, ke = len(spec.vertex_terms), len(spec.edge_terms)
-
-    v_blocks, v_resp, v_t = [], [], []
-    e_blocks, e_resp, e_t, e_i, e_j = [], [], [], [], []
-
-    for t in steps:
-        snap = history.snapshot_at(t)
-        if kv:
-            v_blocks.append(_vertex_block(history, spec.vertex_terms, t))
-            v_resp.append(snap.present.astype(np.int8))
-            v_t.append(np.full(n, t, dtype=np.int64))
-        if ke:
-            ii, jj = dyads(snap.present_indices)
-            if len(ii) == 0:
-                continue
-            rows, of = _dyad_rows(ii, jj, classes, 1,
-                                  _lagged_codes(history, t, spec.edge_terms))
-            ri, rj = ii[rows], jj[rows]
-            cols = [edge_term_values(term, history, t, ri, rj, snap.present)
-                    for term in spec.edge_terms]
-            e_blocks.append(np.column_stack(cols).take(of, axis=0))
-            e_resp.append(_is_edge(snap.codes, ii * n + jj).astype(np.int8))
-            e_t.append(np.full(len(ii), t, dtype=np.int64))
-            e_i.append(ii)
-            e_j.append(jj)
-
-    nv = sum(len(r) for r in v_resp)
-    ne = sum(len(r) for r in e_resp)
-    responses = np.concatenate([_concat(v_resp, np.int8), _concat(e_resp, np.int8)])
-    tags = TagTable(
-        np.concatenate([np.zeros(nv, dtype=np.uint8), np.ones(ne, dtype=np.uint8)]),
-        np.concatenate([_concat(v_t, np.int64), _concat(e_t, np.int64)]),
-        np.concatenate([np.tile(np.arange(n, dtype=np.int64), len(v_resp)),
-                        _concat(e_i, np.int64)]),
-        np.concatenate([np.full(nv, -1, dtype=np.int64), _concat(e_j, np.int64)]),
-    )
-    return responses, _stack(v_blocks, e_blocks, kv, ke), tags
+def _csv_line(fields) -> str:
+    """``fields`` as one CSV line ending in "\\n", a field quoted (its quotes
+    doubled) when it holds a comma, a quote or a line break: written with
+    "\\r\\n" line ends, since under "\\n" ``csv`` leaves a lone "\\r" bare."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(fields)
+    return line.getvalue()[:-2] + "\n"
 
 
 def dump_design(dm: DesignMatrix, risk_set, triplet_path, columns_path, tags_path):
     """Write the design as (row, col, value) triplets plus column/tag CSVs,
-    for cross-checking against external GLM software."""
-    coo = dm.features.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    for cross-checking against external GLM software.  Each pattern's
+    triplet text and each label are formatted once, and each row writes
+    its pattern's text."""
+    of, x, responses, tags = dm._gather()
+    nnz = np.diff(x.indptr)
+    texts = []  # per pattern: "", then " col value\n" per entry in column order
+    for lo, hi in zip(x.indptr[:-1].tolist(), x.indptr[1:].tolist()):
+        order = np.argsort(x.indices[lo:hi], kind="stable")
+        texts.append(["", *(f" {c} {float(v)!r}\n" for c, v in zip(
+            x.indices[lo:hi][order].tolist(), x.data[lo:hi][order].tolist()))])
     with open(triplet_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# rows={dm.n_rows} cols={dm.n_cols} nnz={coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {float(v)!r}\n")
-    with open(columns_path, "w", encoding="utf-8") as fh:
-        fh.write("col,name\n")
-        for c, name in enumerate(dm.column_names):
-            fh.write(f"{c},{name}\n")
-    with open(tags_path, "w", encoding="utf-8") as fh:
+        fh.write(f"# rows={dm.n_rows} cols={dm.n_cols} nnz={int(nnz[of].sum())}\n")
+        fh.writelines(map(str.join, map(str, range(dm.n_rows)),
+                          [texts[p] for p in of.tolist()]))
+    with open(columns_path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(map(_csv_line, [("col", "name"), *enumerate(dm.column_names)]))
+    # each label as a CSV field, and "" for the j of a vertex row (-1)
+    labels = [_csv_line([label, ""])[:-2] for label in risk_set.labels] + [""]
+    kinds = ("vertex", "edge")
+    responses = responses.astype(np.int8)[of]
+    with open(tags_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("row,kind,t,i,j,response\n")
-        tags = dm.tags
-        for r in range(dm.n_rows):
-            if tags.kind[r] == 0:
-                kind, i, j = "vertex", risk_set.labels[tags.i[r]], ""
-            else:
-                kind = "edge"
-                i, j = risk_set.labels[tags.i[r]], risk_set.labels[tags.j[r]]
-            fh.write(f"{r},{kind},{tags.t[r]},{i},{j},{dm.responses[r]}\n")
+        fh.writelines(
+            f"{r},{kinds[k]},{t},{labels[i]},{labels[j]},{y}\n" for r, k, t, i, j, y in zip(
+                range(dm.n_rows), tags.kind.tolist(), tags.t.tolist(), tags.i.tolist(),
+                tags.j.tolist(), responses.tolist()))

@@ -16,7 +16,7 @@ the seeding of every key of a command is hashed in one vectorized pass
 Edge probabilities cost per class, not per dyad: a sampled dyad that is
 not a lagged tie has the probability of its draw and its pair of endpoint
 classes, so ``StepSampler`` evaluates the edge terms on the ties and one
-dyad per class, as ``design._dyad_rows`` picks them, and gathers the
+dyad per class, as ``_dyad_rows`` picks them, and gathers the
 probabilities to every dyad.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
-from .design import _dyad_rows, _endpoint_classes, _lagged_codes
+from .design import _endpoint_classes, _lagged_codes
 from .gli import GLI_NAMES, gli_matrix, gli_vector
 from .panel import NetworkPanel, RiskSet, Snapshot, disjoint_union, dyads, split_draws
 from .solver import FitResult
@@ -41,6 +41,7 @@ from .terms import (
     ModelSpec,
     SpecError,
     WEEKDAYS,
+    _is_edge,
     edge_term_values,
     resolve_lag,
     usable_transitions,
@@ -315,6 +316,53 @@ def _uniforms(rngs, counts) -> np.ndarray:
     return out
 
 
+def _dyad_rows(ii, jj, classes, draws, lagged):
+    """The dyads an edge term is evaluated on, for dyads (ii, jj) of the
+    union of a history's ``draws`` draws, vertex r * n + i being vertex i
+    of draw r.
+
+    A dyad is a lagged tie when its code i * (draws * n) + j is in
+    ``lagged``, as ``_lagged_codes`` gives them; every other dyad's class
+    is its draw and the pair of its endpoints' ``classes``.  Every edge
+    term is constant over the dyads of one class, lag-scope terms being 0
+    there.  ``rows`` lists every lagged tie, then one representative per
+    class, and ``of`` is each dyad's position in ``rows``, so a term's
+    values on ``(ii[rows], jj[rows])`` gathered by ``of`` are its values
+    on every dyad.  The work is that of the draws the dyads are in, not of
+    all ``draws``: a step drawn as several unions pays for each once.
+    """
+    n, k = len(classes), int(classes.max(initial=0)) + 1
+    lo, hi = int(ii.min()) // n, int(ii.max()) // n + 1  # draws lo..hi-1
+    # per vertex of those draws: its class plus k times its draw past lo, so
+    # that a dyad's two values, ordered, key its class (draw, a, b) below
+    # (hi - lo) * k * (k + 1)
+    cls = (np.arange(hi - lo)[:, None] * k + classes).ravel()
+    width = draws * n  # the codes of draws lo..hi-1 are a slice of lagged
+    tie = _is_edge(lagged[np.searchsorted(lagged, lo * n * width):
+                          np.searchsorted(lagged, hi * n * width)], ii * width + jj)
+    ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
+    a, b = cls[ii[free] - lo * n], cls[jj[free] - lo * n]
+    key = np.minimum(a, b)
+    key *= k
+    key += np.maximum(a, b, out=a)
+    del a, b
+    size = (hi - lo) * k * (k + 1)
+    if size <= len(ii):  # a table over every key, unless it outgrows the dyads
+        slot = np.full(size, -1)
+        slot[key] = free  # whichever dyad lands here, it represents its class
+        keys = np.flatnonzero(slot >= 0)
+        reps = slot[keys]
+        slot[keys] = np.arange(len(keys))
+        key = slot[key]
+    else:
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        reps = free[first]
+    of = np.empty(len(ii), dtype=np.int64)
+    of[ties] = np.arange(len(ties))
+    of[free] = key + len(ties)
+    return np.concatenate([ties, reps]), of
+
+
 class StepSampler:
     """Draws snapshots at step ``t``, one per draw of the history; draw r
     reads the lags of history draw r.
@@ -330,12 +378,9 @@ class StepSampler:
     they share their dyads too, whose edge probabilities are computed once
     (``pairs``); otherwise once per union of draws.
 
-    Edge probabilities are evaluated per class.  ``design._dyad_rows``
-    sorts the dyads into lagged ties (edges of the history at the lag of a
-    lag-scope edge term) and classes of the other dyads (a dyad's draw and the
-    pair of its endpoints' ``classes``, from ``design._endpoint_classes``,
-    computed here when not given), and picks the ties and one
-    representative per class.  Each edge term is evaluated once, on those
+    Edge probabilities are evaluated per class, on the lagged ties and
+    class representatives ``_dyad_rows`` picks (``classes`` are computed
+    here when not given).  Each edge term is evaluated once, on those
     dyads; η is summed in spec order and ``expit`` applied on them only,
     and each dyad gathers its row's probability, the same float it would
     get on its own.

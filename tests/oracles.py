@@ -12,9 +12,10 @@ that Newton run on every Bernoulli row instead of on binomial patterns;
 the Newton loop's products taken with scipy.sparse instead of on plain
 arrays;
 design rows with every edge term evaluated on every dyad instead of
-gathered from lagged ties and class representatives, and grouped by
+gathered from the design's patterns, and grouped by
 ``np.unique`` over whole dense rows instead of patterns assembled from
-endpoint classes and lagged ties; endpoint classes keyed by kind name
+endpoint classes and lagged ties; the design written one row at a time
+from its rows instead of once per pattern; endpoint classes keyed by kind name
 instead of read from the kind table's scopes and params; and panel files
 read one label at a time and written through the panel's JSON object and
 ``json.dumps`` instead of on arrays.  The tests' scalar and sub-design helpers (``has_edge``,
@@ -43,7 +44,7 @@ from dynetlogit import (
     Snapshot,
     VertexRef,
 )
-from dynetlogit.design import TagTable, _concat, _endpoint_classes, _stack, _vertex_block
+from dynetlogit.design import TagTable, _concat, _endpoint_classes, _stack
 from dynetlogit.gli import GLI_NAMES, gli_matrix
 from dynetlogit.panel import _require, _typed, disjoint_union, dyads, presence_vector
 from dynetlogit.simulate import (
@@ -541,7 +542,8 @@ def design_rows_by_dyad(panel, spec, steps):
     for t in steps:
         snap = history.snapshot_at(t)
         if kv:
-            v_blocks.append(_vertex_block(history, spec.vertex_terms, t))
+            v_blocks.append(np.column_stack([vertex_term_values(term, history, t)
+                                             for term in spec.vertex_terms]))
             v_resp.append(snap.present.astype(np.int8))
             v_t.append(np.full(n, t, dtype=np.int64))
         if ke:
@@ -567,6 +569,42 @@ def design_rows_by_dyad(panel, spec, steps):
         np.concatenate([np.full(nv, -1, dtype=np.int64), _concat(e_j, np.int64)]),
     )
     return responses, _stack(v_blocks, e_blocks, kv, ke), tags
+
+
+def csv_field(text):
+    """``text`` as one CSV field, as RFC 4180 has it: quoted, its quotes
+    doubled, when it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def dump_design_by_rows(dm, risk_set, triplet_path, columns_path, tags_path):
+    """``design.dump_design`` one row at a time from ``dm.rows()``: one
+    f-string per triplet, sorted by (row, col) from the COO form, and one
+    per CSV row, its names and labels through ``csv_field``."""
+    coo = dm.features.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(triplet_path, "w", encoding="utf-8") as fh:
+        fh.write(f"# rows={dm.n_rows} cols={dm.n_cols} nnz={coo.nnz}\n")
+        for r, c, v in zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                           coo.data[order].tolist()):
+            fh.write(f"{r} {c} {float(v)!r}\n")
+    with open(columns_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("col,name\n")
+        for c, name in enumerate(dm.column_names):
+            fh.write(f"{c},{csv_field(name)}\n")
+    with open(tags_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("row,kind,t,i,j,response\n")
+        tags, labels = dm.tags, risk_set.labels
+        for r, (k, t, i, j, y) in enumerate(zip(tags.kind.tolist(), tags.t.tolist(),
+                                                tags.i.tolist(), tags.j.tolist(),
+                                                dm.responses.tolist())):
+            if k == 0:
+                kind, i, j = "vertex", labels[i], ""
+            else:
+                kind, i, j = "edge", labels[i], labels[j]
+            fh.write(f"{r},{kind},{t},{csv_field(i)},{csv_field(j)},{y}\n")
 
 
 def patterns_by_rows(dm, panel, spec):
@@ -695,7 +733,7 @@ def panel_from_obj_by_label(obj):
 
 
 def dyad_rows_by_class(ii, jj, classes, draws, lagged):
-    """``design._dyad_rows`` by brute force: the lagged ties found by
+    """``simulate._dyad_rows`` by brute force: the lagged ties found by
     ``np.isin`` among all of ``lagged``, and the other dyads keyed
     (draw, smaller class, larger class) over every draw of the union and
     numbered by ``np.unique`` in that order, each class represented by its

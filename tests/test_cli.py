@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -522,6 +523,47 @@ def test_fit_refuses_a_stopping_rule_that_cannot_stop_right(workdir, tmp_path, c
                 "--out-dir", tmp_path]) == EXIT_PARSE
     assert json.loads(capsys.readouterr().err) == {"error": "parse", "message": message}
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags", [["--prior", "normal"], ["--tolerance", "0"],
+                                   ["--max-iter", "-1"]])
+def test_a_refused_fit_creates_no_out_dir(workdir, tmp_path, flags):
+    out = tmp_path / "out"
+    assert run(["fit", workdir / "panel.json", workdir / "spec.json", *flags,
+                "--out-dir", out]) == EXIT_PARSE
+    assert not out.exists()
+
+
+def test_csv_files_read_back_labels_that_need_quoting(tmp_path):
+    """A label holding a comma, a quote or a line break is one quoted field
+    in every CSV file, so ``csv.reader`` reads each row back whole."""
+    from dynetlogit import NetworkPanel, RiskSet
+
+    labels = ["a,b", 'q"x', "n\nl", "c\rr", "plain"]
+    drawn = random_panel(np.random.default_rng(5), n=5, T=5, presence=0.9, density=0.5)
+    save_panel(NetworkPanel(RiskSet(labels), drawn.snapshots), tmp_path / "panel.json")
+    spec = ModelSpec([TermSpec("vertex", "intercept")],
+                     [TermSpec("edge", "intercept")]
+                     + [TermSpec("edge", "individual_dummy", params={"label": label})
+                        for label in labels[:4]])
+    save_model_spec(spec, tmp_path / "spec.json")
+    out = tmp_path / "out"
+    assert run(["fit", tmp_path / "panel.json", tmp_path / "spec.json", "--format", "csv",
+                "--dump-design", "--out-dir", out]) == EXIT_OK
+
+    def read(name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    coefficients = read("spec_coefficients.csv")
+    assert coefficients[0] == ["# manifest: spec_fit.json"]
+    assert [row[0] for row in coefficients[2:]] == list(spec.column_names)
+    assert {len(row) for row in coefficients[1:]} == {5}
+    assert read("spec_design_columns.csv")[1:] == [
+        [str(c), name] for c, name in enumerate(spec.column_names)]
+    tags = read("spec_design_tags.csv")[1:]
+    assert {len(row) for row in tags} == {6}
+    assert {row[3] for row in tags} | {row[4] for row in tags} == set(labels) | {""}
 
 
 def test_gli_at_a_gap_day_exits_validation(bridge_run, capsys):

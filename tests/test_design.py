@@ -1,3 +1,4 @@
+import csv
 import time
 import tracemalloc
 
@@ -312,8 +313,7 @@ def test_workload_patterns_equal_grouped_rows(workload):
 
 
 def assert_rows_equal_rows_by_dyad(dm, panel, spec):
-    """``dm.rows()``, gathered from lagged ties and class representatives,
-    equal the rows with every edge term evaluated on every dyad, byte for
+    """``dm.rows()``, gathered from the design's patterns, equal the rows with every edge term evaluated on every dyad, byte for
     byte."""
     responses, features, tags = dm.rows()
     want = oracles.design_rows_by_dyad(panel, spec, dm.steps)
@@ -406,6 +406,74 @@ def test_workload_rows_equal_rows_by_dyad(workload):
         assert_rows_equal_rows_by_dyad(dm, panel, spec)
 
 
+def assert_dump_equals_the_row_writer(dm, risk_set, tmp_path):
+    """``dump_design`` writes the bytes of the row-at-a-time writer."""
+    names = ("design.txt", "columns.csv", "tags.csv")
+    dump_design(dm, risk_set, *(tmp_path / f"got_{name}" for name in names))
+    oracles.dump_design_by_rows(dm, risk_set, *(tmp_path / f"want_{name}" for name in names))
+    for name in names:
+        assert (tmp_path / f"got_{name}").read_bytes() == (tmp_path / f"want_{name}").read_bytes()
+
+
+def _no_terms(*args):
+    raise AssertionError("a term evaluated after the design was built")
+
+
+@pytest.mark.parametrize("workload", ["month", "million"])
+def test_workload_dump_equals_the_row_writer(workload, tmp_path, monkeypatch):
+    """Rows and the dump are gathered from the patterns: once the design is
+    built, neither evaluates a term."""
+    designs = list(_workload_designs(workload))
+    monkeypatch.setattr(design, "edge_term_values", _no_terms)
+    monkeypatch.setattr(design, "vertex_term_values", _no_terms)
+    for panel, _, dm in designs:
+        assert_dump_equals_the_row_writer(dm, panel.risk_set, tmp_path)
+
+
+# labels that a CSV field must quote
+_csv_labels = st.text(st.sampled_from('v,"\n\r x'), min_size=1, max_size=3)
+
+
+@st.composite
+def relabeled_panels_and_specs(draw):
+    """``panels_and_specs`` with labels that need quoting in a CSV file."""
+    panel, spec, align = draw(panels_and_specs())
+    rs = panel.risk_set
+    labels = draw(st.lists(_csv_labels, min_size=len(rs), max_size=len(rs), unique=True))
+    new = dict(zip(rs.labels, labels))
+
+    def relabel(term):
+        if "label" not in term.params:
+            return term
+        return TermSpec(term.target, term.kind, term.lag,
+                        {**term.params, "label": new[term.params["label"]]})
+
+    panel = NetworkPanel(RiskSet(labels, rs.attrs), panel.snapshots, gaps=panel.gaps)
+    spec = ModelSpec([relabel(t) for t in spec.vertex_terms],
+                     [relabel(t) for t in spec.edge_terms], gap_policy=spec.gap_policy)
+    return panel, spec, align
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(relabeled_panels_and_specs())
+def test_panel_dump_equals_the_row_writer(tmp_path, case):
+    panel, spec, align = case
+    try:
+        dm = build_design(panel, spec, align_to_lag=align)
+    except DesignError:
+        return
+    assert_dump_equals_the_row_writer(dm, panel.risk_set, tmp_path)
+    with open(tmp_path / "got_columns.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["col", "name"]] + [
+            [str(c), name] for c, name in enumerate(dm.column_names)]
+    with open(tmp_path / "got_tags.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    labels = panel.risk_set.labels
+    assert [(row[3], row[4]) for row in rows] == [
+        (labels[i], labels[j] if j >= 0 else "") for i, j in zip(dm.tags.i, dm.tags.j)]
+
+
 def _no_rows(*args):
     raise AssertionError("design rows expanded")
 
@@ -417,7 +485,7 @@ def test_fit_never_expands_rows(tmp_path, monkeypatch):
     for stem, spec in specs.items():
         paths.append(str(tmp_path / f"{stem}.json"))
         save_model_spec(spec, paths[-1])
-    monkeypatch.setattr(design, "_design_rows", _no_rows)
+    monkeypatch.setattr(design._RowLayout, "expand", _no_rows)
     assert cli.main(["fit", str(tmp_path / "panel.json"), *paths,
                      "--out-dir", str(tmp_path / "out")]) == 0
 
@@ -469,7 +537,7 @@ def test_sparse_panel_fits_without_rows(monkeypatch):
         [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
         [TermSpec("edge", "intercept"), TermSpec("edge", "lag_indicator", lag=1),
          TermSpec("edge", "log_size")])
-    monkeypatch.setattr(design, "_design_rows", _no_rows)
+    monkeypatch.setattr(design._RowLayout, "expand", _no_rows)
     tracemalloc.start()
     try:
         start = time.perf_counter()

@@ -6,8 +6,10 @@ The command set runs in-process, on inputs from the repo's own generators
 
 - month `fit --dump-design --format csv` of model_1..4;
 - month `adequacy` of model_4 at `--sims 100 --seed 6`: plain,
-  `--fixed-vertex-set` and `--threshold50`;
-- month `project --horizon 5 --sims 20 --seed 17 --dump-graphs`;
+  `--fixed-vertex-set`, `--threshold50` and both flags together;
+- month `project --sims 20 --seed 17 --dump-graphs` of model_4, at
+  `--horizon 5` and, with `--fixed-vertex-set`, at `--horizon 1` (every
+  replicate shares one vertex set there, so their dyads are drawn once);
 - the `million` and `cycles` fits;
 - `project --horizon 3 --sims 30 --seed 2 --fixed-vertex-set` on `cycles`,
   which the cycle-work budget refuses.
@@ -71,8 +73,12 @@ def _commands():
         ("month_adequacy", adequacy),
         ("month_adequacy_fixed", adequacy + ["--fixed-vertex-set"]),
         ("month_adequacy_threshold50", adequacy + ["--threshold50"]),
+        ("month_adequacy_fixed_threshold50", adequacy + ["--fixed-vertex-set",
+                                                         "--threshold50"]),
         ("month_project", ["project", *month, "--horizon", "5", "--sims", "20",
                            "--seed", "17", "--dump-graphs"]),
+        ("month_project_fixed", ["project", *month, "--horizon", "1", "--sims", "20",
+                                 "--seed", "17", "--fixed-vertex-set", "--dump-graphs"]),
         ("million_fit", ["fit", "million/panel.json", "million/million.json"]),
         ("cycles_fit", ["fit", "cycles/panel.json", "cycles/cycles.json"]),
         ("cycles_budget_refusal", ["project", *cycles, "--horizon", "3", "--sims", "30",

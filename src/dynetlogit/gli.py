@@ -9,7 +9,9 @@ A snapshot holds ``snapshot.draws`` draws over one risk set side by side
 (one, unless it is a union of simulated days), and every index comes out
 once per draw, from reductions over the draw of each vertex, equal to the
 index of that draw on its own.  Density and mean degree are columns of
-``gli_matrix``.
+``gli_matrix``.  The triad census reads each draw's triangle total off
+neighbour bitsets from ``terms._common_neighbours``, the builder behind
+``terms.triangle_counts``, and needs no count per vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .panel import Snapshot
-from .terms import triangle_counts
+from .terms import _common_neighbours
 
 __all__ = [
     "GLI_NAMES",
@@ -67,7 +69,8 @@ def krackhardt_connectedness(snapshot: Snapshot) -> np.ndarray:
     counts in the draw of its label."""
     size = len(snapshot.present)
     k = snapshot.present.reshape(snapshot.draws, -1).sum(axis=1)
-    a, b = np.divmod(snapshot.codes, size)
+    a = snapshot.codes // size
+    b = snapshot.codes - a * size
     label = np.arange(size)
     while np.count_nonzero((la := label[a]) != (lb := label[b])):
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
@@ -83,11 +86,19 @@ def triad_census(snapshot: Snapshot) -> np.ndarray:
     Uses degree and triangle identities rather than triple enumeration:
     with m edges, w = sum_v C(d_v, 2) wedges and T triangles,
     N3 = T, N2 = w - 3T, N1 = m(n-2) - 2w + 3T, N0 fills to C(n,3).
-    An (R, 4) int64 array, one row per draw.
+    A draw's T is the sum over its edges {a, b}, a < b, of the neighbours
+    after b they share (each triangle counts once, at the edge of its two
+    first vertices), from bitsets of later neighbours that the builder
+    behind ``triangle_counts`` makes.  An (R, 4) int64 array, one row per
+    draw.
     """
     k, m, degrees = _counts(snapshot)
-    per_vertex = triangle_counts(snapshot).reshape(len(k), -1)
-    triangles = per_vertex.sum(axis=1).astype(np.int64) // 3
+    found = _common_neighbours(snapshot, later=True)
+    if found is None:
+        triangles = np.zeros(len(k), dtype=np.int64)
+    else:
+        draw = np.arange(len(k)).repeat(m)  # the codes come draw by draw
+        triangles = np.bincount(draw, found[2], minlength=len(k)).astype(np.int64)
     wedges = (degrees * (degrees - 1) // 2).sum(axis=1)
     n2 = wedges - 3 * triangles
     n1 = m * (k - 2) - 2 * wedges + 3 * triangles

@@ -9,6 +9,7 @@ dropped, so lagged statistics can decide how to treat them.
 
 from __future__ import annotations
 
+import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -150,45 +151,23 @@ class Snapshot:
     __slots__ = ("t", "present", "codes", "time_attrs", "draws", "_degrees", "_core",
                  "_cycle_memo", "_cycle_work")
 
-    def __init__(self, t, present, edges, time_attrs=None, *, n=None, draws=1):
+    def __init__(self, t, present, edges, time_attrs=None, *, n=None, draws=1,
+                 _trusted=False):
         """``present`` is a bool vector over the risk set, or the indices of
         the present vertices together with the risk-set size ``n``.
         ``edges`` is a sequence of index pairs, an ``(m, 2)`` integer array
         or a tuple ``(ii, jj)`` of two 1-D integer arrays; a pair may come
-        in either order and more than once."""
+        in either order and more than once.
+
+        ``_trusted`` is for the package's own samplers only: ``edges`` is
+        then already the int64 ``codes`` this constructor would make
+        (sorted, unique, each joining two present vertices of one draw), and
+        they are kept without the sort and the checks."""
         self.t = int(t)
-        self.present = bits = presence_vector(present, n)
-        self.draws = draws = int(draws)
-        n = len(bits)
-        if isinstance(edges, tuple) and len(edges) == 2 and all(
-                isinstance(x, np.ndarray) and x.ndim == 1 for x in edges):
-            a, b = (x.astype(np.int64, copy=False) for x in edges)  # (ii, jj)
-        else:
-            pairs = np.asarray(list(edges), dtype=np.int64)
-            if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
-                raise PanelValidationError(f"edges at t={self.t} are not index pairs")
-            a, b = pairs.reshape(-1, 2).T
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        ok = (lo != hi) & (lo >= 0) & (hi < n)
-        size = n  # vertices per draw
-        if draws != 1:
-            if draws < 1 or n % draws:
-                raise PanelValidationError(
-                    f"{n} vertices at t={self.t} do not split into {draws} draws")
-            size = max(n // draws, 1)
-            ok &= lo // size == hi // size
-        ok[ok] = bits[lo[ok]] & bits[hi[ok]]
-        if np.count_nonzero(ok) < len(ok):  # name the first bad edge
-            k = int(np.argmin(ok))
-            problem = ("loop edge" if lo[k] == hi[k] else "edge index outside the risk set"
-                       if lo[k] < 0 or hi[k] >= n else "edge joins two draws"
-                       if lo[k] // size != hi[k] // size else "edge endpoint not present")
-            raise PanelValidationError(f"{problem} at t={self.t}: ({lo[k]},{hi[k]})")
-        codes = lo * n + hi
-        codes.sort()
-        if np.count_nonzero(codes[1:] == codes[:-1]):  # a repeated pair
-            codes = np.unique(codes)
-        self.codes = _read_only(codes)
+        self.present = presence_vector(present, n)
+        self.draws = int(draws)
+        self.codes = _read_only(edges if _trusted else
+                                _edge_codes(self.t, self.present, edges, self.draws))
         self.time_attrs = dict(time_attrs or {})
         self._degrees = self._core = self._cycle_work = None
         self._cycle_memo = {}
@@ -233,6 +212,41 @@ class Snapshot:
 
     def __repr__(self):
         return f"Snapshot(t={self.t}, |V|={self.n_present}, |E|={self.edge_count})"
+
+
+def _edge_codes(t, bits, edges, draws) -> np.ndarray:
+    """The sorted, unique codes ``i * n + j`` (i < j) of ``edges`` over the
+    presence vector ``bits`` of ``draws`` draws, after checking that every
+    edge joins two distinct present vertices of one draw."""
+    n = len(bits)
+    if isinstance(edges, tuple) and len(edges) == 2 and all(
+            isinstance(x, np.ndarray) and x.ndim == 1 for x in edges):
+        a, b = (x.astype(np.int64, copy=False) for x in edges)  # (ii, jj)
+    else:
+        pairs = np.asarray(list(edges), dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise PanelValidationError(f"edges at t={t} are not index pairs")
+        a, b = pairs.reshape(-1, 2).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    ok = (lo != hi) & (lo >= 0) & (hi < n)
+    size = n  # vertices per draw
+    if draws != 1:
+        if draws < 1 or n % draws:
+            raise PanelValidationError(f"{n} vertices at t={t} do not split into {draws} draws")
+        size = max(n // draws, 1)
+        ok &= lo // size == hi // size
+    ok[ok] = bits[lo[ok]] & bits[hi[ok]]
+    if np.count_nonzero(ok) < len(ok):  # name the first bad edge
+        k = int(np.argmin(ok))
+        problem = ("loop edge" if lo[k] == hi[k] else "edge index outside the risk set"
+                   if lo[k] < 0 or hi[k] >= n else "edge joins two draws"
+                   if lo[k] // size != hi[k] // size else "edge endpoint not present")
+        raise PanelValidationError(f"{problem} at t={t}: ({lo[k]},{hi[k]})")
+    codes = lo * n + hi
+    codes.sort()
+    if np.count_nonzero(codes[1:] == codes[:-1]):  # a repeated pair
+        codes = np.unique(codes)
+    return codes
 
 
 def disjoint_union(snapshots) -> Snapshot:
@@ -620,7 +634,29 @@ def subpanel(panel: NetworkPanel, t_from: int, t_to: int) -> NetworkPanel:
 # converter: 3-column edge list + 2-column presence table -> panel
 # ---------------------------------------------------------------------------
 
+def _csv_fields(line):
+    """The fields of one comma-separated row, read by ``csv.reader``: a
+    quoted field keeps its text, commas and spaces included, and an unquoted
+    one is stripped.  Past a quoted field comes its delimiter (``strict``),
+    so the row's text is walked field by field to tell which were quoted."""
+    fields = next(csv.reader([line], skipinitialspace=True, strict=True))
+    pos = 0
+    for k, value in enumerate(fields):
+        while line.startswith(" ", pos):
+            pos += 1
+        if line.startswith('"', pos):  # the quotes, every inner one doubled
+            pos += len(value) + value.count('"') + 2
+        else:
+            pos += len(value)
+            fields[k] = value.strip()
+        pos += 1  # the comma
+    return fields
+
+
 def _read_table(path, n_cols, what):
+    """Rows (lineno, t, *fields) of a table whose rows are comma-separated
+    (CSV, see ``_csv_fields``) or, with no comma, whitespace-separated.
+    Blank lines and lines starting with ``#`` are skipped."""
     rows = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -630,7 +666,10 @@ def _read_table(path, n_cols, what):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in (line.split(",") if "," in line else line.split())]
+        try:
+            parts = _csv_fields(line) if "," in line else line.split()
+        except csv.Error as exc:
+            raise PanelFormatError(f"{path}:{lineno}: {what} row is not valid CSV: {exc}") from None
         if len(parts) != n_cols:
             raise PanelFormatError(
                 f"{path}:{lineno}: expected {n_cols} columns in {what} row, "

@@ -384,6 +384,10 @@ class StepSampler:
     dyads; η is summed in spec order and ``expit`` applied on them only,
     and each dyad gathers its row's probability, the same float it would
     get on its own.
+
+    Each union's snapshot is built from the edge codes the draw already
+    holds (``_union``), which come out sorted, unique and valid, so it
+    skips the constructor's sort and checks.
     """
 
     def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
@@ -466,23 +470,32 @@ class StepSampler:
             lo = hi
 
     def _union(self, bits, lo, hi, rngs, counts) -> Snapshot:
-        """Draws lo..hi-1 of the vertex sets ``bits`` as one union."""
+        """Draws lo..hi-1 of the vertex sets ``bits`` as one union.
+
+        Both branches keep dyads in row-major order, draw after draw, so the
+        kept dyads' codes i * width + j (width = (hi - lo) * n) come out
+        sorted and unique, each joining two present vertices of one draw:
+        the union takes them as its codes through ``Snapshot``'s trusted
+        path, with no sort and no check.  Under shared dyads, draw r's
+        dyad p has the code of draw 0's dyad p plus r * n * (width + 1)."""
         present = bits[lo:hi].ravel()
+        width = len(present)
         if self.pairs is None:  # its dyads, numbered in the history's union
             shift = lo * self.n
             ii, jj = dyads(np.flatnonzero(present) + shift, bits[lo:hi].sum(axis=1))
             probs = self._edge_probs(ii, jj, bits.ravel())
             keep = probs > 0.5 if self.threshold else _uniforms(rngs, counts) < probs
-            edges = (ii[keep] - shift, jj[keep] - shift)
+            codes = ii[keep] * width + jj[keep] - shift * (width + 1)
         else:  # draw r's dyad p is (ii[p], jj[p]), offset by r * n
             ii, jj, pe = self.pairs
             if self.threshold:
                 keep = np.broadcast_to(pe > 0.5, (hi - lo, len(pe)))
             else:
                 keep = _uniforms(rngs, counts).reshape(hi - lo, len(pe)) < pe
-            r, p = np.divmod(np.flatnonzero(keep), max(len(pe), 1))
-            edges = (ii[p] + r * self.n, jj[p] + r * self.n)
-        return Snapshot(self.t, present, edges, self.attrs, draws=hi - lo)
+            kept = np.flatnonzero(keep)
+            r = kept // max(len(pe), 1)
+            codes = (ii * width + jj)[kept - r * len(pe)] + r * (self.n * (width + 1))
+        return Snapshot(self.t, present, codes, self.attrs, draws=hi - lo, _trusted=True)
 
 
 def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:

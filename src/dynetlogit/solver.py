@@ -220,10 +220,13 @@ def _cholesky(H: np.ndarray) -> np.ndarray:
 
 
 def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """H⁻¹g by Cholesky, of H itself first and, while H is not positive
+    definite, of H + jitter * I for a growing jitter; least squares last.
+    H is never written."""
     jitter = 0.0
     for _ in range(8):
         try:
-            c = _cholesky(H + jitter * np.eye(H.shape[0]))
+            c = _cholesky(H + jitter * np.eye(H.shape[0]) if jitter else H)
         except LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 100.0
             continue

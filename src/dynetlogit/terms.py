@@ -377,47 +377,70 @@ def _is_edge(codes, pairs):
     return codes[pos] == pairs
 
 
-# Most bitset words one block of triangle_counts gathers per edge endpoint
-# (4 MB of uint32 each).
+# Most bitset words one block of _common_neighbours gathers per edge
+# endpoint (4 MB of uint32 each).
 BITSET_BLOCK = 1 << 20
+# 2**k as floats: a bit's weight in the bincount that ORs it into its word
+_POW2 = np.ldexp(1.0, np.arange(32))
+
+
+def _common_neighbours(snapshot: Snapshot, *, later: bool = False):
+    """Each edge's endpoints and how many neighbours they share: the arrays
+    (a, b, common), one entry per edge {a, b}, a < b, in ``snapshot.codes``
+    order, with ``common`` = |N(a) & N(b)|, the triangles that edge closes.
+    With ``later``, N(v) holds only v's neighbours after v, so each
+    triangle is counted once, at its edge of its two first vertices.  None
+    when the snapshot has no triangle.
+
+    Neighbourhoods are bitsets of uint32 words, intersected with
+    ``np.bitwise_count``.  A bit numbers a vertex among those with an edge
+    in its draw, so a union of ``snapshot.draws`` draws needs bitsets only
+    as wide as its largest draw.  Edges go in blocks of at most
+    BITSET_BLOCK words per endpoint.
+    """
+    size = len(snapshot.present)
+    n = size // snapshot.draws
+    codes, degrees = snapshot.codes, snapshot.degrees()
+    if np.count_nonzero(degrees > 1) < 3:  # a triangle has three vertices of degree 2 or more
+        return None
+    a = codes // size
+    b = codes - a * size
+    touched = degrees > 0
+    rank = touched.cumsum() - 1  # bitset row of a touched vertex
+    per_draw = touched.reshape(-1, n).sum(axis=1)
+    bit = rank - (per_draw.cumsum() - per_draw).repeat(n)  # rank in its draw
+    words, rows = (int(per_draw.max()) + 31) // 32, int(rank[-1]) + 1
+    ra, rb, bit_b = rank[a], rank[b], bit[b]
+    row, col = ra, bit_b  # b is a's later neighbour; unless later, a is b's too
+    if not later:
+        row, col = np.concatenate([ra, rb]), np.concatenate([bit_b, bit[a]])
+    # word w of row v at w * rows + v; the bits set in one word are
+    # distinct, so their float sum is exact and is their union
+    bits = np.bincount((col >> 5) * rows + row, _POW2[col & 31], minlength=words * rows)
+    bits = bits.astype(np.uint32).reshape(words, rows)
+    step = max(1, BITSET_BLOCK // words)  # edges per block
+    common = np.empty(len(a), dtype=np.int64)
+    for lo in range(0, len(a), step):
+        shared = bits.take(ra[lo:lo + step], axis=1)
+        shared &= bits.take(rb[lo:lo + step], axis=1)
+        common[lo:lo + step] = np.bitwise_count(shared).sum(axis=0)
+    return a, b, common
 
 
 def triangle_counts(snapshot: Snapshot) -> np.ndarray:
     """Number of triangles through each vertex (0 for absent ones).
 
     Each edge {a, b} closes one triangle per common neighbour, so a vertex's
-    count is half the sum of |N(a) & N(b)| over its edges.  Neighbourhoods
-    are bitsets of uint32 words, intersected with ``np.bitwise_count``.
-    A bit numbers a vertex among those with an edge in its draw, so a union
-    of ``snapshot.draws`` draws needs bitsets only as wide as its largest
-    draw.  Edges go in blocks of at most BITSET_BLOCK words per endpoint.
+    count is half the sum of |N(a) & N(b)| over its edges
+    (``_common_neighbours``).
     """
     size = len(snapshot.present)
-    n = size // snapshot.draws
-    codes, degrees = snapshot.codes, snapshot.degrees()
-    if (degrees > 1).sum() < 3:  # a triangle has three vertices of degree 2 or more
+    found = _common_neighbours(snapshot)
+    if found is None:
         return np.zeros(size)
-    a = codes // size
-    b = codes - a * size
-    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-    touched = degrees > 0
-    rank = touched.cumsum() - 1  # bitset row of a touched vertex
-    per_draw = touched.reshape(-1, n).sum(axis=1)
-    bit = rank - (per_draw.cumsum() - per_draw).repeat(n)  # rank in its draw
-    words, rows = (int(per_draw.max()) + 31) // 32, int(rank[-1]) + 1
-    # word w of row v at w * rows + v; the bits set in one word are distinct,
-    # so their float sum is exact and is their union
-    bit = bit[dst]
-    bits = np.bincount((bit >> 5) * rows + rank[src], np.ldexp(1.0, bit & 31),
-                       minlength=words * rows).astype(np.uint32).reshape(words, rows)
-    step = max(1, BITSET_BLOCK // words)  # edges per block
-    common = []
-    for lo in range(0, len(a), step):
-        shared = bits.take(rank[a[lo:lo + step]], axis=1)
-        shared &= bits.take(rank[b[lo:lo + step]], axis=1)
-        common.append(np.bitwise_count(shared).sum(axis=0))
-    common = np.concatenate(common)
-    return np.bincount(src, np.concatenate([common, common]), minlength=size) / 2
+    a, b, common = found
+    return np.bincount(np.concatenate([a, b]), np.concatenate([common, common]),
+                       minlength=size) / 2
 
 
 # Most half-path rows one call of the cycle kernel may hold, summed over its

@@ -277,6 +277,35 @@ def test_convert_round_trip(tmp_path):
     assert panel.at(1).edge_count == 1
 
 
+# (edge rows, presence rows, risk-set labels, each time's edges by label)
+_QUOTED_TABLES = {
+    "quoted comma": ('1,"a,b",c\n', '1,"a,b"\n1,c\n', ["a,b", "c"], {1: [("a,b", "c")]}),
+    "quoted spaces": ('1," a ",c\n', '1," a "\n1,c\n', [" a ", "c"], {1: [(" a ", "c")]}),
+    "quoted quote": ('1,"q""x",c\n', '1,"q""x"\n1,c\n', ['q"x', "c"], {1: [('q"x', "c")]}),
+    "unquoted spaces": ("1, a , c\n", "1, a \n 1,c\n", ["a", "c"], {1: [("a", "c")]}),
+    "whitespace rows": ("1 a c\n2\tc  d\n", "1 a\n1 c\n2 c\n2\td\n", ["a", "c", "d"],
+                        {1: [("a", "c")], 2: [("c", "d")]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUOTED_TABLES))
+def test_convert_reads_quoted_fields(tmp_path, name):
+    """Comma-separated rows are CSV: a quoted field keeps its text, commas,
+    spaces and doubled quotes included, and an unquoted field is stripped,
+    as a whitespace-separated one is."""
+    edges, presence, labels, by_time = _QUOTED_TABLES[name]
+    (tmp_path / "edges.csv").write_text(edges)
+    (tmp_path / "presence.csv").write_text(presence)
+    out = tmp_path / "panel.json"
+    assert run(["convert", tmp_path / "edges.csv", tmp_path / "presence.csv",
+                "-o", out]) == EXIT_OK
+    panel = load_panel(out)
+    assert sorted(panel.risk_set.labels) == sorted(labels)
+    for t, pairs in by_time.items():
+        got = [(panel.risk_set.labels[i], panel.risk_set.labels[j]) for i, j in panel.at(t).edges]
+        assert sorted(tuple(sorted(p)) for p in got) == sorted(tuple(sorted(p)) for p in pairs)
+
+
 def test_convert_bad_edge_exits_validation(tmp_path):
     (tmp_path / "edges.csv").write_text("1,a,zz\n")
     (tmp_path / "presence.csv").write_text("1,a\n")
@@ -595,6 +624,8 @@ _BAD_TABLES = {
                                    "edge row 2: time 2 has no presence records"),
     "loop edge": ("1,a,b\n1,b,b\n", "1,a\n1,b\n", EXIT_VALIDATION,
                   "edge row 2: loop edge at t=1"),
+    "unclosed quote": ('1,"a,b\n', "1,a\n1,b\n", EXIT_PARSE,
+                       "edges.csv:1: edge row is not valid CSV: unexpected end of data"),
 }
 
 

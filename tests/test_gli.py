@@ -19,6 +19,7 @@ from dynetlogit import (
     krackhardt_connectedness,
     triad_census,
 )
+from dynetlogit import terms
 from dynetlogit.terms import triangle_counts
 
 import oracles
@@ -268,3 +269,22 @@ def test_union_checks_its_draws():
     assert nested.draws == 3 and gli_matrix(nested).shape == (3, len(GLI_NAMES))
     with pytest.raises(PanelValidationError, match="differ in risk-set size"):
         disjoint_union([a, snap([0, 1], [(0, 1)], n=4)])
+
+
+@given(draw_lists(), st.sampled_from([1, 2, 5]))
+@settings(max_examples=100, deadline=None)
+def test_union_triangle_totals_match_enumeration(drawn, block):
+    """A union's per-draw triangle totals, summed over its edges from the
+    shared neighbour bitsets, give each draw the census that enumerating
+    its triples gives, with the bitsets gathered in blocks of a few words
+    (one edge per block when a draw needs two words)."""
+    n, snaps, cuts = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(terms, "BITSET_BLOCK", block)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            union = disjoint_union(snaps[lo:hi])
+            census = triad_census(union)
+            assert [tuple(row) for row in census.tolist()] == [
+                oracles.census_by_enumeration(s.present_indices.tolist(), s.edges.tolist())
+                for s in snaps[lo:hi]]
+            assert triangle_counts(union).sum() == 3 * census[:, 3].sum()

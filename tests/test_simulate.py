@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from dynetlogit import (
     ModelSpec,
     NetworkPanel,
@@ -20,7 +23,9 @@ from dynetlogit.gli import GLI_NAMES, gli_vector
 from dynetlogit.panel import split_draws
 from dynetlogit.solver import fit_posterior_mode
 from dynetlogit.synth import make_month_panel, month_risk_set, nested_model_specs
+from dynetlogit import simulate
 from dynetlogit.simulate import (
+    PAIR_BUDGET,
     StepSampler,
     _generator,
     _seed_words,
@@ -366,6 +371,58 @@ def test_unions_of_a_step_read_only_their_own_draws(monkeypatch):
         starts.clear()
         _assert_same_projection(project(fit, spec, panel, config), expected)
         assert any(lo > 0 and draws == config.replicates for lo, draws in starts)
+
+
+_LAG_SPEC = ModelSpec(
+    [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+    [TermSpec("edge", "intercept"), TermSpec("edge", "log_size"),
+     TermSpec("edge", "lag_indicator", lag=1)],
+)
+
+
+@pytest.mark.parametrize("mode, fixed", [("stochastic", False), ("stochastic", True),
+                                         ("threshold50", False), ("threshold50", True)])
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       level=st.sampled_from([-4.0, 0.0, 3.0]), replicates=st.integers(1, 6),
+       budget=st.sampled_from([1, 4, 40, PAIR_BUDGET]))
+@example(n=6, seed=1, level=0.0, replicates=4, budget=1)
+@example(n=2, seed=2, level=-4.0, replicates=5, budget=PAIR_BUDGET)
+def test_unions_equal_the_validating_constructor(mode, fixed, n, seed, level, replicates,
+                                                 budget):
+    """Every union ``_union`` yields keeps its own codes, taken with no
+    sort and no check, and equals the snapshot the validating constructor
+    builds from its edges.  A two-step projection and adequacy draw dyads shared
+    by every draw (the first step, under a fixed vertex set or the
+    50-percent rule) and dyads per union (the second step, whose lag-1
+    terms read the drawn union), draws of 0 to 2 vertices and, when the
+    step's dyads outgrow PAIR_BUDGET, steps of several unions."""
+    panel = random_panel(np.random.default_rng(seed), n=n, T=3, presence=0.7, density=0.5)
+    fit = fake_fit(_LAG_SPEC, [level, 1.0, 0.5, -0.3, 1.5])
+    config = SimConfig(replicates=replicates, horizon=2, seed=seed, mode=mode,
+                       fixed_vertex_set=fixed)
+    original, unions = StepSampler._union, {}
+
+    def checked(self, bits, lo, hi, rngs, counts):
+        union = original(self, bits, lo, hi, rngs, counts)
+        e = union.edges
+        assert union == Snapshot(union.t, union.present, (e[:, 0], e[:, 1]),
+                                 union.time_attrs, draws=union.draws)
+        assert union.codes.dtype == np.int64 and not union.codes.flags.writeable
+        unions.setdefault(self, []).append(int(counts.sum()))
+        return union
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StepSampler, "_union", checked)
+        patch.setattr(simulate, "PAIR_BUDGET", budget)
+        project(fit, _LAG_SPEC, panel, config)
+        first, second = [s.pairs is not None for s in unions]
+        assert first == (fixed or mode == "threshold50")
+        assert not second or replicates == 1
+        one_step_intervals(fit, _LAG_SPEC, panel, config)
+    for sampler, counts in unions.items():
+        if sampler.history.draws > 1 and sum(counts) > budget:
+            assert len(counts) > 1  # the step was split
 
 
 @pytest.mark.parametrize("seed", [0, 17])

@@ -689,6 +689,21 @@ def test_lapack_cholesky_equals_scipy_wrappers_bit_for_bit(seed, p, ridge):
     assert same_bits(solver._spd_inverse_diag(H), np.diag(cho_solve(c, np.eye(p))))
 
 
+def test_solve_spd_leaves_h_unmodified():
+    """The step factors H itself, signed zeros included, and then H plus a
+    jitter; neither writes into H."""
+    from scipy.linalg import cho_factor, cho_solve
+    spd = np.array([[2.0, -0.0, 0.5], [-0.0, 3.0, 0.0], [0.5, 0.0, 1.0]])
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for H in (spd, np.asfortranarray(spd), indefinite):
+        before = H.tobytes(order="A")
+        step = solver._solve_spd(H, np.ones(len(H)))
+        assert H.tobytes(order="A") == before
+        assert np.isfinite(step).all()
+    assert same_bits(solver._solve_spd(spd, np.ones(3)),
+                     cho_solve(cho_factor(spd, lower=True), np.ones(3)))
+
+
 def test_cholesky_refuses_what_cho_factor_refuses():
     """Not positive definite: the jitter loop or None, as before.  An inf
     or NaN: the ValueError cho_factor's finite check raises."""

@@ -10,6 +10,8 @@ The command set runs in-process, on inputs from the repo's own generators
 - month `project --sims 20 --seed 17 --dump-graphs` of model_4, at
   `--horizon 5` and, with `--fixed-vertex-set`, at `--horizon 1` (every
   replicate shares one vertex set there, so their dyads are drawn once);
+- month `fit --dump-design --format csv` of a `bridge` spec with terms at
+  lags 1 and 2 (`lag2_bridge.json`);
 - the `million` and `cycles` fits;
 - `project --horizon 3 --sims 30 --seed 2 --fixed-vertex-set` on `cycles`,
   which the cycle-work budget refuses.
@@ -70,6 +72,8 @@ def _commands():
         ("month_fit", ["fit", "month/month_panel.json",
                        *(f"month/model_{k}.json" for k in range(1, 5)),
                        "--dump-design", "--format", "csv"]),
+        ("month_fit_lag2_bridge", ["fit", "month/month_panel.json", "month/lag2_bridge.json",
+                                   "--dump-design", "--format", "csv"]),
         ("month_adequacy", adequacy),
         ("month_adequacy_fixed", adequacy + ["--fixed-vertex-set"]),
         ("month_adequacy_threshold50", adequacy + ["--threshold50"]),
@@ -87,6 +91,8 @@ def _commands():
 
 
 def _write_inputs() -> None:
+    from dynetlogit import ModelSpec, TermSpec, save_model_spec
+
     sys.path.insert(0, str(ROOT / "scripts"))
     sys.path.insert(0, str(ROOT / "bench"))
     try:
@@ -96,6 +102,19 @@ def _write_inputs() -> None:
         del sys.path[:2]
     with contextlib.redirect_stdout(io.StringIO()):
         make_month_data.main(["--out", "month"])
+    save_model_spec(ModelSpec(
+        [TermSpec("vertex", "intercept"),
+         TermSpec("vertex", "lag_indicator", lag=1),
+         TermSpec("vertex", "lag_indicator", lag=2),
+         TermSpec("vertex", "lag_triangle", lag=2),
+         TermSpec("vertex", "seasonal", params={"day": "Saturday"})],
+        [TermSpec("edge", "intercept"),
+         TermSpec("edge", "lag_indicator", lag=1),
+         TermSpec("edge", "lag_indicator", lag=2),
+         TermSpec("edge", "lag_cycle_embed", lag=2, params={"max_len": 6}),
+         TermSpec("edge", "log_size"),
+         TermSpec("edge", "mixing", params={"attr": "regular", "pair": "both"})],
+        gap_policy="bridge"), "month/lag2_bridge.json")
     for name in ("million", "cycles"):
         workloads.write_inputs(name, workloads.DEFAULT_SEED, Path(name))
 

@@ -361,8 +361,14 @@ def cmd_project(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_convert(args) -> int:
+    gaps = []
+    for entry in filter(None, args.gaps.split(",")):
+        try:
+            gaps.append(int(entry))
+        except ValueError:
+            raise PanelFormatError(
+                f"--gaps must list integer time indices, got {entry!r}") from None
     edge_rows, presence_rows = read_edge_presence_tables(args.edges, args.presence)
-    gaps = [int(x) for x in args.gaps.split(",") if x] if args.gaps else ()
     panel = panel_from_edge_presence(edge_rows, presence_rows, gaps=gaps)
     save_panel(panel, args.out)
     print(f"wrote {args.out}: {len(panel.snapshots)} snapshots, "

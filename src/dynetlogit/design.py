@@ -16,12 +16,17 @@ class-scope terms and which of their ``label`` params it is), and a term
 of ``lag`` scope is zero off the dyads tied at its lag.  So each step's
 edge rows are one row per lagged tie among present vertices plus one
 weighted row per (class pair, response), whose trials are counted from
-the class sizes and whose successes from the current edges.  The rows
-themselves (``responses``, ``features``, ``tags``) are expanded on first
-access, as ``--dump-design`` does, and only up to ``ROW_BUDGET`` rows.
-Each row is a pointer to its pattern: a vertex row is its own weighted
-row, a dyad row its lagged tie's or else its class pair's and response's,
-so rows are gathered from the patterns by integer work alone.
+the class sizes and whose successes from the current edges.  Each term is
+evaluated once over all steps, which sit side by side as blocks of n
+vertices (vertex s * n + i is vertex i at step s, as a union lays out its
+draws): a vertex term on every step's n vertices, an edge term on every
+step's ties and class representatives, or on the ties alone when it has
+lag scope.  The rows themselves (``responses``, ``features``, ``tags``)
+are expanded on first access, as ``--dump-design`` does, and only up to
+``ROW_BUDGET`` rows.  Each row is a pointer to its pattern: a vertex row
+is its own weighted row, a dyad row its lagged tie's or else its class
+pair's and response's, so rows are gathered from the patterns by integer
+work alone.
 """
 
 from __future__ import annotations
@@ -264,10 +269,11 @@ def _edge_patterns(history, terms, steps, classes):
     row per lagged tie among a step's present vertices, then per step and
     pair of endpoint classes (a <= b) one row per response with its dyads
     off those ties, on which lag-scope terms are 0.  The counting runs
-    over all steps at once; each term is evaluated once per step, on the
-    step's ties and one representative dyad per class pair.  Also returns
-    (ties, pair_keys, pair_rows), where ``_RowLayout`` finds each dyad's
-    row."""
+    over all steps at once, and so does each term: it is evaluated once,
+    with the steps side by side as blocks of n vertices, on every step's
+    ties and one representative dyad per class pair (on the ties alone
+    when it has lag scope).  Also returns (ties, pair_keys, pair_rows),
+    where ``_RowLayout`` finds each dyad's row."""
     n, k = len(classes), int(classes.max()) + 1
     snaps = [history.snapshot_at(t) for t in steps]
     present = np.stack([snap.present for snap in snaps])
@@ -301,7 +307,8 @@ def _edge_patterns(history, terms, steps, classes):
     s, code = np.divmod(ties, n * n)
     ti, tj = np.divmod(code, n)
     among = present[s, ti] & present[s, tj]
-    ties, ties_at = ties[among], np.column_stack([s, ti, tj])[among]
+    # the steps side by side as blocks of n: vertex i at step s is s * n + i
+    ties, tie_i, tie_j = ties[among], (s * n + ti)[among], (s * n + tj)[among]
 
     new = edges[~_is_edge(ties, edges)]
     ones = np.bincount(pair_of(new), minlength=len(pair_keys))
@@ -310,23 +317,21 @@ def _edge_patterns(history, terms, steps, classes):
     ca, cb = ca[left], cb[left]
     # the first present vertex of class a and the first other one of class b
     ri, rj = by_class[first[ca]], by_class[first[cb] + same[left]]
-    reps = np.column_stack([ca // k, np.minimum(ri, rj), np.maximum(ri, rj)])
+    at = ca // k * n
+    dyad_i = np.concatenate([tie_i, at + np.minimum(ri, rj)])
+    dyad_j = np.concatenate([tie_j, at + np.maximum(ri, rj)])
 
-    tie_blocks, rep_blocks = [], []
-    tie_cut = np.searchsorted(ties_at[:, 0], np.arange(len(steps) + 1))
-    rep_cut = np.searchsorted(reps[:, 0], np.arange(len(steps) + 1))
-    for s, (t, snap) in enumerate(zip(steps, snaps)):
-        dyad = np.concatenate([ties_at[tie_cut[s]:tie_cut[s + 1]],
-                               reps[rep_cut[s]:rep_cut[s + 1]]])
-        values = np.column_stack([
-            edge_term_values(term, history, t, dyad[:, 1], dyad[:, 2], snap.present)
-            for term in terms])
-        cut = tie_cut[s + 1] - tie_cut[s]
-        tie_blocks.append(values[:cut])
-        rep_blocks.append(values[cut:])
-    rep_values = np.vstack(rep_blocks)
-    rep_values[:, np.array([term.scope == "lag" for term in terms])] = 0.0
-    features = np.vstack(tie_blocks + [rep_values, rep_values])
+    # a lag-scope term is 0 on the representatives, so only the ties need it
+    flat = present.ravel()
+    n_ties, n_reps = len(ties), len(left)
+    features = np.zeros((n_ties + 2 * n_reps, len(terms)))
+    for c, term in enumerate(terms):
+        if term.scope == "lag":
+            features[:n_ties, c] = edge_term_values(term, history, steps, tie_i, tie_j, flat)
+        else:
+            values = edge_term_values(term, history, steps, dyad_i, dyad_j, flat)
+            features[:n_ties + n_reps, c] = values
+            features[n_ties + n_reps:, c] = values[n_ties:]
     responses = np.concatenate([_is_edge(edges, ties).astype(np.int8),
                                 np.zeros(len(left), dtype=np.int8),
                                 np.ones(len(left), dtype=np.int8)])
@@ -414,10 +419,6 @@ def _stack(v_blocks, e_blocks, kv, ke):
                     [sp.csr_matrix((ne, kv)), emat]], format="csr")
 
 
-def _concat(arrays, dtype):
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
-
-
 def build_design(panel: NetworkPanel, spec: ModelSpec,
                  align_to_lag: int | None = None) -> DesignMatrix:
     """Assemble the stacked design over every usable transition step.
@@ -443,25 +444,21 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     kv, ke = len(spec.vertex_terms), len(spec.edge_terms)
     classes = _endpoint_classes(panel.risk_set, spec.edge_terms) if ke else None
 
-    v_blocks, v_resp = [], []
-    row_steps, edge_steps, ne = [], [], 0
-    for t in steps:
-        snap = panel.at(t)
-        if kv:
-            v_blocks.append(np.column_stack([vertex_term_values(term, history, t)
-                                             for term in spec.vertex_terms]))
-            v_resp.append(snap.present.astype(np.int8))
-        m = snap.n_present
-        dyad_rows = m * (m - 1) // 2 if ke else 0
-        if (kv and n) or dyad_rows:
-            row_steps.append(t)
-        if dyad_rows:
-            edge_steps.append(t)
-            ne += dyad_rows
-
-    nv = n * len(v_resp)
+    present = np.array([panel.at(t).present for t in steps], dtype=bool)
+    m = present.sum(axis=1)
+    dyad_rows = (m * (m - 1) // 2 * bool(ke)).tolist()
+    row_steps = tuple(t for t, rows in zip(steps, dyad_rows) if rows or (kv and n))
+    edge_steps = [t for t, rows in zip(steps, dyad_rows) if rows]
+    ne = sum(dyad_rows)
+    nv = n * len(steps) if kv else 0
     if nv + ne == 0:
         raise DesignError("design has no rows (no vertex terms and no present dyads)")
+
+    v_blocks, v_resp = [], np.empty(0, dtype=np.int8)
+    if kv:
+        v_blocks.append(np.column_stack([vertex_term_values(term, history, steps)
+                                         for term in spec.vertex_terms]))
+        v_resp = present.ravel().astype(np.int8)
 
     e_blocks, e_resp, e_trials = [], np.empty(0, dtype=np.int8), np.empty(0)
     edge_layout = ()
@@ -469,7 +466,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
         (block, e_resp, e_trials), edge_layout = _edge_patterns(
             history, spec.edge_terms, edge_steps, classes)
         e_blocks.append(block)
-    responses = np.concatenate([_concat(v_resp, np.int8), e_resp])
+    responses = np.concatenate([v_resp, e_resp])
     trials = np.concatenate([np.ones(nv), e_trials])
     patterns, pattern_of = _row_patterns(_stack(v_blocks, e_blocks, kv, ke), responses,
                                          nv, trials)
@@ -478,7 +475,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     return DesignMatrix._from_patterns(
         patterns, layout,
         column_names=spec.column_names, n_vertex_terms=kv, n_vertex_rows=nv,
-        n_rows=nv + ne, steps=tuple(row_steps),
+        n_rows=nv + ne, steps=row_steps,
     )
 
 

@@ -634,17 +634,17 @@ def subpanel(panel: NetworkPanel, t_from: int, t_to: int) -> NetworkPanel:
 # converter: 3-column edge list + 2-column presence table -> panel
 # ---------------------------------------------------------------------------
 
-def _csv_fields(line):
-    """The fields of one comma-separated row, read by ``csv.reader``: a
-    quoted field keeps its text, commas and spaces included, and an unquoted
-    one is stripped.  Past a quoted field comes its delimiter (``strict``),
-    so the row's text is walked field by field to tell which were quoted."""
-    fields = next(csv.reader([line], skipinitialspace=True, strict=True))
+def _csv_fields(fields, text):
+    """``fields``, the record ``csv.reader`` read from ``text``, with every
+    unquoted field stripped: a quoted field keeps its text, commas, spaces
+    and line breaks included.  The reader skipped the spaces before each
+    field, and past a quoted field comes its delimiter (``strict``), so the
+    text is walked field by field to tell which were quoted."""
     pos = 0
     for k, value in enumerate(fields):
-        while line.startswith(" ", pos):
+        while text.startswith(" ", pos):
             pos += 1
-        if line.startswith('"', pos):  # the quotes, every inner one doubled
+        if text.startswith('"', pos):  # the quotes, every inner one doubled
             pos += len(value) + value.count('"') + 2
         else:
             pos += len(value)
@@ -655,21 +655,41 @@ def _csv_fields(line):
 
 def _read_table(path, n_cols, what):
     """Rows (lineno, t, *fields) of a table whose rows are comma-separated
-    (CSV, see ``_csv_fields``) or, with no comma, whitespace-separated.
-    Blank lines and lines starting with ``#`` are skipped."""
+    CSV records (see ``_csv_fields``), which span lines where a quoted field
+    holds a line break, or, with no comma on their line, whitespace-separated.
+    Lines that are blank or start with ``#`` where a row would start are
+    skipped; a row's ``lineno`` is that of its first line.  A byte-order
+    mark at the start of the file is dropped."""
     rows = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
     except OSError as exc:
         raise OSError(f"cannot read {what} file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    at = 0  # the next line to read
+
+    def feed():  # the lines of CSV records, to one reader over the whole text
+        nonlocal at
+        while at < len(lines):
+            at += 1
+            yield lines[at - 1]
+
+    reader = csv.reader(feed(), skipinitialspace=True, strict=True)
+    while at < len(lines):
+        lineno, line = at + 1, lines[at].strip()
         if not line or line.startswith("#"):
+            at += 1
             continue
-        try:
-            parts = _csv_fields(line) if "," in line else line.split()
-        except csv.Error as exc:
-            raise PanelFormatError(f"{path}:{lineno}: {what} row is not valid CSV: {exc}") from None
+        if "," in line:
+            lines[at] = lines[at].lstrip()
+            try:
+                parts = _csv_fields(next(reader), "".join(lines[lineno - 1:at]))
+            except csv.Error as exc:
+                raise PanelFormatError(
+                    f"{path}:{lineno}: {what} row is not valid CSV: {exc}") from None
+        else:
+            at += 1
+            parts = line.split()
         if len(parts) != n_cols:
             raise PanelFormatError(
                 f"{path}:{lineno}: expected {n_cols} columns in {what} row, "

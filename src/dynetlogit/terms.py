@@ -811,42 +811,53 @@ def _seasonal_value(term: TermSpec, history, t: int) -> float:
     return 1.0 if day == term.params["day"] else 0.0
 
 
-def vertex_term_values(term: TermSpec, history: History, t: int) -> np.ndarray:
+def vertex_term_values(term: TermSpec, history: History, t) -> np.ndarray:
     """Statistic of one vertex term for every risk-set vertex at time t:
     one block of n that every draw of the history shares, or one block per
-    draw when the term reads a lagged union of the history's draws."""
+    draw when the term reads a lagged union of the history's draws.
+
+    ``t`` may also be a sequence of times on a history of one draw, one
+    per block of n: vertex s * n + i is then vertex i at time t[s], and
+    every block is computed in one pass, each time's attributes and lag
+    snapshot read once.
+    """
     rs = history.risk_set
     n = len(rs)
+    times = list(t) if isinstance(t, (list, tuple, np.ndarray)) else [t]
     kind = term.kind
     if kind == "intercept":
-        return np.ones(n)
+        return np.ones(n * len(times))
     if kind == "attr_dummy":
         try:
-            return rs.attr_indicator(term.params["attr"])
+            a = rs.attr_indicator(term.params["attr"])
         except KeyError as exc:
             raise SpecError(str(exc)) from None
+        return a if len(times) == 1 else np.tile(a, len(times))
     if kind == "seasonal":
-        return np.full(n, _seasonal_value(term, history, t))
-    u = resolve_lag(history, t, term.lag)
-    snap = history.snapshot_at(u)
+        return np.array([_seasonal_value(term, history, u) for u in times]).repeat(n)
+    snaps = [history.snapshot_at(resolve_lag(history, u, term.lag)) for u in times]
     if kind == "lag_indicator":
-        return snap.present.astype(float)
+        return np.concatenate([snap.present for snap in snaps], dtype=float)
     if kind == "lag_triangle":
-        return triangle_counts(snap)
+        return np.concatenate([triangle_counts(snap) for snap in snaps])
     raise SpecError(f"kind {kind!r} is not a vertex statistic")
 
 
-def edge_term_values(term: TermSpec, history: History, t: int, ii: np.ndarray,
+def edge_term_values(term: TermSpec, history: History, t, ii: np.ndarray,
                      jj: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Statistic of one edge term for the dyads (ii[r], jj[r]) at time t.
 
     ``present`` is the current vertex set the edge model conditions on; for
     simulated steps it is the sampled one, which is what log_size reads.
-    It may also be the disjoint union of several sampled sets over the risk
-    set of n vertices, one after another: vertex d * n + i is vertex i of
-    set d, and each dyad joins two vertices of one set.  A history of
+    It may also be the disjoint union of several sets over the risk set of
+    n vertices, one block of n after another: vertex d * n + i is vertex i
+    of set d, and each dyad joins two vertices of one set.  A history of
     several draws needs such a union of one set per draw: a lagged term
-    reads set d's lag in draw d of the history.
+    reads set d's lag in draw d of the history.  On a history of one draw,
+    ``t`` may instead be a sequence of one time per block, as the design
+    lays out its steps: set s is then the vertex set at time t[s], and
+    every block is computed in one pass, with one lookup of its lagged ties
+    over all the blocks' lag snapshots and one cycle count per snapshot.
     """
     rs = history.risk_set
     n = len(rs)
@@ -883,36 +894,48 @@ def edge_term_values(term: TermSpec, history: History, t: int, ii: np.ndarray,
         sizes = present.reshape(-1, n).sum(axis=1).tolist()
         logs = np.array([math.log(k) if k > 1 else 0.0 for k in sizes])
         return np.full(m, logs[0]) if draw is None else logs[draw]
+    times = list(t) if isinstance(t, (list, tuple, np.ndarray)) else [t]
     if kind == "seasonal":
-        return np.full(m, _seasonal_value(term, history, t))
-    u = resolve_lag(history, t, term.lag)
-    snap = history.snapshot_at(u)
-    size = len(snap.present)
-    if snap.draws > 1:  # one lag per draw: the dyads index the history's union
+        values = [_seasonal_value(term, history, u) for u in times]
+        return np.full(m, values[0]) if len(values) == 1 else np.array(values)[draw]
+    snaps = [history.snapshot_at(resolve_lag(history, u, term.lag)) for u in times]
+    size = len(snaps[0].present)
+    if snaps[0].draws > 1:  # one lag per draw: the dyads index the history's union
         if size != len(present):
             raise ValueError(f"dyads over {len(present)} vertices cannot read the "
-                             f"{snap.draws} draws of the history at t={u}")
+                             f"{snaps[0].draws} draws of the history at t={snaps[0].t}")
         ii, jj = union
+    # each dyad and each lagged tie keyed (s * size + i) * size + j at time s
     pair = ii.astype(np.int64) * size + jj
+    codes = snaps[0].codes
+    if len(snaps) > 1:
+        pair += draw * (size * size)
+        codes = np.concatenate([s * (size * size) + snap.codes
+                                for s, snap in enumerate(snaps)])
     if kind == "lag_indicator":
-        return _is_edge(snap.codes, pair).astype(float)
+        return _is_edge(codes, pair).astype(float)
     if kind == "lag_cycle_embed":
         max_len = term.params["max_len"]
         out = np.zeros(m)
-        if snap.edge_count:
+        if len(codes):
             # the same lagged snapshot is queried for many rows and
             # replicates, so log1p(count) is memoized per edge code on it
-            codes = snap.codes
             pos = np.minimum(np.searchsorted(codes, pair), len(codes) - 1)
             rows = np.flatnonzero(codes[pos] == pair)
             pos = pos[rows]
-            memo = snap._cycle_memo.setdefault(max_len, np.full(len(codes), np.nan))
-            todo = np.flatnonzero(np.isnan(memo) & (np.bincount(pos, minlength=len(codes)) > 0))
-            if len(todo):
-                # math.log1p: np.log1p differs in the last bit for some counts
-                memo[todo] = np.frompyfunc(math.log1p, 1, 1)(
-                    pair_cycle_counts(snap, *np.divmod(codes[todo], size), max_len))
-            out[rows] = memo[pos]
+            asked = np.bincount(pos, minlength=len(codes)) > 0
+            memos, lo = [], 0
+            for snap in snaps:
+                hi = lo + snap.edge_count
+                memo = snap._cycle_memo.setdefault(max_len, np.full(snap.edge_count, np.nan))
+                todo = np.flatnonzero(np.isnan(memo) & asked[lo:hi])
+                if len(todo):
+                    # math.log1p: np.log1p differs in the last bit for some counts
+                    memo[todo] = np.frompyfunc(math.log1p, 1, 1)(
+                        pair_cycle_counts(snap, *np.divmod(snap.codes[todo], size), max_len))
+                memos.append(memo)
+                lo = hi
+            out[rows] = np.concatenate(memos)[pos]
         return out
     raise SpecError(f"kind {kind!r} is not an edge statistic")
 

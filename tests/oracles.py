@@ -44,7 +44,7 @@ from dynetlogit import (
     Snapshot,
     VertexRef,
 )
-from dynetlogit.design import TagTable, _concat, _endpoint_classes, _stack
+from dynetlogit.design import TagTable, _endpoint_classes, _stack
 from dynetlogit.gli import GLI_NAMES, gli_matrix
 from dynetlogit.panel import _require, _typed, disjoint_union, dyads, presence_vector
 from dynetlogit.simulate import (
@@ -526,6 +526,10 @@ def grouped_rows(block, responses, features, trials=None):
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     weights = np.ones(len(full)) if trials is None else trials
     return full[first], np.bincount(inverse, weights=weights, minlength=len(first))
+
+
+def _concat(arrays, dtype):
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
 
 def design_rows_by_dyad(panel, spec, steps):

@@ -285,6 +285,15 @@ _QUOTED_TABLES = {
     "unquoted spaces": ("1, a , c\n", "1, a \n 1,c\n", ["a", "c"], {1: [("a", "c")]}),
     "whitespace rows": ("1 a c\n2\tc  d\n", "1 a\n1 c\n2 c\n2\td\n", ["a", "c", "d"],
                         {1: [("a", "c")], 2: [("c", "d")]}),
+    "quoted line break": ('1,"a\nb",c\n', '1,"a\nb"\n1,c\n', ["a\nb", "c"],
+                          {1: [("a\nb", "c")]}),
+    "quoted CRLF": ('1,"a\r\nb",c\r\n', '1,"a\r\nb"\r\n1,c\r\n', ["a\r\nb", "c"],
+                    {1: [("a\r\nb", "c")]}),
+    "quoted line break then comments": ('1,"a\n#b",c\n# note\n\n2 c d\n',
+                                        '1,"a\n#b"\n\n1,c\n# note\n2,c\n2,d\n',
+                                        ["a\n#b", "c", "d"],
+                                        {1: [("a\n#b", "c")], 2: [("c", "d")]}),
+    "byte-order mark": ("\ufeff1,a,c\n", "\ufeff1,a\n1,c\n", ["a", "c"], {1: [("a", "c")]}),
 }
 
 
@@ -626,6 +635,9 @@ _BAD_TABLES = {
                   "edge row 2: loop edge at t=1"),
     "unclosed quote": ('1,"a,b\n', "1,a\n1,b\n", EXIT_PARSE,
                        "edges.csv:1: edge row is not valid CSV: unexpected end of data"),
+    "short row after a quoted line break": (
+        '1,"a\nb",c\n\n1,b\n', '1,"a\nb"\n1,c\n', EXIT_PARSE,
+        "edges.csv:4: expected 3 columns in edge row, got 2"),
 }
 
 
@@ -640,6 +652,21 @@ def test_convert_refuses_bad_rows(tmp_path, capsys, name):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == ("parse" if code == EXIT_PARSE else "validation")
     assert err["message"].endswith(message)
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("gaps", ["x", "1.5", "2,x"])
+def test_convert_refuses_a_malformed_gaps_entry(tmp_path, capsys, gaps):
+    """A ``--gaps`` entry that is not an integer is a parse error naming the
+    flag and the entry."""
+    (tmp_path / "edges.csv").write_text("1,a,b\n")
+    (tmp_path / "presence.csv").write_text("1,a\n1,b\n")
+    capsys.readouterr()
+    assert run(["convert", tmp_path / "edges.csv", tmp_path / "presence.csv",
+                "-o", tmp_path / "out.json", "--gaps", gaps]) == EXIT_PARSE
+    bad = gaps.split(",")[-1]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "parse", "message": f"--gaps must list integer time indices, got {bad!r}"}
     assert not (tmp_path / "out.json").exists()
 
 

@@ -29,6 +29,7 @@ from dynetlogit.terms import (
     MIXING_PAIRS,
     WEEKDAYS,
     History,
+    SpecError,
     edge_term_values,
     resolve_lag,
     usable_transitions,
@@ -378,6 +379,92 @@ def test_term_scopes_hold(case):
                 on = (lagged.present if term.target == "vertex"
                       else np.isin(ii * n + jj, lagged.codes))
                 assert np.all(values[~on] == 0), (t, term)
+
+
+def _fresh(panel):
+    """``panel`` with new snapshots, so no cycle memo or work total is shared."""
+    n = len(panel.risk_set)
+    return NetworkPanel(panel.risk_set, [
+        Snapshot(s.t, s.present, np.divmod(s.codes, n), s.time_attrs, n=n)
+        for s in panel.snapshots], gaps=panel.gaps)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(panels_and_specs(), st.integers(3, 5), st.randoms(use_true_random=False))
+def test_block_form_equals_the_per_step_calls(case, max_len, rnd):
+    """Every kind of ``KINDS``, on both targets and at lags 1 and 2, takes
+    the same values, byte for byte, with the steps side by side as blocks
+    of n (one call) as from one call per step, concatenated; the dyads of
+    every step go in shuffled, and steps of 0, 1 or 2 present vertices are
+    blocks too."""
+    panel, spec, _ = case
+    rs = panel.risk_set
+    n = len(rs)
+    labels = rs.labels[:2]
+    terms = {term.name + term.target: term for lags in ((1, 1, 1), (2, 2, 2))
+             for pool in term_pools(labels, lags, max_len) for term in pool}
+    for target in ("vertex", "edge"):
+        assert {t.kind for t in terms.values() if t.target == target} == {
+            name for name, kind in KINDS.items() if target in kind.targets}
+    history = History(panel, spec.gap_policy)
+    steps = usable_transitions(history, 2)
+    event(f"{len(steps)} usable steps at lag 2")
+    if not steps:
+        return
+    pairs = [dyads(panel.at(t).present_indices) for t in steps]
+    ii = np.concatenate([s * n + i for s, (i, _) in enumerate(pairs)])
+    jj = np.concatenate([s * n + j for s, (_, j) in enumerate(pairs)])
+    order = np.array(rnd.sample(range(len(ii)), len(ii)), dtype=np.int64)
+    ii, jj = ii[order], jj[order]
+    present = np.concatenate([panel.at(t).present for t in steps])
+    fresh = History(_fresh(panel), spec.gap_policy)
+    for term in terms.values():
+        if term.target == "vertex":
+            got = vertex_term_values(term, history, steps)
+            want = np.concatenate([vertex_term_values(term, fresh, t) for t in steps])
+        else:
+            got = edge_term_values(term, history, steps, ii, jj, present)
+            want = np.concatenate([
+                edge_term_values(term, fresh, t, i, j, panel.at(t).present)
+                for t, (i, j) in zip(steps, pairs)])[order]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), term
+
+
+def test_build_design_evaluates_each_term_once(monkeypatch):
+    """``build_design`` calls each term function once per term over all
+    steps, never once per step, through the names the benchmark's tracer
+    rebinds."""
+    panel, specs = bench_workloads()._base_draw("month")
+    calls = []
+
+    def counting(original):
+        def wrapper(term, *args):
+            calls.append(term)
+            return original(term, *args)
+        return wrapper
+
+    for name in ("vertex_term_values", "edge_term_values"):
+        monkeypatch.setattr(design, name, counting(getattr(design, name)))
+    align = max(spec.max_lag for spec in specs.values())
+    for spec in specs.values():
+        calls.clear()
+        dm = build_design(panel, spec, align_to_lag=align)
+        assert len(dm.steps) > 1
+        assert calls == list(spec.vertex_terms + spec.edge_terms)
+
+
+def test_a_step_without_a_seasonal_key_names_that_step():
+    """A usable step whose time attributes lack a seasonal term's key is a
+    SpecError naming that step, for vertex and edge terms alike."""
+    rs = RiskSet([f"v{k}" for k in range(4)])
+    days = {1: "Monday", 2: "Tuesday", 4: "Thursday"}
+    panel = NetworkPanel(rs, [snap(t, [0, 1, 2], [(0, 1)], 4, {"day": days[t]} if t in days
+                                   else {"weather": "rain"}) for t in range(1, 5)])
+    for spec in (ModelSpec([TermSpec("vertex", "seasonal", params={"day": "Monday"})], []),
+                 ModelSpec([], [TermSpec("edge", "seasonal", params={"day": "Monday"})])):
+        with pytest.raises(SpecError) as err:
+            build_design(panel, spec)
+        assert str(err.value) == "snapshot t=3 lacks time attribute 'day'"
 
 
 @pytest.mark.parametrize("workload", ["month", "cycles", "million"])

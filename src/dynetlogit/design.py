@@ -34,9 +34,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .panel import NetworkPanel, _ranges, dyads
 from .terms import (
@@ -49,6 +49,9 @@ from .terms import (
     usable_transitions,
     vertex_term_values,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["DesignError", "TagTable", "Patterns", "DesignMatrix", "ROW_BUDGET",
            "build_design", "dump_design"]
@@ -412,6 +415,9 @@ class _RowLayout:
 
 def _stack(v_blocks, e_blocks, kv, ke):
     """The block-diagonal CSR of the vertex and the edge blocks."""
+    # imported here, so that only building a design loads scipy
+    import scipy.sparse as sp
+
     vmat = sp.csr_matrix(np.vstack(v_blocks)) if v_blocks else sp.csr_matrix((0, kv))
     emat = sp.csr_matrix(np.vstack(e_blocks)) if e_blocks else sp.csr_matrix((0, ke))
     nv, ne = vmat.shape[0], emat.shape[0]

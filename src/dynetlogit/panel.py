@@ -715,11 +715,20 @@ def panel_from_edge_presence(edge_rows, presence_rows, gaps=()) -> NetworkPanel:
 
     The risk set is the union of presence labels in sorted label order; an
     edge whose endpoint is not listed as present at its time index is a
-    validation error naming the offending row.
+    validation error naming the offending row.  A gap must lie within the
+    observed time span: one outside it would move the panel's first time
+    index, which keys every simulation stream.
     """
     present_by_t: dict[int, set] = {}
     for _lineno, t, lab in presence_rows:
         present_by_t.setdefault(t, set()).add(lab)
+    span = (min(present_by_t), max(present_by_t)) if present_by_t else None
+    for g in gaps:
+        if span is None or not span[0] <= g <= span[1]:
+            raise PanelValidationError(
+                f"gap {g} lies outside the observed time span "
+                + (f"{span[0]}..{span[1]}" if span else "(no presence records)")
+            )
     labels = sorted({lab for members in present_by_t.values() for lab in members})
     risk = RiskSet(labels)
     n = len(risk)

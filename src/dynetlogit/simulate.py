@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import expit
 
 from .design import _endpoint_classes, _lagged_codes
 from .gli import GLI_NAMES, gli_matrix, gli_vector
@@ -298,6 +298,27 @@ def _split_theta(fit: FitResult, spec: ModelSpec):
         )
     kv = len(spec.vertex_terms)
     return fit.coefficients[:kv], fit.coefficients[kv:]
+
+
+# The largest x whose exp(x) is finite: log of the largest float.
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+def expit(x) -> np.ndarray:
+    """1 / (1 + e^-x) elementwise, bit for bit as ``scipy.special.expit``
+    gives it, in numpy and the standard library (simulation loads no scipy).
+
+    e^-x comes from the C library's ``exp`` through ``math.exp``, one value
+    at a time: numpy's vectorized ``exp`` rounds some values differently.
+    Where it would overflow, e^-x is inf and the result 0.0, with no
+    warning.  The shape of ``x`` is kept.
+    """
+    x = np.asarray(x, dtype=float)
+    neg = -x.ravel()
+    over = neg > _EXP_MAX
+    e = np.fromiter(map(math.exp, np.where(over, 0.0, neg).tolist()), float, neg.size)
+    e[over] = np.inf
+    return (1.0 / (1.0 + e)).reshape(x.shape)
 
 
 # Most dyads one union of draws holds; a draw with more is a union of its

@@ -18,16 +18,23 @@ as the m rows would.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, get_lapack_funcs
-from scipy.special import expit, gammaln
+from numpy.linalg import LinAlgError
 
 from .design import DesignMatrix
 from .panel import _ranges
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+# scipy is imported inside the functions that use it, so that only a fit
+# pays its import: loading the package, simulating and computing indices
+# need numpy alone.
 
 __all__ = [
     "PriorSpec",
@@ -172,6 +179,8 @@ def _information_criteria(deviance: float, p: int, n: int):
 
 def _prior_log_const(scales, dfs) -> np.ndarray:
     """Per-coefficient log normalizing constants of the t prior."""
+    from scipy.special import gammaln
+
     return (
         gammaln((dfs + 1) / 2.0)
         - gammaln(dfs / 2.0)
@@ -202,18 +211,23 @@ def _prior_curvature(theta, centers, scales, dfs) -> np.ndarray:
     return (dfs + 1) * (s2 - d2) / (s2 + d2) ** 2
 
 
-# LAPACK's Cholesky factor and solve in float64, the routines that
-# scipy.linalg.cho_factor and cho_solve wrap: the same bits, without the
-# wrappers' argument handling, which costs more than the solve itself on
-# the solver's systems of a few dozen columns.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
+@functools.cache
+def _lapack(name: str):
+    """LAPACK's float64 routine ``name``.  The solver calls the Cholesky
+    factor and solve, potrf and potrs, that scipy.linalg.cho_factor and
+    cho_solve wrap: the same bits, without the wrappers' argument handling,
+    which costs more than the solve itself on the solver's systems of a few
+    dozen columns."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(name, (np.empty((0, 0)),))
 
 
 def _cholesky(H: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of H, as ``cho_factor(H, lower=True)`` gives
     it: ValueError when H holds an inf or NaN, LinAlgError when H is not
     positive definite."""
-    c, info = _POTRF(np.asarray_chkfinite(H), lower=1, clean=0)
+    c, info = _lapack("potrf")(np.asarray_chkfinite(H), lower=1, clean=0)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c
@@ -230,7 +244,7 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         except LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 100.0
             continue
-        return _POTRS(c, np.asarray_chkfinite(g), lower=1)[0]
+        return _lapack("potrs")(c, np.asarray_chkfinite(g), lower=1)[0]
     return np.linalg.lstsq(H, g, rcond=None)[0]
 
 
@@ -242,7 +256,7 @@ def _spd_inverse_diag(H: np.ndarray):
         c = _cholesky(H)
     except LinAlgError:
         return None
-    d = np.diag(_POTRS(c, np.eye(H.shape[0]), lower=1)[0])
+    d = np.diag(_lapack("potrs")(c, np.eye(H.shape[0]), lower=1)[0])
     if np.any(d <= 0):
         return None
     return d
@@ -346,6 +360,7 @@ def _separating_columns(X, y, trials) -> np.ndarray:
     """
     # imported here: scipy.optimize costs about 0.26 s, and only fits
     # without a prior ask for the test
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
     A = sp.csr_matrix(X.multiply((2.0 * np.asarray(y, dtype=float) - 1.0)[:, None]))
@@ -381,6 +396,8 @@ def _maximize(X: _Rows, y, trials, prior_arrays, tolerance, max_iter):
 
     Returns (theta, info dict) on the active columns of X.
     """
+    from scipy.special import expit
+
     theta = np.zeros(X.shape[1])
     use_prior = prior_arrays is not None
     if use_prior:
@@ -464,6 +481,8 @@ def _finalize(dm: DesignMatrix, X: _Rows, y, trials, theta_active, active, info,
     """FitResult on all columns of ``dm`` from the optimum on the active
     columns ``X`` of its patterns (inactive coefficients stay 0, their SEs
     NaN).  BIC's n is the number of trials, the design's rows."""
+    from scipy.special import expit
+
     p = dm.n_cols
     theta = np.zeros(p)
     theta[active] = theta_active

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -670,6 +671,33 @@ def test_convert_refuses_a_malformed_gaps_entry(tmp_path, capsys, gaps):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("gaps", ["-5", "4", "2,0"])
+def test_convert_refuses_a_gap_outside_the_observed_span(tmp_path, capsys, gaps):
+    """A gap before the first or after the last observed time would move the
+    panel's time span, and with it every simulation stream: it is a
+    validation error naming the gap, and no panel is written."""
+    (tmp_path / "edges.csv").write_text("1,a,b\n3,a,b\n")
+    (tmp_path / "presence.csv").write_text("1,a\n1,b\n3,a\n3,b\n")
+    capsys.readouterr()
+    assert run(["convert", tmp_path / "edges.csv", tmp_path / "presence.csv",
+                "-o", tmp_path / "out.json", "--gaps", gaps]) == EXIT_VALIDATION
+    bad = gaps.split(",")[-1]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "message": f"gap {bad} lies outside the observed time span 1..3"}
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_convert_keeps_a_gap_inside_the_observed_span(tmp_path):
+    (tmp_path / "edges.csv").write_text("1,a,b\n3,a,b\n")
+    (tmp_path / "presence.csv").write_text("1,a\n1,b\n3,a\n3,b\n")
+    out = tmp_path / "out.json"
+    assert run(["convert", tmp_path / "edges.csv", tmp_path / "presence.csv",
+                "-o", out, "--gaps", "2"]) == EXIT_OK
+    panel = load_panel(out)
+    assert panel.gaps == (2,)
+    assert (panel.t_min, panel.t_max) == (1, 3)
+
+
 def test_convergence_exit_code(workdir, tmp_path):
     code = run(["fit", workdir / "panel.json", workdir / "spec.json",
                 "--max-iter", "1", "--out-dir", tmp_path])
@@ -728,6 +756,71 @@ def test_console_entry_point(workdir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "spec_fit.json").exists()
+
+
+# Run in a fresh interpreter: the import, simulation and index steps, and
+# every command but fit, on the files under argv[1]; the last line printed
+# is their exit codes and the scipy modules loaded.
+_NON_FIT_STEPS = """
+import json, sys
+from pathlib import Path
+
+import dynetlogit
+import dynetlogit.cli as cli
+from dynetlogit import SimConfig, generate_panel, load_model_spec, load_panel
+from dynetlogit import one_step_intervals, project
+from dynetlogit.gli import gli_matrix
+
+root = Path(sys.argv[1])
+panel_path, spec_path, fit_path = (str(root / name) for name in
+                                   ("panel.json", "spec.json", "spec_fit.json"))
+panel, spec = load_panel(panel_path), load_model_spec(spec_path)
+fit = cli._load_fit_report(fit_path, spec)
+generate_panel(spec, fit.coefficients, panel.risk_set, 10, seed=1)
+one_step_intervals(fit, spec, panel, SimConfig(replicates=5))
+project(fit, spec, panel, SimConfig(replicates=3, horizon=2))
+gli_matrix(panel.snapshots[-1])
+codes = [cli.main(args) for args in (
+    ["gli", panel_path, "--t", str(panel.observed_times[-1])],
+    ["convert", str(root / "edges.csv"), str(root / "presence.csv"),
+     "-o", str(root / "converted.json")],
+    ["adequacy", panel_path, spec_path, fit_path, "--sims", "5", "--out-dir", str(root)],
+    ["project", panel_path, spec_path, fit_path, "--horizon", "2", "--sims", "2",
+     "--out-dir", str(root)],
+)]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+_FIT_STEP = """
+import json, sys
+import dynetlogit.cli as cli
+root = sys.argv[1]
+code = cli.main(["fit", root + "/panel.json", root + "/spec.json", "--out-dir", root])
+print(json.dumps({"code": code, "scipy": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_only_fit_loads_scipy(workdir, tmp_path):
+    """Importing the package, simulating, computing indices and every command
+    but fit run on numpy alone; fit, in a fresh interpreter of its own,
+    loads scipy when it needs it and succeeds."""
+    import dynetlogit
+    path = [str(Path(dynetlogit.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for name in ("panel.json", "spec.json"):
+        shutil.copy(workdir / name, tmp_path / name)
+    (tmp_path / "edges.csv").write_text("1,a,b\n3,a,b\n")
+    (tmp_path / "presence.csv").write_text("1,a\n1,b\n3,a\n3,b\n")
+
+    def fresh(script):
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert fresh(_FIT_STEP) == {"code": EXIT_OK, "scipy": True}
+    assert fresh(_NON_FIT_STEPS) == {"codes": [EXIT_OK] * 4, "scipy": []}
 
 
 @pytest.mark.parametrize("prior", ["none", "cauchy:scale=2.5,df=1"])

@@ -887,3 +887,43 @@ def test_generate_panel_deterministic_and_valid():
     assert c != a
     trimmed = generate_panel(spec, theta, rs, 12, seed=3, burn_in=4)
     assert trimmed.observed_times[0] == 5
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -x at which e^-x overflows is log(largest float); its neighbours straddle it
+_OVERFLOW = -709.782712893384
+_EXPIT_EDGES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.7976931348623157e308,
+     -1.7976931348623157e308, 36.0, -36.0, 37.0, -37.0, -745.13, -746.0]
+    + [np.nextafter(_OVERFLOW, side) for side in (0.0, -np.inf)]
+    + [_OVERFLOW + k * 1e-13 for k in range(-5, 6)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_expit_equals_scipy_bit_for_bit():
+    """Simulation's expit gives scipy's bits on a seeded sample and at the
+    edges (signed zeros, infinities, NaN, the overflow of e^-x), keeps the
+    input's shape and warns of nothing."""
+    from scipy.special import expit
+
+    rng = np.random.default_rng(2024)
+    sample = np.stack([rng.normal(0.0, 5.0, 1_500_000), rng.uniform(-800.0, 800.0, 1_500_000)])
+    assert _same_bits(simulate.expit(sample), expit(sample))
+    assert _same_bits(simulate.expit(_EXPIT_EDGES), expit(_EXPIT_EDGES))
+    column = _EXPIT_EDGES[:, None]
+    assert _same_bits(simulate.expit(column), expit(column))
+    assert simulate.expit(np.array([-746.0]))[0] == 0.0
+    assert _same_bits(simulate.expit(np.empty((0, 3))), expit(np.empty((0, 3))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_expit_equals_scipy_on_finite_floats(values):
+    from scipy.special import expit
+
+    x = np.array(values)
+    assert _same_bits(simulate.expit(x), expit(x))

@@ -12,6 +12,9 @@ The command set runs in-process, on inputs from the repo's own generators
   replicate shares one vertex set there, so their dyads are drawn once);
 - month `fit --dump-design --format csv` of a `bridge` spec with terms at
   lags 1 and 2 (`lag2_bridge.json`);
+- month `fit --dump-design --format csv` of model_4 on the month panel
+  written with its edges reversed, duplicated and out of order
+  (`messy_panel.json`), which the loader normalizes;
 - the `million` and `cycles` fits;
 - `project --horizon 3 --sims 30 --seed 2 --fixed-vertex-set` on `cycles`,
   which the cycle-work budget refuses.
@@ -74,6 +77,8 @@ def _commands():
                        "--dump-design", "--format", "csv"]),
         ("month_fit_lag2_bridge", ["fit", "month/month_panel.json", "month/lag2_bridge.json",
                                    "--dump-design", "--format", "csv"]),
+        ("month_fit_messy_edges", ["fit", "month/messy_panel.json", "month/model_4.json",
+                                   "--dump-design", "--format", "csv"]),
         ("month_adequacy", adequacy),
         ("month_adequacy_fixed", adequacy + ["--fixed-vertex-set"]),
         ("month_adequacy_threshold50", adequacy + ["--threshold50"]),
@@ -115,8 +120,19 @@ def _write_inputs() -> None:
          TermSpec("edge", "log_size"),
          TermSpec("edge", "mixing", params={"attr": "regular", "pair": "both"})],
         gap_policy="bridge"), "month/lag2_bridge.json")
+    _write_messy_panel(Path("month/month_panel.json"), Path("month/messy_panel.json"))
     for name in ("million", "cycles"):
         workloads.write_inputs(name, workloads.DEFAULT_SEED, Path(name))
+
+
+def _write_messy_panel(src: Path, dst: Path) -> None:
+    """``src`` with each snapshot's edges listed in reverse order, every
+    other edge's labels swapped and every third edge listed again."""
+    obj = json.loads(src.read_text(encoding="utf-8"))
+    for snap in obj["snapshots"]:
+        edges = [e[::-1] if k % 2 else e for k, e in enumerate(snap["edges"])]
+        snap["edges"] = (edges + snap["edges"][::3])[::-1]
+    dst.write_text(json.dumps(obj), encoding="utf-8")
 
 
 def digests(directory) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,6 +45,27 @@ EXIT_SEPARATION = 6
 
 def _fail(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+
+
+def _say(text: str) -> None:
+    """``text`` as a line of standard output.  A reader that closed it early
+    (``| head``) fails nothing: the rest of the output is dropped and the
+    command runs to its end and its own exit code."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    """Send the rest of standard output, its flush at exit included, to the
+    null device."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream without a descriptor
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+    else:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -263,11 +285,11 @@ def cmd_fit(args) -> int:
         ]
         _write_csv(out / "ranking.csv", rows, manifest_name="ranking.json")
         for r in ranking:
-            print(f"{r['spec']}: BIC={r['bic']:.4f} AIC={r['aic']:.4f}")
+            _say(f"{r['spec']}: BIC={r['bic']:.4f} AIC={r['aic']:.4f}")
     else:
         r = ranking[0]
-        print(f"{r['spec']}: BIC={r['bic']:.4f} AIC={r['aic']:.4f} "
-              f"converged={r['converged']}")
+        _say(f"{r['spec']}: BIC={r['bic']:.4f} AIC={r['aic']:.4f} "
+             f"converged={r['converged']}")
     return worst
 
 
@@ -308,7 +330,7 @@ def cmd_adequacy(args) -> int:
 
     cov = report.covered
     for g, name in enumerate(report.names):
-        print(f"{name}: {int(cov[g])}/{report.total}")
+        _say(f"{name}: {int(cov[g])}/{report.total}")
     return EXIT_OK
 
 
@@ -351,8 +373,8 @@ def cmd_project(args) -> int:
         for rep, traj in enumerate(result.snapshots):
             traj_panel = NetworkPanel(panel.risk_set, traj)
             save_panel(traj_panel, out / f"project_rep{rep:03d}.json")
-    print(f"projected {config.horizon} step(s) x {config.replicates} replicate(s) "
-          f"from t={result.steps[0] - 1}")
+    _say(f"projected {config.horizon} step(s) x {config.replicates} replicate(s) "
+         f"from t={result.steps[0] - 1}")
     return EXIT_OK
 
 
@@ -371,8 +393,8 @@ def cmd_convert(args) -> int:
     edge_rows, presence_rows = read_edge_presence_tables(args.edges, args.presence)
     panel = panel_from_edge_presence(edge_rows, presence_rows, gaps=gaps)
     save_panel(panel, args.out)
-    print(f"wrote {args.out}: {len(panel.snapshots)} snapshots, "
-          f"{len(panel.risk_set)} vertices")
+    _say(f"wrote {args.out}: {len(panel.snapshots)} snapshots, "
+         f"{len(panel.risk_set)} vertices")
     return EXIT_OK
 
 
@@ -383,12 +405,12 @@ def cmd_gli(args) -> int:
         raise PanelValidationError(f"no snapshot at t={args.t}")
     vec = gli_vector(snap)
     if args.format == "csv":
-        print("gli,value")
+        _say("gli,value")
         for name, val in zip(GLI_NAMES, vec):
-            print(f"{name},{float(val)!r}")
+            _say(f"{name},{float(val)!r}")
     else:
-        print(json.dumps({name: float(val) for name, val in zip(GLI_NAMES, vec)},
-                         indent=2, sort_keys=True))
+        _say(json.dumps({name: float(val) for name, val in zip(GLI_NAMES, vec)},
+                        indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -488,6 +510,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         _fail("io", str(exc))
         return EXIT_IO
+    finally:
+        try:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        except BrokenPipeError:
+            _drop_stdout()
 
 
 if __name__ == "__main__":

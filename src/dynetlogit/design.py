@@ -21,12 +21,16 @@ evaluated once over all steps, which sit side by side as blocks of n
 vertices (vertex s * n + i is vertex i at step s, as a union lays out its
 draws): a vertex term on every step's n vertices, an edge term on every
 step's ties and class representatives, or on the ties alone when it has
-lag scope.  The rows themselves (``responses``, ``features``, ``tags``)
-are expanded on first access, as ``--dump-design`` does, and only up to
-``ROW_BUDGET`` rows.  Each row is a pointer to its pattern: a vertex row
-is its own weighted row, a dyad row its lagged tie's or else its class
-pair's and response's, so rows are gathered from the patterns by integer
-work alone.
+lag scope.  The patterns are keyed straight from those term columns, by
+factorizing each column's nonzero values (``_collapse``), and only the
+patterns' CSR is built, from the entries of each pattern's first row; no
+sparse matrix of all the weighted rows is made.  A design made from rows
+collapses the stored entries of its CSC columns the same way.  The rows
+themselves (``responses``, ``features``, ``tags``) are expanded on first
+access, as ``--dump-design`` does, and only up to ``ROW_BUDGET`` rows.
+Each row is a pointer to its pattern: a vertex row is its own weighted
+row, a dyad row its lagged tie's or else its class pair's and response's,
+so rows are gathered from the patterns by integer work alone.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .terms import (
     SpecError,
     _is_edge,
     edge_term_values,
-    resolve_lag,
     usable_transitions,
     vertex_term_values,
 )
@@ -101,44 +104,80 @@ class Patterns:
     n_vertex_patterns: int
 
 
-def _row_patterns(features, responses, n_vertex_rows, trials):
+def _collapse(columns, responses, n_vertex_rows, trials):
     """(Patterns, the pattern of each row) of weighted rows, grouped by an
-    exact key built column by column from the CSC form, summing their
-    ``trials``: each column's values are factorized and their codes added
-    into one int64 key per row in mixed radix, renumbering the partial key
-    whenever the next radix would overflow it.  An explicitly stored zero
-    gets a code of its own, so rows equal in value may land in two
-    patterns; the likelihood does not change, and every row is its
-    pattern's row, stored entries included."""
+    exact key and summing their ``trials``.
+
+    ``columns`` holds each design column's entries as (rows, values): the
+    nonzero entries of the term columns (``_term_columns``) or the stored
+    entries of a CSC (``_csc_columns``).  Each column's values are
+    factorized and their codes added into one int64 key per row in mixed
+    radix, renumbering the partial key whenever the next radix would
+    overflow it.  A stored zero gets a code of its own, so rows equal in
+    value may land in two patterns; the likelihood does not change, and
+    every row is its pattern's row, stored entries included.  The
+    patterns' CSR is built from the entries of each pattern's first row."""
     key = responses.astype(np.int64)
     key[n_vertex_rows:] += 2
     base = 4  # key < base: block and response take the lowest digits
-    csc = features.tocsc()
-    for lo, hi in zip(csc.indptr[:-1], csc.indptr[1:]):
-        if lo == hi:
+    for rows, values in columns:
+        if not len(rows):
             continue
-        values, codes = np.unique(csc.data[lo:hi], return_inverse=True)
-        radix = len(values) + 1  # code 0 is an unstored zero
+        seen, codes = np.unique(values, return_inverse=True)
+        radix = len(seen) + 1  # code 0 is an absent entry
         if base > _KEY_LIMIT // radix:
             seen, key = np.unique(key, return_inverse=True)
             base = len(seen)
         codes += 1
         codes *= base
-        key[csc.indices[lo:hi]] += codes
+        key[rows] += codes
         base *= radix
-    del csc
     _, first, key = np.unique(key, return_index=True, return_inverse=True)
     trials = np.bincount(key, weights=trials)
     order = np.argsort(first)
     first, trials = first[order], trials[order]
     rank = np.empty(len(order), dtype=np.int32)
     rank[order] = np.arange(len(order))
+
+    # the first rows' entries, in column order within each pattern
+    slot = np.full(len(key), -1)
+    slot[first] = np.arange(len(first))
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *(r for r, _ in columns)])
+    of = slot[rows]
+    kept = of >= 0
+    of = of[kept]
+    by = np.argsort(of, kind="stable")
+    col = np.arange(len(columns)).repeat([len(r) for r, _ in columns])[kept][by]
+    data = np.concatenate([np.empty(0), *(v for _, v in columns)])[kept][by]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(of, minlength=len(first)))])
+    # imported here, so that only building a design loads scipy
+    import scipy.sparse as sp
+
     return Patterns(
-        features=features.tocsr()[first],
+        features=sp.csr_matrix((data, col, indptr), shape=(len(first), len(columns))),
         responses=responses[first].astype(float),
         trials=trials,
         n_vertex_patterns=int(np.searchsorted(first, n_vertex_rows)),
     ), rank[key]
+
+
+def _csc_columns(features) -> list:
+    """The stored entries (rows, values) of each column of ``features``."""
+    csc = features.tocsc()
+    return [(csc.indices[lo:hi], csc.data[lo:hi])
+            for lo, hi in zip(csc.indptr[:-1].tolist(), csc.indptr[1:].tolist())]
+
+
+def _term_columns(vertex_columns, edge_columns, n_vertex_rows) -> list:
+    """The nonzero entries (rows, values) of each column of the design,
+    from each vertex term's values on the vertex rows and each edge term's
+    on the edge rows after them."""
+    out = []
+    for offset, columns in ((0, vertex_columns), (n_vertex_rows, edge_columns)):
+        for values in columns:
+            rows = np.flatnonzero(values)
+            out.append((rows + offset, values[rows]))
+    return out
 
 
 class DesignMatrix:
@@ -219,8 +258,8 @@ class DesignMatrix:
         """The rows collapsed into binomial patterns."""
         if self._patterns is None:
             responses, features, _ = self.rows()
-            self._patterns = _row_patterns(features, responses, self.n_vertex_rows,
-                                           np.ones(self.n_rows))[0]
+            self._patterns = _collapse(_csc_columns(features), responses, self.n_vertex_rows,
+                                       np.ones(self.n_rows))[0]
         return self._patterns
 
     def __repr__(self):
@@ -256,7 +295,7 @@ def _lagged_codes(history, t, terms) -> np.ndarray:
     n, reps = len(history.risk_set), history.draws
     lagged = []
     for lag in {term.lag for term in terms if term.scope == "lag"}:
-        snap = history.snapshot_at(resolve_lag(history, t, lag))
+        snap = history.lagged(t, lag)
         codes = snap.codes
         if snap.draws < reps:
             i, j = np.divmod(codes, n)
@@ -268,15 +307,15 @@ def _lagged_codes(history, t, terms) -> np.ndarray:
 
 
 def _edge_patterns(history, terms, steps, classes):
-    """Edge rows of ``steps`` grouped as (features, responses, trials): one
-    row per lagged tie among a step's present vertices, then per step and
-    pair of endpoint classes (a <= b) one row per response with its dyads
-    off those ties, on which lag-scope terms are 0.  The counting runs
-    over all steps at once, and so does each term: it is evaluated once,
-    with the steps side by side as blocks of n vertices, on every step's
-    ties and one representative dyad per class pair (on the ties alone
-    when it has lag scope).  Also returns (ties, pair_keys, pair_rows),
-    where ``_RowLayout`` finds each dyad's row."""
+    """Edge rows of ``steps`` grouped as (each term's column, responses,
+    trials): one row per lagged tie among a step's present vertices, then
+    per step and pair of endpoint classes (a <= b) one row per response
+    with its dyads off those ties, on which lag-scope terms are 0.  The
+    counting runs over all steps at once, and so does each term: it is
+    evaluated once, with the steps side by side as blocks of n vertices,
+    on every step's ties and one representative dyad per class pair (on
+    the ties alone when it has lag scope).  Also returns (ties, pair_keys,
+    pair_rows), where ``_RowLayout`` finds each dyad's row."""
     n, k = len(classes), int(classes.max()) + 1
     snaps = [history.snapshot_at(t) for t in steps]
     present = np.stack([snap.present for snap in snaps])
@@ -324,17 +363,6 @@ def _edge_patterns(history, terms, steps, classes):
     dyad_i = np.concatenate([tie_i, at + np.minimum(ri, rj)])
     dyad_j = np.concatenate([tie_j, at + np.maximum(ri, rj)])
 
-    # a lag-scope term is 0 on the representatives, so only the ties need it
-    flat = present.ravel()
-    n_ties, n_reps = len(ties), len(left)
-    features = np.zeros((n_ties + 2 * n_reps, len(terms)))
-    for c, term in enumerate(terms):
-        if term.scope == "lag":
-            features[:n_ties, c] = edge_term_values(term, history, steps, tie_i, tie_j, flat)
-        else:
-            values = edge_term_values(term, history, steps, dyad_i, dyad_j, flat)
-            features[:n_ties + n_reps, c] = values
-            features[n_ties + n_reps:, c] = values[n_ties:]
     responses = np.concatenate([_is_edge(edges, ties).astype(np.int8),
                                 np.zeros(len(left), dtype=np.int8),
                                 np.ones(len(left), dtype=np.int8)])
@@ -343,7 +371,19 @@ def _edge_patterns(history, terms, steps, classes):
     # each class pair's weighted row per response, -1 where it has none
     pair_rows = np.full((2, len(pair_keys)), -1)
     pair_rows[:, left] = np.where(kept, np.cumsum(kept) - 1, -1)[len(ties):].reshape(2, -1)
-    return (features[kept], responses[kept], trials[kept]), (ties, pair_keys, pair_rows)
+
+    # a lag-scope term is 0 on the representatives, so only the ties need it
+    flat = present.ravel()
+    columns = []
+    for term in terms:
+        if term.scope == "lag":
+            values = edge_term_values(term, history, steps, tie_i, tie_j, flat)
+            values = np.concatenate([values, np.zeros(2 * len(left))])
+        else:
+            values = edge_term_values(term, history, steps, dyad_i, dyad_j, flat)
+            values = np.concatenate([values, values[len(ties):]])
+        columns.append(values[kept])
+    return (columns, responses[kept], trials[kept]), (ties, pair_keys, pair_rows)
 
 
 @dataclass(frozen=True)
@@ -413,18 +453,6 @@ class _RowLayout:
         return np.concatenate([self.pattern_of[:nv], of]), tags
 
 
-def _stack(v_blocks, e_blocks, kv, ke):
-    """The block-diagonal CSR of the vertex and the edge blocks."""
-    # imported here, so that only building a design loads scipy
-    import scipy.sparse as sp
-
-    vmat = sp.csr_matrix(np.vstack(v_blocks)) if v_blocks else sp.csr_matrix((0, kv))
-    emat = sp.csr_matrix(np.vstack(e_blocks)) if e_blocks else sp.csr_matrix((0, ke))
-    nv, ne = vmat.shape[0], emat.shape[0]
-    return sp.bmat([[vmat, sp.csr_matrix((nv, ke))],
-                    [sp.csr_matrix((ne, kv)), emat]], format="csr")
-
-
 def build_design(panel: NetworkPanel, spec: ModelSpec,
                  align_to_lag: int | None = None) -> DesignMatrix:
     """Assemble the stacked design over every usable transition step.
@@ -460,22 +488,20 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     if nv + ne == 0:
         raise DesignError("design has no rows (no vertex terms and no present dyads)")
 
-    v_blocks, v_resp = [], np.empty(0, dtype=np.int8)
+    v_columns, v_resp = [], np.empty(0, dtype=np.int8)
     if kv:
-        v_blocks.append(np.column_stack([vertex_term_values(term, history, steps)
-                                         for term in spec.vertex_terms]))
+        v_columns = [vertex_term_values(term, history, steps) for term in spec.vertex_terms]
         v_resp = present.ravel().astype(np.int8)
 
-    e_blocks, e_resp, e_trials = [], np.empty(0, dtype=np.int8), np.empty(0)
+    e_columns, e_resp, e_trials = [np.empty(0)] * ke, np.empty(0, dtype=np.int8), np.empty(0)
     edge_layout = ()
     if edge_steps:
-        (block, e_resp, e_trials), edge_layout = _edge_patterns(
+        (e_columns, e_resp, e_trials), edge_layout = _edge_patterns(
             history, spec.edge_terms, edge_steps, classes)
-        e_blocks.append(block)
     responses = np.concatenate([v_resp, e_resp])
     trials = np.concatenate([np.ones(nv), e_trials])
-    patterns, pattern_of = _row_patterns(_stack(v_blocks, e_blocks, kv, ke), responses,
-                                         nv, trials)
+    patterns, pattern_of = _collapse(_term_columns(v_columns, e_columns, nv), responses, nv,
+                                     trials)
     layout = _RowLayout(history, pattern_of, np.array(steps if kv else [], dtype=np.int64),
                         np.array(edge_steps, dtype=np.int64), classes, *edge_layout)
     return DesignMatrix._from_patterns(

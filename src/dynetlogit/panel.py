@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# whole-file edge keys (snapshot * n + i) * n + j stay below this
+_KEY_LIMIT = np.iinfo(np.int64).max
+
+
 class PanelFormatError(ValueError):
     """A panel file (or converter input) could not be parsed."""
 
@@ -320,11 +324,25 @@ def dyads(indices, counts=None) -> tuple:
     return indices.repeat(later), indices[_ranges(pos + 1, later)]
 
 
+def _check_gap_span(gaps, times, none) -> None:
+    """Refuse a gap outside the span of the observed ``times`` (``none``
+    says what is missing when there are none): it would move the panel's
+    first time index, which keys every simulation stream."""
+    span = (min(times), max(times)) if times else None
+    for g in gaps:
+        if span is None or not span[0] <= g <= span[1]:
+            raise PanelValidationError(
+                f"gap {g} lies outside the observed time span "
+                + (f"{span[0]}..{span[1]}" if span else none)
+            )
+
+
 class NetworkPanel:
     """A time-ordered sequence of snapshots over one risk set.
 
     Immutable after construction; snapshot time indices are strictly
-    increasing and disjoint from the gap indices.
+    increasing and disjoint from the gap indices, which lie within the
+    snapshots' time span.
     """
 
     __slots__ = ("risk_set", "snapshots", "gaps", "_by_t")
@@ -343,6 +361,7 @@ class NetworkPanel:
             raise PanelValidationError(
                 f"gap indices coincide with snapshots: {sorted(overlap)}"
             )
+        _check_gap_span(gaps, times, "(no snapshots)")
         n = len(risk_set)
         for s in snaps:
             if len(s.present) != n:
@@ -520,19 +539,18 @@ def _require(obj, key, where, kind=None):
     return obj[key] if kind is None else _typed(obj[key], kind, f"{key} in {where}")
 
 
-def _label_indices(index, groups, count) -> tuple:
-    """The risk-set index of each label in ``groups`` (sequences of labels,
-    ``count`` labels in all), -1 where there is none, in one dict pass, and
+def _label_indices(index, labels, count) -> tuple:
+    """The risk-set index of each of the ``count`` labels that the call
+    ``labels()`` iterates, -1 where there is none, in one dict pass, and
     whether every label was found.  A label that is not a key (a JSON
     number) is looked up again as ``str(label)``."""
     try:
-        at = np.fromiter(map(index.get, chain.from_iterable(groups), repeat(-1)),
-                         np.int64, count)
+        at = np.fromiter(map(index.get, labels(), repeat(-1)), np.int64, count)
     except TypeError:  # an unhashable label (a JSON array or object)
         at = np.full(count, -1, dtype=np.int64)
     if not count or at.min() >= 0:
         return at, True
-    labels = list(chain.from_iterable(groups))
+    labels = list(labels())
     for k in np.flatnonzero(at < 0).tolist():
         at[k] = index.get(str(labels[k]), -1)
     return at, bool(at.min() >= 0)
@@ -553,7 +571,7 @@ def _edge_indices(risk, edges, bits, t) -> tuple:
     pairs = set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
     m = len(edges) if pairs else next(
         k for k, e in enumerate(edges) if type(e) is not list or len(e) != 2)
-    ends, found = _label_indices(risk._index, edges[:m], 2 * m)
+    ends, found = _label_indices(risk._index, lambda: chain.from_iterable(edges[:m]), 2 * m)
     ii, jj = ends[0::2], ends[1::2]
     if m == len(edges) and found and bits[ends].all():
         return ii, jj
@@ -571,23 +589,14 @@ def _edge_indices(risk, edges, bits, t) -> tuple:
     raise PanelValidationError(f"edge endpoint absent at t={t}: ({a},{b})")
 
 
-def panel_from_obj(obj: dict) -> NetworkPanel:
-    if not isinstance(obj, dict):
-        raise PanelFormatError("top level of a panel file must be an object")
-    if obj.get("directed", False):
-        raise PanelValidationError("directed panels are not supported")
-    risk_entries = _require(obj, "risk_set", "panel file", list)
-    labels, attr_dicts = [], []
-    for k, entry in enumerate(risk_entries):
-        labels.append(str(_require(entry, "label", f"risk_set[{k}]")))
-        attr_dicts.append(_typed(entry.get("attrs", {}), dict, f"attrs in risk_set[{k}]"))
-    risk = RiskSet(labels, attr_dicts)
-
+def _snapshots_one_by_one(risk, records) -> list:
+    """The snapshots of a file's records, checked record by record: raises
+    on the first bad record, in file order."""
     snapshots = []
-    for k, rec in enumerate(_require(obj, "snapshots", "panel file", list)):
+    for k, rec in enumerate(records):
         t = _require(rec, "t", f"snapshots[{k}]", int)
         present = _require(rec, "present", f"snapshots[{k}]", list)
-        at, found = _label_indices(risk._index, [present], len(present))
+        at, found = _label_indices(risk._index, lambda: present, len(present))
         if not found:
             raise PanelValidationError(f"present vertex {present[int(np.argmax(at < 0))]!r} "
                                        f"at t={t} is not in the risk set")
@@ -596,6 +605,75 @@ def panel_from_obj(obj: dict) -> NetworkPanel:
         edges = _edge_indices(risk, _require(rec, "edges", f"snapshots[{k}]"), bits, t)
         attrs = _typed(rec.get("attrs", {}), dict, f"attrs in snapshots[{k}]")
         snapshots.append(Snapshot(t, bits, edges, attrs))
+    return snapshots
+
+
+def _sound_record(rec) -> bool:
+    """Whether a snapshot record has the shape of the file format: an
+    integer ``t``, lists ``present`` and ``edges``, an object ``attrs``."""
+    return (type(rec) is dict and type(rec.get("t")) is int
+            and type(rec.get("present")) is list and type(rec.get("edges")) is list
+            and type(rec.get("attrs", {})) is dict)
+
+
+def _snapshots(risk, records) -> list:
+    """The snapshots of a file's records, read in whole-file passes.
+
+    Every record's present labels and every edge's labels are looked up in
+    one pass each, and all edges are checked at once: label pairs, known
+    labels, present endpoints, no loops.  One sort, keyed by snapshot and
+    then code, gives every snapshot's sorted codes, and duplicates are
+    dropped over all of them at once.  Only a file that fails some check is
+    read again record by record, to name its first bad record in file
+    order; so is one whose keys would overflow int64."""
+    n, count = len(risk), len(records)
+    if not all(map(_sound_record, records)) or count * n * n > _KEY_LIMIT:
+        return _snapshots_one_by_one(risk, records)
+    presents = [rec["present"] for rec in records]
+    edge_lists = [rec["edges"] for rec in records]
+    sizes = np.fromiter(map(len, presents), np.int64, count)
+    counts = np.fromiter(map(len, edge_lists), np.int64, count)
+    at, found = _label_indices(risk._index, lambda: chain.from_iterable(presents),
+                               int(sizes.sum()))
+    flat = chain.from_iterable
+    if not (found and set(map(type, flat(edge_lists))) <= {list}
+            and set(map(len, flat(edge_lists))) <= {2}):
+        return _snapshots_one_by_one(risk, records)
+    ends, found = _label_indices(risk._index, lambda: flat(flat(edge_lists)),
+                                 2 * int(counts.sum()))
+    if not found:
+        return _snapshots_one_by_one(risk, records)
+    step = np.arange(count)
+    bits = np.zeros((count, n), dtype=bool)
+    bits[step.repeat(sizes), at] = True
+    of = step.repeat(counts)
+    lo, hi = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
+    if not (np.all(lo != hi) and bits[of, lo].all() and bits[of, hi].all()):
+        return _snapshots_one_by_one(risk, records)
+    keys = (of * n + lo) * n + hi
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    cut = np.searchsorted(keys, step * (n * n)).tolist() + [len(keys)]
+    return [Snapshot(rec["t"], bits[k], keys[cut[k]:cut[k + 1]] - k * (n * n),
+                     rec.get("attrs", {}), _trusted=True)
+            for k, rec in enumerate(records)]
+
+
+def panel_from_obj(obj: dict) -> NetworkPanel:
+    if not isinstance(obj, dict):
+        raise PanelFormatError("top level of a panel file must be an object")
+    if obj.get("directed", False):
+        raise PanelValidationError("directed panels are not supported")
+    entries = _require(obj, "risk_set", "panel file", list)
+    if not all(type(e) is dict and "label" in e and type(e.get("attrs", {})) is dict
+               for e in entries):
+        for k, entry in enumerate(entries):  # name the first bad entry
+            _require(entry, "label", f"risk_set[{k}]")
+            _typed(entry.get("attrs", {}), dict, f"attrs in risk_set[{k}]")
+    risk = RiskSet([str(e["label"]) for e in entries], [e.get("attrs", {}) for e in entries])
+    snapshots = _snapshots(risk, _require(obj, "snapshots", "panel file", list))
     gaps = _typed(obj.get("gaps", []), list, "gaps in panel file")
     for k, gap in enumerate(gaps):
         _typed(gap, int, f"gaps[{k}] in panel file")
@@ -617,7 +695,8 @@ def load_panel(path) -> NetworkPanel:
 
 
 def subpanel(panel: NetworkPanel, t_from: int, t_to: int) -> NetworkPanel:
-    """Panel restricted to the closed time window [t_from, t_to]."""
+    """Panel restricted to the closed time window [t_from, t_to], keeping
+    the gaps within the span of the snapshots it keeps."""
     if t_from > t_to:
         raise ValueError(f"t_from={t_from} exceeds t_to={t_to}")
     if t_from < panel.t_min or t_to > panel.t_max:
@@ -626,7 +705,7 @@ def subpanel(panel: NetworkPanel, t_from: int, t_to: int) -> NetworkPanel:
             f"[{panel.t_min},{panel.t_max}]"
         )
     snaps = [s for s in panel.snapshots if t_from <= s.t <= t_to]
-    gaps = [g for g in panel.gaps if t_from <= g <= t_to]
+    gaps = [g for g in panel.gaps if snaps and snaps[0].t < g < snaps[-1].t]
     return NetworkPanel(panel.risk_set, snaps, gaps)
 
 
@@ -722,13 +801,7 @@ def panel_from_edge_presence(edge_rows, presence_rows, gaps=()) -> NetworkPanel:
     present_by_t: dict[int, set] = {}
     for _lineno, t, lab in presence_rows:
         present_by_t.setdefault(t, set()).add(lab)
-    span = (min(present_by_t), max(present_by_t)) if present_by_t else None
-    for g in gaps:
-        if span is None or not span[0] <= g <= span[1]:
-            raise PanelValidationError(
-                f"gap {g} lies outside the observed time span "
-                + (f"{span[0]}..{span[1]}" if span else "(no presence records)")
-            )
+    _check_gap_span(gaps, present_by_t, "(no presence records)")
     labels = sorted({lab for members in present_by_t.values() for lab in members})
     risk = RiskSet(labels)
     n = len(risk)

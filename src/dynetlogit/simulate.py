@@ -43,7 +43,6 @@ from .terms import (
     WEEKDAYS,
     _is_edge,
     edge_term_values,
-    resolve_lag,
     usable_transitions,
     vertex_term_values,
 )
@@ -436,7 +435,7 @@ class StepSampler:
         self.classes = classes
         self.lagged = _lagged_codes(history, t, spec.edge_terms)
         if self.bits is not None and len(self.bits) == 1 and all(
-                history.snapshot_at(resolve_lag(history, t, term.lag)).draws == 1
+                history.lagged(t, term.lag).draws == 1
                 for term in spec.edge_terms if term.scope == "lag"):
             ii, jj = dyads(np.flatnonzero(self.bits))
             self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits.ravel()))

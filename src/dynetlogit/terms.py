@@ -287,9 +287,14 @@ class History:
     projection's replicates advanced in lockstep alike.  Every added
     snapshot is then a union of ``draws`` draws (vertex r * n + i being
     vertex i of draw r), and an observed snapshot is shared by every draw.
+
+    Each time's lag snapshots and time attributes are resolved once, on
+    first use, and kept until a snapshot is added: a design reads each
+    step's lag window once, however many terms and passes read it.
     """
 
-    __slots__ = ("panel", "policy", "added", "attrs_fn", "draws", "_times")
+    __slots__ = ("panel", "policy", "added", "attrs_fn", "draws", "_times", "_lagged",
+                 "_attrs")
 
     def __init__(self, panel: NetworkPanel, policy: str, attrs_fn=None, *, draws=1):
         self.panel = panel
@@ -298,6 +303,8 @@ class History:
         self.attrs_fn = attrs_fn
         self.draws = draws
         self._times = panel.observed_times  # sorted; None once stale
+        self._lagged: dict[tuple, Snapshot] = {}
+        self._attrs: dict[int, dict | None] = {}
 
     @property
     def risk_set(self) -> RiskSet:
@@ -309,6 +316,8 @@ class History:
                              f"of {snap.draws}")
         self.added[snap.t] = snap
         self._times = None
+        self._lagged.clear()
+        self._attrs.clear()
 
     def available_times(self):
         if self._times is None:
@@ -319,11 +328,19 @@ class History:
         snap = self.added.get(t)
         return self.panel.at(t) if snap is None else snap
 
+    def lagged(self, t: int, lag: int) -> Snapshot:
+        """The snapshot a lag-``lag`` statistic at ``t`` reads (``resolve_lag``)."""
+        snap = self._lagged.get((t, lag))
+        if snap is None:
+            snap = self._lagged[t, lag] = self.snapshot_at(resolve_lag(self, t, lag))
+        return snap
+
     def time_attrs_at(self, t: int):
-        snap = self.snapshot_at(t)
-        if snap is not None:
-            return snap.time_attrs
-        return None if self.attrs_fn is None else self.attrs_fn(t)
+        if t not in self._attrs:
+            snap = self.snapshot_at(t)
+            self._attrs[t] = (snap.time_attrs if snap is not None else
+                              None if self.attrs_fn is None else self.attrs_fn(t))
+        return self._attrs[t]
 
 
 def resolve_lag(history: History, t: int, lag: int) -> int:
@@ -354,7 +371,7 @@ def usable_transitions(history: History, max_lag: int):
     for t in history.available_times():
         try:
             for lag in range(1, max_lag + 1):
-                resolve_lag(history, t, lag)
+                history.lagged(t, lag)
         except GapError:
             continue
         out.append(t)
@@ -835,7 +852,7 @@ def vertex_term_values(term: TermSpec, history: History, t) -> np.ndarray:
         return a if len(times) == 1 else np.tile(a, len(times))
     if kind == "seasonal":
         return np.array([_seasonal_value(term, history, u) for u in times]).repeat(n)
-    snaps = [history.snapshot_at(resolve_lag(history, u, term.lag)) for u in times]
+    snaps = [history.lagged(u, term.lag) for u in times]
     if kind == "lag_indicator":
         return np.concatenate([snap.present for snap in snaps], dtype=float)
     if kind == "lag_triangle":
@@ -898,7 +915,7 @@ def edge_term_values(term: TermSpec, history: History, t, ii: np.ndarray,
     if kind == "seasonal":
         values = [_seasonal_value(term, history, u) for u in times]
         return np.full(m, values[0]) if len(values) == 1 else np.array(values)[draw]
-    snaps = [history.snapshot_at(resolve_lag(history, u, term.lag)) for u in times]
+    snaps = [history.lagged(u, term.lag) for u in times]
     size = len(snaps[0].present)
     if snaps[0].draws > 1:  # one lag per draw: the dyads index the history's union
         if size != len(present):

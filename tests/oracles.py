@@ -16,20 +16,23 @@ gathered from the design's patterns, and grouped by
 ``np.unique`` over whole dense rows instead of patterns assembled from
 endpoint classes and lagged ties; the design written one row at a time
 from its rows instead of once per pattern; endpoint classes keyed by kind name
-instead of read from the kind table's scopes and params; and panel files
-read one label at a time and written through the panel's JSON object and
-``json.dumps`` instead of on arrays.  The tests' scalar and sub-design helpers (``has_edge``,
-``triangle_count``, ``split_design``, ``predict_probabilities``) live here
-too.
+instead of read from the kind table's scopes and params; panel files read
+one label at a time, or one snapshot at a time, and written through the
+panel's JSON object and ``json.dumps`` instead of on arrays; and patterns
+keyed from a block-diagonal CSR of all the weighted rows instead of from
+the term columns.  The tests' scalar and sub-design helpers
+(``has_edge``, ``triangle_count``, ``split_design``,
+``predict_probabilities``) live here too.
 """
 
 import json
 import math
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 
 import networkx as nx
 import numpy as np
+import scipy.sparse as sp
 from scipy import optimize, stats
 from scipy.special import expit
 
@@ -44,7 +47,7 @@ from dynetlogit import (
     Snapshot,
     VertexRef,
 )
-from dynetlogit.design import TagTable, _endpoint_classes, _stack
+from dynetlogit.design import _KEY_LIMIT, Patterns, TagTable, _endpoint_classes
 from dynetlogit.gli import GLI_NAMES, gli_matrix
 from dynetlogit.panel import _require, _typed, disjoint_union, dyads, presence_vector
 from dynetlogit.simulate import (
@@ -528,6 +531,59 @@ def grouped_rows(block, responses, features, trials=None):
     return full[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
+def _stack(v_blocks, e_blocks, kv, ke):
+    """The block-diagonal CSR of the dense vertex and edge blocks."""
+    vmat = sp.csr_matrix(np.vstack(v_blocks)) if v_blocks else sp.csr_matrix((0, kv))
+    emat = sp.csr_matrix(np.vstack(e_blocks)) if e_blocks else sp.csr_matrix((0, ke))
+    nv, ne = vmat.shape[0], emat.shape[0]
+    return sp.bmat([[vmat, sp.csr_matrix((nv, ke))],
+                    [sp.csr_matrix((ne, kv)), emat]], format="csr")
+
+
+def patterns_by_csc(features, responses, n_vertex_rows, trials):
+    """(Patterns, the pattern of each row) of the weighted rows of the CSR
+    ``features``, keyed column by column from its CSC form, each pattern's
+    row taken from the CSR."""
+    key = responses.astype(np.int64)
+    key[n_vertex_rows:] += 2
+    base = 4
+    csc = features.tocsc()
+    for lo, hi in zip(csc.indptr[:-1], csc.indptr[1:]):
+        if lo == hi:
+            continue
+        values, codes = np.unique(csc.data[lo:hi], return_inverse=True)
+        radix = len(values) + 1
+        if base > _KEY_LIMIT // radix:
+            seen, key = np.unique(key, return_inverse=True)
+            base = len(seen)
+        codes += 1
+        codes *= base
+        key[csc.indices[lo:hi]] += codes
+        base *= radix
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    trials = np.bincount(key, weights=trials)
+    order = np.argsort(first)
+    first, trials = first[order], trials[order]
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order))
+    return Patterns(
+        features=features.tocsr()[first],
+        responses=responses[first].astype(float),
+        trials=trials,
+        n_vertex_patterns=int(np.searchsorted(first, n_vertex_rows)),
+    ), rank[key]
+
+
+def patterns_by_sparse_stack(v_columns, e_columns, responses, n_vertex_rows, trials):
+    """``patterns_by_csc`` of the weighted rows whose vertex and edge terms
+    take the values ``v_columns`` and ``e_columns``, stacked as dense
+    blocks into one block-diagonal CSR."""
+    kv, ke = len(v_columns), len(e_columns)
+    features = _stack([np.column_stack(v_columns)] if kv else [],
+                      [np.column_stack(e_columns)] if ke else [], kv, ke)
+    return patterns_by_csc(features, responses, n_vertex_rows, trials)
+
+
 def _concat(arrays, dtype):
     return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
@@ -730,6 +786,87 @@ def panel_from_obj_by_label(obj):
 
     if obj.get("directed", False):
         raise PanelValidationError("directed panels are not supported")
+    gaps = _typed(obj.get("gaps", []), list, "gaps in panel file")
+    for k, gap in enumerate(gaps):
+        _typed(gap, int, f"gaps[{k}] in panel file")
+    return NetworkPanel(risk, snapshots, gaps)
+
+
+def _label_indices_by_snapshot(index, groups, count):
+    """The risk-set index of each label in ``groups``, -1 where there is
+    none, and whether every label was found; a miss is looked up again as
+    ``str(label)``."""
+    try:
+        at = np.fromiter(map(index.get, chain.from_iterable(groups), repeat(-1)),
+                         np.int64, count)
+    except TypeError:  # an unhashable label
+        at = np.full(count, -1, dtype=np.int64)
+    if not count or at.min() >= 0:
+        return at, True
+    labels = list(chain.from_iterable(groups))
+    for k in np.flatnonzero(at < 0).tolist():
+        at[k] = index.get(str(labels[k]), -1)
+    return at, bool(at.min() >= 0)
+
+
+def _edge_indices_by_snapshot(risk, edges, bits, t):
+    """Endpoint indices ``(ii, jj)`` of one snapshot's label pairs, naming
+    its first bad edge."""
+    try:
+        edges = list(edges)
+    except TypeError:
+        raise PanelFormatError(f"edges at t={t} must be a list of label pairs, "
+                               f"got {json.dumps(edges, default=repr)}") from None
+    pairs = set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+    m = len(edges) if pairs else next(
+        k for k, e in enumerate(edges) if type(e) is not list or len(e) != 2)
+    ends, found = _label_indices_by_snapshot(risk._index, edges[:m], 2 * m)
+    ii, jj = ends[0::2], ends[1::2]
+    if m == len(edges) and found and bits[ends].all():
+        return ii, jj
+    ok = (ii >= 0) & (jj >= 0)
+    ok[ok] = bits[ii[ok]] & bits[jj[ok]]
+    k = int(np.argmin(ok)) if np.count_nonzero(ok) < m else m
+    if k == m:
+        raise PanelFormatError(f"edge at t={t} must be a pair of labels, "
+                               f"got {json.dumps(edges[k], default=repr)}")
+    a, b = edges[k]
+    try:
+        risk.index_of(str(a)), risk.index_of(str(b))
+    except KeyError as exc:
+        raise PanelValidationError(f"edge label at t={t}: {exc}") from None
+    raise PanelValidationError(f"edge endpoint absent at t={t}: ({a},{b})")
+
+
+def panel_from_obj_by_snapshot(obj):
+    """A panel from its JSON object, one snapshot at a time: each
+    snapshot's labels looked up, its edges checked and its codes sorted on
+    their own, by the snapshot constructor."""
+    if not isinstance(obj, dict):
+        raise PanelFormatError("top level of a panel file must be an object")
+    if obj.get("directed", False):
+        raise PanelValidationError("directed panels are not supported")
+    risk_entries = _require(obj, "risk_set", "panel file", list)
+    labels, attr_dicts = [], []
+    for k, entry in enumerate(risk_entries):
+        labels.append(str(_require(entry, "label", f"risk_set[{k}]")))
+        attr_dicts.append(_typed(entry.get("attrs", {}), dict, f"attrs in risk_set[{k}]"))
+    risk = RiskSet(labels, attr_dicts)
+
+    snapshots = []
+    for k, rec in enumerate(_require(obj, "snapshots", "panel file", list)):
+        t = _require(rec, "t", f"snapshots[{k}]", int)
+        present = _require(rec, "present", f"snapshots[{k}]", list)
+        at, found = _label_indices_by_snapshot(risk._index, [present], len(present))
+        if not found:
+            raise PanelValidationError(f"present vertex {present[int(np.argmax(at < 0))]!r} "
+                                       f"at t={t} is not in the risk set")
+        bits = np.zeros(len(risk), dtype=bool)
+        bits[at] = True
+        edges = _edge_indices_by_snapshot(risk, _require(rec, "edges", f"snapshots[{k}]"),
+                                          bits, t)
+        attrs = _typed(rec.get("attrs", {}), dict, f"attrs in snapshots[{k}]")
+        snapshots.append(Snapshot(t, bits, edges, attrs))
     gaps = _typed(obj.get("gaps", []), list, "gaps in panel file")
     for k, gap in enumerate(gaps):
         _typed(gap, int, f"gaps[{k}] in panel file")

@@ -842,3 +842,66 @@ def test_fit_of_an_all_zero_design_pins_every_column(tmp_path, prior):
     assert fit["coefficients"] == [0.0] and fit["std_errors"] == [None]
     assert fit["convergence"]["notes"] == ["all-zero columns pinned at 0: e:lag1"]
     assert fit["convergence"]["converged"] and not fit["convergence"]["separation"]
+
+
+@pytest.mark.parametrize("gaps, span", [([-5], "1..3"), ([2, 4], "1..3"), ([2], None)])
+def test_loader_refuses_a_gap_outside_the_observed_span(tmp_path, capsys, gaps, span):
+    """A panel file's gap outside its snapshots' time span, or any gap of a
+    file without snapshots, is refused as ``convert`` refuses it: exit 3,
+    naming the gap."""
+    path = tmp_path / "panel.json"
+    (tmp_path / "edges.csv").write_text("1,a,b\n3,a,b\n")
+    (tmp_path / "presence.csv").write_text("1,a\n1,b\n3,a\n3,b\n")
+    assert run(["convert", tmp_path / "edges.csv", tmp_path / "presence.csv",
+                "-o", path]) == EXIT_OK
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["gaps"] = gaps
+    if span is None:
+        obj["snapshots"] = []
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["gli", path, "--t", "1"]) == EXIT_VALIDATION
+    bad = [g for g in gaps if span is None or not 1 <= g <= 3][0]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "message": f"gap {bad} lies outside the observed time span "
+                                          + (span or "(no snapshots)")}
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", ["gli", "fit"])
+def test_a_closed_stdout_is_not_an_io_failure(workdir, tmp_path, capsys, monkeypatch, command):
+    """Output to a reader that stopped early is dropped: the command runs to
+    its end, writes its files and exits with its own code, reporting
+    nothing."""
+    def argv(out):
+        if command == "gli":
+            return ["gli", workdir / "panel.json", "--t", "2"]
+        return ["fit", workdir / "panel.json", workdir / "spec.json", "--out-dir", out]
+
+    expected = run(argv(tmp_path / "open"))
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(argv(tmp_path / "closed")) == expected == EXIT_OK
+    assert capsys.readouterr().err == ""
+    written = sorted(p.name for p in (tmp_path / "open").glob("*"))
+    assert sorted(p.name for p in (tmp_path / "closed").glob("*")) == written
+
+
+def test_a_pipe_closed_before_the_output_exits_quietly(workdir):
+    """A real pipe whose reader is gone before the command prints."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.Popen([sys.executable, "-m", "dynetlogit.cli", "gli",
+                              str(workdir / "panel.json"), "--t", "2"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (EXIT_OK, b"")

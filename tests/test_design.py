@@ -1,9 +1,11 @@
 import csv
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -311,6 +313,108 @@ def _workload_designs(workload):
 def test_workload_patterns_equal_grouped_rows(workload):
     for panel, spec, dm in _workload_designs(workload):
         assert_patterns_equal_rows(dm, panel, spec)
+
+
+def _same_patterns(got, want):
+    """Two (Patterns, pattern_of) pairs equal byte for byte."""
+    (p, of), (q, of2) = got, want
+    arrays = [(p.features.data, q.features.data), (p.features.indices, q.features.indices),
+              (p.features.indptr, q.features.indptr), (p.responses, q.responses),
+              (p.trials, q.trials), (of, of2)]
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in arrays)
+    assert p.features.shape == q.features.shape
+    assert p.n_vertex_patterns == q.n_vertex_patterns
+
+
+def assert_collapse_equals_the_sparse_stack(panel, spec, align=None, negative_zero=False):
+    """``build_design``'s patterns, keyed from its term columns, equal those
+    of the block-diagonal CSR of the same columns; with ``negative_zero``,
+    every zero the terms return is -0.0, which neither the key nor the CSR
+    may tell from 0.0."""
+    seen = {}
+
+    def columns(v_columns, e_columns, n_vertex_rows):
+        seen["columns"] = (v_columns, e_columns)
+        return term_columns(v_columns, e_columns, n_vertex_rows)
+
+    def collapse(columns, responses, n_vertex_rows, trials):
+        seen["rows"] = (responses, n_vertex_rows, trials)
+        seen["got"] = collapse_columns(columns, responses, n_vertex_rows, trials)
+        return seen["got"]
+
+    def signed(function):
+        def wrapper(*args):
+            values = function(*args)
+            return np.where(values == 0, -0.0, values) if negative_zero else values
+        return wrapper
+
+    term_columns, collapse_columns = design._term_columns, design._collapse
+    with mock.patch.object(design, "_term_columns", columns), \
+            mock.patch.object(design, "_collapse", collapse), \
+            mock.patch.object(design, "vertex_term_values", signed(vertex_term_values)), \
+            mock.patch.object(design, "edge_term_values", signed(edge_term_values)):
+        try:
+            build_design(panel, spec, align_to_lag=align)
+        except DesignError:
+            return False
+    if any(np.signbit(c).any() for block in seen["columns"] for c in block):
+        event("a column holds -0.0")
+    _same_patterns(seen["got"], oracles.patterns_by_sparse_stack(*seen["columns"],
+                                                                 *seen["rows"]))
+    return True
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(panels_and_specs(), st.booleans())
+def test_term_columns_collapse_as_the_sparse_stack(case, negative_zero):
+    """Every kind, lags 1 and 2, both gap policies and individual dummies:
+    the same patterns and pattern of every weighted row, byte for byte."""
+    panel, spec, align = case
+    if not assert_collapse_equals_the_sparse_stack(panel, spec, align, negative_zero):
+        event("no rows")
+
+
+@pytest.mark.parametrize("workload", ["month", "cycles", "million"])
+def test_workload_columns_collapse_as_the_sparse_stack(workload):
+    panel, specs = bench_workloads()._base_draw(workload)
+    align = max(s.max_lag for s in specs.values()) if len(specs) > 1 else None
+    for spec in specs.values():
+        assert assert_collapse_equals_the_sparse_stack(panel, spec, align)
+
+
+def test_rows_collapse_as_the_csc_keys_them():
+    """A design made from rows collapses its CSC's stored entries, stored
+    zeros (0.0 and -0.0 alike) included, as the CSC keying did."""
+    rng = np.random.default_rng(3)
+    values = rng.choice([0.0, -0.0, 1.0, 2.5], size=(300, 4))
+    stored = rng.random((300, 4)) < 0.7
+    rows, cols = np.nonzero(stored)
+    features = sp.csr_matrix((values[rows, cols], (rows, cols)), shape=(300, 4))
+    responses = (rng.random(300) < 0.4).astype(np.int8)
+    tags = design.TagTable(np.repeat([0, 1], [100, 200]), np.ones(300), np.arange(300),
+                           np.full(300, -1))
+    dm = design.DesignMatrix(responses, features, tags, ["a", "b", "c", "d"], 2, 100)
+    want = oracles.patterns_by_csc(features, responses, 100, np.ones(300))
+    _same_patterns(design._collapse(design._csc_columns(features), responses, 100,
+                                    np.ones(300)), want)
+    _same_patterns((dm.patterns, want[1]), want)
+
+
+def test_build_design_reads_each_lag_window_once(monkeypatch):
+    """A design resolves each step's lag snapshots and time attributes once,
+    however many terms read them: ``History.snapshot_at`` runs a few times
+    per step, not once per term and step."""
+    panel, specs = bench_workloads()._base_draw("month")
+    calls = []
+    snapshot_at = History.snapshot_at
+    monkeypatch.setattr(History, "snapshot_at",
+                        lambda self, t: calls.append(t) or snapshot_at(self, t))
+    align = max(spec.max_lag for spec in specs.values())
+    for spec in specs.values():
+        calls.clear()
+        dm = build_design(panel, spec, align_to_lag=align)
+        assert len(dm.steps) == 28
+        assert len(calls) <= 5 * len(dm.steps), (spec, len(calls))
 
 
 def assert_rows_equal_rows_by_dyad(dm, panel, spec):

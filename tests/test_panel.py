@@ -22,7 +22,7 @@ from dynetlogit.panel import panel_from_obj, panel_to_json
 from dynetlogit.terms import WEEKDAYS
 
 from conftest import bench_workloads, random_panel
-from oracles import panel_from_obj_by_label, panel_json_by_dumps
+from oracles import panel_from_obj_by_label, panel_from_obj_by_snapshot, panel_json_by_dumps
 
 
 def test_round_trip_single_snapshot(tmp_path):
@@ -201,12 +201,15 @@ def test_subpanel_single_and_full(tiny_panel):
     assert subpanel(tiny_panel, 1, 3) == tiny_panel
 
 
-def test_subpanel_drops_excluded_gap():
+def test_subpanel_drops_excluded_gap(tmp_path):
+    """A subpanel keeps the gaps within the span of the snapshots it keeps,
+    so that it saves to a file that loads back."""
     rs = RiskSet(["a", "b"])
-    p = NetworkPanel(rs, [Snapshot(1, [0], [], n=2), Snapshot(4, [1], [], n=2)],
-                     gaps=[2, 3])
+    p = NetworkPanel(rs, [Snapshot(t, [t % 2], [], n=2) for t in (1, 4, 6)], gaps=[2, 3, 5])
+    assert subpanel(p, 3, 6).gaps == (5,)
     q = subpanel(p, 3, 4)
-    assert q.gaps == (3,)
+    assert q.gaps == ()
+    assert load_panel_roundtrip(q, tmp_path) == q
 
 
 def test_subpanel_range_errors(tiny_panel):
@@ -227,17 +230,18 @@ _scalars = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 0.0, -0.0, 1]
 
 
 @st.composite
-def panels(draw):
+def panels(draw, labels=_labels):
     """Panels whose labels are listed in any order, with vertex and time
-    attrs of every JSON scalar kind, gaps and snapshots without vertices or
-    edges."""
-    labels = draw(st.lists(_labels, max_size=7, unique=True))
+    attrs of every JSON scalar kind, gaps within the snapshots' time span
+    and snapshots without vertices or edges."""
+    labels = draw(st.lists(labels, max_size=7, unique=True))
     n = len(labels)
     attrs = draw(st.dictionaries(st.text(_chars, max_size=3),
                                  st.lists(_scalars, min_size=n, max_size=n), max_size=3))
     times = draw(st.lists(st.integers(-2, 9), max_size=5, unique=True))
-    gaps = draw(st.lists(st.integers(-2, 9).filter(lambda g: g not in times),
-                         max_size=2, unique=True))
+    inside = [g for g in range(min(times, default=0), max(times, default=-1))
+              if g not in times]
+    gaps = draw(st.lists(st.sampled_from(inside), max_size=2, unique=True)) if inside else []
     snaps = []
     for t in times:
         bits = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
@@ -297,6 +301,37 @@ def test_attrs_are_encoded_once_per_risk_set(monkeypatch):
 def test_loader_equals_label_by_label_oracle(panel):
     obj = json.loads(panel_to_json(panel))
     assert panel_from_obj(obj) == panel_from_obj_by_label(obj) == panel
+    assert panel_from_obj_by_snapshot(obj) == panel
+
+
+# labels that also come as JSON numbers in a file
+_numeric_labels = st.one_of(_labels, st.integers(-3, 30).map(str))
+
+
+def _as_number(label):
+    return int(label) if re.fullmatch(r"-?[0-9]+", label) and str(int(label)) == label else label
+
+
+@given(panels(_numeric_labels), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_messy_files_load_as_the_oracles_load(panel, rnd):
+    """Edges listed either way round, more than once and in any order,
+    present labels repeated and in any order, and labels written as JSON
+    numbers load to the same panel on the loader and both oracles."""
+    obj = json.loads(panel_to_json(panel))
+    number = (lambda label: _as_number(label) if rnd.random() < 0.5 else label)
+    for entry in obj["risk_set"]:
+        entry["label"] = number(entry["label"])
+    for snap in obj["snapshots"]:
+        edges = [[number(a), number(b)][::rnd.choice([1, -1])] for a, b in snap["edges"]]
+        edges += rnd.sample(edges, rnd.randint(0, len(edges)))
+        rnd.shuffle(edges)
+        present = [number(label) for label in snap["present"]]
+        present += rnd.sample(present, rnd.randint(0, len(present)))
+        rnd.shuffle(present)
+        snap["edges"], snap["present"] = edges, present
+    assert panel_from_obj(obj) == panel_from_obj_by_snapshot(obj) == panel
+    assert panel_from_obj_by_label(obj) == panel
 
 
 @pytest.mark.parametrize("workload", ["month", "cycles", "million"])
@@ -332,6 +367,13 @@ def _edit(path, value):
     return apply
 
 
+def _both(first, second):
+    def apply(obj):
+        first(obj)
+        second(obj)
+    return apply
+
+
 _DELETE = object()
 _CORRUPTIONS = {
     "unknown present": _edit(("snapshots", 0, "present", 1), "zz"),
@@ -359,6 +401,24 @@ _CORRUPTIONS = {
     "width fault before label fault": _edit(("snapshots", 0, "edges"),
                                             [["a", "b"], ["a"], ["a", "zz"]]),
     "absent before loop": _edit(("snapshots", 0, "edges"), [["c", "c"], ["a", "d"]]),
+    "loop after absent": _edit(("snapshots", 0, "edges"), [["a", "d"], ["c", "c"]]),
+    "later loop": _edit(("snapshots", 1, "edges", 0), ["d", "d"]),
+    "first edge a loop": _edit(("snapshots", 0, "edges", 0), ["a", "a"]),
+    "later unknown present": _edit(("snapshots", 1, "present"), ["a", "zz"]),
+    "loop before later unknown": _both(_edit(("snapshots", 0, "edges", 0), ["a", "a"]),
+                                       _edit(("snapshots", 1, "edges", 0), ["a", "zz"])),
+    "absent before later width fault": _both(
+        _edit(("snapshots", 0, "edges", 2), ["a", "d"]),
+        _edit(("snapshots", 1, "edges", 0), ["a"])),
+    "loop before later float t": _both(_edit(("snapshots", 0, "edges", 1), ["c", "c"]),
+                                       _edit(("snapshots", 1, "t"), 3.0)),
+    "loop before bad attrs": _both(_edit(("snapshots", 0, "edges", 1), ["c", "c"]),
+                                   _edit(("snapshots", 0, "attrs"), 5)),
+    "later unknown edge": _edit(("snapshots", 1, "edges", 0), ["a", "zz"]),
+    "reversed duplicate edge match": _edit(("snapshots", 0, "edges"),
+                                           [["b", "c"], ["b", "a"], ["a", "b"], ["c", "b"]]),
+    "gap before span": _edit(("gaps",), [0, 2]),
+    "gap after span": _edit(("gaps",), [2, 4]),
     "missing present": _edit(("snapshots", 1, "present"), _DELETE),
     "missing edges": _edit(("snapshots", 0, "edges"), _DELETE),
     "missing t": _edit(("snapshots", 0, "t"), _DELETE),
@@ -389,7 +449,7 @@ def test_corrupt_file_fails_as_the_oracle_fails(name):
     obj = _small_panel_obj()
     _CORRUPTIONS[name](obj)
     new, old = _outcome(panel_from_obj, obj), _outcome(panel_from_obj_by_label, obj)
-    assert new == old
+    assert new == old == _outcome(panel_from_obj_by_snapshot, obj)
     assert isinstance(new, NetworkPanel) == name.endswith("match")
     if name in _NOT_PAIRS:  # a format error that names the time and the edge
         assert new[0] is PanelFormatError and new[1].startswith("edge")

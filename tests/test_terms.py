@@ -652,6 +652,22 @@ def test_month_shape_gives_28_usable_steps():
     assert len(usable_transitions(History(p, "exclude"), 1)) == 28
 
 
+
+@pytest.mark.parametrize("policy", ["exclude", "bridge"])
+def test_history_reads_an_added_snapshot_it_read_before(policy):
+    """A history resolves each lag and time attribute once, until a snapshot
+    is added: an added snapshot then takes precedence over the observed one
+    read before, for lags and time attributes alike."""
+    rs = RiskSet(["a", "b"])
+    p = NetworkPanel(rs, [snap(t, [0, 1], [(0, 1)], 2, {"day": "Monday"}) for t in (1, 2, 3)])
+    history = History(p, policy)
+    assert history.lagged(3, 1) is p.at(2)
+    assert history.time_attrs_at(2) == {"day": "Monday"}
+    drawn = snap(2, [0], [], 2, {"day": "Tuesday"})
+    history.add(drawn)
+    assert history.lagged(3, 1) is drawn
+    assert history.time_attrs_at(2) == {"day": "Tuesday"}
+
 # --- model validation ------------------------------------------------------------
 
 

@@ -10,6 +10,9 @@ The command set runs in-process, on inputs from the repo's own generators
 - month `project --sims 20 --seed 17 --dump-graphs` of model_4, at
   `--horizon 5` and, with `--fixed-vertex-set`, at `--horizon 1` (every
   replicate shares one vertex set there, so their dyads are drawn once);
+- month `project --horizon 5 --sims 20 --seed 17 --fixed-vertex-set
+  --dump-graphs` of model_2, whose replicates share one vertex set while
+  their lag-1 ties differ from the second step on;
 - month `fit --dump-design --format csv` of a `bridge` spec with terms at
   lags 1 and 2 (`lag2_bridge.json`);
 - month `fit --dump-design --format csv` of model_4 on the month panel
@@ -88,6 +91,10 @@ def _commands():
                            "--seed", "17", "--dump-graphs"]),
         ("month_project_fixed", ["project", *month, "--horizon", "1", "--sims", "20",
                                  "--seed", "17", "--fixed-vertex-set", "--dump-graphs"]),
+        ("month_project_fixed_lags", ["project", "month/month_panel.json",
+                                      "month/model_2.json", "out/month_fit/model_2_fit.json",
+                                      "--horizon", "5", "--sims", "20", "--seed", "17",
+                                      "--fixed-vertex-set", "--dump-graphs"]),
         ("million_fit", ["fit", "million/panel.json", "million/million.json"]),
         ("cycles_fit", ["fit", "cycles/panel.json", "cycles/cycles.json"]),
         ("cycles_budget_refusal", ["project", *cycles, "--horizon", "3", "--sims", "30",

@@ -44,7 +44,12 @@ EXIT_SEPARATION = 6
 
 
 def _fail(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    """The failure as a line of JSON on standard error, dropped if its
+    reader is gone: the command still exits with its own code."""
+    try:
+        print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    except BrokenPipeError:
+        _drop("stderr")
 
 
 def _say(text: str) -> None:
@@ -54,16 +59,15 @@ def _say(text: str) -> None:
     try:
         print(text)
     except BrokenPipeError:
-        _drop_stdout()
+        _drop("stdout")
 
 
-def _drop_stdout() -> None:
-    """Send the rest of standard output, its flush at exit included, to the
-    null device."""
+def _drop(name: str) -> None:
+    """Send the rest of ``sys.<name>``, flush at exit included, to the null device."""
     try:
-        fd = sys.stdout.fileno()
+        fd = getattr(sys, name).fileno()
     except (AttributeError, OSError, ValueError):  # a stream without a descriptor
-        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
     else:
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
@@ -514,7 +518,7 @@ def main(argv=None) -> int:
         try:
             sys.stdout.flush()  # a closed pipe shows here, not at exit
         except BrokenPipeError:
-            _drop_stdout()
+            _drop("stdout")
 
 
 if __name__ == "__main__":

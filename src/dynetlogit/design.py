@@ -30,7 +30,9 @@ themselves (``responses``, ``features``, ``tags``) are expanded on first
 access, as ``--dump-design`` does, and only up to ``ROW_BUDGET`` rows.
 Each row is a pointer to its pattern: a vertex row is its own weighted
 row, a dyad row its lagged tie's or else its class pair's and response's,
-so rows are gathered from the patterns by integer work alone.
+so rows are gathered from the patterns by integer work alone.  Class
+pairs, ties and dyad rows are found in one ``_DyadLayout`` of the steps,
+the layout by which simulation draws its edges.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .panel import NetworkPanel, _ranges, dyads
+from .panel import NetworkPanel, _ranges
 from .terms import (
     History,
     ModelSpec,
@@ -288,80 +291,165 @@ def _endpoint_classes(risk_set, terms) -> np.ndarray:
 
 
 def _lagged_codes(history, t, terms) -> np.ndarray:
-    """Sorted codes of the dyads tied in ``history`` at the lag, from step
-    t, of some lag-scope term of ``terms``: i * (draws * n) + j over the
-    union of the history's draws, where a snapshot the draws share is
-    tiled once per draw."""
+    """Sorted keys (r * n + i) * n + j of the dyads tied in draw r of
+    ``history`` at the lag, from step t, of some lag-scope term of
+    ``terms``; a snapshot the draws share is tiled once per draw."""
     n, reps = len(history.risk_set), history.draws
     lagged = []
     for lag in {term.lag for term in terms if term.scope == "lag"}:
         snap = history.lagged(t, lag)
-        codes = snap.codes
+        i, j = np.divmod(snap.codes, len(snap.present))
         if snap.draws < reps:
-            i, j = np.divmod(codes, n)
-            shift = np.arange(reps)[:, None] * n
-            codes = ((i + shift) * (reps * n) + (j + shift)).ravel()
-        lagged.append(codes)
+            i = i + np.arange(reps)[:, None] * n
+        lagged.append((i * n + j % n).ravel())
     return lagged[0] if len(lagged) == 1 else np.unique(
         np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
+
+
+class _DyadLayout:
+    """The dyads of blocks of n vertices side by side (a design's steps, or
+    a union's draws), vertex s * n + i being vertex i of block s, whose
+    present vertices are the vertex set ``present[s % len(present)]``: one
+    set per block, or one set every block shares.  A block's dyads are its
+    pairs i < j of present vertices in row-major order, keyed
+    (s * n + i) * n + j, and the blocks' follow one another, so each dyad
+    has a position; row a is the a-th present vertex and its ``later``
+    ones, from ``start[a]``.  Edge terms are constant over the dyads of a
+    class pair of a block, its endpoints' ``classes`` a <= b, lag-scope
+    terms being 0 off the lagged ties.  Each set's class pairs with dyads
+    are numbered in ascending (set, a, b), each with ``sizes`` dyads and one
+    of them in ``reps``: the set's first present vertex of class a and
+    first other one of class b.  Blocks that share a set share its pairs.
+    """
+
+    def __init__(self, present, classes):
+        sets, n = present.shape
+        k = int(classes.max(initial=0)) + 1
+        self.n, self.present = n, present
+        self.vertex = vertex = np.flatnonzero(present)  # the rows of dyads, s * n + i
+        m = np.count_nonzero(present, axis=1)
+        self.counts = m * (m - 1) // 2  # dyads per vertex set
+        self.offsets, self.total = np.cumsum(self.counts) - self.counts, int(self.counts.sum())
+        self.later = np.cumsum(m).repeat(m) - 1 - np.arange(len(vertex))
+        self.start = np.cumsum(self.later) - self.later
+
+        # each set's classes of present vertices ("cells", ascending) and
+        # its class pairs a <= b of them, numbered where they have dyads
+        of_vertex = vertex // n
+        cells, cell, size = np.unique(of_vertex * k + classes[vertex - of_vertex * n],
+                                      return_inverse=True, return_counts=True)
+        of_set = cells // k
+        run = np.bincount(of_set, minlength=sets)  # cells per set
+        end, pos = np.cumsum(run), np.arange(len(cells))
+        count = end[of_set] - pos  # this cell and the later ones of its set
+        ca, cb = pos.repeat(count), _ranges(pos, count)
+        same = ca == cb
+        sizes = np.where(same, size[ca] * (size[ca] - 1) // 2, size[ca] * size[cb])
+        has = sizes > 0
+
+        # table[base[c] + local[c']]: the class pair of cells c, c' of a set,
+        # in each set's run x run square (no dyad reads a pair without any)
+        local = pos - (end - run)[of_set]
+        base = (np.cumsum(run * run) - run * run)[of_set] + local * run[of_set]
+        self._table = table = np.empty(int(np.sum(run * run)), dtype=np.int64)
+        table[base[ca] + local[cb]] = table[base[cb] + local[ca]] = np.cumsum(has) - 1
+        self._row, self._col = base[cell], local[cell]  # per present vertex
+
+        by_class, first = vertex[np.argsort(cell, kind="stable")], np.cumsum(size) - size
+        ri, rj = by_class[first[ca[has]]], by_class[first[cb[has]] + same[has]]
+        self.reps, self.sizes = (np.minimum(ri, rj), np.maximum(ri, rj)), sizes[has]
+
+    def split(self, keys):
+        """The endpoints s * n + i and s * n + j of the dyads ``keys``."""
+        i, j = np.divmod(keys, self.n)
+        return i, j + (i - i % self.n)
+
+    def among(self, keys):
+        """Whether both endpoints of each of ``keys`` are present."""
+        flat = self.present.ravel()
+        i, j = self.split(keys)
+        return flat[i % len(flat)] & flat[j % len(flat)]
+
+    def first(self, s):
+        """The position of the first dyad of block s."""
+        q, r = divmod(s, len(self.present))
+        return q * self.total + int(self.offsets[r])
+
+    def locate(self, keys):
+        """(position, class pair) of each dyad of ``keys``, whose endpoints
+        are present: its endpoints ranked among the present vertices."""
+        q, keys = np.divmod(keys, self.present.size * self.n)
+        i, j = self.split(keys)
+        a, b = np.searchsorted(self.vertex, i), np.searchsorted(self.vertex, j)
+        return (q * self.total + self.start[a] + (b - a - 1),
+                self._table[self._row[a] + self._col[b]])
+
+    def _pairs(self, a, b):
+        """The class pair of every dyad of rows a..b-1, in position order."""
+        later = self.later[a:b]
+        return self._table[self._row[a:b].repeat(later) +
+                           self._col[_ranges(np.arange(a + 1, b + 1), later)]]
+
+    @cached_property
+    def _period(self):
+        """(class pair, i, j) of every dyad of the first period, by position."""
+        return (self._pairs(0, len(self.vertex)), self.vertex.repeat(self.later),
+                self.vertex[_ranges(np.arange(1, len(self.vertex) + 1), self.later)])
+
+    def gather(self, values, lo, hi):
+        """``values`` of the class pairs at the dyads of blocks lo..hi-1 of
+        one period; when one vertex set serves every block, its dyads'
+        values gathered once and broadcast, a line per block."""
+        if len(self.present) == 1:
+            row = values[self._period[0]]
+            return np.broadcast_to(row, (hi - lo, len(row))) if hi - lo > 1 else row
+        a, b = np.searchsorted(self.vertex, [lo * self.n, hi * self.n]).tolist()
+        return values[self._pairs(a, b)]
+
+    def kept(self, keep, lo, hi):
+        """The codes i * width + j, ascending, of the dyads the mask ``keep``
+        marks among those of blocks lo..hi-1 (width = (hi - lo) * n, vertex
+        i counted from block lo): by a searchsorted over the row starts, or
+        offset from the period's when one vertex set serves every block."""
+        width = (hi - lo) * self.n
+        positions = np.flatnonzero(keep)
+        if len(self.present) == 1:
+            r = positions // max(self.total, 1)  # the block, counted from lo
+            _, i, j = self._period
+            return (i * width + j)[positions - r * self.total] + r * (self.n * (width + 1))
+        positions += self.first(lo)
+        a = np.searchsorted(self.start, positions, "right") - 1
+        i = self.vertex[a] - lo * self.n
+        return i * width + (self.vertex[a + 1 + (positions - self.start[a])] - lo * self.n)
 
 
 def _edge_patterns(history, terms, steps, classes):
     """Edge rows of ``steps`` grouped as (each term's column, responses,
     trials): one row per lagged tie among a step's present vertices, then
-    per step and pair of endpoint classes (a <= b) one row per response
-    with its dyads off those ties, on which lag-scope terms are 0.  The
-    counting runs over all steps at once, and so does each term: it is
-    evaluated once, with the steps side by side as blocks of n vertices,
-    on every step's ties and one representative dyad per class pair (on
-    the ties alone when it has lag scope).  Also returns (ties, pair_keys,
-    pair_rows), where ``_RowLayout`` finds each dyad's row."""
-    n, k = len(classes), int(classes.max()) + 1
+    per class pair of the steps' ``_DyadLayout`` one row per response with
+    its dyads off those ties.  Each term is evaluated once, on every step's
+    ties and class representatives (on the ties alone when it has lag
+    scope).  Also returns (layout, ties, pair_rows) for ``_RowLayout``."""
+    n = len(classes)
     snaps = [history.snapshot_at(t) for t in steps]
     present = np.stack([snap.present for snap in snaps])
-
-    # present vertices by (step, class) cell; class pairs a <= b of a step,
-    # keyed (step * k + a) * k + b and enumerated in ascending key order
-    step_of, vertex = np.nonzero(present)
-    cell = step_of * k + classes[vertex]
-    size = np.bincount(cell, minlength=len(steps) * k)
-    by_class = vertex[np.argsort(cell, kind="stable")]
-    first = np.cumsum(size) - size
-    seen = np.flatnonzero(size)
-    run = np.bincount(seen // k, minlength=len(steps))
-    pos = np.arange(len(seen))
-    count = np.cumsum(run).repeat(run) - pos  # this class and the later ones
-    ca, cb = seen.repeat(count), seen[_ranges(pos, count)]
-    pair_keys = ca * k + cb % k
-    same = ca == cb
-    dyad_count = np.where(same, size[ca] * (size[ca] - 1) // 2, size[ca] * size[cb])
-
-    def pair_of(keys):  # (step * n + i) * n + j -> index into pair_keys
-        s, code = np.divmod(keys, n * n)
-        ci, cj = classes[code // n], classes[code % n]
-        return np.searchsorted(pair_keys, (s * k + np.minimum(ci, cj)) * k + np.maximum(ci, cj))
+    layout = _DyadLayout(present, classes)
 
     # current edges and lagged ties, keyed (step * n + i) * n + j, both
     # sorted: a step's codes are, and each step's keys exceed the last's
     edges = np.concatenate([s * n * n + snap.codes for s, snap in enumerate(snaps)])
     ties = np.concatenate([s * n * n + _lagged_codes(history, t, terms)
                            for s, t in enumerate(steps)])
-    s, code = np.divmod(ties, n * n)
-    ti, tj = np.divmod(code, n)
-    among = present[s, ti] & present[s, tj]
-    # the steps side by side as blocks of n: vertex i at step s is s * n + i
-    ties, tie_i, tie_j = ties[among], (s * n + ti)[among], (s * n + tj)[among]
+    ties = ties[layout.among(ties)]
+    tie_i, tie_j = layout.split(ties)
 
+    pairs = len(layout.sizes)
     new = edges[~_is_edge(ties, edges)]
-    ones = np.bincount(pair_of(new), minlength=len(pair_keys))
-    zeros = dyad_count - np.bincount(pair_of(ties), minlength=len(pair_keys)) - ones
+    ones = np.bincount(layout.locate(new)[1], minlength=pairs)
+    zeros = layout.sizes - np.bincount(layout.locate(ties)[1], minlength=pairs) - ones
     left = np.flatnonzero(zeros + ones)
-    ca, cb = ca[left], cb[left]
-    # the first present vertex of class a and the first other one of class b
-    ri, rj = by_class[first[ca]], by_class[first[cb] + same[left]]
-    at = ca // k * n
-    dyad_i = np.concatenate([tie_i, at + np.minimum(ri, rj)])
-    dyad_j = np.concatenate([tie_j, at + np.maximum(ri, rj)])
+    dyad_i = np.concatenate([tie_i, layout.reps[0][left]])
+    dyad_j = np.concatenate([tie_j, layout.reps[1][left]])
 
     responses = np.concatenate([_is_edge(edges, ties).astype(np.int8),
                                 np.zeros(len(left), dtype=np.int8),
@@ -369,7 +457,7 @@ def _edge_patterns(history, terms, steps, classes):
     trials = np.concatenate([np.ones(len(ties)), zeros[left], ones[left]])
     kept = trials > 0
     # each class pair's weighted row per response, -1 where it has none
-    pair_rows = np.full((2, len(pair_keys)), -1)
+    pair_rows = np.full((2, pairs), -1)
     pair_rows[:, left] = np.where(kept, np.cumsum(kept) - 1, -1)[len(ties):].reshape(2, -1)
 
     # a lag-scope term is 0 on the representatives, so only the ties need it
@@ -383,7 +471,7 @@ def _edge_patterns(history, terms, steps, classes):
             values = edge_term_values(term, history, steps, dyad_i, dyad_j, flat)
             values = np.concatenate([values, values[len(ties):]])
         columns.append(values[kept])
-    return (columns, responses[kept], trials[kept]), (ties, pair_keys, pair_rows)
+    return (columns, responses[kept], trials[kept]), (layout, ties, pair_rows)
 
 
 @dataclass(frozen=True)
@@ -392,58 +480,40 @@ class _RowLayout:
     and so which pattern: ``pattern_of`` each weighted row.
 
     The n vertex rows of each of ``vertex_steps`` come first, each its own
-    weighted row.  The dyad rows of ``edge_steps`` follow, step by step in
-    row-major order.  A lagged tie among present vertices is its own
-    weighted edge row, in the order of ``ties`` (keyed (s * n + i) * n + j
-    at the s-th edge step).  Any other dyad is the weighted edge row
-    ``pair_rows[response, p]`` of its class pair ``pair_keys[p]``, keyed
-    (s * k + a) * k + b over its endpoints' ``classes`` a <= b.
+    weighted row, then the dyad rows of ``edge_steps`` by position in their
+    layout ``dyads``.  A lagged tie among present vertices is its own
+    weighted edge row, in the order of ``ties``; any other dyad is the
+    weighted edge row ``pair_rows[response, p]`` of its class pair p.
     """
 
     history: History
     pattern_of: np.ndarray
     vertex_steps: np.ndarray
     edge_steps: np.ndarray
-    classes: np.ndarray | None = None
+    dyads: _DyadLayout | None = None
     ties: np.ndarray | None = None
-    pair_keys: np.ndarray | None = None
     pair_rows: np.ndarray | None = None
 
     def expand(self):
         """(the pattern of every row, its tags), by integer work."""
         n, steps = len(self.history.risk_set), len(self.edge_steps)
         nv = n * len(self.vertex_steps)
-        present = np.array([self.history.snapshot_at(t).present for t in self.edge_steps],
-                           dtype=bool).reshape(steps, n)
-        m = present.sum(axis=1)
-        per_step = m * (m - 1) // 2
-        ii, jj = dyads(np.nonzero(present)[1], m)
         of = self.pattern_of[nv:]  # of each weighted edge row
+        per_step = np.zeros(steps, dtype=np.int64)
+        ii = jj = np.empty(0, dtype=np.int64)
         if steps:
-            ci, cj = self.classes[ii], self.classes[jj]
-            k = int(self.classes.max()) + 1
-            key = np.minimum(ci, cj)
-            key += np.arange(0, steps * k, k).repeat(per_step)
-            key *= k
-            key += np.maximum(ci, cj, out=ci)
-            del ci, cj
-            p = np.searchsorted(self.pair_keys, key)
+            layout = self.dyads
+            per_step = layout.counts
             # where pair_rows is -1 the gather is junk that no dyad reads
             pair, tie = of[self.pair_rows], of[:len(self.ties)]
-            of = pair[0, p]
-
-            rank = np.cumsum(present, axis=1) - 1  # among the step's present vertices
-            first = np.cumsum(per_step) - per_step
-
-            def row_of(keys):  # (s * n + i) * n + j -> its dyad row
-                s, i, j = keys // (n * n), keys // n % n, keys % n
-                a, b = rank[s, i], rank[s, j]
-                return first[s] + a * m[s] - a * (a + 1) // 2 + b - a - 1
-
-            edges = row_of(np.concatenate([s * n * n + self.history.snapshot_at(t).codes
-                                           for s, t in enumerate(self.edge_steps)]))
-            of[edges] = pair[1, p[edges]]
-            of[row_of(self.ties)] = tie
+            of = layout.gather(pair[0], 0, steps)
+            edges = np.concatenate([s * n * n + self.history.snapshot_at(t).codes
+                                    for s, t in enumerate(self.edge_steps)])
+            at, pairs = layout.locate(edges)
+            of[at] = pair[1, pairs]
+            of[layout.locate(self.ties)[0]] = tie
+            codes = layout.kept(np.ones(len(of), dtype=bool), 0, steps)
+            ii, jj = (ends % n for ends in np.divmod(codes, steps * n))
         tags = TagTable(
             np.repeat(np.array([0, 1], dtype=np.uint8), [nv, len(ii)]),
             np.concatenate([self.vertex_steps.repeat(n), self.edge_steps.repeat(per_step)]),
@@ -503,7 +573,7 @@ def build_design(panel: NetworkPanel, spec: ModelSpec,
     patterns, pattern_of = _collapse(_term_columns(v_columns, e_columns, nv), responses, nv,
                                      trials)
     layout = _RowLayout(history, pattern_of, np.array(steps if kv else [], dtype=np.int64),
-                        np.array(edge_steps, dtype=np.int64), classes, *edge_layout)
+                        np.array(edge_steps, dtype=np.int64), *edge_layout)
     return DesignMatrix._from_patterns(
         patterns, layout,
         column_names=spec.column_names, n_vertex_terms=kv, n_vertex_rows=nv,

@@ -25,7 +25,6 @@ __all__ = [
     "RiskSet",
     "Snapshot",
     "NetworkPanel",
-    "dyads",
     "disjoint_union",
     "split_draws",
     "load_panel",
@@ -68,7 +67,8 @@ class RiskSet:
 
     def __init__(self, labels, attrs=None):
         labels = tuple(str(x) for x in labels)
-        if len(set(labels)) != len(labels):
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             dup = sorted(x for x, c in Counter(labels).items() if c > 1)
             raise PanelValidationError(f"duplicate vertex label(s): {dup}")
         object.__setattr__(self, "labels", labels)
@@ -92,7 +92,7 @@ class RiskSet:
         # save/load cycle; drop them so construction is canonical
         table = {k: v for k, v in table.items() if any(x is not None for x in v)}
         object.__setattr__(self, "attrs", table)
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_indicators", {
             k: _read_only(np.array([1.0 if v in (True, 1) else 0.0 for v in column]))
             for k, column in table.items()})
@@ -306,22 +306,6 @@ def _ranges(starts, counts) -> np.ndarray:
     """The concatenated ranges starts[k], ..., starts[k] + counts[k] - 1."""
     ends = counts.cumsum()
     return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
-
-
-def dyads(indices, counts=None) -> tuple:
-    """All unordered pairs (i < j) of the given sorted vertex indices, as two
-    int64 index arrays in row-major order.
-
-    With ``counts``, the indices are consecutive runs of those lengths (the
-    vertex sets of several draws, one after another) and the pairs are those
-    within each run, run after run."""
-    indices = np.asarray(indices, dtype=np.int64)
-    pos = np.arange(len(indices))
-    if counts is None:
-        later = len(indices) - 1 - pos
-    else:
-        later = np.cumsum(counts).repeat(counts) - 1 - pos  # later indices in the run
-    return indices.repeat(later), indices[_ranges(pos + 1, later)]
 
 
 def _check_gap_span(gaps, times, none) -> None:

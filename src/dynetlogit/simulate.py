@@ -15,9 +15,10 @@ the seeding of every key of a command is hashed in one vectorized pass
 
 Edge probabilities cost per class, not per dyad: a sampled dyad that is
 not a lagged tie has the probability of its draw and its pair of endpoint
-classes, so ``StepSampler`` evaluates the edge terms on the ties and one
-dyad per class, as ``_dyad_rows`` picks them, and gathers the
-probabilities to every dyad.
+classes.  ``StepSampler`` numbers the dyads by position in the design's
+``_DyadLayout``, evaluates the edge terms on the ties and one
+representative per class pair, gathers the probabilities to the
+positions, and decodes only the kept positions to edges.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .design import _endpoint_classes, _lagged_codes
+from .design import _DyadLayout, _endpoint_classes, _lagged_codes
 from .gli import GLI_NAMES, gli_matrix, gli_vector
-from .panel import NetworkPanel, RiskSet, Snapshot, disjoint_union, dyads, split_draws
+from .panel import NetworkPanel, RiskSet, Snapshot, disjoint_union, split_draws
 from .solver import FitResult
 from .terms import (
     GapError,
@@ -41,7 +42,6 @@ from .terms import (
     ModelSpec,
     SpecError,
     WEEKDAYS,
-    _is_edge,
     edge_term_values,
     usable_transitions,
     vertex_term_values,
@@ -321,8 +321,9 @@ def expit(x) -> np.ndarray:
 
 
 # Most dyads one union of draws holds; a draw with more is a union of its
-# own.  While a union is drawn a dyad holds its endpoints, a uniform, a
-# probability and an edge-term column, so a full union peaks near 6 MB.
+# own.  While a union is drawn a dyad holds a uniform, a probability and,
+# where the draws' vertex sets differ, its class pair's index: a full union
+# peaks near 4.3 MB under tracemalloc (2.3 MB with one shared vertex set).
 PAIR_BUDGET = 1 << 17
 
 
@@ -336,53 +337,6 @@ def _uniforms(rngs, counts) -> np.ndarray:
     return out
 
 
-def _dyad_rows(ii, jj, classes, draws, lagged):
-    """The dyads an edge term is evaluated on, for dyads (ii, jj) of the
-    union of a history's ``draws`` draws, vertex r * n + i being vertex i
-    of draw r.
-
-    A dyad is a lagged tie when its code i * (draws * n) + j is in
-    ``lagged``, as ``_lagged_codes`` gives them; every other dyad's class
-    is its draw and the pair of its endpoints' ``classes``.  Every edge
-    term is constant over the dyads of one class, lag-scope terms being 0
-    there.  ``rows`` lists every lagged tie, then one representative per
-    class, and ``of`` is each dyad's position in ``rows``, so a term's
-    values on ``(ii[rows], jj[rows])`` gathered by ``of`` are its values
-    on every dyad.  The work is that of the draws the dyads are in, not of
-    all ``draws``: a step drawn as several unions pays for each once.
-    """
-    n, k = len(classes), int(classes.max(initial=0)) + 1
-    lo, hi = int(ii.min()) // n, int(ii.max()) // n + 1  # draws lo..hi-1
-    # per vertex of those draws: its class plus k times its draw past lo, so
-    # that a dyad's two values, ordered, key its class (draw, a, b) below
-    # (hi - lo) * k * (k + 1)
-    cls = (np.arange(hi - lo)[:, None] * k + classes).ravel()
-    width = draws * n  # the codes of draws lo..hi-1 are a slice of lagged
-    tie = _is_edge(lagged[np.searchsorted(lagged, lo * n * width):
-                          np.searchsorted(lagged, hi * n * width)], ii * width + jj)
-    ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)
-    a, b = cls[ii[free] - lo * n], cls[jj[free] - lo * n]
-    key = np.minimum(a, b)
-    key *= k
-    key += np.maximum(a, b, out=a)
-    del a, b
-    size = (hi - lo) * k * (k + 1)
-    if size <= len(ii):  # a table over every key, unless it outgrows the dyads
-        slot = np.full(size, -1)
-        slot[key] = free  # whichever dyad lands here, it represents its class
-        keys = np.flatnonzero(slot >= 0)
-        reps = slot[keys]
-        slot[keys] = np.arange(len(keys))
-        key = slot[key]
-    else:
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
-        reps = free[first]
-    of = np.empty(len(ii), dtype=np.int64)
-    of[ties] = np.arange(len(ties))
-    of[free] = key + len(ties)
-    return np.concatenate([ties, reps]), of
-
-
 class StepSampler:
     """Draws snapshots at step ``t``, one per draw of the history; draw r
     reads the lags of history draw r.
@@ -393,21 +347,15 @@ class StepSampler:
     the dyads in row-major order.  Under ``threshold`` both are the
     50-percent rule (ties are absent) and no generator is read.  The vertex
     probabilities ``pv`` are one row that every draw shares, or one row per
-    draw when a vertex term reads drawn lags.  When every draw has one
-    vertex set and every lag-scope edge term reads a snapshot they share,
-    they share their dyads too, whose edge probabilities are computed once
-    (``pairs``); otherwise once per union of draws.
+    draw when a vertex term reads drawn lags.
 
-    Edge probabilities are evaluated per class, on the lagged ties and
-    class representatives ``_dyad_rows`` picks (``classes`` are computed
-    here when not given).  Each edge term is evaluated once, on those
-    dyads; η is summed in spec order and ``expit`` applied on them only,
-    and each dyad gathers its row's probability, the same float it would
-    get on its own.
-
-    Each union's snapshot is built from the edge codes the draw already
-    holds (``_union``), which come out sorted, unique and valid, so it
-    skips the constructor's sort and checks.
+    The edges are drawn by position in the ``_DyadLayout`` of the drawn
+    vertex sets (``classes`` are computed here when not given).  Each step
+    evaluates the edge terms on one representative per (draw, class pair),
+    and each union of draws its lag-scope terms on its lagged ties; η is
+    summed in spec order, ``expit`` applied on those dyads only, and each
+    dyad gets its class pair's or its tie's probability, the same float it
+    would get on its own.  Only the kept positions are decoded to edges.
     """
 
     def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
@@ -416,7 +364,7 @@ class StepSampler:
         self.spec, self.theta_e, self.history, self.t = spec, theta_e, history, t
         self.threshold = threshold
         self.n = n = len(history.risk_set)
-        self.pv = self.bits = self.pairs = None
+        self.pv = self.bits = None
         if fixed_vertex_set:
             self.bits = np.ones((1, n), dtype=bool)
         else:
@@ -434,23 +382,7 @@ class StepSampler:
             classes = _endpoint_classes(history.risk_set, spec.edge_terms)
         self.classes = classes
         self.lagged = _lagged_codes(history, t, spec.edge_terms)
-        if self.bits is not None and len(self.bits) == 1 and all(
-                history.lagged(t, term.lag).draws == 1
-                for term in spec.edge_terms if term.scope == "lag"):
-            ii, jj = dyads(np.flatnonzero(self.bits))
-            self.pairs = (ii, jj, self._edge_probs(ii, jj, self.bits.ravel()))
         self.attrs = history.time_attrs_at(t) or {}
-
-    def _edge_probs(self, ii, jj, present):
-        # never evaluated on no dyads: log_size would take the log of 0
-        if not len(ii):
-            return np.empty(0)
-        rows, of = _dyad_rows(ii, jj, self.classes, self.history.draws, self.lagged)
-        ri, rj = ii[rows], jj[rows]
-        eta = np.zeros(len(rows))
-        for theta, term in zip(self.theta_e, self.spec.edge_terms):
-            eta += theta * edge_term_values(term, self.history, self.t, ri, rj, present)
-        return expit(eta)[of]
 
     def draw(self, rng=None) -> Snapshot:
         """The draw of a history of one draw; the batch of one of ``draw_all``."""
@@ -463,7 +395,8 @@ class StepSampler:
         A union is a snapshot of consecutive draws side by side (its
         ``draws``), vertex r * n + i being vertex i of its r-th draw, and
         holds as many draws as fit in PAIR_BUDGET dyads, at least one.
-        Every vertex set is drawn before any edge.
+        Every vertex set is drawn before any edge; draws that all have one
+        share it in the layout.
         """
         n, count = self.n, len(rngs)
         if count != self.history.draws:
@@ -476,11 +409,20 @@ class StepSampler:
             for rng, row in zip(rngs, uniforms):
                 rng.random(out=row)
             bits = uniforms < self.pv
-        if self.pairs is not None:
-            counts = np.full(count, len(self.pairs[0]))
-        else:
-            k = bits.sum(axis=1)
-            counts = k * (k - 1) // 2
+        sets = bits[:1] if (bits == bits[0]).all() else bits
+        self.dyads = layout = _DyadLayout(sets, self.classes)
+        # a zero row, then θ times each edge term on the class pairs (θ * 0.0
+        # under lag scope): η, 0.0 plus each in spec order, is their cumsum
+        rep_i, rep_j = layout.reps
+        self.pair_terms = terms = np.zeros((1 + len(self.spec.edge_terms), len(rep_i)))
+        if len(rep_i):  # never evaluated on no dyads: log_size would take the log of 0
+            for row, theta, term in zip(terms[1:], self.theta_e, self.spec.edge_terms):
+                row[:] = theta * (0.0 if term.scope == "lag" else edge_term_values(
+                    term, self.history, self.t, rep_i, rep_j, sets.ravel()))
+        self.pair_probs = expit(np.cumsum(terms, axis=0)[-1])
+        ties = self.lagged[layout.among(self.lagged)]
+        self.ties = (*layout.locate(ties), *layout.split(ties))
+        counts = np.resize(layout.counts, count)  # draw r has set r % len(sets)
         ends = np.cumsum(counts)
         lo = 0
         while lo < count:
@@ -492,30 +434,29 @@ class StepSampler:
     def _union(self, bits, lo, hi, rngs, counts) -> Snapshot:
         """Draws lo..hi-1 of the vertex sets ``bits`` as one union.
 
-        Both branches keep dyads in row-major order, draw after draw, so the
-        kept dyads' codes i * width + j (width = (hi - lo) * n) come out
-        sorted and unique, each joining two present vertices of one draw:
-        the union takes them as its codes through ``Snapshot``'s trusted
-        path, with no sort and no check.  Under shared dyads, draw r's
-        dyad p has the code of draw 0's dyad p plus r * n * (width + 1)."""
-        present = bits[lo:hi].ravel()
-        width = len(present)
-        if self.pairs is None:  # its dyads, numbered in the history's union
-            shift = lo * self.n
-            ii, jj = dyads(np.flatnonzero(present) + shift, bits[lo:hi].sum(axis=1))
-            probs = self._edge_probs(ii, jj, bits.ravel())
-            keep = probs > 0.5 if self.threshold else _uniforms(rngs, counts) < probs
-            codes = ii[keep] * width + jj[keep] - shift * (width + 1)
-        else:  # draw r's dyad p is (ii[p], jj[p]), offset by r * n
-            ii, jj, pe = self.pairs
-            if self.threshold:
-                keep = np.broadcast_to(pe > 0.5, (hi - lo, len(pe)))
-            else:
-                keep = _uniforms(rngs, counts).reshape(hi - lo, len(pe)) < pe
-            kept = np.flatnonzero(keep)
-            r = kept // max(len(pe), 1)
-            codes = (ii * width + jj)[kept - r * len(pe)] + r * (self.n * (width + 1))
-        return Snapshot(self.t, present, codes, self.attrs, draws=hi - lo, _trusted=True)
+        A lagged tie takes the lag-scope terms' values, evaluated here, and
+        its class pair's of the others.  Under ``threshold`` every uniform
+        is 0.5.  The kept codes come out sorted and unique, each joining
+        two present vertices of one draw, so the union takes them through
+        ``Snapshot``'s trusted path, with no sort and no check."""
+        layout, present = self.dyads, bits.ravel()
+        uniforms = (np.full(int(counts.sum()), 0.5) if self.threshold else
+                    _uniforms(rngs, counts))
+        probs = layout.gather(self.pair_probs, lo, hi)
+        keep = uniforms.reshape(probs.shape) < probs
+        first = layout.first(lo)
+        positions, pairs, tie_i, tie_j = self.ties
+        a, b = np.searchsorted(positions, [first, first + keep.size]).tolist()
+        if keep.size:
+            terms = self.pair_terms[:, pairs[a:b]]
+            for row, theta, term in zip(terms[1:], self.theta_e, self.spec.edge_terms):
+                if term.scope == "lag":
+                    row[:] = theta * edge_term_values(term, self.history, self.t, tie_i[a:b],
+                                                      tie_j[a:b], present)
+            at = positions[a:b] - first
+            keep.reshape(-1)[at] = uniforms[at] < expit(np.cumsum(terms, axis=0)[-1])
+        return Snapshot(self.t, bits[lo:hi].ravel(), layout.kept(keep, lo, hi), self.attrs,
+                        draws=hi - lo, _trusted=True)
 
 
 def _observed_step(fit, spec, panel, t, **kwargs) -> StepSampler:
@@ -685,17 +626,17 @@ def generate_panel(spec: ModelSpec, coefficients, risk_set: RiskSet,
     n = len(risk_set)
     k = max(spec.max_lag, 1)
     words = _seed_words(seed, [(0, t) for t in range(n_steps + 1)])
+    classes = _endpoint_classes(risk_set, spec.edge_terms)
     # drawn directly, not by an intercept-only sampler: expit(logit(p)) is
     # not exactly p, so that would change every panel drawn so far
     for t in range(1, k + 1):
         rng = _generator(words[t])
         bits = rng.random(n) < init_presence
-        ii, jj = dyads(np.flatnonzero(bits))
-        keep = rng.random(len(ii)) < init_density
-        history.add(Snapshot(t, bits, (ii[keep], jj[keep]),
-                             history.time_attrs_at(t) or {}))
+        layout = _DyadLayout(bits[None], classes)
+        keep = rng.random(layout.total) < init_density
+        history.add(Snapshot(t, bits, layout.kept(keep, 0, 1), history.time_attrs_at(t) or {},
+                             _trusted=True))
 
-    classes = _endpoint_classes(risk_set, spec.edge_terms)
     for t in range(k + 1, n_steps + 1):
         sampler = StepSampler(spec, theta_v, theta_e, history, t, classes=classes)
         history.add(sampler.draw(_generator(words[t])))

@@ -49,7 +49,7 @@ from dynetlogit import (
 )
 from dynetlogit.design import _KEY_LIMIT, Patterns, TagTable, _endpoint_classes
 from dynetlogit.gli import GLI_NAMES, gli_matrix
-from dynetlogit.panel import _require, _typed, disjoint_union, dyads, presence_vector
+from dynetlogit.panel import _require, _typed, disjoint_union, presence_vector
 from dynetlogit.simulate import (
     ProjectionResult,
     StepSampler,
@@ -873,12 +873,31 @@ def panel_from_obj_by_snapshot(obj):
     return NetworkPanel(risk, snapshots, gaps)
 
 
+def dyads(indices, counts=None) -> tuple:
+    """All unordered pairs (i < j) of the sorted vertex ``indices`` in
+    row-major order, from ``np.triu_indices``, as two int64 arrays.  With
+    ``counts``, the indices are consecutive runs of those lengths (the
+    vertex sets of several draws, one after another) and the pairs are those
+    within each run, run after run."""
+    indices = np.asarray(indices, dtype=np.int64)
+    ii, jj, lo = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], 0
+    for count in [len(indices)] if counts is None else np.asarray(counts).tolist():
+        iu, ju = np.triu_indices(count, 1)
+        ii.append(indices[lo + iu])
+        jj.append(indices[lo + ju])
+        lo += count
+    return np.concatenate(ii), np.concatenate(jj)
+
+
 def dyad_rows_by_class(ii, jj, classes, draws, lagged):
-    """``simulate._dyad_rows`` by brute force: the lagged ties found by
-    ``np.isin`` among all of ``lagged``, and the other dyads keyed
-    (draw, smaller class, larger class) over every draw of the union and
-    numbered by ``np.unique`` in that order, each class represented by its
-    first dyad."""
+    """The dyads an edge term is evaluated on, by brute force, for dyads
+    (ii, jj) of the union of ``draws`` draws (vertex r * n + i being vertex
+    i of draw r): the lagged ties found by ``np.isin`` among all of
+    ``lagged`` (codes i * (draws * n) + j), then one dyad per class of the
+    other dyads, keyed (draw, smaller class, larger class) over every draw
+    of the union and numbered by ``np.unique`` in that order, each class
+    represented by its first dyad.  ``of`` is each dyad's position in those
+    rows."""
     n = len(classes)
     tie = np.isin(ii * (draws * n) + jj, lagged)
     ties, free = np.flatnonzero(tie), np.flatnonzero(~tie)

@@ -896,6 +896,22 @@ def test_a_closed_stdout_is_not_an_io_failure(workdir, tmp_path, capsys, monkeyp
     assert sorted(p.name for p in (tmp_path / "closed").glob("*")) == written
 
 
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, monkeypatch):
+    """A failure whose report meets an error stream with no reader still
+    exits with the failure's own code, in-process and through a real pipe."""
+    argv = ["gli", tmp_path / "missing.json", "--t", "1"]
+    assert run(argv) == EXIT_IO
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", _ClosedPipe())
+        assert run(argv) == EXIT_IO
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.Popen([sys.executable, "-m", "dynetlogit.cli", *map(str, argv)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stderr.close()
+    out, _ = child.communicate(timeout=120)
+    assert (child.returncode, out) == (EXIT_IO, b"")
+
+
 def test_a_pipe_closed_before_the_output_exits_quietly(workdir):
     """A real pipe whose reader is gone before the command prints."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -25,7 +25,6 @@ from dynetlogit import (
 )
 from dynetlogit import design
 from dynetlogit.design import _endpoint_classes, dump_design
-from dynetlogit.panel import dyads
 from dynetlogit.terms import (
     KINDS,
     MIXING_PAIRS,
@@ -463,7 +462,7 @@ def test_term_scopes_hold(case):
     event(f"{'some' if steps else 'no'} usable steps")
     for t in steps:
         snap = panel.at(t)
-        ii, jj = dyads(snap.present_indices)
+        ii, jj = oracles.dyads(snap.present_indices)
         for term in spec.vertex_terms + spec.edge_terms:
             classes = _endpoint_classes(rs, [term])
             if term.target == "vertex":
@@ -515,7 +514,7 @@ def test_block_form_equals_the_per_step_calls(case, max_len, rnd):
     event(f"{len(steps)} usable steps at lag 2")
     if not steps:
         return
-    pairs = [dyads(panel.at(t).present_indices) for t in steps]
+    pairs = [oracles.dyads(panel.at(t).present_indices) for t in steps]
     ii = np.concatenate([s * n + i for s, (i, _) in enumerate(pairs)])
     jj = np.concatenate([s * n + j for s, (_, j) in enumerate(pairs)])
     order = np.array(rnd.sample(range(len(ii)), len(ii)), dtype=np.int64)
@@ -569,6 +568,91 @@ def test_a_step_without_a_seasonal_key_names_that_step():
         with pytest.raises(SpecError) as err:
             build_design(panel, spec)
         assert str(err.value) == "snapshot t=3 lacks time attribute 'day'"
+
+
+@st.composite
+def dyad_layouts(draw):
+    """(present, classes, blocks, lagged): 1 to 4 vertex sets of 0 to 8
+    present vertices among n <= 8 over up to 4 classes, laid out as
+    ``blocks`` blocks (one per set, or one set that every block shares),
+    and lagged codes i * (blocks * n) + j of random dyads, some of them
+    with an absent endpoint."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 4))
+    blocks = rows if rows > 1 else draw(st.integers(1, 4))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    present = np.array(draw(st.lists(bits, min_size=rows, max_size=rows)), dtype=bool)
+    classes = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    pairs = [(s * n + i, s * n + j) for s in range(blocks) for i in range(n)
+             for j in range(i + 1, n)]
+    tied = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    lagged = np.unique(np.array([i * (blocks * n) + j for i, j in tied], dtype=np.int64))
+    return present, classes, blocks, lagged
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyad_layouts(), st.data())
+def test_dyad_layout_equals_brute_force(case, data):
+    """The dyad layout of design and simulation numbers every dyad of its
+    blocks by position, in the row-major order of ``oracles.dyads``; its
+    position of a dyad and its code at a position invert each other; the
+    lagged ties among present vertices are where ``oracles.dyad_rows_by_class``
+    finds them; every other dyad's class pair is that oracle's (block,
+    class, class) key; and each class pair's representative is one of its
+    own dyads, as many as ``sizes`` says."""
+    present, classes, blocks, lagged = case
+    rows, n = present.shape
+    layout = design._DyadLayout(present, classes)
+    block_bits = present[np.arange(blocks) % rows]
+    ii, jj = oracles.dyads(np.flatnonzero(block_bits), block_bits.sum(axis=1))
+    width = blocks * n
+    keys = ii * n + jj % n  # (s * n + i) * n + j
+
+    # position <-> dyad, over all blocks and over a union of some of them
+    positions, pair = layout.locate(keys)
+    assert np.array_equal(positions, np.arange(len(ii)))
+    assert np.array_equal(layout.kept(np.ones(len(ii), dtype=bool), 0, blocks),
+                          ii * width + jj)
+    lo = data.draw(st.integers(0, blocks - 1))
+    hi = data.draw(st.integers(lo + 1, blocks))
+    first, span = layout.first(lo), slice(*np.searchsorted(ii, [lo * n, hi * n]).tolist())
+    assert first == span.start
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=span.stop - first,
+                                       max_size=span.stop - first)), dtype=bool)
+    assert np.array_equal(layout.kept(keep, lo, hi),
+                          ((ii[span] - lo * n) * ((hi - lo) * n) + jj[span] - lo * n)[keep])
+
+    # the lagged ties among present vertices
+    i, j = np.divmod(lagged, width)
+    ties = i * n + j % n
+    flat = block_bits.ravel()
+    assert np.array_equal(layout.among(ties), flat[i] & flat[j])
+    _, of = oracles.dyad_rows_by_class(ii, jj, classes, blocks, lagged)
+    tie = np.isin(ii * width + jj, lagged)
+    assert np.array_equal(layout.locate(ties[layout.among(ties)])[0], np.flatnonzero(tie))
+    assert np.array_equal(of[tie], np.arange(np.count_nonzero(tie)))
+
+    # every dyad's class pair, keyed by block for blocks that share a row
+    pairs = len(layout.sizes)
+    assert np.array_equal(np.ravel(layout.gather(np.arange(pairs), 0, blocks)), pair)
+    assert np.array_equal(np.ravel(layout.gather(np.arange(pairs), lo, hi)), pair[span])
+    key = ii // n * pairs + pair
+    assert np.array_equal(np.unique(key[~tie], return_inverse=True)[1],
+                          of[~tie] - np.count_nonzero(tie))
+
+    # each representative is a dyad of its set and class pair, and the
+    # class pairs are numbered in ascending (set, class, class)
+    ri, rj = layout.reps
+    rep_keys = ri * n + rj % n
+    assert np.all(ri < rj) and np.all(ri // n == rj // n) and np.all(ri // n < rows)
+    assert np.array_equal(layout.locate(rep_keys)[1], np.arange(pairs))
+    row_pairs = ii < rows * n  # the dyads of the first period, one block per set
+    assert np.array_equal(np.bincount(pair[row_pairs], minlength=pairs), layout.sizes)
+    a, b = np.sort([classes[ri % n], classes[rj % n]], axis=0)
+    cls = (ri // n * 4 + a) * 4 + b
+    assert np.all(np.diff(cls) > 0)
+    di, dj = np.sort([classes[ii % n], classes[jj % n]], axis=0)
+    assert np.array_equal(cls[pair], (ii // n % rows * 4 + di) * 4 + dj)
 
 
 @pytest.mark.parametrize("workload", ["month", "cycles", "million"])

@@ -347,25 +347,38 @@ def test_lockstep_projection_splits_steps_into_unions(monkeypatch):
 
 
 def test_unions_of_a_step_read_only_their_own_draws(monkeypatch):
-    """A step drawn as several unions (PAIR_BUDGET small) sorts each union's
-    dyads into lagged ties and classes as brute force over every draw of
-    the history does, and draws what one union per step draws."""
+    """A step drawn as several unions (PAIR_BUDGET small) finds each
+    union's dyads, lagged ties and class pairs in its draws' span of the
+    step's layout, as brute force over every draw of the history sorts
+    them, and draws what one union per step draws."""
     import dynetlogit.simulate as simulate
     panel, spec, fit = _month_model_4()
     config = SimConfig(replicates=12, horizon=3, seed=5)
     expected = project(fit, spec, panel, config)
-    original, starts = simulate._dyad_rows, []
+    original, starts = StepSampler._union, []
 
-    def checked(ii, jj, classes, draws, lagged):
-        rows, of = original(ii, jj, classes, draws, lagged)
-        ref_rows, ref_of = oracles.dyad_rows_by_class(ii, jj, classes, draws, lagged)
-        assert np.array_equal(of, ref_of)
-        assert len(rows) == len(ref_rows)
-        assert np.array_equal(of[rows], np.arange(len(rows)))  # each row stands for itself
-        starts.append((int(ii.min()) // len(classes), draws))
-        return rows, of
+    def checked(self, bits, lo, hi, rngs, counts):
+        n, draws = self.n, self.history.draws
+        ii, jj = oracles.dyads(np.flatnonzero(bits[lo:hi].ravel()) + lo * n,
+                               bits[lo:hi].sum(axis=1))
+        lag_i, lag_j = self.dyads.split(self.lagged)  # codes i * (draws * n) + j
+        lagged = lag_i * (draws * n) + lag_j
+        _, of = oracles.dyad_rows_by_class(ii, jj, self.classes, draws, lagged)
+        ties = np.isin(ii * (draws * n) + jj, lagged)
+        layout, first = self.dyads, self.dyads.first(lo)
+        assert np.array_equal(layout.kept(np.ones(len(ii), dtype=bool), lo, hi),
+                              (ii - lo * n) * ((hi - lo) * n) + jj - lo * n)
+        positions = self.ties[0]
+        assert np.array_equal(positions[(positions >= first) & (positions < first + len(ii))],
+                              np.flatnonzero(ties) + first)
+        pair = np.ravel(layout.gather(np.arange(len(layout.sizes)), lo, hi))
+        key = (ii // n) * len(layout.sizes) + pair  # (draw, class pair)
+        assert np.array_equal(np.unique(key[~ties], return_inverse=True)[1],
+                              of[~ties] - np.count_nonzero(ties))
+        starts.append((lo, draws))
+        return original(self, bits, lo, hi, rngs, counts)
 
-    monkeypatch.setattr(simulate, "_dyad_rows", checked)
+    monkeypatch.setattr(StepSampler, "_union", checked)
     for budget in (2000, 1):
         monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
         starts.clear()
@@ -392,11 +405,13 @@ def test_unions_equal_the_validating_constructor(mode, fixed, n, seed, level, re
                                                  budget):
     """Every union ``_union`` yields keeps its own codes, taken with no
     sort and no check, and equals the snapshot the validating constructor
-    builds from its edges.  A two-step projection and adequacy draw dyads shared
-    by every draw (the first step, under a fixed vertex set or the
-    50-percent rule) and dyads per union (the second step, whose lag-1
-    terms read the drawn union), draws of 0 to 2 vertices and, when the
-    step's dyads outgrow PAIR_BUDGET, steps of several unions."""
+    builds from its edges.  A two-step projection and adequacy draw from a
+    layout of one vertex set every draw shares (under a fixed vertex set or
+    the 50-percent rule), with lag ties shared by every draw (the first
+    step) or per draw (the second, whose lag-1 terms read the drawn union),
+    and from a layout of one vertex set per draw; draws of 0 to 2 vertices
+    and, when the step's dyads outgrow PAIR_BUDGET, steps of several
+    unions."""
     panel = random_panel(np.random.default_rng(seed), n=n, T=3, presence=0.7, density=0.5)
     fit = fake_fit(_LAG_SPEC, [level, 1.0, 0.5, -0.3, 1.5])
     config = SimConfig(replicates=replicates, horizon=2, seed=seed, mode=mode,
@@ -416,9 +431,8 @@ def test_unions_equal_the_validating_constructor(mode, fixed, n, seed, level, re
         patch.setattr(StepSampler, "_union", checked)
         patch.setattr(simulate, "PAIR_BUDGET", budget)
         project(fit, _LAG_SPEC, panel, config)
-        first, second = [s.pairs is not None for s in unions]
-        assert first == (fixed or mode == "threshold50")
-        assert not second or replicates == 1
+        if fixed or mode == "threshold50":
+            assert all(len(s.dyads.present) == 1 for s in unions)
         one_step_intervals(fit, _LAG_SPEC, panel, config)
     for sampler, counts in unions.items():
         if sampler.history.draws > 1 and sum(counts) > budget:
@@ -485,11 +499,10 @@ def test_vertex_probabilities_are_one_row_unless_lags_are_drawn(monkeypatch):
 
 @pytest.mark.parametrize("lags", [(), (1,), (2, 1)], ids=["no lag", "lag 1", "lags 1 and 2"])
 def test_fixed_vertex_projection_shares_pairs_while_lags_are_observed(monkeypatch, lags):
-    """Under a fixed vertex set every draw has the same dyads, and at a step
-    whose lag-scope edge terms all read observed snapshots the same edge
-    probabilities, computed once (``pairs``): the first step always, and
-    every step of a spec without such terms.  The paths and snapshots are
-    still the per-replicate oracle's."""
+    """Under a fixed vertex set every draw has the same dyads, laid out
+    once for the one vertex set: with lag-scope edge terms that read
+    observed snapshots (the first step always) or drawn ones, and with
+    none.  The paths and snapshots are still the per-replicate oracle's."""
     panel = _weekly_panel(21, ())
     spec = ModelSpec([TermSpec("vertex", "intercept")],
                      [TermSpec("edge", "intercept"), TermSpec("edge", "log_size"),
@@ -498,8 +511,7 @@ def test_fixed_vertex_projection_shares_pairs_while_lags_are_observed(monkeypatc
     config = SimConfig(replicates=6, horizon=4, seed=9, fixed_vertex_set=True)
     built = _recording_samplers(monkeypatch)
     result = project(fit, spec, panel, config)
-    observed = min(lags, default=config.horizon)  # steps before a lag reads a draw
-    assert [s.pairs is not None for s in built] == [h < observed for h in range(config.horizon)]
+    assert [len(s.dyads.present) for s in built] == [1] * config.horizon
     _assert_same_projection(result, oracles.project_by_replicate(fit, spec, panel, config))
 
 

@@ -44,8 +44,7 @@ EXIT_SEPARATION = 6
 
 
 def _fail(kind: str, message: str) -> None:
-    """The failure as a line of JSON on standard error, dropped if its
-    reader is gone: the command still exits with its own code."""
+    """The failure as JSON on stderr, dropped if its reader is gone."""
     try:
         print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     except BrokenPipeError:

@@ -30,9 +30,8 @@ themselves (``responses``, ``features``, ``tags``) are expanded on first
 access, as ``--dump-design`` does, and only up to ``ROW_BUDGET`` rows.
 Each row is a pointer to its pattern: a vertex row is its own weighted
 row, a dyad row its lagged tie's or else its class pair's and response's,
-so rows are gathered from the patterns by integer work alone.  Class
-pairs, ties and dyad rows are found in one ``_DyadLayout`` of the steps,
-the layout by which simulation draws its edges.
+so rows are gathered from the patterns by integer work alone, through the
+steps' ``_DyadLayout``, by which simulation draws its edges too.
 """
 
 from __future__ import annotations
@@ -298,34 +297,34 @@ def _lagged_codes(history, t, terms) -> np.ndarray:
     lagged = []
     for lag in {term.lag for term in terms if term.scope == "lag"}:
         snap = history.lagged(t, lag)
-        i, j = np.divmod(snap.codes, len(snap.present))
-        if snap.draws < reps:
-            i = i + np.arange(reps)[:, None] * n
-        lagged.append((i * n + j % n).ravel())
+        codes = snap.codes  # i * n + j, the keys of a history of one draw
+        if reps > 1:
+            i, j = np.divmod(codes, len(snap.present))
+            if snap.draws < reps:
+                i = i + np.arange(reps)[:, None] * n
+            codes = (i * n + j % n).ravel()
+        lagged.append(codes)
     return lagged[0] if len(lagged) == 1 else np.unique(
         np.concatenate([np.empty(0, dtype=np.int64), *lagged]))
 
 
 class _DyadLayout:
-    """The dyads of blocks of n vertices side by side (a design's steps, or
-    a union's draws), vertex s * n + i being vertex i of block s, whose
-    present vertices are the vertex set ``present[s % len(present)]``: one
-    set per block, or one set every block shares.  A block's dyads are its
-    pairs i < j of present vertices in row-major order, keyed
-    (s * n + i) * n + j, and the blocks' follow one another, so each dyad
-    has a position; row a is the a-th present vertex and its ``later``
-    ones, from ``start[a]``.  Edge terms are constant over the dyads of a
-    class pair of a block, its endpoints' ``classes`` a <= b, lag-scope
-    terms being 0 off the lagged ties.  Each set's class pairs with dyads
-    are numbered in ascending (set, a, b), each with ``sizes`` dyads and one
-    of them in ``reps``: the set's first present vertex of class a and
-    first other one of class b.  Blocks that share a set share its pairs.
+    """The dyads of blocks of n vertices side by side (a design's steps or a
+    union's draws), vertex s * n + i being vertex i of block s, which has
+    the vertex set ``present[s % len(present)]``: one set per block, or one
+    every block shares.  Its dyads, pairs i < j of present vertices keyed
+    (s * n + i) * n + j, take positions in row-major order, block after
+    block; row a is the a-th present vertex and its ``later`` ones, from
+    ``start[a]``.  Each set's class pairs (classes a <= b; edge terms are
+    constant over one off the lagged ties) are numbered in ascending
+    (set, a, b) where they have dyads, with ``sizes`` dyads and one in
+    ``reps``: the set's first vertex of class a and first other of b.
     """
 
     def __init__(self, present, classes):
         sets, n = present.shape
         k = int(classes.max(initial=0)) + 1
-        self.n, self.present = n, present
+        self.n, self.present, self._k, self._classes = n, present, k, classes
         self.vertex = vertex = np.flatnonzero(present)  # the rows of dyads, s * n + i
         m = np.count_nonzero(present, axis=1)
         self.counts = m * (m - 1) // 2  # dyads per vertex set
@@ -336,8 +335,10 @@ class _DyadLayout:
         # each set's classes of present vertices ("cells", ascending) and
         # its class pairs a <= b of them, numbered where they have dyads
         of_vertex = vertex // n
-        cells, cell, size = np.unique(of_vertex * k + classes[vertex - of_vertex * n],
-                                      return_inverse=True, return_counts=True)
+        key = of_vertex * k + classes[vertex - of_vertex * n]
+        size = np.bincount(key, minlength=sets * k)
+        cells = np.flatnonzero(size)
+        cell, size = (np.cumsum(size > 0) - 1)[key], size[cells]
         of_set = cells // k
         run = np.bincount(of_set, minlength=sets)  # cells per set
         end, pos = np.cumsum(run), np.arange(len(cells))
@@ -355,9 +356,10 @@ class _DyadLayout:
         table[base[ca] + local[cb]] = table[base[cb] + local[ca]] = np.cumsum(has) - 1
         self._row, self._col = base[cell], local[cell]  # per present vertex
 
-        by_class, first = vertex[np.argsort(cell, kind="stable")], np.cumsum(size) - size
+        by_class, first = vertex[np.argsort(key, kind="stable")], np.cumsum(size) - size
         ri, rj = by_class[first[ca[has]]], by_class[first[cb[has]] + same[has]]
         self.reps, self.sizes = (np.minimum(ri, rj), np.maximum(ri, rj)), sizes[has]
+        self._pair_keys = cells[ca[has]] * k + cells[cb[has]] % k  # (set * k + a) * k + b
 
     def split(self, keys):
         """The endpoints s * n + i and s * n + j of the dyads ``keys``."""
@@ -375,14 +377,18 @@ class _DyadLayout:
         q, r = divmod(s, len(self.present))
         return q * self.total + int(self.offsets[r])
 
-    def locate(self, keys):
-        """(position, class pair) of each dyad of ``keys``, whose endpoints
-        are present: its endpoints ranked among the present vertices."""
+    def position(self, keys):
+        """The position of each dyad of ``keys``, its endpoints ranked among the present."""
         q, keys = np.divmod(keys, self.present.size * self.n)
-        i, j = self.split(keys)
-        a, b = np.searchsorted(self.vertex, i), np.searchsorted(self.vertex, j)
-        return (q * self.total + self.start[a] + (b - a - 1),
-                self._table[self._row[a] + self._col[b]])
+        a, b = (np.searchsorted(self.vertex, e) for e in self.split(keys))
+        return q * self.total + self.start[a] + (b - a - 1)
+
+    def pair_of(self, keys):
+        """The class pair of each dyad of ``keys``, whose endpoints are present."""
+        s, code = np.divmod(keys % (self.present.size * self.n), self.n * self.n)
+        ci, cj = self._classes[code // self.n], self._classes[code % self.n]
+        a, b = np.minimum(ci, cj), np.maximum(ci, cj)
+        return np.searchsorted(self._pair_keys, (s * self._k + a) * self._k + b)
 
     def _pairs(self, a, b):
         """The class pair of every dyad of rows a..b-1, in position order."""
@@ -397,9 +403,8 @@ class _DyadLayout:
                 self.vertex[_ranges(np.arange(1, len(self.vertex) + 1), self.later)])
 
     def gather(self, values, lo, hi):
-        """``values`` of the class pairs at the dyads of blocks lo..hi-1 of
-        one period; when one vertex set serves every block, its dyads'
-        values gathered once and broadcast, a line per block."""
+        """``values`` of the class pairs at the dyads of blocks lo..hi-1 of one
+        period, or of any blocks one vertex set serves, broadcast per block."""
         if len(self.present) == 1:
             row = values[self._period[0]]
             return np.broadcast_to(row, (hi - lo, len(row))) if hi - lo > 1 else row
@@ -407,10 +412,9 @@ class _DyadLayout:
         return values[self._pairs(a, b)]
 
     def kept(self, keep, lo, hi):
-        """The codes i * width + j, ascending, of the dyads the mask ``keep``
-        marks among those of blocks lo..hi-1 (width = (hi - lo) * n, vertex
-        i counted from block lo): by a searchsorted over the row starts, or
-        offset from the period's when one vertex set serves every block."""
+        """The codes i * width + j, ascending, of the dyads ``keep`` marks in
+        blocks lo..hi-1 (width = (hi - lo) * n, i counted from block lo):
+        by a searchsorted over the row starts, or from the period's codes."""
         width = (hi - lo) * self.n
         positions = np.flatnonzero(keep)
         if len(self.present) == 1:
@@ -427,9 +431,9 @@ def _edge_patterns(history, terms, steps, classes):
     """Edge rows of ``steps`` grouped as (each term's column, responses,
     trials): one row per lagged tie among a step's present vertices, then
     per class pair of the steps' ``_DyadLayout`` one row per response with
-    its dyads off those ties.  Each term is evaluated once, on every step's
-    ties and class representatives (on the ties alone when it has lag
-    scope).  Also returns (layout, ties, pair_rows) for ``_RowLayout``."""
+    its dyads off those ties.  Each term is evaluated once, on the ties and
+    representatives (lag-scope terms on the ties alone).  Also returns
+    (layout, ties, pair_rows) for ``_RowLayout``."""
     n = len(classes)
     snaps = [history.snapshot_at(t) for t in steps]
     present = np.stack([snap.present for snap in snaps])
@@ -445,8 +449,8 @@ def _edge_patterns(history, terms, steps, classes):
 
     pairs = len(layout.sizes)
     new = edges[~_is_edge(ties, edges)]
-    ones = np.bincount(layout.locate(new)[1], minlength=pairs)
-    zeros = layout.sizes - np.bincount(layout.locate(ties)[1], minlength=pairs) - ones
+    ones = np.bincount(layout.pair_of(new), minlength=pairs)
+    zeros = layout.sizes - np.bincount(layout.pair_of(ties), minlength=pairs) - ones
     left = np.flatnonzero(zeros + ones)
     dyad_i = np.concatenate([tie_i, layout.reps[0][left]])
     dyad_j = np.concatenate([tie_j, layout.reps[1][left]])
@@ -476,14 +480,12 @@ def _edge_patterns(history, terms, steps, classes):
 
 @dataclass(frozen=True)
 class _RowLayout:
-    """Which weighted row of ``build_design`` each row of its design is,
-    and so which pattern: ``pattern_of`` each weighted row.
-
-    The n vertex rows of each of ``vertex_steps`` come first, each its own
-    weighted row, then the dyad rows of ``edge_steps`` by position in their
-    layout ``dyads``.  A lagged tie among present vertices is its own
-    weighted edge row, in the order of ``ties``; any other dyad is the
-    weighted edge row ``pair_rows[response, p]`` of its class pair p.
+    """Which weighted row of ``build_design``, and so which pattern
+    (``pattern_of`` each weighted row), each row of its design is.  The n
+    vertex rows of each of ``vertex_steps`` come first, each its own, then
+    the dyad rows of ``edge_steps`` by position in their layout ``dyads``:
+    a lagged tie among present vertices is its own, in the order of
+    ``ties``, any other dyad its class pair p's ``pair_rows[response, p]``.
     """
 
     history: History
@@ -499,8 +501,7 @@ class _RowLayout:
         n, steps = len(self.history.risk_set), len(self.edge_steps)
         nv = n * len(self.vertex_steps)
         of = self.pattern_of[nv:]  # of each weighted edge row
-        per_step = np.zeros(steps, dtype=np.int64)
-        ii = jj = np.empty(0, dtype=np.int64)
+        per_step, ii, jj = np.zeros(steps, dtype=np.int64), of[:0], of[:0]
         if steps:
             layout = self.dyads
             per_step = layout.counts
@@ -509,9 +510,8 @@ class _RowLayout:
             of = layout.gather(pair[0], 0, steps)
             edges = np.concatenate([s * n * n + self.history.snapshot_at(t).codes
                                     for s, t in enumerate(self.edge_steps)])
-            at, pairs = layout.locate(edges)
-            of[at] = pair[1, pairs]
-            of[layout.locate(self.ties)[0]] = tie
+            of[layout.position(edges)] = pair[1, layout.pair_of(edges)]
+            of[layout.position(self.ties)] = tie
             codes = layout.kept(np.ones(len(of), dtype=bool), 0, steps)
             ii, jj = (ends % n for ends in np.divmod(codes, steps * n))
         tags = TagTable(

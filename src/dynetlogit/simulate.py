@@ -15,10 +15,9 @@ the seeding of every key of a command is hashed in one vectorized pass
 
 Edge probabilities cost per class, not per dyad: a sampled dyad that is
 not a lagged tie has the probability of its draw and its pair of endpoint
-classes.  ``StepSampler`` numbers the dyads by position in the design's
-``_DyadLayout``, evaluates the edge terms on the ties and one
-representative per class pair, gathers the probabilities to the
-positions, and decodes only the kept positions to edges.
+classes.  ``StepSampler`` draws by position in the design's ``_DyadLayout``:
+the edge terms are evaluated on the ties and one representative per class
+pair, and only the kept positions are decoded to edges.
 """
 
 from __future__ import annotations
@@ -320,10 +319,9 @@ def expit(x) -> np.ndarray:
     return (1.0 / (1.0 + e)).reshape(x.shape)
 
 
-# Most dyads one union of draws holds; a draw with more is a union of its
-# own.  While a union is drawn a dyad holds a uniform, a probability and,
-# where the draws' vertex sets differ, its class pair's index: a full union
-# peaks near 4.3 MB under tracemalloc (2.3 MB with one shared vertex set).
+# Most dyads one union of draws holds; a draw with more is a union of its own.
+# A dyad holds a uniform, a probability and, where the draws' vertex sets differ,
+# a class pair: a full union peaks near 4.3 MB (tracemalloc; 2.3 MB on one set).
 PAIR_BUDGET = 1 << 17
 
 
@@ -350,12 +348,11 @@ class StepSampler:
     draw when a vertex term reads drawn lags.
 
     The edges are drawn by position in the ``_DyadLayout`` of the drawn
-    vertex sets (``classes`` are computed here when not given).  Each step
-    evaluates the edge terms on one representative per (draw, class pair),
-    and each union of draws its lag-scope terms on its lagged ties; η is
-    summed in spec order, ``expit`` applied on those dyads only, and each
-    dyad gets its class pair's or its tie's probability, the same float it
-    would get on its own.  Only the kept positions are decoded to edges.
+    vertex sets (``classes`` are computed here when not given).  The edge
+    terms are evaluated once per step on one representative per (draw,
+    class pair) and on the lagged ties (per union on drawn lags); η is
+    summed in spec order, and each dyad gets its class pair's or its tie's
+    probability, the same float it would get on its own.
     """
 
     def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
@@ -378,11 +375,20 @@ class StepSampler:
             self.pv = expit(eta)
             if threshold:
                 self.bits = self.pv > 0.5
-        if classes is None:
-            classes = _endpoint_classes(history.risk_set, spec.edge_terms)
-        self.classes = classes
+        self.classes = (_endpoint_classes(history.risk_set, spec.edge_terms)
+                        if classes is None else classes)
         self.lagged = _lagged_codes(history, t, spec.edge_terms)
         self.attrs = history.time_attrs_at(t) or {}
+
+    def _tie_probs(self, a, b, bits):
+        """Edge probabilities of ``ties`` a..b-1, lag-scope terms evaluated."""
+        _, pairs, tie_i, tie_j = self.ties
+        terms = self.pair_terms[:, pairs[a:b]]
+        for row, theta, term in zip(terms[1:], self.theta_e, self.spec.edge_terms):
+            if term.scope == "lag":
+                row[:] = theta * edge_term_values(term, self.history, self.t, tie_i[a:b],
+                                                  tie_j[a:b], bits.ravel())
+        return expit(np.cumsum(terms, axis=0)[-1])
 
     def draw(self, rng=None) -> Snapshot:
         """The draw of a history of one draw; the batch of one of ``draw_all``."""
@@ -394,9 +400,8 @@ class StepSampler:
 
         A union is a snapshot of consecutive draws side by side (its
         ``draws``), vertex r * n + i being vertex i of its r-th draw, and
-        holds as many draws as fit in PAIR_BUDGET dyads, at least one.
-        Every vertex set is drawn before any edge; draws that all have one
-        share it in the layout.
+        holds as many draws as fit in PAIR_BUDGET dyads, at least one.  Every
+        vertex set is drawn before any edge; draws that all have one share it.
         """
         n, count = self.n, len(rngs)
         if count != self.history.draws:
@@ -411,8 +416,7 @@ class StepSampler:
             bits = uniforms < self.pv
         sets = bits[:1] if (bits == bits[0]).all() else bits
         self.dyads = layout = _DyadLayout(sets, self.classes)
-        # a zero row, then θ times each edge term on the class pairs (θ * 0.0
-        # under lag scope): η, 0.0 plus each in spec order, is their cumsum
+        # 0.0, then θ times each edge term on the class pairs (lag scope: 0.0)
         rep_i, rep_j = layout.reps
         self.pair_terms = terms = np.zeros((1 + len(self.spec.edge_terms), len(rep_i)))
         if len(rep_i):  # never evaluated on no dyads: log_size would take the log of 0
@@ -421,7 +425,13 @@ class StepSampler:
                     term, self.history, self.t, rep_i, rep_j, sets.ravel()))
         self.pair_probs = expit(np.cumsum(terms, axis=0)[-1])
         ties = self.lagged[layout.among(self.lagged)]
-        self.ties = (*layout.locate(ties), *layout.split(ties))
+        self.ties = (layout.position(ties), layout.pair_of(ties), *layout.split(ties))
+        # ties on lag snapshots of one draw are evaluated for all draws at
+        # once; on drawn lags per union, as the cycle statistic checks its
+        # work budget per call and a refusal names the draw it stopped at
+        self.tie_probs = self._tie_probs(0, len(ties), bits) if len(rep_i) and all(
+            self.history.lagged(self.t, term.lag).draws == 1
+            for term in self.spec.edge_terms if term.scope == "lag") else None
         counts = np.resize(layout.counts, count)  # draw r has set r % len(sets)
         ends = np.cumsum(counts)
         lo = 0
@@ -432,29 +442,21 @@ class StepSampler:
             lo = hi
 
     def _union(self, bits, lo, hi, rngs, counts) -> Snapshot:
-        """Draws lo..hi-1 of the vertex sets ``bits`` as one union.
-
-        A lagged tie takes the lag-scope terms' values, evaluated here, and
-        its class pair's of the others.  Under ``threshold`` every uniform
-        is 0.5.  The kept codes come out sorted and unique, each joining
-        two present vertices of one draw, so the union takes them through
-        ``Snapshot``'s trusted path, with no sort and no check."""
-        layout, present = self.dyads, bits.ravel()
+        """Draws lo..hi-1 of the vertex sets ``bits`` as one union.  A lagged
+        tie takes its own lag-scope terms and its class pair's others; under
+        ``threshold`` every uniform is 0.5.  The kept codes are sorted,
+        unique and join present vertices of one draw, so ``Snapshot`` takes
+        them on its trusted path."""
+        layout = self.dyads
         uniforms = (np.full(int(counts.sum()), 0.5) if self.threshold else
                     _uniforms(rngs, counts))
         probs = layout.gather(self.pair_probs, lo, hi)
         keep = uniforms.reshape(probs.shape) < probs
-        first = layout.first(lo)
-        positions, pairs, tie_i, tie_j = self.ties
+        first, positions = layout.first(lo), self.ties[0]
         a, b = np.searchsorted(positions, [first, first + keep.size]).tolist()
-        if keep.size:
-            terms = self.pair_terms[:, pairs[a:b]]
-            for row, theta, term in zip(terms[1:], self.theta_e, self.spec.edge_terms):
-                if term.scope == "lag":
-                    row[:] = theta * edge_term_values(term, self.history, self.t, tie_i[a:b],
-                                                      tie_j[a:b], present)
-            at = positions[a:b] - first
-            keep.reshape(-1)[at] = uniforms[at] < expit(np.cumsum(terms, axis=0)[-1])
+        at = positions[a:b] - first
+        p = self._tie_probs(a, b, bits) if self.tie_probs is None else self.tie_probs[a:b]
+        keep.reshape(-1)[at] = uniforms[at] < p
         return Snapshot(self.t, bits[lo:hi].ravel(), layout.kept(keep, lo, hi), self.attrs,
                         draws=hi - lo, _trusted=True)
 
@@ -633,9 +635,8 @@ def generate_panel(spec: ModelSpec, coefficients, risk_set: RiskSet,
         rng = _generator(words[t])
         bits = rng.random(n) < init_presence
         layout = _DyadLayout(bits[None], classes)
-        keep = rng.random(layout.total) < init_density
-        history.add(Snapshot(t, bits, layout.kept(keep, 0, 1), history.time_attrs_at(t) or {},
-                             _trusted=True))
+        codes = layout.kept(rng.random(layout.total) < init_density, 0, 1)
+        history.add(Snapshot(t, bits, codes, history.time_attrs_at(t) or {}, _trusted=True))
 
     for t in range(k + 1, n_steps + 1):
         sampler = StepSampler(spec, theta_v, theta_e, history, t, classes=classes)

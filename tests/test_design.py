@@ -609,7 +609,7 @@ def test_dyad_layout_equals_brute_force(case, data):
     keys = ii * n + jj % n  # (s * n + i) * n + j
 
     # position <-> dyad, over all blocks and over a union of some of them
-    positions, pair = layout.locate(keys)
+    positions, pair = layout.position(keys), layout.pair_of(keys)
     assert np.array_equal(positions, np.arange(len(ii)))
     assert np.array_equal(layout.kept(np.ones(len(ii), dtype=bool), 0, blocks),
                           ii * width + jj)
@@ -629,7 +629,7 @@ def test_dyad_layout_equals_brute_force(case, data):
     assert np.array_equal(layout.among(ties), flat[i] & flat[j])
     _, of = oracles.dyad_rows_by_class(ii, jj, classes, blocks, lagged)
     tie = np.isin(ii * width + jj, lagged)
-    assert np.array_equal(layout.locate(ties[layout.among(ties)])[0], np.flatnonzero(tie))
+    assert np.array_equal(layout.position(ties[layout.among(ties)]), np.flatnonzero(tie))
     assert np.array_equal(of[tie], np.arange(np.count_nonzero(tie)))
 
     # every dyad's class pair, keyed by block for blocks that share a row
@@ -645,7 +645,7 @@ def test_dyad_layout_equals_brute_force(case, data):
     ri, rj = layout.reps
     rep_keys = ri * n + rj % n
     assert np.all(ri < rj) and np.all(ri // n == rj // n) and np.all(ri // n < rows)
-    assert np.array_equal(layout.locate(rep_keys)[1], np.arange(pairs))
+    assert np.array_equal(layout.pair_of(rep_keys), np.arange(pairs))
     row_pairs = ii < rows * n  # the dyads of the first period, one block per set
     assert np.array_equal(np.bincount(pair[row_pairs], minlength=pairs), layout.sizes)
     a, b = np.sort([classes[ri % n], classes[rj % n]], axis=0)

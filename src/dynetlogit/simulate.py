@@ -321,7 +321,7 @@ def expit(x) -> np.ndarray:
 
 # Most dyads one union of draws holds; a draw with more is a union of its own.
 # A dyad holds a uniform, a probability and, where the draws' vertex sets differ,
-# a class pair: a full union peaks near 4.3 MB (tracemalloc; 2.3 MB on one set).
+# a class pair: a full union peaks near 4.3 MB (tracemalloc; 2.2 MB on one set).
 PAIR_BUDGET = 1 << 17
 
 

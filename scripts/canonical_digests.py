@@ -8,8 +8,9 @@ The command set runs in-process, on inputs from the repo's own generators
 - month `adequacy` of model_4 at `--sims 100 --seed 6`: plain,
   `--fixed-vertex-set`, `--threshold50` and both flags together;
 - month `project --sims 20 --seed 17 --dump-graphs` of model_4, at
-  `--horizon 5` and, with `--fixed-vertex-set`, at `--horizon 1` (every
-  replicate shares one vertex set there, so their dyads are drawn once);
+  `--horizon 5` and, with `--fixed-vertex-set`, at `--horizon 1` (its
+  replicates share one vertex set there, laid out once, and read the same
+  observed lag ties);
 - month `project --horizon 5 --sims 20 --seed 17 --fixed-vertex-set
   --dump-graphs` of model_2, whose replicates share one vertex set while
   their lag-1 ties differ from the second step on;

@@ -21,7 +21,10 @@ The command set runs in-process, on inputs from the repo's own generators
   (`messy_panel.json`), which the loader normalizes;
 - the `million` and `cycles` fits;
 - `project --horizon 3 --sims 30 --seed 2 --fixed-vertex-set` on `cycles`,
-  which the cycle-work budget refuses.
+  which the cycle-work budget refuses;
+- `gli --t 1` on the month panel with an unknown present label in
+  `snapshots[3]` and a float `t` in `snapshots[5]` (`refused_panel.json`),
+  which the loader refuses naming the first bad record.
 
 Every command's exit code, stdout and stderr are recorded with its files.
 Paths are relative to one working directory, so the fit manifests, which
@@ -100,6 +103,7 @@ def _commands():
         ("cycles_fit", ["fit", "cycles/panel.json", "cycles/cycles.json"]),
         ("cycles_budget_refusal", ["project", *cycles, "--horizon", "3", "--sims", "30",
                                    "--seed", "2", "--fixed-vertex-set"]),
+        ("month_load_refusal", ["gli", "month/refused_panel.json", "--t", "1"]),
     ]
 
 
@@ -129,6 +133,7 @@ def _write_inputs() -> None:
          TermSpec("edge", "mixing", params={"attr": "regular", "pair": "both"})],
         gap_policy="bridge"), "month/lag2_bridge.json")
     _write_messy_panel(Path("month/month_panel.json"), Path("month/messy_panel.json"))
+    _write_refused_panel(Path("month/month_panel.json"), Path("month/refused_panel.json"))
     for name in ("million", "cycles"):
         workloads.write_inputs(name, workloads.DEFAULT_SEED, Path(name))
 
@@ -140,6 +145,15 @@ def _write_messy_panel(src: Path, dst: Path) -> None:
     for snap in obj["snapshots"]:
         edges = [e[::-1] if k % 2 else e for k, e in enumerate(snap["edges"])]
         snap["edges"] = (edges + snap["edges"][::3])[::-1]
+    dst.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _write_refused_panel(src: Path, dst: Path) -> None:
+    """``src`` with an unknown label present in ``snapshots[3]`` and a
+    float ``t`` in ``snapshots[5]``."""
+    obj = json.loads(src.read_text(encoding="utf-8"))
+    obj["snapshots"][3]["present"].append("no-such-vertex")
+    obj["snapshots"][5]["t"] = float(obj["snapshots"][5]["t"])
     dst.write_text(json.dumps(obj), encoding="utf-8")
 
 
@@ -157,8 +171,9 @@ def digests(directory) -> dict:
         for name, argv in _commands():
             out = Path("out") / name
             stdout, stderr = io.StringIO(), io.StringIO()
+            writes = [] if argv[0] == "gli" else ["--out-dir", str(out)]  # gli only prints
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main([*argv, "--out-dir", str(out)])
+                code = cli.main([*argv, *writes])
             files = sorted(out.iterdir()) if out.is_dir() else []
             table[name] = {
                 "exit": code,

@@ -13,7 +13,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -544,105 +544,95 @@ def _as_json(value) -> str:
     return json.dumps(value, default=repr)
 
 
-def _edge_indices(risk, edges, bits, t) -> tuple:
-    """Endpoint indices ``(ii, jj)`` of a snapshot's edges, given as label
-    pairs; the first bad edge, in file order, is named."""
-    try:
-        edges = list(edges)
-    except TypeError:
-        raise PanelFormatError(f"edges at t={t} must be a list of label pairs, "
-                               f"got {_as_json(edges)}") from None
-    pairs = set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
-    m = len(edges) if pairs else next(
-        k for k, e in enumerate(edges) if type(e) is not list or len(e) != 2)
-    ends, found = _label_indices(risk._index, lambda: chain.from_iterable(edges[:m]), 2 * m)
-    ii, jj = ends[0::2], ends[1::2]
-    if m == len(edges) and found and bits[ends].all():
-        return ii, jj
-    ok = (ii >= 0) & (jj >= 0)
-    ok[ok] = bits[ii[ok]] & bits[jj[ok]]
-    k = int(np.argmin(ok)) if np.count_nonzero(ok) < m else m
-    if k == m:  # the first edge that is not a pair, every earlier one sound
-        raise PanelFormatError(f"edge at t={t} must be a pair of labels, "
-                               f"got {_as_json(edges[k])}")
-    a, b = edges[k]
-    try:
-        risk.index_of(str(a)), risk.index_of(str(b))
-    except KeyError as exc:
-        raise PanelValidationError(f"edge label at t={t}: {exc}") from None
-    raise PanelValidationError(f"edge endpoint absent at t={t}: ({a},{b})")
+def _at(lists, counts, g) -> tuple:
+    """``(k, item)``: the ``g``-th item of the concatenated ``lists``, whose
+    lengths are ``counts``, and the list ``k`` it is in."""
+    ends = counts.cumsum()
+    k = int(np.searchsorted(ends, g, side="right"))
+    return k, lists[k][g - int(ends[k] - counts[k])]
 
 
-def _snapshots_one_by_one(risk, records) -> list:
-    """The snapshots of a file's records, checked record by record: raises
-    on the first bad record, in file order."""
-    snapshots = []
-    for k, rec in enumerate(records):
-        t = _require(rec, "t", f"snapshots[{k}]", int)
-        present = _require(rec, "present", f"snapshots[{k}]", list)
-        at, found = _label_indices(risk._index, lambda: present, len(present))
-        if not found:
-            raise PanelValidationError(f"present vertex {present[int(np.argmax(at < 0))]!r} "
-                                       f"at t={t} is not in the risk set")
-        bits = np.zeros(len(risk), dtype=bool)
-        bits[at] = True
-        edges = _edge_indices(risk, _require(rec, "edges", f"snapshots[{k}]"), bits, t)
-        attrs = _typed(rec.get("attrs", {}), dict, f"attrs in snapshots[{k}]")
-        snapshots.append(Snapshot(t, bits, edges, attrs))
-    return snapshots
-
-
-def _sound_record(rec) -> bool:
-    """Whether a snapshot record has the shape of the file format: an
-    integer ``t``, lists ``present`` and ``edges``, an object ``attrs``."""
-    return (type(rec) is dict and type(rec.get("t")) is int
-            and type(rec.get("present")) is list and type(rec.get("edges")) is list
-            and type(rec.get("attrs", {})) is dict)
-
-
-def _snapshots(risk, records) -> list:
-    """The snapshots of a file's records, read in whole-file passes.
-
-    Every record's present labels and every edge's labels are looked up in
-    one pass each, and all edges are checked at once: label pairs, known
-    labels, present endpoints, no loops.  One sort, keyed by snapshot and
-    then code, gives every snapshot's sorted codes, and duplicates are
-    dropped over all of them at once.  Only a file that fails some check is
-    read again record by record, to name its first bad record in file
-    order; so is one whose keys would overflow int64."""
+def _read(risk, records, first=0) -> list:
+    """The snapshots of ``records``, the file's records from
+    ``snapshots[first]`` on, read in whole-file passes in the order of a
+    record's fields: ``t`` and ``present``; the present labels; ``edges``,
+    then its first bad edge in file order (not a pair, an unknown label or
+    an absent endpoint); ``attrs``; loops.  Each pass raises on its first
+    fault, so over one record this names that record's own first fault.
+    One sort, keyed by record and then code, gives every snapshot's sorted
+    codes, and duplicates are dropped over all of them at once."""
     n, count = len(risk), len(records)
-    if not all(map(_sound_record, records)) or count * n * n > _KEY_LIMIT:
-        return _snapshots_one_by_one(risk, records)
-    presents = [rec["present"] for rec in records]
-    edge_lists = [rec["edges"] for rec in records]
+    ts = [_require(rec, "t", f"snapshots[{first + k}]", int) for k, rec in enumerate(records)]
+    presents = [_require(rec, "present", f"snapshots[{first + k}]", list)
+                for k, rec in enumerate(records)]
     sizes = np.fromiter(map(len, presents), np.int64, count)
-    counts = np.fromiter(map(len, edge_lists), np.int64, count)
     at, found = _label_indices(risk._index, lambda: chain.from_iterable(presents),
                                int(sizes.sum()))
-    flat = chain.from_iterable
-    if not (found and set(map(type, flat(edge_lists))) <= {list}
-            and set(map(len, flat(edge_lists))) <= {2}):
-        return _snapshots_one_by_one(risk, records)
-    ends, found = _label_indices(risk._index, lambda: flat(flat(edge_lists)),
-                                 2 * int(counts.sum()))
     if not found:
-        return _snapshots_one_by_one(risk, records)
+        k, label = _at(presents, sizes, int(np.argmax(at < 0)))
+        raise PanelValidationError(f"present vertex {label!r} at t={ts[k]} is not in the risk set")
+    edge_lists = []
+    for k, rec in enumerate(records):
+        edges = _require(rec, "edges", f"snapshots[{first + k}]")
+        try:
+            edge_lists.append(edges if type(edges) is list else list(edges))
+        except TypeError:
+            raise PanelFormatError(f"edges at t={ts[k]} must be a list of label pairs, "
+                                   f"got {_as_json(edges)}") from None
+    counts = np.fromiter(map(len, edge_lists), np.int64, count)
+    flat = chain.from_iterable
+    m = int(counts.sum())  # the edges before the first that is not a pair
+    if not (set(map(type, flat(edge_lists))) <= {list}
+            and set(map(len, flat(edge_lists))) <= {2}):
+        m = next(g for g, e in enumerate(flat(edge_lists)) if type(e) is not list or len(e) != 2)
+    ends, found = _label_indices(risk._index, lambda: flat(islice(flat(edge_lists), m)), 2 * m)
     step = np.arange(count)
     bits = np.zeros((count, n), dtype=bool)
     bits[step.repeat(sizes), at] = True
-    of = step.repeat(counts)
-    lo, hi = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
-    if not (np.all(lo != hi) and bits[of, lo].all() and bits[of, hi].all()):
-        return _snapshots_one_by_one(risk, records)
+    of = step.repeat(counts)[:m]
+    ii, jj = ends[0::2], ends[1::2]
+    if m < counts.sum() or not (found and bits[of, ii].all() and bits[of, jj].all()):
+        ok = (ii >= 0) & (jj >= 0)
+        ok[ok] = bits[of[ok], ii[ok]] & bits[of[ok], jj[ok]]
+        g = m if ok.all() else int(np.argmin(ok))
+        k, edge = _at(edge_lists, counts, g)
+        if g == m:
+            raise PanelFormatError(f"edge at t={ts[k]} must be a pair of labels, "
+                                   f"got {_as_json(edge)}")
+        a, b = edge
+        try:
+            risk.index_of(str(a)), risk.index_of(str(b))
+        except KeyError as exc:
+            raise PanelValidationError(f"edge label at t={ts[k]}: {exc}") from None
+        raise PanelValidationError(f"edge endpoint absent at t={ts[k]}: ({a},{b})")
+    attrs = [_typed(rec.get("attrs", {}), dict, f"attrs in snapshots[{first + k}]")
+             for k, rec in enumerate(records)]
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    if np.count_nonzero(lo == hi):
+        g = int(np.argmax(lo == hi))
+        raise PanelValidationError(f"loop edge at t={ts[of[g]]}: ({lo[g]},{hi[g]})")
     keys = (of * n + lo) * n + hi
     keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
+    kept = np.ones(len(keys), dtype=bool)
+    kept[1:] = keys[1:] != keys[:-1]
+    keys = keys[kept]
     cut = np.searchsorted(keys, step * (n * n)).tolist() + [len(keys)]
-    return [Snapshot(rec["t"], bits[k], keys[cut[k]:cut[k + 1]] - k * (n * n),
-                     rec.get("attrs", {}), _trusted=True)
-            for k, rec in enumerate(records)]
+    return [Snapshot(t, bits[k], keys[cut[k]:cut[k + 1]] - k * (n * n), attrs[k], _trusted=True)
+            for k, t in enumerate(ts)]
+
+
+def _snapshots(risk, records) -> list:
+    """The snapshots of a file's records, read by one ``_read`` of them all.
+    Only when that fails, or when its keys would overflow int64, is each
+    record read on its own in turn, so the first bad record is named with
+    its own first fault."""
+    n = len(risk)
+    if len(records) * n * n <= _KEY_LIMIT:
+        try:
+            return _read(risk, records)
+        except (PanelFormatError, PanelValidationError):
+            pass
+    return [s for k, rec in enumerate(records) for s in _read(risk, [rec], k)]
 
 
 def panel_from_obj(obj: dict) -> NetworkPanel:

@@ -26,6 +26,7 @@ from .panel import (
     PanelFormatError,
     PanelValidationError,
     _typed,
+    _utf8,
     load_panel,
     panel_from_edge_presence,
     read_edge_presence_tables,
@@ -150,7 +151,7 @@ def _load_fit_report(path, spec) -> SimpleNamespace:
     """Coefficients and column names from a fit report written by cmd_fit,
     whose ``model`` block, when it has one, must be ``spec``."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(_utf8(Path(path).read_bytes(), path))
     except json.JSONDecodeError as exc:
         raise PanelFormatError(f"{path}: invalid JSON: {exc.msg}") from exc
     _typed(obj, dict, f"{path}: top level of a fit report")

@@ -544,6 +544,23 @@ def _as_json(value) -> str:
     return json.dumps(value, default=repr)
 
 
+def _time(t, where):
+    """``t`` if it fits the int64 arrays that hold time indices."""
+    if not -2**63 <= t < 2**63:
+        raise PanelFormatError(f"{where} must be a 64-bit integer, got {t}")
+    return t
+
+
+def _utf8(data: bytes, path, error=PanelFormatError) -> str:
+    """``data``, the bytes of the file at ``path``, as UTF-8 text: the first
+    byte that is not UTF-8 raises ``error`` naming the path and its offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} "
+                    f"at offset {exc.start}") from None
+
+
 def _at(lists, counts, g) -> tuple:
     """``(k, item)``: the ``g``-th item of the concatenated ``lists``, whose
     lengths are ``counts``, and the list ``k`` it is in."""
@@ -562,7 +579,8 @@ def _read(risk, records, first=0) -> list:
     One sort, keyed by record and then code, gives every snapshot's sorted
     codes, and duplicates are dropped over all of them at once."""
     n, count = len(risk), len(records)
-    ts = [_require(rec, "t", f"snapshots[{first + k}]", int) for k, rec in enumerate(records)]
+    ts = [_time(_require(rec, "t", f"snapshots[{first + k}]", int),
+                f"t in snapshots[{first + k}]") for k, rec in enumerate(records)]
     presents = [_require(rec, "present", f"snapshots[{first + k}]", list)
                 for k, rec in enumerate(records)]
     sizes = np.fromiter(map(len, presents), np.int64, count)
@@ -656,11 +674,11 @@ def panel_from_obj(obj: dict) -> NetworkPanel:
 
 def load_panel(path) -> NetworkPanel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read panel file {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(_utf8(data, path))
     except json.JSONDecodeError as exc:
         raise PanelFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -715,10 +733,10 @@ def _read_table(path, n_cols, what):
     mark at the start of the file is dropped."""
     rows = []
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            lines = fh.read().splitlines(keepends=True)
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read {what} file {path}: {exc}") from exc
+    lines = _utf8(data, path).removeprefix("\ufeff").splitlines(keepends=True)
     at = 0  # the next line to read
 
     def feed():  # the lines of CSV records, to one reader over the whole text
@@ -754,7 +772,7 @@ def _read_table(path, n_cols, what):
             raise PanelFormatError(
                 f"{path}:{lineno}: first column must be an integer time index"
             ) from None
-        rows.append((lineno, t, *parts[1:]))
+        rows.append((lineno, _time(t, f"{path}:{lineno}: first column"), *parts[1:]))
     return rows
 
 

@@ -581,6 +581,9 @@ def project(fit: FitResult, spec: ModelSpec, panel: NetworkPanel,
     if not panel.snapshots:
         raise ValueError("cannot project from an empty panel")
     start = panel.observed_times[-1] + 1
+    if start + config.horizon > 2**63:
+        raise ValueError(f"a horizon of {config.horizon} step(s) from t={start - 1} passes "
+                         f"the largest 64-bit time index {2**63 - 1}")
     steps = tuple(range(start, start + config.horizon))
     m = config.replicates
     threshold = config.mode == "threshold50"

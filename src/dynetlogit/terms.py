@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, _json_kind, _ranges
+from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, _json_kind, _ranges, _utf8
 
 __all__ = [
     "GapError",
@@ -252,7 +252,7 @@ def load_model_spec(path) -> ModelSpec:
     from pathlib import Path
 
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(_utf8(Path(path).read_bytes(), path, SpecError))
     except json.JSONDecodeError as exc:
         raise SpecError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

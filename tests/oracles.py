@@ -753,6 +753,8 @@ def panel_from_obj_by_label(obj):
     snapshots = []
     for k, rec in enumerate(_require(obj, "snapshots", "panel file", list)):
         t = _require(rec, "t", f"snapshots[{k}]", int)
+        if not -2**63 <= t < 2**63:
+            raise PanelFormatError(f"t in snapshots[{k}] must be a 64-bit integer, got {t}")
         present = []
         for lab in _require(rec, "present", f"snapshots[{k}]", list):
             try:
@@ -856,6 +858,8 @@ def panel_from_obj_by_snapshot(obj):
     snapshots = []
     for k, rec in enumerate(_require(obj, "snapshots", "panel file", list)):
         t = _require(rec, "t", f"snapshots[{k}]", int)
+        if not -2**63 <= t < 2**63:
+            raise PanelFormatError(f"t in snapshots[{k}] must be a 64-bit integer, got {t}")
         present = _require(rec, "present", f"snapshots[{k}]", list)
         at, found = _label_indices_by_snapshot(risk._index, [present], len(present))
         if not found:

@@ -473,6 +473,8 @@ _MALFORMED = {
                    't in snapshots[0] must be an integer, got "x"'),
     "t a fraction": ("panel", ("snapshots", 0, "t"), 1.5,
                      "t in snapshots[0] must be an integer, got 1.5"),
+    "t beyond int64": ("panel", ("snapshots", 1, "t"), 2**63,
+                       f"t in snapshots[1] must be a 64-bit integer, got {2**63}"),
     "fit report top level": ("fit", (), [1],
                              "top level of a fit report must be an object, got a list"),
     "fit block a number": ("fit", ("fit",), 5, "fit must be an object, got 5"),
@@ -509,6 +511,49 @@ def test_malformed_input_is_a_parse_error(workdir, workdir_fit, tmp_path, capsys
     err = json.loads(err[0])
     assert err["error"] == "parse"
     assert err["message"].endswith(message)
+
+
+@pytest.mark.parametrize("part", ["panel", "spec", "fit", "table"])
+def test_input_that_is_not_utf8_is_a_parse_error(workdir, workdir_fit, tmp_path, capsys,
+                                                  part):
+    """A Latin-1 byte in any input file is refused naming the file and the
+    byte's offset."""
+    files = {"panel": workdir / "panel.json", "spec": workdir / "spec.json",
+             "fit": workdir_fit, "table": tmp_path / "edges.csv"}
+    files["table"].write_text("1,a,b\n")
+    (tmp_path / "presence.csv").write_text("1,a\n1,b\n")
+    data = files[part].read_bytes()
+    offset = data.index(b"a") + 1
+    files[part] = tmp_path / f"latin1_{files[part].name}"
+    files[part].write_bytes(data[:offset] + "\u00e9".encode("latin-1") + data[offset:])
+    capsys.readouterr()
+    if part == "table":
+        argv = ["convert", files["table"], tmp_path / "presence.csv", "-o", tmp_path / "p.json"]
+    else:
+        argv = ["adequacy", files["panel"], files["spec"], files["fit"], "--sims", "2",
+                "--out-dir", tmp_path / "out"]
+    assert run(argv) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "parse",
+                   "message": f"{files[part]}: not UTF-8 text: byte 0xe9 at offset {offset}"}
+
+
+@pytest.mark.parametrize("horizon, code", [(1, EXIT_OK), (2, EXIT_VALIDATION)])
+def test_project_refuses_a_horizon_past_the_largest_time_index(workdir, workdir_fit, tmp_path,
+                                                               capsys, horizon, code):
+    obj = json.loads((workdir / "panel.json").read_text())
+    shift = 2**63 - 2 - obj["snapshots"][-1]["t"]
+    for snap in obj["snapshots"]:
+        snap["t"] += shift
+    obj["gaps"] = [g + shift for g in obj["gaps"]]
+    (tmp_path / "panel.json").write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["project", tmp_path / "panel.json", workdir / "spec.json", workdir_fit,
+                "--horizon", horizon, "--out-dir", tmp_path / "out"]) == code
+    if code == EXIT_VALIDATION:
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"a horizon of 2 step(s) from t={2**63 - 2} passes the largest 64-bit time "
+            f"index {2**63 - 1}")
 
 
 def test_fit_report_of_invalid_json_is_a_parse_error(workdir, tmp_path, capsys):
@@ -630,6 +675,9 @@ _BAD_TABLES = {
                                 "edges.csv:2: expected 3 columns in edge row, got 2"),
     "time not an integer": ("1,a,b\n", "1,a\n1.5,b\n", EXIT_PARSE,
                             "presence.csv:2: first column must be an integer time index"),
+    "time beyond int64": ("1,a,b\n", f"1,a\n{-2**63 - 1},b\n", EXIT_PARSE,
+                          f"presence.csv:2: first column must be a 64-bit integer, "
+                          f"got {-2**63 - 1}"),
     "edge at an unrecorded time": ("1,a,b\n2,a,b\n", "1,a\n1,b\n", EXIT_VALIDATION,
                                    "edge row 2: time 2 has no presence records"),
     "loop edge": ("1,a,b\n1,b,b\n", "1,a\n1,b\n", EXIT_VALIDATION,

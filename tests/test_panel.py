@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynetlogit import (
@@ -18,6 +18,7 @@ from dynetlogit import (
     save_panel,
     subpanel,
 )
+import dynetlogit.panel as panel_module
 from dynetlogit.panel import panel_from_obj, panel_to_json
 from dynetlogit.terms import WEEKDAYS
 
@@ -280,7 +281,6 @@ def test_attrs_are_encoded_once_per_risk_set(monkeypatch):
     """Panels over one risk set share its encoded attrs: three weeks of days
     in each of two panels take one encoding per distinct value, and the
     vertices' and days' equal values share theirs."""
-    import dynetlogit.panel as panel_module
     rs = RiskSet(["a", "b", "c"], {"day": ["Monday", None, "Friday"]})
     days = [Snapshot(t, [0, 1], [(0, 1)], {"day": WEEKDAYS[t % 7]}, n=3)
             for t in range(21)]
@@ -427,6 +427,7 @@ _CORRUPTIONS = {
     "duplicate time": _edit(("snapshots", 1, "t"), 1),
     "directed": _edit(("directed",), True),
     "float t": _edit(("snapshots", 0, "t"), 1.5),
+    "t beyond int64": _edit(("snapshots", 1, "t"), 2**63),
     "string present": _edit(("snapshots", 0, "present"), "ab"),
     "non-object attrs": _edit(("snapshots", 0, "attrs"), ["day", "Mon"]),
     "non-object vertex attrs": _edit(("risk_set", 1, "attrs"), "regular"),
@@ -454,6 +455,52 @@ def test_corrupt_file_fails_as_the_oracle_fails(name):
     if name in _NOT_PAIRS:  # a format error that names the time and the edge
         assert new[0] is PanelFormatError and new[1].startswith("edge")
         assert "at t=1 must be " in new[1] and new[1].endswith(_NOT_PAIRS[name])
+
+
+@given(st.lists(st.sampled_from(sorted(_CORRUPTIONS)), min_size=2, max_size=3, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_files_with_several_faults_fail_as_the_oracle_fails(names):
+    """Two or three corruptions of one file: the loader names the fault the
+    record-by-record oracle meets first."""
+    obj = _small_panel_obj()
+    for name in names:
+        try:
+            _CORRUPTIONS[name](obj)
+        except (KeyError, IndexError, TypeError):
+            assume(False)  # an earlier edit took away what this one edits
+    assert _outcome(panel_from_obj, obj) == _outcome(panel_from_obj_by_snapshot, obj)
+
+
+def _read_record_by_record(monkeypatch):
+    """Route every panel load through the int64 key-limit case, reading
+    one record at a time; returns the record counts ``_read`` was given."""
+    calls = []
+    read = panel_module._read
+    monkeypatch.setattr(panel_module, "_KEY_LIMIT", 0)
+    monkeypatch.setattr(panel_module, "_read",
+                        lambda risk, records, first=0: calls.append(len(records))
+                        or read(risk, records, first))
+    return calls
+
+
+@given(panels())
+@settings(max_examples=150, deadline=None)
+def test_key_limit_route_equals_the_oracle(panel):
+    obj = json.loads(panel_to_json(panel))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _read_record_by_record(mp)
+        assert panel_from_obj(obj) == panel_from_obj_by_snapshot(obj) == panel
+    assert set(calls) <= ({1} if len(panel.risk_set) * len(panel) else {len(panel)})
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_key_limit_route_fails_as_the_oracle_fails(monkeypatch, name):
+    obj = _small_panel_obj()
+    _CORRUPTIONS[name](obj)
+    want = _outcome(panel_from_obj_by_snapshot, obj)
+    calls = _read_record_by_record(monkeypatch)
+    assert _outcome(panel_from_obj, obj) == want
+    assert set(calls) <= {1}
 
 
 _NOT_PAIRS = {"number edge": "got 5", "null edge": "got null", "string edge": 'got "ad"',
@@ -499,7 +546,6 @@ def test_risk_set_is_encoded_once_for_many_panels(monkeypatch):
     """Writing many panels over one risk set, as ``project --dump-graphs``
     does, encodes its labels and attributes once; every text stays the
     canonical one."""
-    import dynetlogit.panel as panel_module
     encoded = []
     original = panel_module._encode_str
     monkeypatch.setattr(panel_module, "_encode_str",

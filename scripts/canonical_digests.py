@@ -21,7 +21,7 @@ The command set runs in-process, on inputs from the repo's own generators
   (`messy_panel.json`), which the loader normalizes;
 - the `million` and `cycles` fits;
 - `project --horizon 3 --sims 30 --seed 2 --fixed-vertex-set` on `cycles`,
-  which the cycle-work budget refuses;
+  which a cycle budget refuses;
 - `gli --t 1` on the month panel with an unknown present label in
   `snapshots[3]` and a float `t` in `snapshots[5]` (`refused_panel.json`),
   which the loader refuses naming the first bad record.

@@ -348,11 +348,12 @@ class StepSampler:
     draw when a vertex term reads drawn lags.
 
     The edges are drawn by position in the ``_DyadLayout`` of the drawn
-    vertex sets (``classes`` are computed here when not given).  The edge
-    terms are evaluated once per step on one representative per (draw,
-    class pair) and on the lagged ties (per union on drawn lags); η is
-    summed in spec order, and each dyad gets its class pair's or its tie's
-    probability, the same float it would get on its own.
+    vertex sets (``classes`` are computed here when not given).  Each edge
+    term is evaluated once per step, on one representative per (draw, class
+    pair) and on the lagged ties of every draw, whether its lags were
+    observed or drawn; η is summed in spec order, and each dyad gets its
+    class pair's or its tie's probability, the same float it would get on
+    its own.
     """
 
     def __init__(self, spec: ModelSpec, theta_v, theta_e, history: History, t: int,
@@ -380,16 +381,6 @@ class StepSampler:
         self.lagged = _lagged_codes(history, t, spec.edge_terms)
         self.attrs = history.time_attrs_at(t) or {}
 
-    def _tie_probs(self, a, b, bits):
-        """Edge probabilities of ``ties`` a..b-1, lag-scope terms evaluated."""
-        _, pairs, tie_i, tie_j = self.ties
-        terms = self.pair_terms[:, pairs[a:b]]
-        for row, theta, term in zip(terms[1:], self.theta_e, self.spec.edge_terms):
-            if term.scope == "lag":
-                row[:] = theta * edge_term_values(term, self.history, self.t, tie_i[a:b],
-                                                  tie_j[a:b], bits.ravel())
-        return expit(np.cumsum(terms, axis=0)[-1])
-
     def draw(self, rng=None) -> Snapshot:
         """The draw of a history of one draw; the batch of one of ``draw_all``."""
         return next(self.draw_all([rng]))
@@ -416,22 +407,25 @@ class StepSampler:
             bits = uniforms < self.pv
         sets = bits[:1] if (bits == bits[0]).all() else bits
         self.dyads = layout = _DyadLayout(sets, self.classes)
-        # 0.0, then θ times each edge term on the class pairs (lag scope: 0.0)
-        rep_i, rep_j = layout.reps
-        self.pair_terms = terms = np.zeros((1 + len(self.spec.edge_terms), len(rep_i)))
-        if len(rep_i):  # never evaluated on no dyads: log_size would take the log of 0
-            for row, theta, term in zip(terms[1:], self.theta_e, self.spec.edge_terms):
-                row[:] = theta * (0.0 if term.scope == "lag" else edge_term_values(
-                    term, self.history, self.t, rep_i, rep_j, sets.ravel()))
-        self.pair_probs = expit(np.cumsum(terms, axis=0)[-1])
         ties = self.lagged[layout.among(self.lagged)]
-        self.ties = (layout.position(ties), layout.pair_of(ties), *layout.split(ties))
-        # ties on lag snapshots of one draw are evaluated for all draws at
-        # once; on drawn lags per union, as the cycle statistic checks its
-        # work budget per call and a refusal names the draw it stopped at
-        self.tie_probs = self._tie_probs(0, len(ties), bits) if len(rep_i) and all(
-            self.history.lagged(self.t, term.lag).draws == 1
-            for term in self.spec.edge_terms if term.scope == "lag") else None
+        pairs, (tie_i, tie_j) = layout.pair_of(ties), layout.split(ties)
+        # 0.0, then θ times each edge term on the class pairs (lag scope: 0.0)
+        # and on the ties (lag scope: its own, else its class pair's value)
+        rep_i, rep_j = layout.reps
+        terms = np.zeros((1 + len(self.spec.edge_terms), len(rep_i)))
+        tie_terms = np.zeros((len(terms), len(ties)))
+        if len(rep_i):  # never evaluated on no dyads: log_size would take the log of 0
+            for row, tie_row, theta, term in zip(terms[1:], tie_terms[1:], self.theta_e,
+                                                 self.spec.edge_terms):
+                if term.scope == "lag":
+                    tie_row[:] = theta * edge_term_values(term, self.history, self.t,
+                                                          tie_i, tie_j, bits.ravel())
+                else:
+                    row[:] = theta * edge_term_values(term, self.history, self.t,
+                                                      rep_i, rep_j, sets.ravel())
+                    tie_row[:] = row[pairs]
+        self.pair_probs = expit(np.cumsum(terms, axis=0)[-1])
+        self.ties = (layout.position(ties), expit(np.cumsum(tie_terms, axis=0)[-1]))
         counts = np.resize(layout.counts, count)  # draw r has set r % len(sets)
         ends = np.cumsum(counts)
         lo = 0
@@ -452,11 +446,10 @@ class StepSampler:
                     _uniforms(rngs, counts))
         probs = layout.gather(self.pair_probs, lo, hi)
         keep = uniforms.reshape(probs.shape) < probs
-        first, positions = layout.first(lo), self.ties[0]
+        first, (positions, tie_probs) = layout.first(lo), self.ties
         a, b = np.searchsorted(positions, [first, first + keep.size]).tolist()
         at = positions[a:b] - first
-        p = self._tie_probs(a, b, bits) if self.tie_probs is None else self.tie_probs[a:b]
-        keep.reshape(-1)[at] = uniforms[at] < p
+        keep.reshape(-1)[at] = uniforms[at] < tie_probs[a:b]
         return Snapshot(self.t, bits[lo:hi].ravel(), layout.kept(keep, lo, hi), self.attrs,
                         draws=hi - lo, _trusted=True)
 

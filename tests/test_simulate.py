@@ -604,6 +604,31 @@ def test_two_lag_cycle_projection_is_refused_when_a_replicate_is(monkeypatch):
                                      ((False, 2), (True, 2), (False, 3), (True, 3))))
 
 
+def test_cycle_refusal_does_not_depend_on_the_unions(monkeypatch):
+    """A step counts the lagged ties of all its draws in one call, so a
+    projection that a cycle budget, per edge or per draw, refuses is
+    refused with the same message whether each step is one union, or
+    several of one or two draws."""
+    import dynetlogit.terms as terms
+    spec = ModelSpec(
+        [TermSpec("vertex", "intercept"), TermSpec("vertex", "lag_indicator", lag=1)],
+        [TermSpec("edge", "intercept"),
+         TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9})])
+    fit = fake_fit(spec, [0.2, 0.5, 0.8, 0.2])
+    config = SimConfig(replicates=6, horizon=4, seed=3, fixed_vertex_set=True)
+    for budget, value, end in (("HALF_PATH_BUDGET", 200, "the work budget per edge"),
+                               ("CYCLE_WORK_BUDGET", 2000, "per draw")):
+        messages = set()
+        with monkeypatch.context() as m:
+            m.setattr(terms, budget, value)
+            for pairs in (PAIR_BUDGET, 100, 1):  # 36 dyads a draw: 1, 3, 6 unions a step
+                m.setattr(simulate, "PAIR_BUDGET", pairs)
+                with pytest.raises(terms.CycleBudgetError) as refusal:
+                    project(fit, spec, _weekly_panel(5, ()), config)
+                messages.add(str(refusal.value))
+        assert len(messages) == 1 and messages.pop().endswith(end), messages
+
+
 def test_sampled_snapshots_pass_invariants(core_panel):
     fit = fake_fit(INTERCEPT_SPEC, [0.0, 0.0])
     for rep in range(30):
@@ -794,6 +819,35 @@ def test_shared_vertex_set_evaluates_edge_terms_once_per_step(monkeypatch, mode,
         if mode == "threshold50" or fixed:
             assert np.all(samples.draws[:, :, 0] == 8)
         assert len(calls) == len(samples.steps) * len(edge_terms)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_projection_evaluates_each_edge_term_once_per_step(monkeypatch, fixed):
+    """Drawn as several unions a step (PAIR_BUDGET small), a projection
+    still evaluates each edge term once per step, lag-scope terms on drawn
+    lags included, and draws what one union a step draws."""
+    panel = _weekly_panel(4, ())
+    spec = ModelSpec(_EVERY_VERTEX_KIND[0], _EVERY_KIND[0])
+    fit = fake_fit(spec, _EVERY_VERTEX_KIND[1] + _EVERY_KIND[1])
+    config = SimConfig(replicates=20, horizon=4, seed=17, fixed_vertex_set=fixed)
+    expected = project(fit, spec, panel, config)
+    calls, unions = {}, {}
+    evaluate, draw_union = simulate.edge_term_values, StepSampler._union
+
+    def counting(term, history, t, *args):
+        calls[t, term.name] = calls.get((t, term.name), 0) + 1
+        return evaluate(term, history, t, *args)
+
+    def splitting(self, *args):
+        unions[self.t] = unions.get(self.t, 0) + 1
+        return draw_union(self, *args)
+
+    monkeypatch.setattr(simulate, "edge_term_values", counting)
+    monkeypatch.setattr(StepSampler, "_union", splitting)
+    monkeypatch.setattr(simulate, "PAIR_BUDGET", 40)
+    _assert_same_projection(project(fit, spec, panel, config), expected)
+    assert sorted(unions) == list(expected.steps) and min(unions.values()) > 1
+    assert calls == {(t, term.name): 1 for t in expected.steps for term in spec.edge_terms}
 
 
 def test_threshold50_draws_once_per_step(monkeypatch):

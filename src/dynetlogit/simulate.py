@@ -227,12 +227,13 @@ def _seed_words(seed: int, keys) -> np.ndarray:
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = np.asarray(keys)
     bad = np.any((keys < 0) | (keys > _WORD), axis=-1)
     if bad.any():
         replicate, offset = keys[bad][0].tolist()
         raise ValueError(f"stream key (replicate {replicate}, step offset {offset}) "
                          "is outside [0, 2**32)")
+    keys = keys.astype(np.int64)
     shape = keys.shape[:-1]
     entropy = []
     while True:
@@ -277,10 +278,14 @@ def _generator(words) -> np.random.Generator:
 
 
 def _step_keys(steps, replicates: int, base: int) -> np.ndarray:
-    """The (replicate, step - base) stream keys, one row of replicates per step."""
-    keys = np.empty((len(steps), replicates, 2), dtype=np.int64)
+    """The (replicate, step - base) stream keys, one row of replicates per
+    step.  The offsets are exact: when one is outside the key range, where
+    int64 could wrap it, the keys are Python ints for ``_seed_words`` to name."""
+    offsets = [int(s) - int(base) for s in steps]
+    dtype = object if any(not 0 <= o <= _WORD for o in offsets) else np.int64
+    keys = np.empty((len(steps), replicates, 2), dtype=dtype)
     keys[..., 0] = np.arange(replicates)
-    keys[..., 1] = (np.asarray(steps, dtype=np.int64) - base)[:, None]
+    keys[..., 1] = np.array(offsets, dtype=dtype)[:, None]
     return keys
 
 

@@ -556,6 +556,28 @@ def test_project_refuses_a_horizon_past_the_largest_time_index(workdir, workdir_
             f"index {2**63 - 1}")
 
 
+def test_adequacy_names_a_step_offset_past_int64(tmp_path, capsys):
+    """On the month panel cut to t = -2**63, -2**63 + 1, 2**63 - 3 and
+    2**63 - 2, a step's offset from the first time, 2**64 - 3, is outside
+    the stream keys and is named as it is, not wrapped in int64 to -3."""
+    save_panel(make_month_panel(), tmp_path / "month.json")
+    save_model_spec(nested_model_specs(month_risk_set())[0], tmp_path / "m1.json")
+    assert run(["fit", tmp_path / "month.json", tmp_path / "m1.json",
+                "--out-dir", tmp_path]) == EXIT_OK
+    obj = json.loads((tmp_path / "month.json").read_text())
+    obj["snapshots"] = obj["snapshots"][:4]
+    for snap, t in zip(obj["snapshots"], (-2**63, -2**63 + 1, 2**63 - 3, 2**63 - 2)):
+        snap["t"] = t
+    obj["gaps"] = []
+    (tmp_path / "cut.json").write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["adequacy", tmp_path / "cut.json", tmp_path / "m1.json",
+                tmp_path / "m1_fit.json", "--sims", "3",
+                "--out-dir", tmp_path / "out"]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"stream key (replicate 0, step offset {2**64 - 3}) is outside [0, 2**32)")
+
+
 def test_fit_report_of_invalid_json_is_a_parse_error(workdir, tmp_path, capsys):
     bad = tmp_path / "fit.json"
     bad.write_text("{not json")

@@ -451,10 +451,10 @@ class StepSampler:
                     _uniforms(rngs, counts))
         probs = layout.gather(self.pair_probs, lo, hi)
         keep = uniforms.reshape(probs.shape) < probs
-        first, (positions, tie_probs) = layout.first(lo), self.ties
+        first, (positions, p) = layout.first(lo), self.ties
         a, b = np.searchsorted(positions, [first, first + keep.size]).tolist()
         at = positions[a:b] - first
-        keep.reshape(-1)[at] = uniforms[at] < tie_probs[a:b]
+        keep.reshape(-1)[at] = uniforms[at] < p[a:b]
         return Snapshot(self.t, bits[lo:hi].ravel(), layout.kept(keep, lo, hi), self.attrs,
                         draws=hi - lo, _trusted=True)
 

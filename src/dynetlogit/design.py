@@ -113,9 +113,9 @@ def _collapse(columns, responses, n_vertex_rows, trials):
     ``columns`` holds each design column's entries as (rows, values): the
     nonzero entries of the term columns (``_term_columns``) or the stored
     entries of a CSC (``_csc_columns``).  Each column's values are
-    factorized and their codes added into one int64 key per row in mixed
-    radix, renumbering the partial key whenever the next radix would
-    overflow it.  A stored zero gets a code of its own, so rows equal in
+    factorized (a column of one value without a sort) and their codes
+    added into one int64 key per row in mixed radix, renumbering the
+    partial key whenever the next radix would overflow it.  A stored zero gets a code of its own, so rows equal in
     value may land in two patterns; the likelihood does not change, and
     every row is its pattern's row, stored entries included.  The
     patterns' CSR is built from the entries of each pattern's first row."""
@@ -125,8 +125,13 @@ def _collapse(columns, responses, n_vertex_rows, trials):
     for rows, values in columns:
         if not len(rows):
             continue
-        seen, codes = np.unique(values, return_inverse=True)
-        radix = len(seen) + 1  # code 0 is an absent entry
+        # code 0 is an absent entry; a column of one value takes code 1, as
+        # the sort would give it
+        if (values == values[0]).all():
+            radix, codes = 2, np.zeros(len(values), dtype=np.int64)
+        else:
+            seen, codes = np.unique(values, return_inverse=True)
+            radix = len(seen) + 1
         if base > _KEY_LIMIT // radix:
             seen, key = np.unique(key, return_inverse=True)
             base = len(seen)
@@ -398,18 +403,32 @@ class _DyadLayout:
 
     @cached_property
     def _period(self):
-        """(class pair, i, j) of every dyad of the first period, by position."""
-        return (self._pairs(0, len(self.vertex)), self.vertex.repeat(self.later),
+        """(i, j) of every dyad of the first period, by position."""
+        return (self.vertex.repeat(self.later),
                 self.vertex[_ranges(np.arange(1, len(self.vertex) + 1), self.later)])
+
+    @cached_property
+    def _period_pairs(self):
+        """The class pair of every dyad of the first period, by position."""
+        return self._pairs(0, len(self.vertex))
 
     def gather(self, values, lo, hi):
         """``values`` of the class pairs at the dyads of blocks lo..hi-1 of one
-        period, or of any blocks one vertex set serves, broadcast per block."""
-        if len(self.present) == 1:
-            row = values[self._period[0]]
-            return np.broadcast_to(row, (hi - lo, len(row))) if hi - lo > 1 else row
-        a, b = np.searchsorted(self.vertex, [lo * self.n, hi * self.n]).tolist()
-        return values[self._pairs(a, b)]
+        period, or of any blocks one vertex set serves, broadcast per block.
+        Under one class a set's dyads all read its one class pair, so its
+        value is repeated over them, with no class pair per dyad."""
+        one = len(self.present) == 1
+        if self._k == 1:
+            counts = self.counts if one else self.counts[lo:hi]
+            first = 0 if one else np.count_nonzero(self.counts[:lo])
+            counts = counts[counts > 0]  # the sets with dyads, whose pairs are numbered in turn
+            row = values[first:first + len(counts)].repeat(counts)
+        elif one:
+            row = values[self._period_pairs]
+        else:
+            a, b = np.searchsorted(self.vertex, [lo * self.n, hi * self.n]).tolist()
+            return values[self._pairs(a, b)]
+        return np.broadcast_to(row, (hi - lo, len(row))) if one and hi - lo > 1 else row
 
     def kept(self, keep, lo, hi):
         """The codes i * width + j, ascending, of the dyads ``keep`` marks in
@@ -419,7 +438,7 @@ class _DyadLayout:
         positions = np.flatnonzero(keep)
         if len(self.present) == 1:
             r = positions // max(self.total, 1)  # the block, counted from lo
-            _, i, j = self._period
+            i, j = self._period
             return (i * width + j)[positions - r * self.total] + r * (self.n * (width + 1))
         positions += self.first(lo)
         a = np.searchsorted(self.start, positions, "right") - 1

@@ -22,7 +22,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .panel import NetworkPanel, RiskSet, Snapshot, VertexRef, _json_kind, _ranges, _utf8
+from .panel import (
+    NetworkPanel,
+    RiskSet,
+    Snapshot,
+    VertexRef,
+    _json_kind,
+    _ranges,
+    _utf8,
+    disjoint_union,
+)
 
 __all__ = [
     "GapError",
@@ -537,7 +546,9 @@ def pair_cycle_counts(snapshot: Snapshot, ii, jj, max_len: int = 9) -> np.ndarra
     2-core, count 0.
 
     On a union snapshot each draw is counted as if on its own: keys number
-    vertices within their draw, and the budgets apply per draw.  A draw's
+    vertices within their draw, and the budgets apply per draw.  So the
+    sampler counts all its draws' ties in one call, and a design the ties
+    of several small lag snapshots in one call on their union.  A draw's
     total over all calls of the half-path rows grown for its pairs does not
     depend on how its pairs are split into calls or ordered.  Raises
     CycleBudgetError when one pair needs more than HALF_PATH_BUDGET rows,
@@ -807,6 +818,72 @@ def _join(left, right, n_pairs, nc, base, slots):
     return np.bincount(keys // (nc * base**slots), weights=weight, minlength=n_pairs)
 
 
+# Most edges of the lag snapshots that one kernel call of a design counts
+# together.  A design reads one lag snapshot per step; consecutive snapshots
+# (those with ties to count, for the cycle statistic) share one call, as the
+# draws of one disjoint union, while their edges total at most this, so
+# small snapshots share a call's fixed cost and larger ones keep their own
+# call, where a union's larger working set is slower.
+LAG_GROUP_EDGES = 256
+
+
+def _lag_groups(snaps, which):
+    """The snapshots snaps[k], k in ``which``, in runs of consecutive ones
+    whose edges total at most LAG_GROUP_EDGES, or of one snapshot over it."""
+    groups, edges = [], 0
+    for k in which:
+        count = snaps[k].edge_count
+        if groups and edges + count <= LAG_GROUP_EDGES:
+            groups[-1].append(k)
+            edges += count
+        else:
+            groups.append([k])
+            edges = count
+    return groups
+
+
+def _lag_union(snaps) -> Snapshot:
+    """The snapshots as the draws of one (``disjoint_union``), vertex
+    r * n + i being vertex i of snaps[r]; one snapshot is its own union,
+    and so keeps what a count caches on it."""
+    return snaps[0] if len(snaps) == 1 else disjoint_union(snaps)
+
+
+def _count_cycles(snaps, todo, max_len) -> None:
+    """Fill each snapshot's cycle memo at its edges ``todo[r]`` with
+    log1p(count), from one pair_cycle_counts call over the snapshots'
+    union.  Each snapshot's running total of cycle work starts the call as
+    its own and takes back its draw's total: a tie on a 2-core grows at
+    least 4 half-paths, so a draw whose total moved is one its own call
+    would have counted.  A call the budget refuses adds nothing, and is
+    made again one snapshot at a time, so the refusal is that of the
+    snapshot's own call and names its t and sizes, not the union's."""
+    union = _lag_union(snaps)
+    size = len(union.present)
+    starts = np.cumsum([0] + [snap.edge_count for snap in snaps[:-1]])
+    asked = np.concatenate([lo + rows for lo, rows in zip(starts, todo)])
+    done = None
+    if union is not snaps[0]:
+        done = np.concatenate([np.zeros(1) if snap._cycle_work is None else snap._cycle_work
+                               for snap in snaps])
+        union._cycle_work = done
+    try:
+        counts = pair_cycle_counts(union, *np.divmod(union.codes[asked], size), max_len)
+    except CycleBudgetError:
+        if done is None:
+            raise
+        for snap, rows in zip(snaps, todo):
+            _count_cycles([snap], [rows], max_len)
+        return
+    # math.log1p: np.log1p differs in the last bit for some counts
+    logs = np.frompyfunc(math.log1p, 1, 1)(counts)
+    for r, (snap, rows, part) in enumerate(zip(snaps, todo, np.split(
+            logs, np.cumsum([len(rows) for rows in todo[:-1]])))):
+        snap._cycle_memo[max_len][rows] = part
+        if done is not None and union._cycle_work[r] != done[r]:
+            snap._cycle_work = union._cycle_work[r:r + 1].copy()
+
+
 def pair_cycle_count(snapshot: Snapshot, i, j, max_len: int = 9) -> int:
     """Simple cycles of length 3..max_len that traverse the edge {i, j}.
 
@@ -836,7 +913,9 @@ def vertex_term_values(term: TermSpec, history: History, t) -> np.ndarray:
     ``t`` may also be a sequence of times on a history of one draw, one
     per block of n: vertex s * n + i is then vertex i at time t[s], and
     every block is computed in one pass, each time's attributes and lag
-    snapshot read once.
+    snapshot read once.  Triangles are then counted on disjoint unions of
+    consecutive lag snapshots, one call per run of them with at most
+    LAG_GROUP_EDGES edges in all (``_lag_groups``).
     """
     rs = history.risk_set
     n = len(rs)
@@ -856,7 +935,8 @@ def vertex_term_values(term: TermSpec, history: History, t) -> np.ndarray:
     if kind == "lag_indicator":
         return np.concatenate([snap.present for snap in snaps], dtype=float)
     if kind == "lag_triangle":
-        return np.concatenate([triangle_counts(snap) for snap in snaps])
+        return np.concatenate([triangle_counts(_lag_union([snaps[k] for k in group]))
+                               for group in _lag_groups(snaps, range(len(snaps)))])
     raise SpecError(f"kind {kind!r} is not a vertex statistic")
 
 
@@ -874,7 +954,11 @@ def edge_term_values(term: TermSpec, history: History, t, ii: np.ndarray,
     ``t`` may instead be a sequence of one time per block, as the design
     lays out its steps: set s is then the vertex set at time t[s], and
     every block is computed in one pass, with one lookup of its lagged ties
-    over all the blocks' lag snapshots and one cycle count per snapshot.
+    over all the blocks' lag snapshots.  Cycles are then counted on
+    disjoint unions of consecutive lag snapshots with ties not yet
+    memoized, one call per run of them with at most LAG_GROUP_EDGES edges
+    in all (``_lag_groups``); each snapshot keeps its own counts and cycle
+    work, as a call on it alone leaves them.
     """
     rs = history.risk_set
     n = len(rs)
@@ -941,17 +1025,15 @@ def edge_term_values(term: TermSpec, history: History, t, ii: np.ndarray,
             rows = np.flatnonzero(codes[pos] == pair)
             pos = pos[rows]
             asked = np.bincount(pos, minlength=len(codes)) > 0
-            memos, lo = [], 0
+            memos, todo, lo = [], [], 0
             for snap in snaps:
                 hi = lo + snap.edge_count
-                memo = snap._cycle_memo.setdefault(max_len, np.full(snap.edge_count, np.nan))
-                todo = np.flatnonzero(np.isnan(memo) & asked[lo:hi])
-                if len(todo):
-                    # math.log1p: np.log1p differs in the last bit for some counts
-                    memo[todo] = np.frompyfunc(math.log1p, 1, 1)(
-                        pair_cycle_counts(snap, *np.divmod(snap.codes[todo], size), max_len))
-                memos.append(memo)
+                memos.append(snap._cycle_memo.setdefault(
+                    max_len, np.full(snap.edge_count, np.nan)))
+                todo.append(np.flatnonzero(np.isnan(memos[-1]) & asked[lo:hi]))
                 lo = hi
+            for group in _lag_groups(snaps, [k for k, rows in enumerate(todo) if len(rows)]):
+                _count_cycles([snaps[k] for k in group], [todo[k] for k in group], max_len)
             out[rows] = np.concatenate(memos)[pos]
         return out
     raise SpecError(f"kind {kind!r} is not an edge statistic")

@@ -20,7 +20,10 @@ instead of read from the kind table's scopes and params; panel files read
 one label at a time, or one snapshot at a time, and written through the
 panel's JSON object and ``json.dumps`` instead of on arrays; and patterns
 keyed from a block-diagonal CSR of all the weighted rows instead of from
-the term columns.  The tests' scalar and sub-design helpers
+the term columns; lag triangles and cycles counted with one kernel call
+per lag snapshot instead of on unions of small ones; and class-pair
+values gathered through an index per dyad even under one endpoint
+class.  The tests' scalar and sub-design helpers
 (``has_edge``, ``triangle_count``, ``split_design``,
 ``predict_probabilities``) live here too.
 """
@@ -75,6 +78,7 @@ from dynetlogit.terms import (
     SpecError,
     _is_edge,
     edge_term_values,
+    pair_cycle_counts,
     triangle_counts,
     vertex_term_values,
 )
@@ -912,3 +916,49 @@ def dyad_rows_by_class(ii, jj, classes, draws, lagged):
     of[ties] = np.arange(len(ties))
     of[free] = key.ravel() + len(ties)
     return np.concatenate([ties, free[first]]), of
+
+
+def lag_values_by_snapshot(term, history, times, ii=None, jj=None):
+    """The values of a ``lag_triangle`` term on every vertex, or of a
+    ``lag_cycle_embed`` term on the dyads (ii[r], jj[r]), at one time per
+    block of n vertices, with one kernel call per lag snapshot in step
+    order: ``triangle_counts`` of each, or ``pair_cycle_counts`` of each
+    snapshot's asked ties not yet memoized, its log1p written to the
+    snapshot's memo."""
+    snaps = [history.lagged(u, term.lag) for u in times]
+    if term.kind == "lag_triangle":
+        return np.concatenate([triangle_counts(snap) for snap in snaps])
+    n, max_len = len(history.risk_set), term.params["max_len"]
+    block = ii // n
+    pair = (ii - block * n) * n + (jj - block * n) + block * (n * n)
+    codes = np.concatenate([s * (n * n) + snap.codes for s, snap in enumerate(snaps)])
+    out = np.zeros(len(ii))
+    if len(codes):
+        pos = np.minimum(np.searchsorted(codes, pair), len(codes) - 1)
+        rows = np.flatnonzero(codes[pos] == pair)
+        pos = pos[rows]
+        asked = np.bincount(pos, minlength=len(codes)) > 0
+        memos, lo = [], 0
+        for snap in snaps:
+            hi = lo + snap.edge_count
+            memo = snap._cycle_memo.setdefault(max_len, np.full(snap.edge_count, np.nan))
+            todo = np.flatnonzero(np.isnan(memo) & asked[lo:hi])
+            if len(todo):
+                memo[todo] = np.frompyfunc(math.log1p, 1, 1)(
+                    pair_cycle_counts(snap, *np.divmod(snap.codes[todo], n), max_len))
+            memos.append(memo)
+            lo = hi
+        out[rows] = np.concatenate(memos)[pos]
+    return out
+
+
+def gather_by_dyad(layout, values, lo, hi):
+    """``design._DyadLayout.gather`` through the class pair of every dyad
+    of blocks lo..hi-1 of one period, or of the one period that a single
+    vertex set serves, broadcast per block: one index per dyad under any
+    number of endpoint classes."""
+    if len(layout.present) == 1:
+        row = values[layout._pairs(0, len(layout.vertex))]
+        return np.broadcast_to(row, (hi - lo, len(row))) if hi - lo > 1 else row
+    a, b = np.searchsorted(layout.vertex, [lo * layout.n, hi * layout.n]).tolist()
+    return values[layout._pairs(a, b)]

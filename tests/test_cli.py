@@ -814,6 +814,39 @@ def test_cycle_budget_exceeded_exits_validation(tmp_path, capsys):
     assert "t=1" in message and "|V_t|=60" in message and "|E_t|=1770" in message
 
 
+@pytest.mark.parametrize("budget, value", [("HALF_PATH_BUDGET", 1000),
+                                           ("CYCLE_WORK_BUDGET", 100_000)])
+def test_grouped_cycle_refusal_is_the_snapshots_own(tmp_path, capsys, monkeypatch, budget,
+                                                     value):
+    """Small lag snapshots share one cycle count, on their union.  When a
+    budget refuses it, the command exits 3 with the refusal of the call on
+    the refusing snapshot alone, naming its t, not the union's."""
+    from dynetlogit import NetworkPanel, RiskSet, Snapshot, load_panel, terms
+    n = 12
+    clique = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    panel = NetworkPanel(RiskSet([f"v{k}" for k in range(n)]), [
+        Snapshot(1, range(n), [(0, 1), (1, 2), (0, 2)], n=n),
+        Snapshot(2, range(n), clique, n=n),
+        Snapshot(3, range(n), clique, n=n),
+        Snapshot(4, range(n), [(0, 1)], n=n)])
+    assert 3 + 2 * len(clique) <= terms.LAG_GROUP_EDGES  # steps 2..4 read one union
+    save_panel(panel, tmp_path / "cliques.json")
+    spec = ModelSpec([TermSpec("vertex", "intercept")],
+                     [TermSpec("edge", "intercept"),
+                      TermSpec("edge", "lag_cycle_embed", lag=1, params={"max_len": 9})])
+    save_model_spec(spec, tmp_path / "cycles.json")
+    monkeypatch.setattr(terms, budget, value)
+    code = run(["fit", tmp_path / "cliques.json", tmp_path / "cycles.json",
+                "--out-dir", tmp_path / "out"])
+    assert code == EXIT_VALIDATION
+    with pytest.raises(terms.CycleBudgetError) as refusal:  # one call per lag snapshot
+        for snap in load_panel(tmp_path / "cliques.json").snapshots[:3]:
+            terms.pair_cycle_counts(snap, *np.divmod(snap.codes, n), 9)
+    assert "t=2 (|V_t|=12, |E_t|=66)" in str(refusal.value)
+    assert capsys.readouterr().err == json.dumps(
+        {"error": "validation", "message": str(refusal.value)}) + "\n"
+
+
 def test_console_entry_point(workdir, tmp_path):
     # the subprocess imports the package the tests import, installed or not
     import dynetlogit

@@ -1,3 +1,4 @@
+import copy
 import csv
 import time
 import tracemalloc
@@ -23,7 +24,7 @@ from dynetlogit import (
     save_model_spec,
     save_panel,
 )
-from dynetlogit import design
+from dynetlogit import design, terms
 from dynetlogit.design import _endpoint_classes, dump_design
 from dynetlogit.terms import (
     KINDS,
@@ -243,11 +244,13 @@ def term_pools(labels, lags, max_len):
 
 
 @st.composite
-def panels_and_specs(draw):
+def panels_and_specs(draw, sizes=(0, 1, 2, None), min_n=1):
     """Small panels with gaps, vertices absent on some steps and steps of 0,
-    1 or 2 present vertices, and specs over every edge kind."""
+    1 or 2 present vertices, and specs over every edge kind.  A step has
+    one of ``sizes`` present vertices or, for None, a random number, among
+    ``min_n`` to 10."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(min_n, 10))
     slots = draw(st.integers(4, 7))
     gaps = set(draw(st.lists(st.integers(2, slots - 1), max_size=1)))
     attrs = {name: [rng.choice([True, False, None]) for _ in range(n)] for name in "ab"}
@@ -258,7 +261,7 @@ def panels_and_specs(draw):
     for t in range(1, slots + 1):
         if t in gaps:
             continue
-        size = draw(st.sampled_from([0, 1, 2, None]))
+        size = draw(st.sampled_from(sizes))
         if size is None:
             present = rng.random(n) < rng.uniform(0.3, 1.0)
         else:
@@ -655,6 +658,23 @@ def test_dyad_layout_equals_brute_force(case, data):
     assert np.array_equal(cls[pair], (ii // n % rows * 4 + di) * 4 + dj)
 
 
+@settings(max_examples=300, deadline=None)
+@given(dyad_layouts(), st.integers(1, 2), st.integers(0, 2**32 - 1), st.data())
+def test_gather_equals_the_per_dyad_gather(case, k, seed, data):
+    """Under one endpoint class ``gather`` repeats each vertex set's one
+    class-pair value over its dyads; under one class or two it gives the
+    bytes, shape and dtype of the gather through every dyad's class pair."""
+    present, classes, blocks, _ = case
+    layout = design._DyadLayout(present, classes % k)
+    values = np.random.default_rng(seed).standard_normal(len(layout.sizes))
+    lo = data.draw(st.integers(0, blocks - 1))
+    hi = data.draw(st.integers(lo + 1, blocks))
+    event(f"{len(present)} set(s), {'one class' if layout._k == 1 else 'classes'}")
+    got, want = layout.gather(values, lo, hi), oracles.gather_by_dyad(layout, values, lo, hi)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @pytest.mark.parametrize("workload", ["month", "cycles", "million"])
 def test_workload_classes_equal_the_oracle(workload):
     panel, specs = bench_workloads()._base_draw(workload)
@@ -673,6 +693,61 @@ def test_panel_rows_equal_rows_by_dyad(case):
     except DesignError:
         return
     assert_rows_equal_rows_by_dyad(dm, panel, spec)
+
+
+def _lag_state(panel):
+    """Every snapshot's cycle memos and cycle-work total, as bytes."""
+    return [({max_len: memo.tobytes() for max_len, memo in s._cycle_memo.items()},
+             None if s._cycle_work is None else s._cycle_work.tobytes())
+            for s in panel.snapshots]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(panels_and_specs(sizes=(2, None, None), min_n=5), st.sampled_from(["exclude", "bridge"]),
+       st.integers(3, 5), st.sampled_from([0, 1, 10**9]))
+def test_grouped_lag_counts_equal_per_snapshot_calls(case, policy, max_len, bound):
+    """A design counts triangles and cycles on unions of consecutive lag
+    snapshots of at most ``terms.LAG_GROUP_EDGES`` edges in all.  At every
+    bound its term columns, and the cycle memos and cycle-work totals left
+    on every snapshot, are byte-equal to those of one kernel call per lag
+    snapshot, as two specs are built one after the other on one panel, the
+    second hitting the first's memos."""
+    panel, _, align = case
+    twin = copy.deepcopy(panel)
+    specs = [ModelSpec([TermSpec("vertex", "intercept"),
+                        *(TermSpec("vertex", "lag_triangle", lag=lag) for lag in lags)],
+                       [TermSpec("edge", "intercept"),
+                        *(TermSpec("edge", "lag_cycle_embed", lag=lag,
+                                   params={"max_len": max_len}) for lag in lags)],
+                       gap_policy=policy)
+             for lags in ((1,), (2, 1))]
+    real_v, real_e = design.vertex_term_values, design.edge_term_values
+
+    def checked_vertex(term, history, t):
+        got = real_v(term, history, t)
+        if term.kind == "lag_triangle":
+            want = oracles.lag_values_by_snapshot(term, History(twin, policy), t)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return got
+
+    def checked_edge(term, history, t, ii, jj, present):
+        got = real_e(term, history, t, ii, jj, present)
+        if term.kind == "lag_cycle_embed":
+            want = oracles.lag_values_by_snapshot(term, History(twin, policy), t, ii, jj)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return got
+
+    with mock.patch.object(terms, "LAG_GROUP_EDGES", bound), \
+            mock.patch.object(design, "vertex_term_values", checked_vertex), \
+            mock.patch.object(design, "edge_term_values", checked_edge):
+        for spec in specs:
+            try:
+                build_design(panel, spec, align_to_lag=align)
+            except DesignError:
+                pass
+            assert _lag_state(panel) == _lag_state(twin)
+    counted = sum(s._cycle_work is not None for s in panel.snapshots)
+    event(f"cycles counted on {min(counted, 3)}{'+' if counted > 2 else ''} snapshot(s)")
 
 
 @pytest.mark.parametrize("workload", ["month", "cycles", "million"])

@@ -3,9 +3,10 @@ kind table, and quotes the budgets and exit codes the code sets."""
 
 import argparse
 import re
+from importlib import import_module
 from pathlib import Path
 
-from dynetlogit import cli, design, simulate, solver, terms
+from dynetlogit import cli
 from dynetlogit.cli import _build_parser
 from dynetlogit.terms import KINDS
 
@@ -58,22 +59,28 @@ def test_readme_kinds_match_the_kind_table():
 
 
 def _quoted_value(text: str):
-    """The number a README quote such as "10 million" or "2^17" states."""
+    """The number a README quote such as "256", "500,000", "10 million" or
+    "2^17" states."""
     million = re.fullmatch(r"(\d+) million", text)
     if million:
         return int(million[1]) * 10**6
     power = re.fullmatch(r"(\d+)\^(\d+)", text)
-    return int(power[1]) ** int(power[2]) if power else None
+    if power:
+        return int(power[1]) ** int(power[2])
+    return int(text.replace(",", "")) if re.fullmatch(r"\d{1,3}(,\d{3})*|\d+", text) else None
 
 
 def test_readme_budgets_match_the_code():
+    """Every quote of a module constant followed by its value in brackets,
+    such as `terms.CYCLE_WORK_BUDGET` (10 million), states the code's value."""
     text = " ".join(README.read_text(encoding="utf-8").split())
-    quoted = {(module, name): _quoted_value(value) for module, name, value
-              in re.findall(r"`(\w+)\.([A-Z_]+)` \(([^)]*)\)", text)}
-    modules = {"design": design, "simulate": simulate, "solver": solver, "terms": terms}
-    for module, name in (("design", "ROW_BUDGET"), ("simulate", "PAIR_BUDGET"),
-                         ("solver", "ENTRY_PAIR_BUDGET"), ("terms", "CYCLE_WORK_BUDGET")):
-        assert quoted[module, name] == getattr(modules[module], name), name
+    quotes = re.findall(r"`(\w+)\.([A-Z_]+)` \(([^)]*)\)", text)
+    assert {name for _, name, _ in quotes} >= {
+        "ROW_BUDGET", "PAIR_BUDGET", "ENTRY_PAIR_BUDGET", "CYCLE_WORK_BUDGET",
+        "HALF_PATH_BUDGET", "LAG_GROUP_EDGES"}
+    for module, name, value in quotes:
+        assert _quoted_value(value) == getattr(import_module(f"dynetlogit.{module}"), name), \
+            (module, name, value)
 
 
 def test_readme_exit_codes_match_the_code():
